@@ -21,7 +21,7 @@ from .commutation import gram_power, half_centered_check, kernel_of_adjoint
 from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
 from .linalg import polar, positive_sqrt
 from .operators import OperatorModel, ToleranceConfig
-from .subspaces import Subspace, orthonormalize, subspace_ominus, subspace_sum
+from .subspaces import Subspace, extend_frame, orthonormalize, subspace_ominus, subspace_sum
 
 __all__ = [
     "AnalysisBlock",
@@ -163,18 +163,36 @@ def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspac
 
 def span_closure(model: OperatorModel, cfg: ToleranceConfig,
                  seed_space: Subspace) -> tuple[Subspace, str]:
-    """Closure of an ambient subspace under repeated application of T."""
+    """Closure of an ambient subspace under repeated application of T.
+
+    Step k adds the directions of the layer T^k(seed) that the frame built
+    so far lacks: one residual block per power, factored on its own (see
+    ``extend_frame``).  A step costs O(N^2 m) for an m-dimensional seed and
+    at most N steps add directions, so the closure of a seed of bounded
+    dimension costs O(N^3).  The cut is where an SVD of the stacked
+    [frame, layer] would cut, at ``cfg.rank_tol`` times the largest column
+    norm of that stack; directions already in the frame are never dropped.
+    The status is ``"capped"`` once the frame fills the ambient space and
+    ``"stable"`` once a layer adds nothing.
+
+    A ``"stable"`` closure below the ambient dimension is not always an
+    invariant subspace: when the layers decay geometrically (or grow until
+    the scale dwarfs the new directions) they fall below the cut and the
+    closure stops at a dimension set by the tolerance, not by T.
+    """
     frame = seed_space.frame
     layer = frame
+    status = "stable"
     for _ in range(model.dim + 1):
         layer = model.matrix @ layer
-        grown = orthonormalize([frame, layer], rank_tol=cfg.rank_tol)
-        if grown.dim == frame.shape[1]:
-            return grown, "stable"
-        frame = grown.frame
-        if grown.dim >= model.dim:
-            return grown, "capped"
-    return Subspace(frame, cfg.rank_tol), "stable"
+        fresh = extend_frame(frame, layer, cfg.rank_tol)
+        if fresh.shape[1] == 0:
+            break
+        frame = np.hstack([frame, fresh])
+        if frame.shape[1] >= model.dim:
+            status = "capped"
+            break
+    return Subspace(frame, cfg.rank_tol), status
 
 
 def wandering_span(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:

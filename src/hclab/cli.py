@@ -260,9 +260,8 @@ def cmd_classify(args) -> int:
     _emit_report(out, args)
     if report.verdict == "inconclusive":
         return 4
-    for cert, tol in ((report.relation, cfg.relation_tol),):
-        if cert is not None and cert.operator_residual > tol:
-            return 4
+    if report.relation is not None and report.relation.operator_residual > cfg.relation_tol:
+        return 4
     if report.reconstruction is not None and \
             report.reconstruction.reconstruction_residual > cfg.relation_tol:
         return 4

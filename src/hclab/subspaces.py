@@ -14,7 +14,8 @@ import numpy as np
 from .errors import EmptyInput, NotContained
 from .linalg import DEFAULT_RANK_TOL, as_complex_matrix
 
-__all__ = ["Subspace", "orthonormalize", "subspace_sum", "subspace_ominus", "project"]
+__all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum", "subspace_ominus",
+           "project"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,47 @@ def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL,
         scale = float(np.max(np.linalg.norm(m, axis=0))) if m.size else 0.0
     d = int(np.sum(s > rank_tol * max(scale, 1e-300)))
     return Subspace(frame=u[:, :d], rank_tol=rank_tol)
+
+
+def extend_frame(frame: np.ndarray, block: np.ndarray,
+                 rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal columns that extend ``frame`` by the new directions of ``block``.
+
+    ``frame`` (n x d) must be orthonormal.  The rank decision is the one
+    ``orthonormalize([frame, block], rank_tol)`` makes, at the same scale
+    (the largest column norm of the stack), but only the n x m residual is
+    factored and the directions of ``frame`` are never dropped.
+
+    With C = frame* block and R = block - frame C (two Gram-Schmidt passes,
+    coefficients summed), the stack's Gram matrix is [[I, C], [C*, C*C + R*R]].
+    By inertia of its Schur complement, the stack has as many singular
+    values below tau as R W^-1 has, where W*W = I + C*C (the exact factor
+    is I + C*C / (1 - tau^2), equal to it in floating point for the tau of a
+    rank tolerance).  A cut on R alone would ignore how much of each new
+    direction ``block`` already spends along ``frame``.
+    """
+    n, d = frame.shape
+    m = block.shape[1]
+    if m == 0 or d >= n:
+        return np.zeros((n, 0), dtype=complex)
+    scale = float(np.max(np.linalg.norm(block, axis=0)))
+    if d:
+        scale = max(scale, 1.0)
+    coef = frame.conj().T @ block
+    resid = block - frame @ coef
+    again = frame.conj().T @ resid
+    resid -= frame @ again
+    coef += again
+    chol = np.linalg.cholesky(np.eye(m) + coef.conj().T @ coef)
+    u, s, _ = np.linalg.svd(np.linalg.solve(chol, resid.conj().T).conj().T,
+                            full_matrices=False)
+    # the residual has rank at most n - d; a rank_tol below roundoff could
+    # count dust beyond that
+    r = min(int(np.sum(s > rank_tol * max(scale, 1e-300))), n - d)
+    # u comes from a residual that may be tiny, so it is only roughly
+    # orthogonal to frame: project once more and re-orthonormalize
+    fresh = u[:, :r] - frame @ (frame.conj().T @ u[:, :r])
+    return np.linalg.qr(fresh)[0]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
