@@ -30,6 +30,7 @@ from .classifier import (
 )
 from .commutation import (
     CommutationReport,
+    analysis_depth,
     centered_check,
     centered_criterion,
     co_gram_power,

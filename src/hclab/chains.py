@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutation import gram_power, half_centered_check, kernel_of_adjoint
+from .commutation import analysis_depth, gram_power, half_centered_check, kernel_of_adjoint
 from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
 from .linalg import polar, positive_sqrt
 from .operators import OperatorModel, ToleranceConfig
@@ -42,18 +42,18 @@ MIN_WINDOW = 8
 
 
 def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
-    """Depth actually usable on this truncation.
+    """Depth of the analysis block on this truncation.
 
-    Banded truncations lose ``window_step`` indices per power, so the depth
-    is capped to keep at least ``MIN_WINDOW`` uncorrupted indices (falling
-    back to a single index for very small models); exact models keep the
-    configured depth.
+    Starts from ``analysis_depth``; banded truncations lose ``window_step``
+    indices per power, so the depth is lowered further to keep at least
+    ``MIN_WINDOW`` uncorrupted indices (falling back to a single index for
+    very small models).
     """
+    K = analysis_depth(model, cfg)
     if model.window_step == 0:
-        return cfg.depth
+        return K
     for floor in (MIN_WINDOW, 1):
-        k = (model.dim - floor) // model.window_step
-        k = min(cfg.depth, k)
+        k = min(K, (model.dim - floor) // model.window_step)
         if k >= 1:
             return k
     raise WindowExhausted(f"dimension {model.dim} leaves no usable window")
@@ -80,7 +80,7 @@ class AnalysisBlock:
     step: int
     depth: int
     matrix: np.ndarray          # w x w compression of the operator
-    grams: list                 # window compressions of the full grams, 0..2*depth
+    grams: list                 # window compressions of the full grams, 0..depth
     E: Subspace                 # kernel line in block coordinates
     embed: np.ndarray           # ambient_dim x w window basis
 
@@ -109,8 +109,7 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
         raise WindowExhausted(f"window({K}) < 1")
     embed = model.window_cols(w)
     Tb = model.window_compress(model.matrix, w)
-    deepest = min(2 * K, (model.dim - 1) // model.window_step) if model.window_step else 2 * K
-    grams = [model.window_compress(gram_power(model, k), w) for k in range(deepest + 1)]
+    grams = [model.window_compress(gram_power(model, k), w) for k in range(K + 1)]
 
     E_full = kernel_of_adjoint(model, cfg)
     coords = embed.conj().T @ E_full.frame
@@ -428,21 +427,16 @@ def verify_chain_structure(
     worst = 0.0
     complement_dims = []
     for k in range(K):
-        Vk = V[k]
         if k == 0:
-            complement_dims.append(X[0].dim)
+            complement = X[0]
         else:
             TXprev = orthonormalize([Tb @ X[k - 1].frame], rank_tol=cfg.rank_tol)
-            complement_dims.append(subspace_ominus(X[k], TXprev).dim)
-        if Vk.dim == 0:
+            complement = subspace_ominus(X[k], TXprev)
+        complement_dims.append(complement.dim)
+        if V[k].dim == 0:
             continue
-        image = Tb @ Vk.frame
-        if k == 0:
-            allowed = subspace_sum(V[1], X[0])
-        else:
-            TXprev = orthonormalize([Tb @ X[k - 1].frame], rank_tol=cfg.rank_tol)
-            allowed = subspace_sum(V[k + 1], subspace_ominus(X[k], TXprev))
-        worst = max(worst, _containment_residual(image, allowed))
+        allowed = subspace_sum(V[k + 1], complement)
+        worst = max(worst, _containment_residual(Tb @ V[k].frame, allowed))
     out["space1"] = worst
     # the complement X_k (-) T X_{k-1} carries no interpretation here; its
     # dimension is reported as-is
@@ -508,12 +502,12 @@ def verify_chain_structure(
         default=0.0,
     )
 
+    H = [_range_space(block, n, cfg) for n in range(K + 1)]
     worst = 0.0
     composed = np.eye(block.w, dtype=complex)
     for lvl in tower.levels:
         n = lvl.n
-        Hprev = _range_space(block, n - 1, cfg)
-        compression = Hprev.projector() @ Tb @ Hprev.projector()
+        compression = H[n - 1].projector() @ Tb @ H[n - 1].projector()
         composed = polar(compression, rank_tol=cfg.rank_tol).isometry_part @ composed
         wn = block.window(n)
         scale = max(np.linalg.norm(lvl.theta[:wn, :wn]), 1e-300)
@@ -535,8 +529,7 @@ def verify_chain_structure(
 
     worst = 0.0
     for n in range(1, K + 1):
-        Hn = _range_space(block, n, cfg)
-        comp = Hn.projector() @ Tb @ Hn.projector()
+        comp = H[n].projector() @ Tb @ H[n].projector()
         for j in range(1, K - n + 1):
             cj = np.linalg.matrix_power(comp, j)
             gj = cj.conj().T @ cj

@@ -14,22 +14,12 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .chains import chain_decomposition, isometry_tower, verify_chain_structure
 from .classifier import classify
-from .commutation import centered_check, centered_criterion, half_centered_check
+from .commutation import analysis_depth, centered_check, centered_criterion, half_centered_check
 from .errors import HclabError, SpecParseError
-from .matio import dumps_matrix, parse_complex
-from .operators import (
-    OperatorModel,
-    ToleranceConfig,
-    aq_operator,
-    composition_operator,
-    load_operator_spec,
-    shift_plus_rank_one,
-    weighted_shift,
-)
+from .matio import dumps_matrix
+from .operators import OperatorModel, ToleranceConfig, _jsonable, load_operator_spec
 from .spectral import enumerate_triples, spectral_correspondence_check, structure_extract
 
 VERIFY_TOLERANCES = {
@@ -67,39 +57,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to this path (atomically)")
 
 
-def _parse_scalar_list(text: str) -> list[complex]:
-    return [parse_complex(tok) for tok in text.split(",") if tok.strip()]
-
-
 def build_model(args) -> OperatorModel:
+    """The model of ``--file``, or of the same spec assembled from the flags."""
     if args.file:
         return load_operator_spec(args.file)
-    family = args.family
-    if not family:
+    if not args.family:
         raise SpecParseError("either --file or --family is required")
-    N = args.n
-    if family == "weighted_shift":
-        if not args.weights:
-            raise SpecParseError("weighted_shift needs --weights")
-        return weighted_shift(_parse_scalar_list(args.weights), N)
-    if family == "shift_plus_rank_one":
-        if not args.weights or args.a is None:
-            raise SpecParseError("shift_plus_rank_one needs --weights and --a")
-        return shift_plus_rank_one(
-            _parse_scalar_list(args.weights), parse_complex(args.a), args.index, N
-        )
-    if family == "composition":
-        if not args.psi or not args.xi:
-            raise SpecParseError("composition needs --psi and --xi")
-        psi = [int(tok) for tok in args.psi.split(",") if tok.strip()]
-        return composition_operator(psi, _parse_scalar_list(args.xi), N)
-    if family == "aq":
-        if args.q is None:
-            raise SpecParseError("aq needs --q")
-        return aq_operator(args.q, args.r, N)
-    if family == "projection_product":
-        raise SpecParseError("projection_product requires --file with P and Q matrices")
-    raise SpecParseError(f"unknown family {family!r}")
+    spec = {"family": args.family, "N": args.n, "n": args.index,
+            "a": args.a, "q": args.q, "r": args.r}
+    for key in ("weights", "psi", "xi"):
+        text = getattr(args, key)
+        spec[key] = None if text is None else [tok for tok in text.split(",") if tok.strip()]
+    return load_operator_spec(spec)
 
 
 def build_config(args) -> ToleranceConfig:
@@ -115,16 +84,6 @@ def build_config(args) -> ToleranceConfig:
         relation_tol=args.tol_rel, spectral_match_tol=args.tol_match,
         depth=args.depth, seed=seed,
     )
-
-
-def _cap_depth(model: OperatorModel, cfg: ToleranceConfig) -> ToleranceConfig:
-    """Cap the analysis depth to what the truncation supports."""
-    if model.window_step == 0:
-        return cfg
-    feasible = (model.dim - 1) // (2 * model.window_step)
-    if feasible < 1:
-        return cfg  # let the library raise its own WindowExhausted
-    return cfg.with_depth(min(cfg.depth, feasible))
 
 
 def _config_echo(model: OperatorModel, cfg: ToleranceConfig,
@@ -183,9 +142,7 @@ def _render_text(obj, prefix: str = "") -> list[str]:
     return lines
 
 
-def cmd_zoo(args) -> int:
-    model = build_model(args)
-    cfg = build_config(args)
+def cmd_zoo(args, model, cfg, requested) -> int:
     text = dumps_matrix(model.matrix)
     if args.format == "text":
         if model.companion is not None:
@@ -193,7 +150,7 @@ def cmd_zoo(args) -> int:
         _emit(text, args.out)
         return 0
     report = {
-        "config": _config_echo(model, cfg),
+        "config": _config_echo(model, requested),
         "matrix": text,
     }
     if model.companion is not None:
@@ -202,10 +159,7 @@ def cmd_zoo(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    model = build_model(args)
-    requested = build_config(args)
-    cfg = _cap_depth(model, requested)
+def cmd_check(args, model, cfg, requested) -> int:
     report = centered_check(model, cfg)
     criterion = centered_criterion(model, cfg)
     out = {
@@ -217,10 +171,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    model = build_model(args)
-    requested = build_config(args)
-    cfg = _cap_depth(model, requested)
+def cmd_decompose(args, model, cfg, requested) -> int:
     chain = chain_decomposition(model, cfg)
     out = {"config": _config_echo(model, cfg, requested), **chain.as_dict()}
     try:
@@ -233,10 +184,7 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_spectral(args) -> int:
-    model = build_model(args)
-    requested = build_config(args)
-    cfg = _cap_depth(model, requested)
+def cmd_spectral(args, model, cfg, requested) -> int:
     chain = chain_decomposition(model, cfg)
     structure = structure_extract(model, chain, cfg)
     triples = enumerate_triples(model, chain, structure, cfg)
@@ -251,10 +199,7 @@ def cmd_spectral(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    model = build_model(args)
-    requested = build_config(args)
-    cfg = _cap_depth(model, requested)
+def cmd_classify(args, model, cfg, requested) -> int:
     report = classify(model, cfg)
     out = {"config": _config_echo(model, cfg, requested), **report.as_dict()}
     _emit_report(out, args)
@@ -268,10 +213,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    model = build_model(args)
-    requested = build_config(args)
-    cfg = _cap_depth(model, requested)
+def cmd_verify(args, model, cfg, requested) -> int:
     half = half_centered_check(model, cfg)
     chain = chain_decomposition(model, cfg)
     tower = isometry_tower(model, cfg)
@@ -294,20 +236,6 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 4
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hclab",
@@ -326,7 +254,11 @@ def main(argv=None) -> int:
         _add_common(sub.add_parser(name))
     args = parser.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        # every command gets the config as requested and as capped to the model
+        model = build_model(args)
+        requested = build_config(args)
+        cfg = requested.with_depth(analysis_depth(model, requested))
+        return handlers[args.command](args, model, cfg, requested)
     except HclabError as exc:
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
         return exc.exit_code

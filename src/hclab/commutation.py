@@ -20,6 +20,7 @@ from .subspaces import Subspace, orthonormalize
 __all__ = [
     "CommutationReport",
     "CriterionReport",
+    "analysis_depth",
     "gram_power",
     "co_gram_power",
     "half_centered_check",
@@ -29,8 +30,21 @@ __all__ = [
 ]
 
 
-def gram_power(model: OperatorModel, k: int) -> np.ndarray:
-    """The positive matrix T*^k T^k; the identity for k = 0."""
+def analysis_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
+    """The configured depth K, capped at the largest K with window(2K) >= 1.
+
+    That is (N - 1) // (2 * window_step) for a banded truncation.  Exact
+    models keep the configured depth, and so does a truncation too small
+    for depth 1, whose checks then raise WindowExhausted.
+    """
+    if model.window_step == 0:
+        return cfg.depth
+    feasible = (model.dim - 1) // (2 * model.window_step)
+    return min(cfg.depth, feasible) if feasible >= 1 else cfg.depth
+
+
+def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
+    """T*^k T^k, or T^k T*^k when ``outer``; the identity for k = 0."""
     if k < 0:
         raise ValueError("power must be nonnegative")
     if model.window(k) < 1:
@@ -38,21 +52,18 @@ def gram_power(model: OperatorModel, k: int) -> np.ndarray:
     if k == 0:
         return np.eye(model.dim, dtype=complex)
     p = model.power(k)
-    g = p.conj().T @ p
+    g = p @ p.conj().T if outer else p.conj().T @ p
     return (g + g.conj().T) / 2.0
+
+
+def gram_power(model: OperatorModel, k: int) -> np.ndarray:
+    """The positive matrix T*^k T^k; the identity for k = 0."""
+    return _power_product(model, k, outer=False)
 
 
 def co_gram_power(model: OperatorModel, k: int) -> np.ndarray:
     """The positive matrix T^k T*^k."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if model.window(k) < 1:
-        raise WindowExhausted(f"window({k}) = {model.window(k)} < 1")
-    if k == 0:
-        return np.eye(model.dim, dtype=complex)
-    p = model.power(k)
-    g = p @ p.conj().T
-    return (g + g.conj().T) / 2.0
+    return _power_product(model, k, outer=True)
 
 
 @dataclass
@@ -83,8 +94,8 @@ def _pair_residual(model: OperatorModel, a: np.ndarray, b: np.ndarray, w: int) -
 
 
 def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
-    """Pairwise commutation of the gram powers up to the configured depth."""
-    K = cfg.depth
+    """Pairwise commutation of the gram powers up to ``analysis_depth``."""
+    K = analysis_depth(model, cfg)
     if model.window(2 * K) < 1:
         raise WindowExhausted(f"window(2K) = {model.window(2 * K)} < 1 at depth {K}")
     grams = [gram_power(model, k) for k in range(K + 1)]
@@ -104,7 +115,7 @@ def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> Commutati
 def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
     """Commutation of the full family {T^j T*^j} u {T*^k T^k}."""
     half = half_centered_check(model, cfg)
-    K = cfg.depth
+    K = half.depth
     grams = [gram_power(model, k) for k in range(K + 1)]
     cograms = [co_gram_power(model, k) for k in range(K + 1)]
     pairs = list(half.pairs)
@@ -165,7 +176,7 @@ def centered_criterion(model: OperatorModel, cfg: ToleranceConfig) -> CriterionR
         return CriterionReport(verdict=True, residual=0.0, vacuous=True)
     per_power = []
     worst = 0.0
-    for k in range(1, cfg.depth + 1):
+    for k in range(1, analysis_depth(model, cfg) + 1):
         g = gram_power(model, k)
         image = g @ E.frame
         leak = image - E.frame @ (E.frame.conj().T @ image)

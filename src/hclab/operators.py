@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -176,19 +177,23 @@ class OperatorModel:
             "bandwidth": self.bandwidth,
             "exact": self.exact,
             "window_step": self.window_step,
-            "params": _json_safe(self.params),
+            "params": _jsonable(self.params),
         }
 
 
-def _json_safe(obj):
+def _jsonable(obj):
+    """JSON-ready copy: str keys, complex numbers as ``{"re", "im"}``, numpy
+    scalars and arrays as Python numbers and lists."""
     if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.generic):
         return obj.item()
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
     return obj
 
 
@@ -356,10 +361,20 @@ def _parse_scalar(value) -> complex:
     raise SpecParseError(f"cannot interpret {value!r} as a complex scalar")
 
 
-def _parse_scalar_list(values) -> list[complex]:
+def _parse_list(values, parse_item=_parse_scalar) -> list:
     if not isinstance(values, (list, tuple)):
-        raise SpecParseError("expected a list of scalars")
-    return [_parse_scalar(v) for v in values]
+        raise SpecParseError(f"expected a list, got {values!r}")
+    return [parse_item(v) for v in values]
+
+
+def _field(spec: dict, key: str, parse=_parse_list):
+    """``parse(spec[key])``; a missing, null or malformed field names itself."""
+    if spec.get(key) is None:
+        raise SpecParseError(f"operator spec is missing field {key!r}")
+    try:
+        return parse(spec[key])
+    except (SpecParseError, TypeError, ValueError, AttributeError) as exc:
+        raise SpecParseError(f"operator spec field {key!r}: {exc}") from exc
 
 
 def load_operator_spec(spec) -> OperatorModel:
@@ -380,30 +395,26 @@ def load_operator_spec(spec) -> OperatorModel:
     if not isinstance(spec, dict):
         raise SpecParseError("operator spec must be a JSON object")
     family = spec.get("family")
-    try:
-        if family == "weighted_shift":
-            N = int(spec["N"])
-            return weighted_shift(_parse_scalar_list(spec["weights"]), N)
-        if family == "shift_plus_rank_one":
-            N = int(spec["N"])
-            return shift_plus_rank_one(
-                _parse_scalar_list(spec["weights"]), _parse_scalar(spec["a"]),
-                int(spec["n"]), N,
-            )
-        if family == "projection_product":
-            P = np.array([[_parse_scalar(v) for v in row] for row in spec["P"]])
-            Q = np.array([[_parse_scalar(v) for v in row] for row in spec["Q"]])
-            return projection_product(P, Q)
-        if family == "composition":
-            N = int(spec["N"])
-            return composition_operator(spec["psi"], _parse_scalar_list(spec["xi"]), N)
-        if family == "aq":
-            N = int(spec["N"])
-            r = spec.get("r")
-            return aq_operator(float(spec["q"]), None if r is None else float(r), N)
-        if family == "matrix":
-            m = loads_matrix(spec["matrix"])
-            return from_matrix(m, exact=bool(spec.get("exact", True)))
-    except KeyError as exc:
-        raise SpecParseError(f"operator spec is missing field {exc}") from exc
+    if family == "weighted_shift":
+        N = _field(spec, "N", int)
+        return weighted_shift(_field(spec, "weights"), N)
+    if family == "shift_plus_rank_one":
+        N = _field(spec, "N", int)
+        return shift_plus_rank_one(
+            _field(spec, "weights"), _field(spec, "a", _parse_scalar), _field(spec, "n", int), N,
+        )
+    if family == "projection_product":
+        rows = partial(_parse_list, parse_item=_parse_list)
+        return projection_product(_field(spec, "P", rows), _field(spec, "Q", rows))
+    if family == "composition":
+        N = _field(spec, "N", int)
+        psi = _field(spec, "psi", partial(_parse_list, parse_item=int))
+        return composition_operator(psi, _field(spec, "xi"), N)
+    if family == "aq":
+        N = _field(spec, "N", int)
+        r = None if spec.get("r") is None else _field(spec, "r", float)
+        return aq_operator(_field(spec, "q", float), r, N)
+    if family == "matrix":
+        m = _field(spec, "matrix", loads_matrix)
+        return from_matrix(m, exact=bool(spec.get("exact", True)))
     raise SpecParseError(f"unknown operator family {family!r}")

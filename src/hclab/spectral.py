@@ -52,12 +52,19 @@ class JointSpectrum:
         return np.array([c.values for c in self.characters])
 
 
-def _split_block(mats, frame, cfg, member, scale):
-    """Recursively split an eigenvector block against remaining members."""
+def _split_block(mats, frame, cfg, member, scale=None):
+    """Recursively split an eigenvector block against remaining members.
+
+    Eigenvalues closer than the gap cluster into one block.  The gap is set
+    once, by the spectrum of the first member split (``scale`` None), and
+    holds for every member after it.
+    """
     if member >= len(mats) or frame.shape[1] <= 1:
         return [frame]
     comp = frame.conj().T @ mats[member] @ frame
     w, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
+    if scale is None:
+        scale = max(np.abs(w[0]), np.abs(w[-1]), 1e-300)
     refined = frame @ v
     blocks = []
     i = 0
@@ -102,18 +109,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(len(mats))
     combo = sum(c * m for c, m in zip(coeffs, mats))
-    combo = (combo + combo.conj().T) / 2.0
-    w, v = np.linalg.eigh(combo)
-    scale = max(np.abs(w[0]), np.abs(w[-1]), 1e-300)
-    blocks = []
-    i = 0
-    gap = max(cfg.rank_tol * scale, 1e4 * np.finfo(float).eps * scale)
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] - w[j - 1] <= gap:
-            j += 1
-        blocks.extend(_split_block(mats, v[:, i:j], cfg, 0, scale))
-        i = j
+    blocks = _split_block([combo] + mats, np.eye(d, dtype=complex), cfg, 0)
 
     raw = []
     for frame in blocks:
@@ -306,16 +302,19 @@ class TripleRecord:
         }
 
 
-def _lambda_side_value(char_values, tau, m, k, zero_tol):
-    """Character value of the m-th tower conjugate on the k-th gram.
+def _tower_ratio(char_values, tau, m, k, zero_tol):
+    """Character value of the m-th tower conjugate on the k-th gram, with
+    m = 0 meaning the gram itself.
 
     Uses the ratio of character values when the depth-m value is away from
-    zero; a zero there forces the tau-ratio form instead.
+    zero; a zero there forces the tau-ratio form instead (0 without tau).
     """
+    if m == 0:
+        return char_values[k - 1]
     lm = char_values[m - 1]
     if abs(lm) > zero_tol:
         return char_values[m + k - 1] / lm
-    return tau[m + k] / tau[m]
+    return 0.0 if tau is None else tau[m + k] / tau[m]
 
 
 def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
@@ -343,7 +342,7 @@ def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
                 residual = 0.0
                 for k in range(1, K - m + 1):
                     lhs = gamma.values[k - 1]
-                    rhs = _lambda_side_value(lam.values, tau, m, k, zero_tol)
+                    rhs = _tower_ratio(lam.values, tau, m, k, zero_tol)
                     residual = max(residual, abs(lhs - rhs) / max(1.0, abs(rhs)))
                 if residual <= cfg.spectral_match_tol:
                     triples.append(TripleRecord(
@@ -375,17 +374,6 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
     )
     zero_tol = cfg.rank_tol * scale
 
-    def ratio(values, k, j):
-        # value of theta_k* T_j theta_k on a character, k = 0 meaning T_j itself
-        if k == 0:
-            return values[j - 1]
-        base = values[k - 1]
-        if abs(base) > zero_tol:
-            return values[k + j - 1] / base
-        if tau is not None:
-            return tau[k + j] / tau[k]
-        return 0.0
-
     layers = {}
     worst = 0.0
     for n in range(min(K, len(chain.V) - 1) + 1):
@@ -401,8 +389,8 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
                 res = 0.0
                 for k in range(0, K):
                     for j in range(1, K - k - n + 1):
-                        lhs = ratio(gamma.values, k, j)
-                        rhs = ratio(lam.values, k + n, j)
+                        lhs = _tower_ratio(gamma.values, tau, k, j, zero_tol)
+                        rhs = _tower_ratio(lam.values, tau, k + n, j, zero_tol)
                         res = max(res, abs(lhs - rhs) / max(1.0, abs(rhs)))
                 best = min(best, res)
             layer_worst = max(layer_worst, best)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hclab import ToleranceConfig, centered_check, classify, shift_plus_rank_one
 from hclab.cli import main
 from hclab.matio import loads_matrix
 
@@ -164,3 +165,79 @@ class TestContracts:
         doc = json.loads(out)
         assert doc["config"]["depth_requested"] == 6
         assert doc["config"]["tolerances"]["depth"] == 1
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"family": "aq", "N": None, "q": 0.5}, "N"),
+        ({"family": "aq", "N": 16, "q": [0.5]}, "q"),
+        ({"family": "projection_product", "P": 5, "Q": 3}, "P"),
+        ({"family": "matrix", "matrix": 5}, "matrix"),
+    ])
+    def test_malformed_spec_field_is_a_parse_error(self, capsys, tmp_path, spec, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        code = main(["check", "--file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[SpecParseError]")
+        assert f"field {field!r}" in err
+        assert "Traceback" not in err
+
+    def test_library_and_cli_pick_the_same_depth(self, capsys):
+        # hardy c = 0.5 at N = 12 supports depth (12 - 1) // 2 = 5, not the default 6
+        model = shift_plus_rank_one([0.5] * 11, 1.0, 0, 12)
+        cfg = ToleranceConfig()
+        assert classify(model, cfg).verdict == "both"
+        depth = centered_check(model, cfg).depth
+        assert depth == 5
+        code, out = run(capsys, "classify", "--family", "shift_plus_rank_one",
+                        "--weights", ",".join(["0.5"] * 11), "--a", "1", "--n", "12")
+        assert code == 0
+        assert json.loads(out)["config"]["tolerances"]["depth"] == depth
+
+
+_WEIGHTS = [str(0.8 + 0.03 * k) for k in range(15)]
+_PSI = [str((2 * x + 1) % 16) for x in range(16)]
+_XI = [str(1 + 0.1 * x) for x in range(16)]
+_SPECS = {
+    "weighted_shift": {"family": "weighted_shift", "weights": _WEIGHTS},
+    "shift_plus_rank_one": {"family": "shift_plus_rank_one", "weights": _WEIGHTS,
+                            "a": "0.3+0.4j", "n": 2},
+    "composition": {"family": "composition", "psi": _PSI, "xi": _XI},
+    "aq": {"family": "aq", "q": 0.5, "r": 5.0},
+    "aq_default_r": {"family": "aq", "q": 0.6},
+}
+_FLAGS = {
+    "weighted_shift": ["--family", "weighted_shift", "--weights", ",".join(_WEIGHTS)],
+    "shift_plus_rank_one": ["--family", "shift_plus_rank_one", "--weights", ",".join(_WEIGHTS),
+                            "--a", "0.3+0.4j", "--index", "2"],
+    "composition": ["--family", "composition", "--psi", ",".join(_PSI), "--xi", ",".join(_XI)],
+    "aq": ["--family", "aq", "--q", "0.5", "--r", "5"],
+    "aq_default_r": ["--family", "aq", "--q", "0.6"],
+    "projection_product": ["--family", "projection_product"],
+    "matrix": ["--family", "matrix"],
+    "no_family": [],
+    "weighted_shift_without_weights": ["--family", "weighted_shift"],
+    "shift_plus_rank_one_without_weights": ["--family", "shift_plus_rank_one", "--a", "1"],
+    "shift_plus_rank_one_without_a": ["--family", "shift_plus_rank_one",
+                                      "--weights", ",".join(_WEIGHTS)],
+    "composition_without_psi": ["--family", "composition", "--xi", ",".join(_XI)],
+    "composition_without_xi": ["--family", "composition", "--psi", ",".join(_PSI)],
+    "aq_without_q": ["--family", "aq", "--r", "5"],
+}
+
+
+@pytest.mark.parametrize("cmd", ["classify", "zoo"])
+@pytest.mark.parametrize("case", sorted(_FLAGS))
+def test_flags_and_file_agree(capsys, tmp_path, cmd, case):
+    """Flags go through the spec loader: the same report as ``--file``, and
+    the loader's parse errors for families or fields the flags cannot give."""
+    code = main([cmd, *_FLAGS[case], "--n", "16"])
+    out, err = capsys.readouterr()
+    if case not in _SPECS:
+        assert code == 1
+        assert err.startswith("error[SpecParseError]")
+        return
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_SPECS[case], "N": 16}))
+    assert main([cmd, "--file", str(path)]) == code
+    assert capsys.readouterr().out == out

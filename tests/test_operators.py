@@ -25,7 +25,7 @@ from hclab.errors import (
     ZeroWeight,
 )
 from hclab.matio import dumps_matrix
-from hclab.operators import aq_matrix
+from hclab.operators import _jsonable, aq_matrix
 
 from conftest import random_weights
 
@@ -325,3 +325,12 @@ class TestOperatorSpecs:
             bad = str(path)
         with pytest.raises((SpecParseError, TypeError)):
             load_operator_spec(bad)
+
+    def test_jsonable(self):
+        data = {1: np.float64(0.5), "z": 1 + 2j, "w": np.complex128(3j),
+                "flag": np.bool_(True), "rows": (np.arange(2), [np.int64(4)])}
+        assert _jsonable(data) == {
+            "1": 0.5, "z": {"re": 1.0, "im": 2.0}, "w": {"re": 0.0, "im": 3.0},
+            "flag": True, "rows": [[0, 1], [4]],
+        }
+        assert json.loads(json.dumps(_jsonable(data))) == _jsonable(data)
