@@ -20,7 +20,7 @@ import numpy as np
 from .commutation import analysis_depth, gram_power, half_centered_check, kernel_of_adjoint
 from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
 from .linalg import polar, positive_sqrt
-from .operators import OperatorModel, ToleranceConfig
+from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, extend_frame, orthonormalize, subspace_ominus, subspace_sum
 
 __all__ = [
@@ -59,6 +59,7 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
     raise WindowExhausted(f"dimension {model.dim} leaves no usable window")
 
 
+@_memoized
 def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> None:
     T = model.matrix
     top = np.linalg.norm(T, 2)
@@ -85,8 +86,6 @@ class AnalysisBlock:
     embed: np.ndarray           # ambient_dim x w window basis
 
     def window(self, k: int) -> int:
-        if self.step == 0:
-            return self.w
         return max(self.w - k * self.step, 0)
 
     def lift(self, sub: Subspace) -> Subspace:
@@ -97,10 +96,11 @@ class AnalysisBlock:
         return np.linalg.matrix_power(self.matrix, k)
 
 
+@_memoized
 def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
                    require_injective: bool = False) -> AnalysisBlock:
     """Build the compressed stage: operator block, exact gram compressions,
-    and the kernel line restricted to the window."""
+    and the kernel line restricted to the window.  Shared by every caller."""
     K = effective_depth(model, cfg)
     if require_injective:
         _ensure_injective_on_window(model, cfg)
@@ -117,11 +117,9 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
         mass = float(np.min(np.linalg.norm(coords, axis=0)))
         if mass < 1.0 - 1e-8:
             raise WindowExhausted(
-                f"kernel of T* keeps only {mass:.6f} of its mass inside the window"
+                f"kernel of T* loses {1.0 - mass:.1e} of its mass outside the window (limit 1e-08)"
             )
-        E_blk = orthonormalize([coords], rank_tol=cfg.rank_tol)
-    else:
-        E_blk = Subspace(np.zeros((w, 0), dtype=complex), cfg.rank_tol)
+    E_blk = orthonormalize([coords], rank_tol=cfg.rank_tol)
     return AnalysisBlock(w=w, step=model.window_step, depth=K, matrix=Tb,
                          grams=grams, E=E_blk, embed=embed)
 
@@ -231,6 +229,7 @@ class ChainDecomposition:
     depth: int
     dims: dict
     block: AnalysisBlock
+    H: list                     # ranges H_0..H_depth, in the coordinates of block
     notes: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -304,7 +303,7 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
         X=[block.lift(x) for x in X], V=[block.lift(v) for v in V],
         layers=[block.lift(s) for s in layers],
         defects=[block.lift(d) for d in defects],
-        depth=K, dims=dims, block=block, notes=notes,
+        depth=K, dims=dims, block=block, H=H, notes=notes,
     )
 
 
@@ -502,7 +501,7 @@ def verify_chain_structure(
         default=0.0,
     )
 
-    H = [_range_space(block, n, cfg) for n in range(K + 1)]
+    H = chain.H
     worst = 0.0
     composed = np.eye(block.w, dtype=complex)
     for lvl in tower.levels:

@@ -142,20 +142,15 @@ def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
     (a, b+c, 0, d) with the degenerate flag set.
     """
     K = effective_depth(model, cfg)
-    grams = {k: gram_power(model, k) for k in range(0, K + 1)}
     candidates = []
     for n in range(1, K // 2 + 1):
         for m in range(n, K - n + 1):
             w = model.window(n + m)
             if w < 2:
                 continue
-            if n == m:
-                mats = [grams[0], grams[n], grams[2 * n]]
-                reference = _REFERENCE_3
-            else:
-                mats = [grams[0], grams[n], grams[m], grams[n + m]]
-                reference = _REFERENCE_4
-            blocks = [model.window_compress(mt, w) for mt in mats]
+            powers = (0, n, 2 * n) if n == m else (0, n, m, n + m)
+            reference = _REFERENCE_3 if n == m else _REFERENCE_4
+            blocks = [model.window_compress(gram_power(model, k), w) for k in powers]
             stack = np.column_stack([blk.ravel() for blk in blocks])
             coeffs = _canonical_null_vector(stack, reference, cfg.relation_tol)
             combo = sum(ci * blk for ci, blk in zip(coeffs, blocks))
@@ -254,11 +249,7 @@ def polynomial_machinery(triple1: TripleRecord, triple2: TripleRecord,
     Two effectively equal triples force P to vanish identically, which is
     rejected as DegenerateTriples.
     """
-    scale = max(
-        float(np.max(np.abs(structure.me_spectrum.value_table()))) if structure.me_spectrum.characters else 1.0,
-        1.0,
-    )
-    zero_tol = cfg.rank_tol * scale
+    zero_tol = structure.me_spectrum.zero_tol(cfg)
     p1, p2 = _branch_polynomials(structure, triple1, zero_tol)
     q1, q2 = _branch_polynomials(structure, triple2, zero_tol)
     poly = np.polynomial.polynomial

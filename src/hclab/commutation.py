@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WindowExhausted
-from .operators import OperatorModel, ToleranceConfig
+from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
 __all__ = [
@@ -43,6 +43,7 @@ def analysis_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
     return min(cfg.depth, feasible) if feasible >= 1 else cfg.depth
 
 
+@_memoized
 def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     """T*^k T^k, or T^k T*^k when ``outer``; the identity for k = 0."""
     if k < 0:
@@ -58,12 +59,12 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
 
 def gram_power(model: OperatorModel, k: int) -> np.ndarray:
     """The positive matrix T*^k T^k; the identity for k = 0."""
-    return _power_product(model, k, outer=False)
+    return _power_product(model, k, False)
 
 
 def co_gram_power(model: OperatorModel, k: int) -> np.ndarray:
     """The positive matrix T^k T*^k."""
-    return _power_product(model, k, outer=True)
+    return _power_product(model, k, True)
 
 
 @dataclass
@@ -93,19 +94,25 @@ def _pair_residual(model: OperatorModel, a: np.ndarray, b: np.ndarray, w: int) -
     return float(num / den) if den > 0 else 0.0
 
 
+def _pair_table(model: OperatorModel, K: int, kind: str, left, right) -> list:
+    """Residuals of left(j) against right(k) for 1 <= j, k <= K, each on the
+    window(j + k) block; j < k when both sides are the same family."""
+    pairs = []
+    for j in range(1, K + 1):
+        for k in range(j + 1 if left is right else 1, K + 1):
+            res = _pair_residual(model, left(model, j), right(model, k), model.window(j + k))
+            pairs.append({"j": j, "k": k, "kind": kind, "residual": res})
+    return pairs
+
+
+@_memoized
 def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
     """Pairwise commutation of the gram powers up to ``analysis_depth``."""
     K = analysis_depth(model, cfg)
     if model.window(2 * K) < 1:
         raise WindowExhausted(f"window(2K) = {model.window(2 * K)} < 1 at depth {K}")
-    grams = [gram_power(model, k) for k in range(K + 1)]
-    pairs = []
-    worst = 0.0
-    for j in range(1, K + 1):
-        for k in range(j + 1, K + 1):
-            res = _pair_residual(model, grams[j], grams[k], model.window(j + k))
-            pairs.append({"j": j, "k": k, "kind": "gram-gram", "residual": res})
-            worst = max(worst, res)
+    pairs = _pair_table(model, K, "gram-gram", gram_power, gram_power)
+    worst = max([0.0] + [p["residual"] for p in pairs])
     return CommutationReport(
         depth=K, max_half_residual=worst, max_full_residual=None,
         half_centered=bool(worst <= cfg.commutator_tol), centered=None, pairs=pairs,
@@ -116,20 +123,10 @@ def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationRep
     """Commutation of the full family {T^j T*^j} u {T*^k T^k}."""
     half = half_centered_check(model, cfg)
     K = half.depth
-    grams = [gram_power(model, k) for k in range(K + 1)]
-    cograms = [co_gram_power(model, k) for k in range(K + 1)]
-    pairs = list(half.pairs)
-    worst = half.max_half_residual
-    for j in range(1, K + 1):
-        for k in range(j + 1, K + 1):
-            res = _pair_residual(model, cograms[j], cograms[k], model.window(j + k))
-            pairs.append({"j": j, "k": k, "kind": "cogram-cogram", "residual": res})
-            worst = max(worst, res)
-    for j in range(1, K + 1):
-        for k in range(1, K + 1):
-            res = _pair_residual(model, grams[j], cograms[k], model.window(j + k))
-            pairs.append({"j": j, "k": k, "kind": "gram-cogram", "residual": res})
-            worst = max(worst, res)
+    pairs = (half.pairs
+             + _pair_table(model, K, "cogram-cogram", co_gram_power, co_gram_power)
+             + _pair_table(model, K, "gram-cogram", gram_power, co_gram_power))
+    worst = max([0.0] + [p["residual"] for p in pairs])
     return CommutationReport(
         depth=K, max_half_residual=half.max_half_residual, max_full_residual=worst,
         half_centered=half.half_centered, centered=bool(worst <= cfg.commutator_tol),
@@ -137,14 +134,12 @@ def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationRep
     )
 
 
+@_memoized
 def kernel_of_adjoint(model: OperatorModel, cfg: ToleranceConfig) -> Subspace:
     """ker T* = (T H)^perp, found from the singular directions of T."""
     u, s, _ = np.linalg.svd(model.matrix)
     cutoff = cfg.rank_tol * s[0] if s.size and s[0] > 0 else 0.0
-    null = u[:, s <= cutoff]
-    if null.shape[1] == 0:
-        return Subspace(frame=np.zeros((model.dim, 0), dtype=complex), rank_tol=cfg.rank_tol)
-    return orthonormalize([null], rank_tol=cfg.rank_tol)
+    return orthonormalize([u[:, s <= cutoff]], rank_tol=cfg.rank_tol)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -93,6 +93,8 @@ class OperatorModel:
     window_step: int = 0
     companion: np.ndarray | None = None
     window_frame: np.ndarray | None = None
+    # values derived by _memoized functions; a new model starts empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
@@ -123,8 +125,6 @@ class OperatorModel:
 
     def window(self, k: int) -> int:
         """Leading block size where depth-k statements are reliable."""
-        if self.exact:
-            return self.dim
         return max(self.dim - k * self.window_step, 0)
 
     def power(self, k: int) -> np.ndarray:
@@ -179,6 +179,21 @@ class OperatorModel:
             "window_step": self.window_step,
             "params": _jsonable(self.params),
         }
+
+
+def _memoized(fn):
+    """``fn(model, *args)``, computed once per model and argument tuple (a call
+    that raises stores nothing).  The model is immutable, so the value never
+    goes stale; every caller shares it, and an array value is made read-only."""
+    @wraps(fn)
+    def derived(model, *args, **kwargs):
+        key = (fn, args, tuple(kwargs.items()))
+        if key not in model._memo:
+            value = model._memo[key] = fn(model, *args, **kwargs)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return model._memo[key]
+    return derived
 
 
 def _jsonable(obj):

@@ -51,6 +51,12 @@ class JointSpectrum:
     def value_table(self) -> np.ndarray:
         return np.array([c.values for c in self.characters])
 
+    def zero_tol(self, cfg: ToleranceConfig) -> float:
+        """Character values at most this far from zero count as zero."""
+        return cfg.rank_tol * max(
+            float(np.max(np.abs(self.value_table()))) if self.characters else 1.0, 1.0
+        )
+
 
 def _split_block(mats, frame, cfg, member, scale=None):
     """Recursively split an eigenvector block against remaining members.
@@ -177,6 +183,19 @@ def _affine_fit(values: np.ndarray, tau: np.ndarray, beta: np.ndarray) -> float:
     return float(beta @ (values - tau)) / denom
 
 
+def _moduli_spectrum(model: OperatorModel, chain: ChainDecomposition, cfg: ToleranceConfig):
+    """Grams 1..K, tau (None without a kernel vector), the grams compressed
+    to M_E and their joint spectrum."""
+    grams = [gram_power(model, k) for k in range(1, chain.depth + 1)]
+    tau = None
+    if chain.E.dim:
+        e = chain.E.frame[:, 0]
+        tau = np.array([1.0] + [float(np.real(e.conj() @ g @ e)) for g in grams])
+    ME = chain.M_E.frame
+    me_mats = [ME.conj().T @ g @ ME for g in grams]
+    return grams, tau, me_mats, joint_diagonalize(me_mats, cfg)
+
+
 def structure_extract(model: OperatorModel, chain: ChainDecomposition,
                       cfg: ToleranceConfig) -> StructureData:
     """Extract tau, beta, and the affine structure of the grams on M_E.
@@ -193,13 +212,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     if chain.M_E.dim < 2:
         raise ModuliTooSmall(f"dim M_E = {chain.M_E.dim} < 2: beta is undefined")
     K = chain.depth
-    e = chain.E.frame[:, 0]
-    grams = [gram_power(model, k) for k in range(1, K + 1)]
-    tau = np.array([1.0] + [float(np.real(e.conj() @ g @ e)) for g in grams])
-
-    ME = chain.M_E.frame
-    me_mats = [ME.conj().T @ g @ ME for g in grams]
-    me_spec = joint_diagonalize(me_mats, cfg)
+    grams, tau, me_mats, me_spec = _moduli_spectrum(model, chain, cfg)
 
     MEoE = subspace_ominus(chain.M_E, chain.E)
     F = MEoE.frame
@@ -234,24 +247,20 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     residuals = {}
     if no_nonzero_beta:
         A = np.zeros((d, d), dtype=complex)
-        residuals["bt1"] = max(
-            float(np.linalg.norm(me_mats[k] - tau[k + 1] * np.eye(d)) / max(scale, 1.0))
-            for k in range(K)
-        )
     else:
         k0 = int(np.argmax(sig))  # me_mats[k0] is the depth-(k0+1) gram
         A = (me_mats[k0] - tau[k0 + 1] * np.eye(d)) / beta[k0 + 1]
         A = (A + A.conj().T) / 2.0
-        residuals["bt1"] = max(
-            float(
-                np.linalg.norm(me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A)
-                / max(scale, 1.0)
-            )
-            for k in range(K)
+    residuals["bt1"] = max(
+        float(
+            np.linalg.norm(me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A)
+            / max(scale, 1.0)
         )
+        for k in range(K)
+    )
 
     # compression of A to M_E (-) E, in the coordinates of that subspace
-    coords_F = ME.conj().T @ F
+    coords_F = chain.M_E.frame.conj().T @ F
     C = coords_F.conj().T @ A @ coords_F
     C = (C + C.conj().T) / 2.0
     if comp_mats:
@@ -318,8 +327,7 @@ def _tower_ratio(char_values, tau, m, k, zero_tol):
 
 
 def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
-                      structure: StructureData, cfg: ToleranceConfig,
-                      m_max: int | None = None) -> list:
+                      structure: StructureData, cfg: ToleranceConfig) -> list:
     """All triples (lambda, gamma, m) certified within the match tolerance.
 
     For each character gamma of the compressed family and each tower depth
@@ -328,16 +336,11 @@ def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
     inside the window.  An empty result is a valid outcome.
     """
     K = chain.depth
-    m_max = (K - 1) if m_max is None else min(m_max, K - 1)
     tau = structure.tau
-    scale = max(
-        float(np.max(np.abs(structure.me_spectrum.value_table()))) if structure.me_spectrum.characters else 1.0,
-        1.0,
-    )
-    zero_tol = cfg.rank_tol * scale
+    zero_tol = structure.me_spectrum.zero_tol(cfg)
     triples = []
     for gi, gamma in enumerate(structure.compressed_spectrum.characters):
-        for m in range(1, m_max + 1):
+        for m in range(1, K):
             for li, lam in enumerate(structure.me_spectrum.characters):
                 residual = 0.0
                 for k in range(1, K - m + 1):
@@ -362,17 +365,8 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
     k + n.  Reports the worst best-match residual per layer.
     """
     K = chain.depth
-    grams = [gram_power(model, k) for k in range(1, K + 1)]
-    e = chain.E.frame[:, 0] if chain.E.dim else None
-    tau = None
-    if e is not None:
-        tau = np.array([1.0] + [float(np.real(e.conj() @ g @ e)) for g in grams])
-    ME = chain.M_E.frame
-    me_spec = joint_diagonalize([ME.conj().T @ g @ ME for g in grams], cfg)
-    scale = max(
-        float(np.max(np.abs(me_spec.value_table()))) if me_spec.characters else 1.0, 1.0
-    )
-    zero_tol = cfg.rank_tol * scale
+    grams, tau, _, me_spec = _moduli_spectrum(model, chain, cfg)
+    zero_tol = me_spec.zero_tol(cfg)
 
     layers = {}
     worst = 0.0

@@ -46,14 +46,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.frame @ self.frame.conj().T
 
-    def contains(self, v: np.ndarray, tol: float | None = None) -> bool:
-        v = np.asarray(v, dtype=complex)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return True
-        tol = self.rank_tol if tol is None else tol
-        return float(np.linalg.norm(v - self.frame @ (self.frame.conj().T @ v))) <= tol * nrm
-
 
 def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL,
                    scale: float | None = None) -> Subspace:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from hclab import (
     Subspace,
     ToleranceConfig,
     aq_operator,
+    centered_check,
     chain_decomposition,
+    classify,
     composition_operator,
+    half_centered_check,
     isometry_tower,
     kernel_of_adjoint,
     moduli_subspace,
@@ -193,6 +198,54 @@ class TestVerifyChainStructure:
         tower = isometry_tower(t, cfg)
         table = verify_chain_structure(t, chain, tower, cfg)
         assert len(table["space1_complement_dims"]) == chain.depth
+
+
+def _verify_pipeline(t, cfg):
+    half = half_centered_check(t, cfg)
+    chain = chain_decomposition(t, cfg)
+    tower = isometry_tower(t, cfg)
+    return {"half": half.as_dict(), "tower": tower.as_dict(),
+            "structure": verify_chain_structure(t, chain, tower, cfg)}
+
+
+class TestSharedDerivations:
+    """A model memoizes what is derived from it; the stages share those
+    values, and no result may depend on which stage asked first."""
+
+    def test_stages_share_one_block_and_half_report(self, cfg):
+        t = aq_operator(0.5, 5.0, 32)
+        assert chain_decomposition(t, cfg).block is isometry_tower(t, cfg).block
+        assert half_centered_check(t, cfg) is half_centered_check(t, cfg)
+        assert half_centered_check(t, cfg.with_depth(3)).depth == 3
+
+    @pytest.mark.parametrize("family", ["aq", "rank_one"])
+    def test_results_do_not_depend_on_call_order(self, rng, cfg, family):
+        weights = random_weights(rng, 31)
+
+        def build():
+            if family == "aq":
+                return aq_operator(0.5, 5.0, 32)
+            return shift_plus_rank_one(weights, 0.3 + 0.4j, 2, 32)
+
+        stages = {
+            "classify": lambda t: classify(t, cfg).as_dict(),
+            "centered": lambda t: centered_check(t, cfg).as_dict(),
+            "verify": lambda t: _verify_pipeline(t, cfg),
+        }
+        fresh = {name: stage(build()) for name, stage in stages.items()}
+        for order in (["classify", "centered", "verify"], ["verify", "centered", "classify"]):
+            t = build()
+            assert {name: stages[name](t) for name in order} == fresh
+
+    def test_new_models_start_with_an_empty_memo(self, rng, cfg):
+        t = aq_operator(0.5, 5.0, 32)
+        report = classify(t, cfg)
+        assert t._memo
+        assert replace(t, family="copy")._memo == {}
+        u = t.conjugated(random_unitary(rng, 32))
+        assert u._memo == {}
+        assert classify(u, cfg).verdict == report.verdict
+        assert centered_check(u, cfg).centered == centered_check(t, cfg).centered
 
 
 class TestWanderingSpan:

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,15 @@ class TestContracts:
         assert f"field {field!r}" in err
         assert "Traceback" not in err
 
+    def test_kernel_mass_loss_is_not_rounded_away(self, capsys):
+        # at N = 4 the kernel of T* loses about 5e-8 of its mass to the
+        # corrupted index, above the 1e-8 limit but invisible in 6 decimals
+        code = main(["decompose", "--family", "aq", "--q", "0.5", "--r", "5", "--n", "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(r"loses \d\.\de-\d\d of its mass outside the window \(limit 1e-08\)", err)
+        assert "1.000000" not in err
+
     def test_library_and_cli_pick_the_same_depth(self, capsys):
         # hardy c = 0.5 at N = 12 supports depth (12 - 1) // 2 = 5, not the default 6
         model = shift_plus_rank_one([0.5] * 11, 1.0, 0, 12)
@@ -193,6 +205,23 @@ class TestContracts:
                         "--weights", ",".join(["0.5"] * 11), "--a", "1", "--n", "12")
         assert code == 0
         assert json.loads(out)["config"]["tolerances"]["depth"] == depth
+
+
+def _readme_commands() -> list:
+    """The ``hclab ...`` lines of the README's "Command line" block, with
+    continuation lines joined, as argument lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("hclab ")]
+    assert commands, "no hclab commands in the README's Command line block"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(capsys, monkeypatch, tmp_path, pq_spec, argv):
+    monkeypatch.chdir(tmp_path)     # pq_spec wrote pq.json there
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 _WEIGHTS = [str(0.8 + 0.03 * k) for k in range(15)]

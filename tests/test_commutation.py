@@ -36,6 +36,12 @@ class TestGramPower:
     def test_pq_first_gram(self, pq):
         assert_allclose(gram_power(pq, 1), [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
 
+    def test_cached_and_read_only(self, pq):
+        g = gram_power(pq, 3)
+        assert gram_power(pq, 3) is g
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
     def test_hardy_first_gram_on_window(self):
         a = 0.5
         t = shift_plus_rank_one([a] * 7, 1.0, 0, 8)
