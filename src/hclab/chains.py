@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutation import analysis_depth, gram_power, half_centered_check, kernel_of_adjoint
+from .commutation import _window_gram, analysis_depth, half_centered_check, kernel_of_adjoint
 from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
 from .linalg import polar, positive_sqrt
 from .operators import OperatorModel, ToleranceConfig, _memoized
@@ -81,7 +81,9 @@ class AnalysisBlock:
     step: int
     depth: int
     matrix: np.ndarray          # w x w compression of the operator
-    grams: list                 # window compressions of the full grams, 0..depth
+    powers: list                # matrix^0..depth
+    grams: tuple                # window compressions of the full grams, 0..depth
+    scales: tuple               # operator norm of each gram
     E: Subspace                 # kernel line in block coordinates
     embed: np.ndarray           # ambient_dim x w window basis
 
@@ -92,15 +94,13 @@ class AnalysisBlock:
         """Express a block subspace in ambient coordinates."""
         return Subspace(self.embed @ sub.frame, sub.rank_tol)
 
-    def power(self, k: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.matrix, k)
-
 
 @_memoized
 def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
                    require_injective: bool = False) -> AnalysisBlock:
-    """Build the compressed stage: operator block, exact gram compressions,
-    and the kernel line restricted to the window.  Shared by every caller."""
+    """Build the compressed stage: operator block and its powers, exact gram
+    compressions and their norms, and the kernel line restricted to the
+    window.  Shared by every caller."""
     K = effective_depth(model, cfg)
     if require_injective:
         _ensure_injective_on_window(model, cfg)
@@ -109,7 +109,8 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
         raise WindowExhausted(f"window({K}) < 1")
     embed = model.window_cols(w)
     Tb = model.window_compress(model.matrix, w)
-    grams = [model.window_compress(gram_power(model, k), w) for k in range(K + 1)]
+    powers = [np.linalg.matrix_power(Tb, k) for k in range(K + 1)]
+    grams, scales = zip(*(_window_gram(model, k, False, w) for k in range(K + 1)))
 
     E_full = kernel_of_adjoint(model, cfg)
     coords = embed.conj().T @ E_full.frame
@@ -120,8 +121,8 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
                 f"kernel of T* loses {1.0 - mass:.1e} of its mass outside the window (limit 1e-08)"
             )
     E_blk = orthonormalize([coords], rank_tol=cfg.rank_tol)
-    return AnalysisBlock(w=w, step=model.window_step, depth=K, matrix=Tb,
-                         grams=grams, E=E_blk, embed=embed)
+    return AnalysisBlock(w=w, step=model.window_step, depth=K, matrix=Tb, powers=powers,
+                         grams=grams, scales=scales, E=E_blk, embed=embed)
 
 
 def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspace, str]:
@@ -209,12 +210,10 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
     Only the uncorrupted leading columns of the power enter, so trailing
     nilpotent columns of a truncated shift cannot pollute the range rank.
     """
-    if n == 0:
-        return orthonormalize([np.eye(block.w, dtype=complex)], rank_tol=cfg.rank_tol)
     wn = block.window(n)
     if wn < 1:
         raise WindowExhausted(f"block window({n}) < 1")
-    return orthonormalize([block.power(n)[:, :wn]], rank_tol=cfg.rank_tol)
+    return orthonormalize([block.powers[n][:, :wn]], rank_tol=cfg.rank_tol)
 
 
 @dataclass
@@ -256,18 +255,13 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
     V = [M_E_blk]
     layers = [M_E_blk]  # layers[n] spans T^n M_E inside the block
     for n in range(1, K + 1):
-        image = block.matrix @ layers[-1].frame
-        layer = orthonormalize([image], rank_tol=cfg.rank_tol) if image.size else \
-            Subspace(np.zeros((block.w, 0), complex), cfg.rank_tol)
+        layer = orthonormalize([block.matrix @ layers[-1].frame], rank_tol=cfg.rank_tol)
         layers.append(layer)
         prev = X[-1]
-        if layer.dim:
-            fresh = layer.frame - prev.frame @ (prev.frame.conj().T @ layer.frame)
-            # frames have unit columns: judge new directions on that scale,
-            # never on the residual's own (possibly dust) magnitude
-            Vn = orthonormalize([fresh], rank_tol=cfg.rank_tol, scale=1.0)
-        else:
-            Vn = Subspace(np.zeros((block.w, 0), complex), cfg.rank_tol)
+        fresh = layer.frame - prev.frame @ (prev.frame.conj().T @ layer.frame)
+        # frames have unit columns: judge new directions on that scale,
+        # never on the residual's own (possibly dust) magnitude
+        Vn = orthonormalize([fresh], rank_tol=cfg.rank_tol, scale=1.0)
         V.append(Vn)
         X.append(subspace_sum(prev, Vn))
 
@@ -288,15 +282,14 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
         vdims[m] <= vdims[n] for n in range(len(vdims)) for m in range(n, len(vdims))
     )
     # each V_n must be invariant under every gram power
-    grams = block.grams[1:K + 1]
     worst = 0.0
     for Vn in V:
         if Vn.dim == 0:
             continue
-        for g in grams:
+        for g, scale in zip(block.grams[1:], block.scales[1:]):
             image = g @ Vn.frame
             leak = image - Vn.frame @ (Vn.frame.conj().T @ image)
-            worst = max(worst, float(np.linalg.norm(leak) / max(np.linalg.norm(g, 2), 1e-300)))
+            worst = max(worst, float(np.linalg.norm(leak) / max(scale, 1e-300)))
     notes["gram_invariance_residual"] = worst
     return ChainDecomposition(
         E=block.lift(block.E), M_E=block.lift(M_E_blk), moduli_status=status,
@@ -312,7 +305,6 @@ class TowerLevel:
     n: int
     theta: np.ndarray
     r: np.ndarray
-    r_product: np.ndarray
     residuals: dict
 
 
@@ -320,11 +312,6 @@ class TowerLevel:
 class IsometryTower:
     levels: list
     block: AnalysisBlock
-
-    def theta(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.eye(self.block.w, dtype=complex)
-        return self.levels[n - 1].theta
 
     def as_dict(self) -> dict:
         return {
@@ -356,7 +343,7 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
     product = np.eye(block.w, dtype=complex)
     levels = []
     for n in range(1, K + 1):
-        Tn = block.power(n)
+        Tn = block.powers[n]
         theta = polar(Tn, rank_tol=cfg.rank_tol).isometry_part
         gram_n = block.grams[n]
         r_sqrt = positive_sqrt(gram_n)
@@ -377,8 +364,7 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
             ),
             "theta_partial_isometry": float(np.linalg.norm(proj @ proj - proj)),
         }
-        levels.append(TowerLevel(n=n, theta=theta, r=r_sqrt,
-                                 r_product=product.copy(), residuals=residuals))
+        levels.append(TowerLevel(n=n, theta=theta, r=r_sqrt, residuals=residuals))
         prev_theta = theta
     return IsometryTower(levels=levels, block=block)
 
@@ -444,6 +430,7 @@ def verify_chain_structure(
     P_sum = sum((v.projector() for v in V), np.zeros((block.w, block.w), complex))
     out["space1_direct_sum"] = float(np.linalg.norm(P_sum - X[-1].projector()))
 
+    power_norms = {d: float(np.linalg.norm(block.powers[d], 2)) for d in range(1, K + 1)}
     defect = 0.0
     certificate = np.inf
     for n in range(K + 1):
@@ -451,10 +438,9 @@ def verify_chain_structure(
             Vn, Vm = V[n], V[m]
             if Vn.dim == 0 or Vm.dim == 0:
                 continue
-            power = block.power(m - n)
-            map_block = Vm.frame.conj().T @ power @ Vn.frame
+            map_block = Vm.frame.conj().T @ block.powers[m - n] @ Vn.frame
             image_span = orthonormalize([Vm.frame @ map_block], rank_tol=cfg.rank_tol,
-                                        scale=float(np.linalg.norm(power, 2)))
+                                        scale=power_norms[m - n])
             defect = max(defect, _containment_residual(Vm.frame, image_span))
             s = np.linalg.svd(map_block, compute_uv=False)
             if Vm.dim <= Vn.dim and s.size and s[0] > 0:
@@ -472,14 +458,14 @@ def verify_chain_structure(
         if cross.size:
             # directions count as "T v orthogonal to M_E" relative to ||T||
             _, s, vh = np.linalg.svd(cross)
-            cutoff = cfg.rank_tol * max(np.linalg.norm(Tb, 2), 1e-300)
+            cutoff = cfg.rank_tol * max(power_norms[1], 1e-300)
             null = vh[np.sum(s > cutoff):].conj().T
         else:
             null = np.eye(Vm.dim, dtype=complex)
         if null.shape[1] == 0:
             continue
         candidates = Tb @ (Vm.frame @ null)
-        keep = np.linalg.norm(candidates, axis=0) > cfg.rank_tol * np.linalg.norm(Tb, 2)
+        keep = np.linalg.norm(candidates, axis=0) > cfg.rank_tol * power_norms[1]
         candidates = candidates[:, keep]
         if candidates.shape[1] == 0:
             continue
@@ -513,17 +499,13 @@ def verify_chain_structure(
         worst = max(worst, float(np.linalg.norm((composed - lvl.theta)[:wn, :wn]) / scale))
     out["key"] = worst
 
-    grams = block.grams[1:K + 1]
     worst = 0.0
     for Vm in V:
         if Vm.dim == 0:
             continue
         P = Vm.projector()
-        for g in grams:
-            worst = max(
-                worst,
-                float(np.linalg.norm(P @ g - g @ P) / max(np.linalg.norm(g, 2), 1e-300)),
-            )
+        for g, scale in zip(block.grams[1:], block.scales[1:]):
+            worst = max(worst, float(np.linalg.norm(P @ g - g @ P) / max(scale, 1e-300)))
     out["fuio"] = worst
 
     worst = 0.0
@@ -536,11 +518,8 @@ def verify_chain_structure(
                 Vm = V[m]
                 if Vm.dim == 0:
                     continue
-                diff = (grams[j - 1] - gj) @ Vm.frame
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(diff) / max(np.linalg.norm(grams[j - 1], 2), 1e-300)),
-                )
+                diff = (block.grams[j] - gj) @ Vm.frame
+                worst = max(worst, float(np.linalg.norm(diff) / max(block.scales[j], 1e-300)))
     out["fukth"] = worst
     out["v_dims_weakly_decreasing"] = chain.notes["v_dims_weakly_decreasing"]
     out["gram_invariance_residual"] = chain.notes["gram_invariance_residual"]

@@ -86,21 +86,26 @@ class CommutationReport:
         }
 
 
-def _pair_residual(model: OperatorModel, a: np.ndarray, b: np.ndarray, w: int) -> float:
-    aw = model.window_compress(a, w)
-    bw = model.window_compress(b, w)
-    num = np.linalg.norm(aw @ bw - bw @ aw)
-    den = np.linalg.norm(aw, 2) * np.linalg.norm(bw, 2)
-    return float(num / den) if den > 0 else 0.0
+@_memoized
+def _window_gram(model: OperatorModel, k: int, outer: bool, w: int) -> tuple:
+    """The leading-w window compression of T*^k T^k (of T^k T*^k when
+    ``outer``) and its operator norm."""
+    g = model.window_compress(_power_product(model, k, outer), w)
+    return g, np.linalg.norm(g, 2)
 
 
-def _pair_table(model: OperatorModel, K: int, kind: str, left, right) -> list:
-    """Residuals of left(j) against right(k) for 1 <= j, k <= K, each on the
+def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool) -> list:
+    """Residuals of the family ``left`` at power j against ``right`` at power k
+    (True: co-grams, False: grams) for 1 <= j, k <= K, each on the
     window(j + k) block; j < k when both sides are the same family."""
     pairs = []
     for j in range(1, K + 1):
-        for k in range(j + 1 if left is right else 1, K + 1):
-            res = _pair_residual(model, left(model, j), right(model, k), model.window(j + k))
+        for k in range(j + 1 if left == right else 1, K + 1):
+            w = model.window(j + k)
+            a, a_norm = _window_gram(model, j, left, w)
+            b, b_norm = _window_gram(model, k, right, w)
+            den = a_norm * b_norm
+            res = float(np.linalg.norm(a @ b - b @ a) / den) if den > 0 else 0.0
             pairs.append({"j": j, "k": k, "kind": kind, "residual": res})
     return pairs
 
@@ -111,7 +116,7 @@ def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> Commutati
     K = analysis_depth(model, cfg)
     if model.window(2 * K) < 1:
         raise WindowExhausted(f"window(2K) = {model.window(2 * K)} < 1 at depth {K}")
-    pairs = _pair_table(model, K, "gram-gram", gram_power, gram_power)
+    pairs = _pair_table(model, K, "gram-gram", False, False)
     worst = max([0.0] + [p["residual"] for p in pairs])
     return CommutationReport(
         depth=K, max_half_residual=worst, max_full_residual=None,
@@ -124,8 +129,8 @@ def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationRep
     half = half_centered_check(model, cfg)
     K = half.depth
     pairs = (half.pairs
-             + _pair_table(model, K, "cogram-cogram", co_gram_power, co_gram_power)
-             + _pair_table(model, K, "gram-cogram", gram_power, co_gram_power))
+             + _pair_table(model, K, "cogram-cogram", True, True)
+             + _pair_table(model, K, "gram-cogram", False, True))
     worst = max([0.0] + [p["residual"] for p in pairs])
     return CommutationReport(
         depth=K, max_half_residual=half.max_half_residual, max_full_residual=worst,

@@ -55,8 +55,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("rank_tol", "commutator_tol", "relation_tol", "spectral_match_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
 
@@ -305,6 +305,8 @@ def aq_operator(q: float, r: float | None = None, N: int = 32,
     """
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     if r is None:
         r = default_aq_margin(q)
     A = aq_matrix(q, N)
@@ -376,6 +378,18 @@ def _parse_scalar(value) -> complex:
     raise SpecParseError(f"cannot interpret {value!r} as a complex scalar")
 
 
+def _parse_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SpecParseError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise SpecParseError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _parse_list(values, parse_item=_parse_scalar) -> list:
     if not isinstance(values, (list, tuple)):
         raise SpecParseError(f"expected a list, got {values!r}")
@@ -411,25 +425,25 @@ def load_operator_spec(spec) -> OperatorModel:
         raise SpecParseError("operator spec must be a JSON object")
     family = spec.get("family")
     if family == "weighted_shift":
-        N = _field(spec, "N", int)
+        N = _field(spec, "N", _parse_int)
         return weighted_shift(_field(spec, "weights"), N)
     if family == "shift_plus_rank_one":
-        N = _field(spec, "N", int)
-        return shift_plus_rank_one(
-            _field(spec, "weights"), _field(spec, "a", _parse_scalar), _field(spec, "n", int), N,
-        )
+        N = _field(spec, "N", _parse_int)
+        return shift_plus_rank_one(_field(spec, "weights"), _field(spec, "a", _parse_scalar),
+                                   _field(spec, "n", _parse_int), N)
     if family == "projection_product":
         rows = partial(_parse_list, parse_item=_parse_list)
         return projection_product(_field(spec, "P", rows), _field(spec, "Q", rows))
     if family == "composition":
-        N = _field(spec, "N", int)
-        psi = _field(spec, "psi", partial(_parse_list, parse_item=int))
+        N = _field(spec, "N", _parse_int)
+        psi = _field(spec, "psi", partial(_parse_list, parse_item=_parse_int))
         return composition_operator(psi, _field(spec, "xi"), N)
     if family == "aq":
-        N = _field(spec, "N", int)
+        N = _field(spec, "N", _parse_int)
         r = None if spec.get("r") is None else _field(spec, "r", float)
         return aq_operator(_field(spec, "q", float), r, N)
     if family == "matrix":
         m = _field(spec, "matrix", loads_matrix)
-        return from_matrix(m, exact=bool(spec.get("exact", True)))
+        exact = True if spec.get("exact") is None else _field(spec, "exact", _parse_bool)
+        return from_matrix(m, exact=exact)
     raise SpecParseError(f"unknown operator family {family!r}")

@@ -374,8 +374,9 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
         Vn = chain.V[n]
         if Vn.dim == 0:
             continue
-        mats = [Vn.frame.conj().T @ g @ Vn.frame for g in grams]
-        spec_n = joint_diagonalize(mats, cfg)
+        # V_0 is M_E, whose spectrum is already at hand
+        spec_n = me_spec if n == 0 else \
+            joint_diagonalize([Vn.frame.conj().T @ g @ Vn.frame for g in grams], cfg)
         layer_worst = 0.0
         for gamma in spec_n.characters:
             best = np.inf

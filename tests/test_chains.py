@@ -22,7 +22,7 @@ from hclab import (
     verify_chain_structure,
     weighted_shift,
 )
-from hclab.chains import effective_depth
+from hclab.chains import analysis_block, effective_depth
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 
 from conftest import random_unitary, random_weights
@@ -246,6 +246,55 @@ class TestSharedDerivations:
         assert u._memo == {}
         assert classify(u, cfg).verdict == report.verdict
         assert centered_check(u, cfg).centered == centered_check(t, cfg).centered
+
+
+class TestOneDerivationPerBlock:
+    """The analysis block keeps its powers and its grams' operator norms, and
+    the stages read them instead of taking them again."""
+
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        return calls
+
+    def test_block_powers_and_scales_are_the_numpy_values(self, sro32, rng, cfg):
+        for t in (sro32, sro32.conjugated(random_unitary(rng, 32))):
+            block = analysis_block(t, cfg)
+            assert len(block.powers) == len(block.grams) == len(block.scales) == block.depth + 1
+            for k in range(block.depth + 1):
+                assert np.array_equal(block.powers[k], np.linalg.matrix_power(block.matrix, k))
+                assert block.scales[k] == np.linalg.norm(block.grams[k], 2)
+
+    def test_structural_suite_takes_each_norm_once(self, sro32, cfg, norm_calls):
+        chain = chain_decomposition(sro32, cfg)
+        tower = isometry_tower(sro32, cfg)
+        norm_calls.clear()
+        verify_chain_structure(sro32, chain, tower, cfg)
+        assert len(norm_calls) <= chain.depth + 2
+
+    def test_chain_takes_each_gram_norm_once(self, sro32, cfg, norm_calls):
+        chain = chain_decomposition(sro32, cfg)      # a fresh model: nothing memoized yet
+        assert len(norm_calls) <= chain.depth + 2
+
+    def test_pair_tables_take_one_norm_per_windowed_gram(self, sro32, cfg, norm_calls):
+        report = centered_check(sro32, cfg)
+        outer = {"gram-gram": (False, False), "cogram-cogram": (True, True),
+                 "gram-cogram": (False, True)}
+        distinct = set()
+        for p in report.pairs:
+            left, right = outer[p["kind"]]
+            w = sro32.window(p["j"] + p["k"])
+            distinct |= {(p["j"], left, w), (p["k"], right, w)}
+        assert report.depth == 6 and len(distinct) == 72
+        assert len(norm_calls) == len(distinct)
 
 
 class TestWanderingSpan:

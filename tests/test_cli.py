@@ -174,6 +174,12 @@ class TestContracts:
         ({"family": "aq", "N": 16, "q": [0.5]}, "q"),
         ({"family": "projection_product", "P": 5, "Q": 3}, "P"),
         ({"family": "matrix", "matrix": 5}, "matrix"),
+        ({"family": "matrix", "matrix": "1 1 1", "exact": "false"}, "exact"),
+        ({"family": "aq", "N": 3.7, "q": 0.5}, "N"),
+        ({"family": "aq", "N": True, "q": 0.5}, "N"),
+        ({"family": "shift_plus_rank_one", "N": 3, "weights": [1, 1], "a": 1, "n": 1.5}, "n"),
+        ({"family": "shift_plus_rank_one", "N": 3, "weights": [1, 1], "a": 1, "n": False}, "n"),
+        ({"family": "composition", "N": 3, "psi": [1.7, True, 0], "xi": [1, 1, 1]}, "psi"),
     ])
     def test_malformed_spec_field_is_a_parse_error(self, capsys, tmp_path, spec, field):
         path = tmp_path / "bad.json"
@@ -183,6 +189,17 @@ class TestContracts:
         assert code == 1
         assert err.startswith("error[SpecParseError]")
         assert f"field {field!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["zoo", "check", "decompose", "spectral", "classify",
+                                         "verify"])
+    def test_aq_without_dimension_is_a_value_error(self, capsys, tmp_path, command):
+        path = tmp_path / "aq0.json"
+        path.write_text(json.dumps({"family": "aq", "q": 0.5, "N": 0}))
+        code = main([command, "--file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[ValueError]: N must be at least 1")
         assert "Traceback" not in err
 
     def test_kernel_mass_loss_is_not_rounded_away(self, capsys):

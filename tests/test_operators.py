@@ -282,6 +282,10 @@ class TestModelMetadata:
             ToleranceConfig(rank_tol=0.0)
         with pytest.raises(ValueError):
             ToleranceConfig(depth=0)
+        for bad in (float("nan"), float("inf")):
+            for name in ("rank_tol", "commutator_tol", "relation_tol", "spectral_match_tol"):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    ToleranceConfig(**{name: bad})
 
 
 class TestOperatorSpecs:
@@ -303,6 +307,16 @@ class TestOperatorSpecs:
         model = load_operator_spec({"family": "matrix", "matrix": dumps_matrix(m)})
         assert_allclose(model.matrix, m)
         assert model.exact
+
+    @pytest.mark.parametrize("exact", [None, True, False])
+    def test_matrix_family_exact_flag(self, exact):
+        # null means "missing": the default, an exact model
+        model = load_operator_spec({"family": "matrix", "matrix": "1 1 1", "exact": exact})
+        assert model.exact is (exact is not False)
+
+    def test_integral_float_dimension_is_an_integer(self):
+        model = load_operator_spec({"family": "aq", "q": 0.5, "N": 12.0})
+        assert model.dim == 12
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "op.json"
