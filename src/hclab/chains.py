@@ -216,7 +216,7 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
     return orthonormalize([block.powers[n][:, :wn]], rank_tol=cfg.rank_tol)
 
 
-@dataclass
+@dataclass(eq=False)  # compared, and memoized on, by identity
 class ChainDecomposition:
     E: Subspace
     M_E: Subspace

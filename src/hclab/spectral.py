@@ -13,7 +13,7 @@ import numpy as np
 from .chains import ChainDecomposition
 from .commutation import gram_power
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
-from .operators import OperatorModel, ToleranceConfig
+from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import orthonormalize, subspace_ominus
 
 __all__ = [
@@ -183,6 +183,7 @@ def _affine_fit(values: np.ndarray, tau: np.ndarray, beta: np.ndarray) -> float:
     return float(beta @ (values - tau)) / denom
 
 
+@_memoized
 def _moduli_spectrum(model: OperatorModel, chain: ChainDecomposition, cfg: ToleranceConfig):
     """Grams 1..K, tau (None without a kernel vector), the grams compressed
     to M_E and their joint spectrum."""
@@ -223,19 +224,15 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     tau_vec = tau[1:]
     # affine coordinates along the character line
     devs = table - tau_vec
-    if devs.size:
-        _, s, vh = np.linalg.svd(devs)
-        direction = vh[0] if s[0] > 0 else np.zeros(K)
-        coords = devs @ direction
-    else:
-        coords = np.zeros(len(me_spec.characters))
+    _, s, vh = np.linalg.svd(devs)
+    coords = devs @ (vh[0] if s[0] > 0 else np.zeros(K))
     lam_idx = int(np.argmax(coords))
     mu_idx = int(np.argmin(coords))
     beta = np.zeros(K + 1)
     beta[1:] = table[lam_idx] - table[mu_idx]
 
-    scale = float(np.max(np.abs(table))) if table.size else 1.0
-    sig = np.abs(beta[1:]) > cfg.spectral_match_tol * max(scale, 1.0)
+    scale = max(float(np.max(np.abs(table))), 1.0)
+    sig = np.abs(beta[1:]) > cfg.spectral_match_tol * scale
     no_nonzero_beta = not bool(np.any(sig))
 
     beta_normalized = beta.copy()
@@ -252,10 +249,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
         A = (me_mats[k0] - tau[k0 + 1] * np.eye(d)) / beta[k0 + 1]
         A = (A + A.conj().T) / 2.0
     residuals["bt1"] = max(
-        float(
-            np.linalg.norm(me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A)
-            / max(scale, 1.0)
-        )
+        float(np.linalg.norm(me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A) / scale)
         for k in range(K)
     )
 
@@ -263,15 +257,11 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     coords_F = chain.M_E.frame.conj().T @ F
     C = coords_F.conj().T @ A @ coords_F
     C = (C + C.conj().T) / 2.0
-    if comp_mats:
-        dC = F.shape[1]
-        residuals["wwraw"] = max(
-            float(
-                np.linalg.norm(comp_mats[k] - tau[k + 1] * np.eye(dC) - beta[k + 1] * C)
-                / max(scale, 1.0)
-            )
-            for k in range(K)
-        ) if dC else 0.0
+    dC = F.shape[1]
+    residuals["wwraw"] = max(
+        float(np.linalg.norm(comp_mats[k] - tau[k + 1] * np.eye(dC) - beta[k + 1] * C) / scale)
+        for k in range(K)
+    )
 
     A_values = {
         i: _affine_fit(c.values, tau_vec, beta[1:]) for i, c in enumerate(me_spec.characters)
@@ -280,11 +270,8 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
         i: _affine_fit(c.values, tau_vec, beta[1:]) for i, c in enumerate(comp_spec.characters)
     }
     residuals["hemma1"] = max(
-        (
-            float(np.max(np.abs(c.values - tau_vec - A_values[i] * beta[1:])))
-            for i, c in enumerate(me_spec.characters)
-        ),
-        default=0.0,
+        float(np.max(np.abs(c.values - tau_vec - A_values[i] * beta[1:])))
+        for i, c in enumerate(me_spec.characters)
     )
     return StructureData(
         tau=tau, beta=beta, beta_normalized=beta_normalized, A=A, C=C,
@@ -311,48 +298,55 @@ class TripleRecord:
         }
 
 
-def _tower_ratio(char_values, tau, m, k, zero_tol):
-    """Character value of the m-th tower conjugate on the k-th gram, with
-    m = 0 meaning the gram itself.
+def _ratio_table(spectrum: JointSpectrum, tau: np.ndarray, zero_tol: float,
+                 K: int) -> np.ndarray:
+    """R[c, m, k - 1]: value of character c on the k-th gram conjugated m
+    tower levels down, for m = 0..K-1 (m = 0 is the gram itself).
 
-    Uses the ratio of character values when the depth-m value is away from
-    zero; a zero there forces the tau-ratio form instead (0 without tau).
+    The ratio c_{m+k} / c_m of character values stands where |c_m| exceeds
+    ``zero_tol``; a zero there forces the tau ratio tau_{m+k} / tau_m.
+    Cells with m + k > K lie outside the window and are NaN.
     """
-    if m == 0:
-        return char_values[k - 1]
-    lm = char_values[m - 1]
-    if abs(lm) > zero_tol:
-        return char_values[m + k - 1] / lm
-    return 0.0 if tau is None else tau[m + k] / tau[m]
+    values = np.hstack([np.ones((len(spectrum.characters), 1)), spectrum.value_table()])
+    m = np.arange(K)[:, None]
+    top = m + np.arange(1, K + 1)  # m + k
+    inside = top <= K
+    top = np.where(inside, top, 0)
+    low = values[:, :K, None]  # c_m
+    use_char = (m == 0) | (np.abs(low) > zero_tol)
+    ratio = np.where(use_char, values[:, top] / np.where(use_char, low, 1.0),
+                     tau[top] / tau[:K, None])
+    return np.where(inside, ratio, np.nan)
+
+
+def _match_residual(lhs: np.ndarray, rhs: np.ndarray, axis) -> np.ndarray:
+    """Largest |lhs - rhs| / max(1, |rhs|) over ``axis``, skipping the NaN
+    cells outside the window (0 when every cell is outside)."""
+    return np.fmax.reduce(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)),
+                          axis=axis, initial=0.0)
 
 
 def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
                       structure: StructureData, cfg: ToleranceConfig) -> list:
-    """All triples (lambda, gamma, m) certified within the match tolerance.
+    """All triples (lambda, gamma, m) certified within the match tolerance,
+    in (gamma, m, lambda) order.
 
     For each character gamma of the compressed family and each tower depth
     m, a moduli character lambda qualifies when the compressed values agree
     with the depth-shifted ratio values of lambda for every power still
     inside the window.  An empty result is a valid outcome.
     """
-    K = chain.depth
-    tau = structure.tau
-    zero_tol = structure.me_spectrum.zero_tol(cfg)
-    triples = []
-    for gi, gamma in enumerate(structure.compressed_spectrum.characters):
-        for m in range(1, K):
-            for li, lam in enumerate(structure.me_spectrum.characters):
-                residual = 0.0
-                for k in range(1, K - m + 1):
-                    lhs = gamma.values[k - 1]
-                    rhs = _tower_ratio(lam.values, tau, m, k, zero_tol)
-                    residual = max(residual, abs(lhs - rhs) / max(1.0, abs(rhs)))
-                if residual <= cfg.spectral_match_tol:
-                    triples.append(TripleRecord(
-                        lambda_char=li, gamma_char=gi, m=m, match_residual=residual,
-                    ))
-    triples.sort(key=lambda t: (t.gamma_char, t.m, t.lambda_char))
-    return triples
+    me = structure.me_spectrum
+    ratios = _ratio_table(me, structure.tau, me.zero_tol(cfg), chain.depth)
+    gammas = structure.compressed_spectrum.value_table()
+    # residual[gamma, m - 1, lambda] for m = 1..K-1
+    residual = _match_residual(gammas[:, None, None, :],
+                               ratios[:, 1:].transpose(1, 0, 2)[None], axis=-1)
+    return [
+        TripleRecord(lambda_char=int(li), gamma_char=int(gi), m=int(mi) + 1,
+                     match_residual=residual[gi, mi, li])
+        for gi, mi, li in np.argwhere(residual <= cfg.spectral_match_tol)
+    ]
 
 
 def spectral_correspondence_check(model: OperatorModel, chain: ChainDecomposition,
@@ -364,31 +358,23 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
     levels, i.e. gamma-ratios at depth k agree with lambda-ratios at depth
     k + n.  Reports the worst best-match residual per layer.
     """
+    if chain.E.dim == 0:  # then M_E and every V_n are empty
+        return {"per_layer": {}, "worst": 0.0}
     K = chain.depth
     grams, tau, _, me_spec = _moduli_spectrum(model, chain, cfg)
     zero_tol = me_spec.zero_tol(cfg)
+    lam_ratios = _ratio_table(me_spec, tau, zero_tol, K)
 
     layers = {}
-    worst = 0.0
-    for n in range(min(K, len(chain.V) - 1) + 1):
-        Vn = chain.V[n]
+    for n, Vn in enumerate(chain.V):
         if Vn.dim == 0:
             continue
-        # V_0 is M_E, whose spectrum is already at hand
-        spec_n = me_spec if n == 0 else \
-            joint_diagonalize([Vn.frame.conj().T @ g @ Vn.frame for g in grams], cfg)
-        layer_worst = 0.0
-        for gamma in spec_n.characters:
-            best = np.inf
-            for lam in me_spec.characters:
-                res = 0.0
-                for k in range(0, K):
-                    for j in range(1, K - k - n + 1):
-                        lhs = _tower_ratio(gamma.values, tau, k, j, zero_tol)
-                        rhs = _tower_ratio(lam.values, tau, k + n, j, zero_tol)
-                        res = max(res, abs(lhs - rhs) / max(1.0, abs(rhs)))
-                best = min(best, res)
-            layer_worst = max(layer_worst, best)
-        layers[n] = layer_worst
-        worst = max(worst, layer_worst)
-    return {"per_layer": layers, "worst": worst}
+        # V_0 is M_E, whose spectrum and ratios are already at hand
+        gam_ratios = lam_ratios if n == 0 else _ratio_table(
+            joint_diagonalize([Vn.frame.conj().T @ g @ Vn.frame for g in grams], cfg),
+            tau, zero_tol, K)
+        # residual[gamma, lambda] over depths k = 0..K-1-n and powers j
+        residual = _match_residual(gam_ratios[:, None, :K - n],
+                                   lam_ratios[None, :, n:], axis=(2, 3))
+        layers[n] = residual.min(axis=1).max()
+    return {"per_layer": layers, "worst": max(layers.values(), default=0.0)}

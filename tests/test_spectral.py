@@ -7,6 +7,7 @@ from hclab import (
     aq_operator,
     chain_decomposition,
     enumerate_triples,
+    from_matrix,
     gram_power,
     joint_diagonalize,
     moduli_subspace,
@@ -16,6 +17,7 @@ from hclab import (
     structure_extract,
     weighted_shift,
 )
+from hclab import spectral
 from hclab.errors import ModuliTooSmall, NotCommuting
 
 from conftest import random_weights
@@ -155,6 +157,9 @@ class TestEnumerateTriples:
         st = structure_extract(t, chain, cfg)
         triples = enumerate_triples(t, chain, st, cfg)
         assert len(triples) >= 2
+        keys = [(tr.gamma_char, tr.m, tr.lambda_char) for tr in triples]
+        assert keys == sorted(keys)
+        assert all(tr.match_residual <= cfg.spectral_match_tol for tr in triples)
 
     def test_product_identity_on_triples(self, rng):
         # lambda(T_m) gamma(P T_k P) = lambda(T_{m+k}) for every match; the
@@ -192,6 +197,38 @@ class TestSpectralCorrespondence:
         chain = chain_decomposition(t, cfg)
         report = spectral_correspondence_check(t, chain, cfg)
         assert report["worst"] <= 1e-8
+
+    def test_no_kernel_has_no_layers(self, cfg):
+        # a unitary has ker T* = 0, so M_E and every layer V_n are empty
+        t = from_matrix(np.diag(np.exp(1j * np.arange(5))))
+        chain = chain_decomposition(t, cfg)
+        assert spectral_correspondence_check(t, chain, cfg) == {"per_layer": {}, "worst": 0.0}
+
+    def test_vanishing_characters_use_the_tau_ratio(self, cfg):
+        # tau_m = 1e-4m falls below the zero tolerance from m = 3 on, so the
+        # ratios there come from tau instead of the character values
+        t = weighted_shift([0.01] * 15, 16)
+        chain = chain_decomposition(t, cfg)
+        assert gram_power(t, 3)[0, 0].real < cfg.rank_tol
+        assert spectral_correspondence_check(t, chain, cfg)["worst"] <= 1e-10
+
+    def test_each_family_is_diagonalized_once(self, monkeypatch, cfg):
+        # structure, triples and correspondence share one M_E spectrum
+        seen = []
+        diagonalize = spectral.joint_diagonalize
+
+        def recording(family, cfg):
+            seen.append(b"".join(np.ascontiguousarray(m).tobytes() for m in family))
+            return diagonalize(family, cfg)
+
+        monkeypatch.setattr(spectral, "joint_diagonalize", recording)
+        t = aq_operator(0.5, 5.0, 32)
+        chain = chain_decomposition(t, cfg)
+        st = structure_extract(t, chain, cfg)
+        enumerate_triples(t, chain, st, cfg)
+        spectral_correspondence_check(t, chain, cfg)
+        assert len(seen) >= 2
+        assert len(set(seen)) == len(seen)
 
     def test_shift_ratio_formula(self, rng, cfg):
         # the layer-n character value on T_j is the weight-product ratio
