@@ -129,30 +129,28 @@ def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspa
     if block.E.dim == 0:
         return block.E, "empty"
     grams = block.grams[1:block.depth + 1]
-    frame = block.E.frame
-    stable = 0
-    for _ in range(4 * block.w):
-        sub = orthonormalize([frame] + [g @ frame for g in grams], rank_tol=cfg.rank_tol)
-        if sub.dim == frame.shape[1]:
-            stable += 1
-            if stable >= 2:
-                return sub, "stable"
-        else:
-            stable = 0
-        frame = sub.frame
-        if sub.dim >= block.w:
-            return sub, "capped"
-    return Subspace(frame, cfg.rank_tol), "stable"
+    frame = fresh = block.E.frame
+    while fresh.shape[1] and frame.shape[1] < block.w:
+        fresh = extend_frame(frame, np.hstack([g @ fresh for g in grams]), cfg.rank_tol)
+        frame = np.hstack([frame, fresh])
+    if frame.shape[1] >= block.w:
+        return Subspace(frame, cfg.rank_tol), "capped"
+    # invariance certificate: max_j ||(I - P) G_j P||_2 / ||G_j||_2, P the frame's projector
+    images = [g @ frame for g in grams]
+    leak = max(np.linalg.svd(x - frame @ (frame.conj().T @ x), compute_uv=False)[0]
+               / max(s, 1e-300) for x, s in zip(images, block.scales[1:]))
+    status = "stable" if leak <= 100 * block.w * np.finfo(float).eps else "tolerance"
+    return Subspace(frame, cfg.rank_tol), status
 
 
 def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
-    """Smallest gram-invariant subspace containing ker T*, by iterated spans.
+    """Smallest gram-invariant subspace containing ker T*, by block Krylov steps.
 
-    Sweeps ``frame -> span(frame, T_1 frame, .., T_K frame)`` on the window
-    block until the dimension is stable for two consecutive sweeps.
-    Hitting the block dimension is reported as status ``"capped"``: the
-    finite surrogate of an infinite-dimensional moduli subspace.  The frame
-    comes back in ambient coordinates.
+    Each step applies G_1..G_K on the window block to the directions the last
+    one added, cut by ``extend_frame``, until a step adds nothing.  Status:
+    ``"capped"`` (the frame fills the block), ``"stable"`` (max_j ||(I-P) G_j P||
+    / ||G_j|| is at roundoff: certified invariant) or ``"tolerance"`` (the rank
+    cut set the dimension).  The frame comes back in ambient coordinates.
     """
     block = analysis_block(model, cfg)
     sub, status = _moduli_on_block(block, cfg)
@@ -213,6 +211,8 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
     wn = block.window(n)
     if wn < 1:
         raise WindowExhausted(f"block window({n}) < 1")
+    if n == 0:
+        return Subspace(np.eye(block.w, dtype=complex), cfg.rank_tol)
     return orthonormalize([block.powers[n][:, :wn]], rank_tol=cfg.rank_tol)
 
 

@@ -22,7 +22,8 @@ from hclab import (
     verify_chain_structure,
     weighted_shift,
 )
-from hclab.chains import analysis_block, effective_depth
+import hclab.chains
+from hclab.chains import _moduli_on_block, analysis_block, effective_depth
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 
 from conftest import random_unitary, random_weights
@@ -384,3 +385,68 @@ class TestSpanClosureParity:
             if status == "capped":
                 gap = np.linalg.norm(got.projector() - ref.projector(), 2)
                 assert gap <= 1e-12, name
+
+
+def _sweep_moduli_on_block(block, cfg):
+    """Reference closure: re-span [frame, G_1 frame, .., G_K frame] every sweep
+    until the dimension holds for two sweeps in a row."""
+    if block.E.dim == 0:
+        return block.E, "empty"
+    grams = block.grams[1:block.depth + 1]
+    frame = block.E.frame
+    stable = 0
+    for _ in range(4 * block.w):
+        sub = orthonormalize([frame] + [g @ frame for g in grams], rank_tol=cfg.rank_tol)
+        if sub.dim == frame.shape[1]:
+            stable += 1
+            if stable >= 2:
+                return sub, "stable"
+        else:
+            stable = 0
+        frame = sub.frame
+        if sub.dim >= block.w:
+            return sub, "capped"
+    return Subspace(frame, cfg.rank_tol), "stable"
+
+
+class TestModuliKrylovClosure:
+    """The Krylov closure of M_E against the sweep it replaced, its invariance
+    certificate, and the work it does."""
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.3", "aq0.5", "aq0.7"])
+    def test_matches_sweep_where_certified(self, family, n, conj, cfg):
+        rng = np.random.default_rng(n)
+        model = _parity_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        block = analysis_block(model, cfg)
+        got, status = _moduli_on_block(block, cfg)
+        ref, ref_status = _sweep_moduli_on_block(block, cfg)
+        if status == "tolerance":
+            # the rank cut set both dimensions; nothing pins one to the other
+            return
+        assert (got.dim, status) == (ref.dim, ref_status)
+        assert np.linalg.norm(got.projector() - ref.projector(), 2) <= 1e-12
+
+    def test_aq_below_the_block_reports_tolerance(self, cfg):
+        # aq's gram images decay like q^k, so the rank cut, not invariance,
+        # ends the closure below the block dimension
+        model = aq_operator(0.5, None, 64)
+        sub, status = moduli_subspace(model, cfg)
+        assert status == "tolerance"
+        assert sub.dim < analysis_block(model, cfg).w
+
+    def test_grams_see_each_direction_once(self, cfg, monkeypatch):
+        widths = []
+        extend = hclab.chains.extend_frame
+
+        def counting(frame, block, rank_tol):
+            widths.append(block.shape[1])
+            return extend(frame, block, rank_tol)
+
+        monkeypatch.setattr(hclab.chains, "extend_frame", counting)
+        model = aq_operator(0.5, None, 64)
+        sub, _ = moduli_subspace(model, cfg)
+        assert widths and sum(widths) <= analysis_block(model, cfg).depth * sub.dim
