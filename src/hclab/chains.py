@@ -13,7 +13,8 @@ makes them invariant under basis rotations of the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,14 +97,11 @@ class AnalysisBlock:
 
 
 @_memoized
-def analysis_block(model: OperatorModel, cfg: ToleranceConfig,
-                   require_injective: bool = False) -> AnalysisBlock:
+def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
     """Build the compressed stage: operator block and its powers, exact gram
     compressions and their norms, and the kernel line restricted to the
     window.  Shared by every caller."""
     K = effective_depth(model, cfg)
-    if require_injective:
-        _ensure_injective_on_window(model, cfg)
     w = model.window(K)
     if w < 1:
         raise WindowExhausted(f"window({K}) < 1")
@@ -218,18 +216,75 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
 
 @dataclass(eq=False)  # compared, and memoized on, by identity
 class ChainDecomposition:
+    """E, M_E and the chain X_n = X_{n-1} (+) V_n of one model.
+
+    ``chain_decomposition`` builds E, M_E, ``moduli_status``, the depth and the
+    block up front.  The chain (``X``, ``V``, ``layers`` and its two ``notes``),
+    the ranges ``H``, the ``defects`` and ``dims`` are built on first read,
+    once per chain, and an error raised while building one of them (e.g.
+    ``NotContained`` from a defect) is raised at that first read.
+    """
+
     E: Subspace
     M_E: Subspace
     moduli_status: str
-    X: list
-    V: list
-    layers: list
-    defects: list
     depth: int
-    dims: dict
     block: AnalysisBlock
-    H: list                     # ranges H_0..H_depth, in the coordinates of block
-    notes: dict = field(default_factory=dict)
+    cfg: ToleranceConfig
+    M_E_block: Subspace         # M_E in the coordinates of block
+
+    @cached_property
+    def _chain(self) -> tuple:
+        block, tol = self.block, self.cfg.rank_tol
+        # layers[n] spans T^n M_E inside the block
+        X, V, layers = [self.M_E_block], [self.M_E_block], [self.M_E_block]
+        for n in range(1, self.depth + 1):
+            layer = orthonormalize([block.matrix @ layers[-1].frame], rank_tol=tol)
+            layers.append(layer)
+            prev = X[-1]
+            fresh = layer.frame - prev.frame @ (prev.frame.conj().T @ layer.frame)
+            # frames have unit columns: judge new directions on that scale,
+            # never on the residual's own (possibly dust) magnitude
+            Vn = orthonormalize([fresh], rank_tol=tol, scale=1.0)
+            V.append(Vn)
+            X.append(subspace_sum(prev, Vn))
+        vdims = [v.dim for v in V]
+        notes = {"v_dims_weakly_decreasing": all(
+            vdims[m] <= vdims[n] for n in range(len(vdims)) for m in range(n, len(vdims))
+        )}
+        # each V_n must be invariant under every gram power
+        worst = 0.0
+        for Vn in V:
+            if Vn.dim == 0:
+                continue
+            for g, scale in zip(block.grams[1:], block.scales[1:]):
+                image = g @ Vn.frame
+                leak = image - Vn.frame @ (Vn.frame.conj().T @ image)
+                worst = max(worst, float(np.linalg.norm(leak) / max(scale, 1e-300)))
+        notes["gram_invariance_residual"] = worst
+        lift = block.lift
+        return [lift(x) for x in X], [lift(v) for v in V], [lift(s) for s in layers], notes
+
+    X = property(lambda self: self._chain[0])
+    V = property(lambda self: self._chain[1])
+    layers = property(lambda self: self._chain[2])
+    notes = property(lambda self: self._chain[3])
+
+    @cached_property
+    def H(self) -> list:
+        """Ranges H_0..H_depth, in the coordinates of block."""
+        return [_range_space(self.block, n, self.cfg) for n in range(self.depth + 1)]
+
+    @cached_property
+    def defects(self) -> list:
+        """E_n = H_n (-) H_{n+1}, n < depth, in ambient coordinates."""
+        H = self.H
+        return [self.block.lift(subspace_ominus(H[n], H[n + 1])) for n in range(self.depth)]
+
+    @cached_property
+    def dims(self) -> dict:
+        return {"E": self.E.dim, "M_E": self.M_E.dim, "X": [x.dim for x in self.X],
+                "V": [v.dim for v in self.V], "defects": [d.dim for d in self.defects]}
 
     def as_dict(self) -> dict:
         return {
@@ -241,62 +296,19 @@ class ChainDecomposition:
 
 
 def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDecomposition:
-    """Build E, M_E and the chain X_n = X_{n-1} (+) V_n up to the usable depth.
+    """E, M_E and, on first read, the chain X_n = X_{n-1} (+) V_n up to the
+    usable depth (see ``ChainDecomposition`` for what is built when).
 
     Raises NotInjectiveOnWindow when the operator fails to act injectively
     on the window (for a truncation: on the leading window columns; for an
     exact model: on the whole space).
     """
-    block = analysis_block(model, cfg, require_injective=True)
-    K = block.depth
+    _ensure_injective_on_window(model, cfg)
+    block = analysis_block(model, cfg)
     M_E_blk, status = _moduli_on_block(block, cfg)
-
-    X = [M_E_blk]
-    V = [M_E_blk]
-    layers = [M_E_blk]  # layers[n] spans T^n M_E inside the block
-    for n in range(1, K + 1):
-        layer = orthonormalize([block.matrix @ layers[-1].frame], rank_tol=cfg.rank_tol)
-        layers.append(layer)
-        prev = X[-1]
-        fresh = layer.frame - prev.frame @ (prev.frame.conj().T @ layer.frame)
-        # frames have unit columns: judge new directions on that scale,
-        # never on the residual's own (possibly dust) magnitude
-        Vn = orthonormalize([fresh], rank_tol=cfg.rank_tol, scale=1.0)
-        V.append(Vn)
-        X.append(subspace_sum(prev, Vn))
-
-    H = [_range_space(block, n, cfg) for n in range(K + 1)]
-    defects = [subspace_ominus(H[n], H[n + 1]) for n in range(K)]
-
-    dims = {
-        "E": block.E.dim,
-        "M_E": M_E_blk.dim,
-        "X": [x.dim for x in X],
-        "V": [v.dim for v in V],
-        "defects": [d.dim for d in defects],
-    }
-
-    notes = {}
-    vdims = dims["V"]
-    notes["v_dims_weakly_decreasing"] = all(
-        vdims[m] <= vdims[n] for n in range(len(vdims)) for m in range(n, len(vdims))
-    )
-    # each V_n must be invariant under every gram power
-    worst = 0.0
-    for Vn in V:
-        if Vn.dim == 0:
-            continue
-        for g, scale in zip(block.grams[1:], block.scales[1:]):
-            image = g @ Vn.frame
-            leak = image - Vn.frame @ (Vn.frame.conj().T @ image)
-            worst = max(worst, float(np.linalg.norm(leak) / max(scale, 1e-300)))
-    notes["gram_invariance_residual"] = worst
     return ChainDecomposition(
         E=block.lift(block.E), M_E=block.lift(M_E_blk), moduli_status=status,
-        X=[block.lift(x) for x in X], V=[block.lift(v) for v in V],
-        layers=[block.lift(s) for s in layers],
-        defects=[block.lift(d) for d in defects],
-        depth=K, dims=dims, block=block, H=H, notes=notes,
+        depth=block.depth, block=block, cfg=cfg, M_E_block=M_E_blk,
     )
 
 
@@ -336,7 +348,8 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
         raise NotHalfCentered(
             f"half-centered residual {report.max_half_residual:.3e} exceeds tolerance"
         )
-    block = analysis_block(model, cfg, require_injective=True)
+    _ensure_injective_on_window(model, cfg)
+    block = analysis_block(model, cfg)
     K = block.depth
     G1 = block.grams[1]
     prev_theta = np.eye(block.w, dtype=complex)

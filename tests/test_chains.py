@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from hclab import (
 )
 import hclab.chains
 from hclab.chains import _moduli_on_block, analysis_block, effective_depth
+from hclab.cli import main
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 
 from conftest import random_unitary, random_weights
@@ -296,6 +298,62 @@ class TestOneDerivationPerBlock:
             distinct |= {(p["j"], left, w), (p["k"], right, w)}
         assert report.depth == 6 and len(distinct) == 72
         assert len(norm_calls) == len(distinct)
+
+    def test_one_analysis_block_per_model_and_config(self, cfg):
+        t = aq_operator(0.5, 5.0, 64)
+        moduli_subspace(t, cfg)
+        chain_decomposition(t, cfg)
+        isometry_tower(t, cfg)
+        built = [key for key in t._memo if key[0] is analysis_block.__wrapped__]
+        assert len(built) == 1
+
+
+class TestLazyChain:
+    """The chain, its ranges H_n and defects are built when first read, once
+    per chain; classify reads none of them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Ranges built, and per complement taken whether it is of a range
+        (a defect) or of something else (the structural checks take those)."""
+        calls = {"ranges": [], "ominus": []}
+        range_space, ominus = hclab.chains._range_space, hclab.chains.subspace_ominus
+
+        def counting_range(*args):
+            calls["ranges"].append(range_space(*args))
+            return calls["ranges"][-1]
+
+        def counting_ominus(a, *args, **kwargs):
+            calls["ominus"].append(any(a is h for h in calls["ranges"]))
+            return ominus(a, *args, **kwargs)
+
+        monkeypatch.setattr(hclab.chains, "_range_space", counting_range)
+        monkeypatch.setattr(hclab.chains, "subspace_ominus", counting_ominus)
+        return calls
+
+    def test_classify_builds_no_range_or_defect(self, sro32, cfg, calls):
+        for t in (sro32, aq_operator(0.5, 5.0, 48)):
+            classify(t, cfg)
+        assert calls == {"ranges": [], "ominus": []}
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_decompose_and_verify_build_each_range_and_defect_once(
+            self, capsys, calls, command):
+        assert main([command, "--family", "aq", "--q", "0.5", "--r", "5", "--n", "32"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        K = doc["depth"] if command == "decompose" else doc["structure"]["depth"]
+        assert len(calls["ranges"]) == K + 1
+        assert sum(calls["ominus"]) == K
+
+    def test_each_lazy_part_is_built_once(self, sro32, cfg, calls):
+        chain = chain_decomposition(sro32, cfg)
+        assert calls["ranges"] == [] and "_chain" not in vars(chain)
+        for _ in range(2):
+            assert chain.H is chain.H and chain.defects is chain.defects
+            assert chain.dims is chain.dims and chain.V is chain.V
+        assert len(calls["ranges"]) == chain.depth + 1
+        assert calls["ominus"] == [True] * chain.depth
+        assert chain.dims["defects"] == [d.dim for d in chain.defects]
 
 
 class TestWanderingSpan:

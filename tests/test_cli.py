@@ -287,3 +287,38 @@ def test_flags_and_file_agree(capsys, tmp_path, cmd, case):
     path.write_text(json.dumps({**_SPECS[case], "N": 16}))
     assert main([cmd, "--file", str(path)]) == code
     assert capsys.readouterr().out == out
+
+
+# Small truncations whose chain defects fail to build (NotContained at N = 6
+# and 8, WindowExhausted for a weighted shift at N = 2).  Commands that never
+# read the defects report the next failed precondition, with the same exit.
+def _aq(q, *r):
+    return ["--family", "aq", "--q", q, *r]
+
+
+_NEXT_PRECONDITION = [
+    ("spectral", ["--family", "weighted_shift", "--weights", "0.9"], 2, "ModuliTooSmall"),
+    ("spectral", _aq("0.3"), 6, "NotCommuting"),
+    ("classify", _aq("0.3"), 6, "NotCommuting"),
+    ("verify", _aq("0.5"), 6, "NotHalfCentered"),
+    ("spectral", _aq("0.6"), 6, "NotCommuting"),
+    ("verify", _aq("0.6"), 6, "NotHalfCentered"),
+    ("spectral", _aq("0.66"), 6, "NotCommuting"),
+    ("verify", _aq("0.66"), 6, "NotHalfCentered"),
+    ("spectral", _aq("0.7"), 6, "NotCommuting"),
+    ("verify", _aq("0.7"), 6, "NotHalfCentered"),
+    ("spectral", _aq("0.6"), 8, "NotCommuting"),
+    ("classify", _aq("0.6"), 8, "NotCommuting"),
+    ("spectral", _aq("0.66"), 8, "NotCommuting"),
+    ("verify", _aq("0.66"), 8, "NotHalfCentered"),
+    ("spectral", _aq("0.7"), 8, "NotCommuting"),
+    ("classify", _aq("0.7"), 8, "NotCommuting"),
+    ("verify", _aq("0.5", "--r", "5"), 6, "NotHalfCentered"),
+]
+
+
+@pytest.mark.parametrize("cmd, flags, n, error", _NEXT_PRECONDITION,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_small_truncations_exit_on_the_next_precondition(capsys, cmd, flags, n, error):
+    assert main([cmd, *flags, "--n", str(n)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[{error}]")
