@@ -20,7 +20,7 @@ import numpy as np
 
 from .commutation import _window_gram, analysis_depth, half_centered_check, kernel_of_adjoint
 from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
-from .linalg import polar, positive_sqrt
+from .linalg import numerical_rank, polar, positive_sqrt
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, extend_frame, orthonormalize, subspace_ominus, subspace_sum
 
@@ -471,8 +471,7 @@ def verify_chain_structure(
         if cross.size:
             # directions count as "T v orthogonal to M_E" relative to ||T||
             _, s, vh = np.linalg.svd(cross)
-            cutoff = cfg.rank_tol * max(power_norms[1], 1e-300)
-            null = vh[np.sum(s > cutoff):].conj().T
+            null = vh[numerical_rank(s, cfg.rank_tol, power_norms[1]):].conj().T
         else:
             null = np.eye(Vm.dim, dtype=complex)
         if null.shape[1] == 0:

@@ -19,13 +19,13 @@ from .errors import (
     DegenerateTriples,
     HclabError,
     InconclusiveError,
-    ModuliTooSmall,
     NoRelationFound,
     NotSingleTriple,
     PatternResidualTooLarge,
     PreconditionError,
     PreconditionViolated,
 )
+from .linalg import numerical_rank
 from .operators import OperatorModel, ToleranceConfig
 from .spectral import StructureData, TripleRecord, enumerate_triples, structure_extract
 
@@ -85,8 +85,7 @@ def _canonical_null_vector(stack: np.ndarray, reference: np.ndarray,
     pattern, which is basis independent, instead of an arbitrary SVD column.
     """
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    cutoff = max(tol * s[0], 1e2 * np.finfo(float).eps * s[0]) if s[0] > 0 else 0.0
-    null_dim = int(np.sum(s <= cutoff))
+    null_dim = len(s) - numerical_rank(s, max(tol, 1e2 * np.finfo(float).eps), s[0])
     if null_dim >= 2:
         basis = vh[len(s) - null_dim:].conj().T
         cand = basis @ (basis.conj().T @ reference.astype(complex))
@@ -406,10 +405,9 @@ class ClassificationReport:
 
 
 def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
-    g1 = gram_power(model, 1)
-    block = model.window_compress(g1, model.window(1))
+    block = model.window_compress(gram_power(model, 1), model.window(1))
     s = np.linalg.svd(block, compute_uv=False)
-    return bool(s[-1] > cfg.rank_tol * max(s[0], 1e-300))
+    return numerical_rank(s, cfg.rank_tol, s[0]) == s.size
 
 
 def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport:
@@ -458,10 +456,7 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
             moduli_status=chain.moduli_status, diagnostics=diagnostics,
         )
 
-    try:
-        structure = structure_extract(model, chain, cfg)
-    except ModuliTooSmall as exc:  # dim M_E >= 2 was checked above
-        raise PreconditionViolated(str(exc)) from exc
+    structure = structure_extract(model, chain, cfg)
     triples = enumerate_triples(model, chain, structure, cfg)
     diagnostics["no_nonzero_beta"] = structure.no_nonzero_beta
     diagnostics["bt1_residual"] = structure.residuals.get("bt1")

@@ -203,14 +203,7 @@ def cmd_classify(args, model, cfg, requested) -> int:
     report = classify(model, cfg)
     out = {"config": _config_echo(model, cfg, requested), **report.as_dict()}
     _emit_report(out, args)
-    if report.verdict == "inconclusive":
-        return 4
-    if report.relation is not None and report.relation.operator_residual > cfg.relation_tol:
-        return 4
-    if report.reconstruction is not None and \
-            report.reconstruction.reconstruction_residual > cfg.relation_tol:
-        return 4
-    return 0
+    return 4 if report.verdict == "inconclusive" else 0
 
 
 def cmd_verify(args, model, cfg, requested) -> int:

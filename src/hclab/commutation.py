@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WindowExhausted
+from .linalg import numerical_rank
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
@@ -143,8 +144,8 @@ def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationRep
 def kernel_of_adjoint(model: OperatorModel, cfg: ToleranceConfig) -> Subspace:
     """ker T* = (T H)^perp, found from the singular directions of T."""
     u, s, _ = np.linalg.svd(model.matrix)
-    cutoff = cfg.rank_tol * s[0] if s.size and s[0] > 0 else 0.0
-    return orthonormalize([u[:, s <= cutoff]], rank_tol=cfg.rank_tol)
+    rank = numerical_rank(s, cfg.rank_tol, s[0] if s.size else 0.0)
+    return orthonormalize([u[:, rank:]], rank_tol=cfg.rank_tol)
 
 
 @dataclass

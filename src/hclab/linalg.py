@@ -2,8 +2,8 @@
 polar decompositions with partial isometries, and smallest singular triplets.
 
 All routines work on plain ``numpy`` arrays of complex128, treat their inputs
-as immutable, and return freshly allocated arrays.  Rank decisions are always
-tolerance decisions; the default relative tolerance is ``DEFAULT_RANK_TOL``.
+as immutable, and return freshly allocated arrays.  Every rank decision is
+the tolerance cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -15,12 +15,16 @@ import numpy as np
 from .errors import NonFinite, NotHermitian, NotPSD
 
 DEFAULT_RANK_TOL = 1e-10
+HERMITIAN_TOL = 1e-9     # relative asymmetry or negative eigenvalue taken as roundoff
+PROJECTION_TOL = 1e-9    # relative ||P^2 - P|| and ||P - P*|| of an orthogonal projection
+CONTAINMENT_TOL = 1e-8   # how far the subspace removed by subspace_ominus may stick out
 
 __all__ = [
     "DEFAULT_RANK_TOL",
     "PolarPair",
     "as_complex_matrix",
     "hermitian_eig",
+    "numerical_rank",
     "positive_sqrt",
     "polar",
     "smallest_singular_triplet",
@@ -42,18 +46,21 @@ def _require_square(a: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
-def hermitian_eig(h, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def numerical_rank(s, rank_tol: float, scale: float) -> int:
+    """How many singular values ``s`` lie strictly above ``rank_tol * scale``."""
+    return int(np.sum(np.asarray(s) > rank_tol * max(scale, 1e-300)))
+
+
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : array_like
-        Square matrix with ``||h - h*|| <= tol * ||h||``.  A sub-tolerance
+        Square matrix with ``||h - h*|| <= HERMITIAN_TOL * ||h||``.  A sub-tolerance
         asymmetry is allowed because accumulated products of the form
         ``T*^k T^k`` drift slightly; the matrix is symmetrized before the
         decomposition.
-    tol : float
-        Relative bound on the acceptable Hermitian asymmetry.
 
     Returns
     -------
@@ -73,25 +80,25 @@ def hermitian_eig(h, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     _require_square(a)
     scale = np.linalg.norm(a)
     asym = np.linalg.norm(a - a.conj().T)
-    if asym > tol * max(scale, 1e-300):
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if asym > HERMITIAN_TOL * max(scale, 1e-300):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return w, v
 
 
-def positive_sqrt(h, tol: float = 1e-9) -> np.ndarray:
+def positive_sqrt(h) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-tol * ||h||, 0)`` are clamped to zero; a materially
+    Eigenvalues in ``[-HERMITIAN_TOL * ||h||, 0)`` are clamped to zero; a materially
     negative eigenvalue raises ``NotPSD``.
 
     Returns
     -------
     (n, n) ndarray, Hermitian PSD, whose square reproduces ``h``.
     """
-    w, v = hermitian_eig(h, tol=tol)
+    w, v = hermitian_eig(h)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -tol * scale:
+    if w[0] < -HERMITIAN_TOL * scale:
         raise NotPSD(f"eigenvalue {w[0]:.3e} is materially negative")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (root + root.conj().T) / 2.0
@@ -132,8 +139,7 @@ def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
     a = as_complex_matrix(m)
     _require_square(a)
     u, s, vh = np.linalg.svd(a)
-    cutoff = rank_tol * s[0] if s.size and s[0] > 0 else 0.0
-    r = int(np.sum(s > cutoff))
+    r = numerical_rank(s, rank_tol, s[0] if s.size else 0.0)
     theta = u[:, :r] @ vh[:r, :]
     p = (vh.conj().T * s) @ vh
     return PolarPair(isometry_part=theta, positive_part=(p + p.conj().T) / 2.0)

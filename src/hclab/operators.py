@@ -25,7 +25,8 @@ from .errors import (
     SpecParseError,
     ZeroWeight,
 )
-from .linalg import as_complex_matrix, positive_sqrt, smallest_singular_triplet
+from .linalg import (DEFAULT_RANK_TOL, PROJECTION_TOL, as_complex_matrix, numerical_rank,
+                     positive_sqrt)
 from .matio import loads_matrix, parse_complex
 
 __all__ = [
@@ -57,8 +58,12 @@ class ToleranceConfig:
         for name in ("rank_tol", "commutator_tol", "relation_tol", "spectral_match_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+        for name, low in (("depth", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}")
 
     def with_depth(self, depth: int) -> "ToleranceConfig":
         return replace(self, depth=depth)
@@ -245,13 +250,13 @@ def shift_plus_rank_one(weights, a: complex, n: int, N: int) -> OperatorModel:
     )
 
 
-def projection_product(P, Q, tol: float = 1e-9) -> OperatorModel:
+def projection_product(P, Q) -> OperatorModel:
     """Product ``P @ Q`` of two orthogonal projections; a genuine C^N operator."""
     P = as_complex_matrix(P)
     Q = as_complex_matrix(Q)
     for name, X in (("P", P), ("Q", Q)):
-        scale = max(1.0, np.linalg.norm(X))
-        if np.linalg.norm(X @ X - X) > tol * scale or np.linalg.norm(X - X.conj().T) > tol * scale:
+        tol = PROJECTION_TOL * max(1.0, np.linalg.norm(X))
+        if np.linalg.norm(X @ X - X) > tol or np.linalg.norm(X - X.conj().T) > tol:
             raise NotProjection(f"{name} is not an orthogonal projection")
     return OperatorModel(
         matrix=P @ Q, family="projection_product",
@@ -293,8 +298,7 @@ def aq_matrix(q: float, N: int) -> np.ndarray:
     return A
 
 
-def aq_operator(q: float, r: float | None = None, N: int = 32,
-                rank_tol: float = 1e-10) -> OperatorModel:
+def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
     """The conjugated-shift family ``T = (A_q + rI)^{1/2} S (A_q + rI)^{-1/2}``.
 
     ``S`` is the unweighted shift and ``A_q`` the tridiagonal matrix with
@@ -309,9 +313,11 @@ def aq_operator(q: float, r: float | None = None, N: int = 32,
         raise ValueError(f"N must be at least 1, got {N}")
     if r is None:
         r = default_aq_margin(q)
+    if not np.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     A = aq_matrix(q, N)
     evals = np.linalg.eigvalsh(A.real)
-    if evals[0] + r <= rank_tol:
+    if evals[0] + r <= DEFAULT_RANK_TOL:
         raise NotPositive(f"A_q + rI has eigenvalue {evals[0] + r:.3e} <= tolerance")
     shifted = A + r * np.eye(N)
     half = positive_sqrt(shifted)
@@ -334,7 +340,7 @@ def aq_operator(q: float, r: float | None = None, N: int = 32,
     )
 
 
-def cauchy_dual(model: OperatorModel, rank_tol: float = 1e-10) -> OperatorModel:
+def cauchy_dual(model: OperatorModel) -> OperatorModel:
     """Dual ``T' = T (T*T)^{-1}``, computed on the effective window.
 
     The gram matrix of a truncation is singular in its trailing corrupted
@@ -348,9 +354,9 @@ def cauchy_dual(model: OperatorModel, rank_tol: float = 1e-10) -> OperatorModel:
     if w < 1:
         raise NotLeftInvertible("window exhausted")
     G = (T.conj().T @ T)[:w, :w]
-    smin, _ = smallest_singular_triplet(G)
-    if smin <= rank_tol * max(1.0, np.linalg.norm(G, 2)):
-        raise NotLeftInvertible(f"T*T has sigma_min {smin:.3e} on the window")
+    s = np.linalg.svd(G, compute_uv=False)
+    if numerical_rank(s, DEFAULT_RANK_TOL, max(1.0, s[0])) < w:
+        raise NotLeftInvertible(f"T*T has sigma_min {s[-1]:.3e} on the window")
     dual = np.zeros((N, N), dtype=complex)
     dual[:, :w] = T[:, :w] @ np.linalg.inv(G)
     return OperatorModel(

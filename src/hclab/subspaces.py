@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NotContained
-from .linalg import DEFAULT_RANK_TOL, as_complex_matrix
+from .linalg import CONTAINMENT_TOL, DEFAULT_RANK_TOL, as_complex_matrix, numerical_rank
 
 __all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum", "subspace_ominus",
            "project"]
@@ -75,8 +75,7 @@ def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL,
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if scale is None:
         scale = float(np.max(np.linalg.norm(m, axis=0))) if m.size else 0.0
-    d = int(np.sum(s > rank_tol * max(scale, 1e-300)))
-    return Subspace(frame=u[:, :d], rank_tol=rank_tol)
+    return Subspace(frame=u[:, :numerical_rank(s, rank_tol, scale)], rank_tol=rank_tol)
 
 
 def extend_frame(frame: np.ndarray, block: np.ndarray,
@@ -113,7 +112,7 @@ def extend_frame(frame: np.ndarray, block: np.ndarray,
                             full_matrices=False)
     # the residual has rank at most n - d; a rank_tol below roundoff could
     # count dust beyond that
-    r = min(int(np.sum(s > rank_tol * max(scale, 1e-300))), n - d)
+    r = min(numerical_rank(s, rank_tol, scale), n - d)
     # u comes from a residual that may be tiny, so it is only roughly
     # orthogonal to frame: project once more and re-orthonormalize
     fresh = u[:, :r] - frame @ (frame.conj().T @ u[:, :r])
@@ -132,16 +131,16 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return orthonormalize([a.frame, b.frame], rank_tol=tol)
 
 
-def subspace_ominus(a: Subspace, b: Subspace, containment_tol: float = 1e-8) -> Subspace:
+def subspace_ominus(a: Subspace, b: Subspace) -> Subspace:
     """Orthogonal complement ``a (-) b`` for ``b`` contained in ``a``.
 
-    Raises ``NotContained`` when ``b`` sticks out of ``a`` beyond tolerance.
+    Raises ``NotContained`` when ``b`` sticks out of ``a`` beyond ``CONTAINMENT_TOL``.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if b.dim:
         leak = np.linalg.norm(b.frame - a.frame @ (a.frame.conj().T @ b.frame))
-        if leak > containment_tol * max(1.0, np.sqrt(b.dim)):
+        if leak > CONTAINMENT_TOL * max(1.0, np.sqrt(b.dim)):
             raise NotContained(f"second subspace leaks out by {leak:.3e}")
     if b.dim == 0:
         return a

@@ -202,6 +202,26 @@ class TestContracts:
         assert err.startswith("error[ValueError]: N must be at least 1")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["zoo", "check", "decompose", "spectral", "classify",
+                                         "verify"])
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_aq_non_finite_r_is_a_value_error(self, capsys, tmp_path, command, r):
+        path = tmp_path / "aq_r.json"
+        path.write_text(json.dumps({"family": "aq", "q": 0.5, "r": r, "N": 8}))
+        code = main([command, "--file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[ValueError]: r must be finite")
+        assert "Traceback" not in err
+
+    def test_negative_seed_is_a_value_error(self, capsys, monkeypatch):
+        argv = ["check", "--family", "weighted_shift", "--weights", "1,1,1", "--n", "4"]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: seed must be at least 0")
+        monkeypatch.setenv("HCLAB_SEED", "-1")
+        assert main(argv) == 1
+        assert "seed must be at least 0" in capsys.readouterr().err
+
     def test_kernel_mass_loss_is_not_rounded_away(self, capsys):
         # at N = 4 the kernel of T* loses about 5e-8 of its mass to the
         # corrupted index, above the 1e-8 limit but invisible in 6 decimals
@@ -322,3 +342,20 @@ _NEXT_PRECONDITION = [
 def test_small_truncations_exit_on_the_next_precondition(capsys, cmd, flags, n, error):
     assert main([cmd, *flags, "--n", str(n)]) == 2
     assert capsys.readouterr().err.startswith(f"error[{error}]")
+
+
+def test_cli_grid_tool(capsys):
+    """tools/cli_grid.py covers 684 runs, passes negative weights as
+    ``--weights=...`` and hashes a run's output reproducibly."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
+    spec = importlib.util.spec_from_file_location("cli_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    runs = list(grid.grid())
+    assert len(runs) == len(set(runs)) == 684
+    argv = ["check", *grid.family_args("ws", 6), "--n", "6", "--format", "json"]
+    assert argv[3].startswith("--weights=-0.6,")
+    first = grid.run(main, argv)
+    assert first == grid.run(main, argv)
+    assert first[0] == 0 and re.fullmatch(r"[0-9a-f]{64}", first[1])

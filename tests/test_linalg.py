@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from hclab import hermitian_eig, polar, positive_sqrt, smallest_singular_triplet
 from hclab.errors import NonFinite, NotHermitian, NotPSD
+from hclab.linalg import numerical_rank
 
 
 def random_hermitian(rng, n):
@@ -103,6 +104,36 @@ class TestPolar:
         assert np.linalg.norm(theta @ pair.positive_part - m) <= 1e-10 * np.linalg.norm(m)
         gram = theta.conj().T @ theta
         assert np.linalg.norm(gram @ gram - gram) <= 1e-10
+
+
+class TestNumericalRank:
+    def test_counts_values_above_the_cut(self):
+        assert numerical_rank(np.array([4.0, 1.0, 1e-3, 0.0]), 1e-2, 4.0) == 2
+
+    def test_value_at_the_cut_is_dropped(self):
+        assert numerical_rank(np.array([1.0, 0.5]), 0.5, 1.0) == 1
+        assert numerical_rank(np.array([1.0, np.nextafter(0.5, 1.0)]), 0.5, 1.0) == 2
+
+    def test_empty_has_rank_zero(self):
+        assert numerical_rank(np.zeros(0), 1e-10, 1.0) == 0
+
+    def test_all_zero_at_scale_zero_has_rank_zero(self):
+        assert numerical_rank(np.zeros(3), 1e-10, 0.0) == 0
+
+    def test_scale_is_floored(self):
+        # below 1e-300 the scale no longer shrinks the cut
+        s = np.array([2e-310, 1e-320])
+        assert numerical_rank(s, 1.0, 0.0) == 0
+        assert numerical_rank(s, 1.0, 1e-320) == 0
+        assert numerical_rank(np.array([2e-300]), 1.0, 0.0) == 1
+
+    def test_returns_a_python_int(self):
+        assert type(numerical_rank([3.0, 2.0], 1e-10, 3.0)) is int
+
+    def test_polar_of_zero_has_zero_isometric_part(self):
+        pair = polar(np.zeros((3, 3)))
+        assert np.all(pair.isometry_part == 0)
+        assert np.all(pair.positive_part == 0)
 
 
 class TestSmallestSingularTriplet:

@@ -192,6 +192,11 @@ class TestAqOperator:
         with pytest.raises(NotPositive):
             aq_operator(0.5, -10.0, 8)
 
+    @pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_r(self, r):
+        with pytest.raises(ValueError, match="r must be finite"):
+            aq_operator(0.5, r, 8)
+
 
 class TestIsometryFamily:
     def test_two_isometry_identity(self):
@@ -286,6 +291,15 @@ class TestModelMetadata:
             for name in ("rank_tol", "commutator_tol", "relation_tol", "spectral_match_tol"):
                 with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                     ToleranceConfig(**{name: bad})
+        for bad in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match="depth must be an integer"):
+                ToleranceConfig(depth=bad)
+        for bad in (1.5, True, "7", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ToleranceConfig(seed=bad)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            ToleranceConfig(seed=-1)
+        assert ToleranceConfig(depth=np.int64(3), seed=0).depth == 3
 
 
 class TestOperatorSpecs:
