@@ -43,7 +43,6 @@ from .linalg import (
     hermitian_eig,
     polar,
     positive_sqrt,
-    smallest_singular_triplet,
 )
 from .matio import dumps_matrix, loads_matrix
 from .operators import (

@@ -440,7 +440,8 @@ def verify_chain_structure(
     # dimension is reported as-is
     out["space1_complement_dims"] = complement_dims
 
-    P_sum = sum((v.projector() for v in V), np.zeros((block.w, block.w), complex))
+    P_V = [v.projector() for v in V]
+    P_sum = sum(P_V, np.zeros((block.w, block.w), complex))
     out["space1_direct_sum"] = float(np.linalg.norm(P_sum - X[-1].projector()))
 
     power_norms = {d: float(np.linalg.norm(block.powers[d], 2)) for d in range(1, K + 1)}
@@ -499,32 +500,30 @@ def verify_chain_structure(
         default=0.0,
     )
 
-    H = chain.H
+    # the compression P_{H_n} T P_{H_n} of each range, for key and fukth
+    compressions = [P @ Tb @ P for P in (h.projector() for h in chain.H)]
     worst = 0.0
     composed = np.eye(block.w, dtype=complex)
     for lvl in tower.levels:
         n = lvl.n
-        compression = H[n - 1].projector() @ Tb @ H[n - 1].projector()
-        composed = polar(compression, rank_tol=cfg.rank_tol).isometry_part @ composed
+        composed = polar(compressions[n - 1], rank_tol=cfg.rank_tol).isometry_part @ composed
         wn = block.window(n)
         scale = max(np.linalg.norm(lvl.theta[:wn, :wn]), 1e-300)
         worst = max(worst, float(np.linalg.norm((composed - lvl.theta)[:wn, :wn]) / scale))
     out["key"] = worst
 
     worst = 0.0
-    for Vm in V:
+    for Vm, P in zip(V, P_V):
         if Vm.dim == 0:
             continue
-        P = Vm.projector()
         for g, scale in zip(block.grams[1:], block.scales[1:]):
             worst = max(worst, float(np.linalg.norm(P @ g - g @ P) / max(scale, 1e-300)))
     out["fuio"] = worst
 
     worst = 0.0
     for n in range(1, K + 1):
-        comp = H[n].projector() @ Tb @ H[n].projector()
         for j in range(1, K - n + 1):
-            cj = np.linalg.matrix_power(comp, j)
+            cj = np.linalg.matrix_power(compressions[n], j)
             gj = cj.conj().T @ cj
             for m in range(n, K + 1):
                 Vm = V[m]

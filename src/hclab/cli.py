@@ -14,6 +14,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from .chains import chain_decomposition, isometry_tower, verify_chain_structure
 from .classifier import classify
 from .commutation import analysis_depth, centered_check, centered_criterion, half_centered_check
@@ -34,27 +36,6 @@ VERIFY_TOLERANCES = {
     "fukth": 1e-9,
     "gram_invariance_residual": 1e-9,
 }
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--file", help="operator spec JSON file")
-    p.add_argument("--family", help="operator family name")
-    p.add_argument("--n", type=int, default=32, help="truncation dimension N")
-    p.add_argument("--weights", help="comma separated shift weights")
-    p.add_argument("--a", help="rank-one coefficient (complex, e.g. 0.3+0.4j)")
-    p.add_argument("--index", type=int, default=0, help="rank-one column index")
-    p.add_argument("--q", type=float, help="decay parameter in (0,1)")
-    p.add_argument("--r", type=float, help="positivity margin (default 2/(1-q)+1)")
-    p.add_argument("--psi", help="comma separated index map values")
-    p.add_argument("--xi", help="comma separated composition weights")
-    p.add_argument("--depth", type=int, default=6, help="analysis depth K")
-    p.add_argument("--tol-rank", type=float, default=1e-10)
-    p.add_argument("--tol-comm", type=float, default=1e-9)
-    p.add_argument("--tol-rel", type=float, default=1e-8)
-    p.add_argument("--tol-match", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    p.add_argument("--out", help="write the report to this path (atomically)")
 
 
 def build_model(args) -> OperatorModel:
@@ -95,10 +76,9 @@ def _config_echo(model: OperatorModel, cfg: ToleranceConfig,
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hclab-")
@@ -142,71 +122,48 @@ def _render_text(obj, prefix: str = "") -> list[str]:
     return lines
 
 
-def cmd_zoo(args, model, cfg, requested) -> int:
-    text = dumps_matrix(model.matrix)
-    if args.format == "text":
-        if model.companion is not None:
-            text += dumps_matrix(model.companion)
-        _emit(text, args.out)
-        return 0
-    report = {
-        "config": _config_echo(model, requested),
-        "matrix": text,
-    }
+def cmd_zoo(model, cfg) -> tuple[dict, int]:
+    report = {"matrix": dumps_matrix(model.matrix)}
     if model.companion is not None:
         report["companion"] = dumps_matrix(model.companion)
-    _emit_report(report, args)
-    return 0
+    return report, 0
 
 
-def cmd_check(args, model, cfg, requested) -> int:
-    report = centered_check(model, cfg)
-    criterion = centered_criterion(model, cfg)
-    out = {
-        "config": _config_echo(model, cfg, requested),
-        **report.as_dict(),
-        "criterion": criterion.as_dict(),
-    }
-    _emit_report(out, args)
-    return 0
+def cmd_check(model, cfg) -> tuple[dict, int]:
+    report = centered_check(model, cfg).as_dict()
+    return {**report, "criterion": centered_criterion(model, cfg).as_dict()}, 0
 
 
-def cmd_decompose(args, model, cfg, requested) -> int:
+def cmd_decompose(model, cfg) -> tuple[dict, int]:
     chain = chain_decomposition(model, cfg)
-    out = {"config": _config_echo(model, cfg, requested), **chain.as_dict()}
+    out = chain.as_dict()
     try:
         tower = isometry_tower(model, cfg)
         out["structure"] = verify_chain_structure(model, chain, tower, cfg)
     except HclabError as exc:
         out["structure"] = None
         out["structure_skipped"] = f"{type(exc).__name__}: {exc}"
-    _emit_report(out, args)
-    return 0
+    return out, 0
 
 
-def cmd_spectral(args, model, cfg, requested) -> int:
+def cmd_spectral(model, cfg) -> tuple[dict, int]:
     chain = chain_decomposition(model, cfg)
     structure = structure_extract(model, chain, cfg)
     triples = enumerate_triples(model, chain, structure, cfg)
     correspondence = spectral_correspondence_check(model, chain, cfg)
-    out = {
-        "config": _config_echo(model, cfg, requested),
+    return {
         **structure.as_dict(),
         "triples": [t.as_dict() for t in triples],
         "correspondence": correspondence,
-    }
-    _emit_report(out, args)
-    return 0
+    }, 0
 
 
-def cmd_classify(args, model, cfg, requested) -> int:
+def cmd_classify(model, cfg) -> tuple[dict, int]:
     report = classify(model, cfg)
-    out = {"config": _config_echo(model, cfg, requested), **report.as_dict()}
-    _emit_report(out, args)
-    return 4 if report.verdict == "inconclusive" else 0
+    return report.as_dict(), 4 if report.verdict == "inconclusive" else 0
 
 
-def cmd_verify(args, model, cfg, requested) -> int:
+def cmd_verify(model, cfg) -> tuple[dict, int]:
     half = half_centered_check(model, cfg)
     chain = chain_decomposition(model, cfg)
     tower = isometry_tower(model, cfg)
@@ -218,46 +175,65 @@ def cmd_verify(args, model, cfg, requested) -> int:
             failures[key] = {"residual": val, "tolerance": tol}
     if not table.get("v_dims_weakly_decreasing", True):
         failures["v_dims_weakly_decreasing"] = {"residual": "violated", "tolerance": None}
-    out = {
-        "config": _config_echo(model, cfg, requested),
+    return {
         "half_residual": half.max_half_residual,
         "structure": table,
         "failures": failures,
         "verdict": not failures,
-    }
-    _emit_report(out, args)
-    return 0 if not failures else 4
+    }, 0 if not failures else 4
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
         prog="hclab",
         description="numerical laboratory for half-centered operators",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "zoo": cmd_zoo,
-        "check": cmd_check,
-        "decompose": cmd_decompose,
-        "spectral": cmd_spectral,
-        "classify": cmd_classify,
-        "verify": cmd_verify,
-    }
-    for name in handlers:
-        _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    p.add_argument("command",
+                   choices=("zoo", "check", "decompose", "spectral", "classify", "verify"))
+    p.add_argument("--file", help="operator spec JSON file")
+    p.add_argument("--family", help="operator family name")
+    p.add_argument("--n", type=int, default=32, help="truncation dimension N")
+    p.add_argument("--weights", help="comma separated shift weights")
+    p.add_argument("--a", help="rank-one coefficient (complex, e.g. 0.3+0.4j)")
+    p.add_argument("--index", type=int, default=0, help="rank-one column index")
+    p.add_argument("--q", type=float, help="decay parameter in (0,1)")
+    p.add_argument("--r", type=float, help="positivity margin (default 2/(1-q)+1)")
+    p.add_argument("--psi", help="comma separated index map values")
+    p.add_argument("--xi", help="comma separated composition weights")
+    p.add_argument("--depth", type=int, default=6, help="analysis depth K")
+    p.add_argument("--tol-rank", type=float, default=1e-10)
+    p.add_argument("--tol-comm", type=float, default=1e-9)
+    p.add_argument("--tol-rel", type=float, default=1e-8)
+    p.add_argument("--tol-match", type=float, default=1e-7)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--format", choices=("text", "json"), default="json")
+    p.add_argument("--out", help="write the report to this path (atomically)")
+    return p
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        # every command gets the config as requested and as capped to the model
         model = build_model(args)
         requested = build_config(args)
         cfg = requested.with_depth(analysis_depth(model, requested))
-        return handlers[args.command](args, model, cfg, requested)
-    except HclabError as exc:
+        # looked up at call time, so a rebound cmd_* attribute is the one called
+        report, code = globals()[f"cmd_{args.command}"](model, cfg)
+        if args.command != "zoo":
+            echo = _config_echo(model, cfg, requested)
+        elif args.format == "text":  # the raw matrix dump, as matio reads it
+            _emit("".join(report.values()), args.out)
+            return code
+        else:  # the spec's own config, before the depth is capped to the model
+            echo = _config_echo(model, requested)
+        _emit_report({"config": echo, **report}, args)
+        return code
+    except (HclabError, ValueError, OSError) as exc:
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
-        return exc.exit_code
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
-        return 1
+        if isinstance(exc, HclabError):
+            return exc.exit_code
+        # numpy's LinAlgError is a ValueError, but a numerical failure
+        return 3 if isinstance(exc, np.linalg.LinAlgError) else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Dense complex matrix primitives: Hermitian eigen, positive square roots,
-polar decompositions with partial isometries, and smallest singular triplets.
+"""Dense complex matrix primitives: Hermitian eigen, positive square roots
+and polar decompositions with partial isometries.
 
 All routines work on plain ``numpy`` arrays of complex128, treat their inputs
 as immutable, and return freshly allocated arrays.  Every rank decision is
@@ -27,7 +27,6 @@ __all__ = [
     "numerical_rank",
     "positive_sqrt",
     "polar",
-    "smallest_singular_triplet",
 ]
 
 
@@ -144,15 +143,3 @@ def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
     p = (vh.conj().T * s) @ vh
     return PolarPair(isometry_part=theta, positive_part=(p + p.conj().T) / 2.0)
 
-
-def smallest_singular_triplet(m) -> tuple[float, np.ndarray]:
-    """Least singular value of ``m`` together with its right singular vector.
-
-    Returns ``(sigma_min, v)`` with ``||v|| = 1`` and ``||m @ v|| = sigma_min``.
-    """
-    a = as_complex_matrix(m)
-    if a.size == 0:
-        raise ValueError("matrix must be nonempty")
-    _, s, vh = np.linalg.svd(a)
-    k = min(a.shape) - 1
-    return float(s[k]), vh[k].conj()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -344,6 +345,56 @@ def test_small_truncations_exit_on_the_next_precondition(capsys, cmd, flags, n, 
     assert capsys.readouterr().err.startswith(f"error[{error}]")
 
 
+class TestFrontEnd:
+    def test_one_parser_per_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, _ = run(capsys, "check", "--family", "weighted_shift",
+                      "--weights", "1,1,1", "--n", "4")
+        assert code == 0
+        assert len(built) == 1
+
+    def test_flags_before_the_command(self, capsys):
+        weights = ",".join(_WEIGHTS)
+        code, before = run(capsys, "--n", "16", "classify", "--family", "weighted_shift",
+                           "--weights", weights)
+        assert code == 0
+        assert run(capsys, "classify", "--family", "weighted_shift", "--weights", weights,
+                   "--n", "16") == (code, before)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["zoo", "check", "decompose", "spectral", "classify",
+                                         "verify"])
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path, command, fmt):
+        argv = [command, *_FLAGS["shift_plus_rank_one"], "--n", "16", "--format", fmt]
+        code, printed = run(capsys, *argv)
+        target = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "")
+        assert target.read_bytes() == printed.encode("utf-8")
+
+    # numpy's LinAlgError subclasses ValueError, the parse-error class; the
+    # 1e200 weight overflows the grams into NaN before the SVD fails
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command, flags", [
+        (cmd, ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"])
+        for cmd in ("classify", "verify", "spectral")
+    ] + [
+        (cmd, ["--family", "weighted_shift", "--n", "16",
+               "--weights", "1e200" + ",1" * 14])
+        for cmd in ("classify", "verify")
+    ], ids=lambda v: v if isinstance(v, str) else v[1])
+    def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
+        assert main([command, *flags]) == 3
+        assert capsys.readouterr().err.startswith("error[LinAlgError]")
+
+
 def test_cli_grid_tool(capsys):
     """tools/cli_grid.py covers 684 runs, passes negative weights as
     ``--weights=...`` and hashes a run's output reproducibly."""
@@ -359,3 +410,15 @@ def test_cli_grid_tool(capsys):
     first = grid.run(main, argv)
     assert first == grid.run(main, argv)
     assert first[0] == 0 and re.fullmatch(r"[0-9a-f]{64}", first[1])
+
+
+def test_cli_grid_edge_cases(capsys):
+    """tools/cli_grid.py turns argparse's exits into exit codes it can hash."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
+    spec = importlib.util.spec_from_file_location("cli_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    codes = {name: grid.run(main, argv)[0] for name, argv in grid.EDGE_CASES}
+    assert codes == {"no-command": 2, "unknown-command": 2, "unknown-flag": 2,
+                     "format-xml": 2, "help": 0, "command-help": 0}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hclab import hermitian_eig, polar, positive_sqrt, smallest_singular_triplet
+from hclab import hermitian_eig, polar, positive_sqrt
 from hclab.errors import NonFinite, NotHermitian, NotPSD
 from hclab.linalg import numerical_rank
 
@@ -135,26 +135,3 @@ class TestNumericalRank:
         assert np.all(pair.isometry_part == 0)
         assert np.all(pair.positive_part == 0)
 
-
-class TestSmallestSingularTriplet:
-    def test_identity(self):
-        smin, _ = smallest_singular_triplet(np.eye(2))
-        assert smin == pytest.approx(1.0)
-
-    def test_rank_one(self):
-        smin, v = smallest_singular_triplet(np.ones((2, 2)))
-        assert smin == pytest.approx(0.0, abs=1e-15)
-        assert_allclose(np.abs(v), np.full(2, 1 / np.sqrt(2)))
-
-    def test_tiny_singular_value(self):
-        smin, _ = smallest_singular_triplet(np.diag([5.0, 1e-9]))
-        assert smin == pytest.approx(1e-9)
-
-    @pytest.mark.parametrize("n", [2, 7, 20])
-    def test_agrees_with_full_svd(self, rng, n):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        smin, v = smallest_singular_triplet(m)
-        s = np.linalg.svd(m, compute_uv=False)
-        assert abs(smin - s[-1]) <= 1e-12 * s[0]
-        assert np.linalg.norm(m @ v) == pytest.approx(smin, rel=1e-10)
-        assert np.linalg.norm(v) == pytest.approx(1.0)

@@ -12,6 +12,9 @@ and exit code, so diffing the output of two checkouts compares their CLIs.
 The grid: ws, sro (a = 0.3+0.4i, index 2), hardy (c = 0.5) and aq at
 q = 0.3, 0.5 (r = 5) and 0.7, times the six commands, times
 N in {4, 6, 8, 12, 16, 24, 32, 48, 64} in json and text, plus json at N = 128.
+After the grid come the argv edge cases of ``EDGE_CASES``, one line each,
+``edge name exit sha256``: argparse's own exits (usage errors and help) are
+caught, and ``COLUMNS`` is fixed at 80 so its line wrapping is reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +30,15 @@ FAMILIES = ("ws", "sro", "hardy", "aq0.3", "aq0.5r5", "aq0.7")
 COMMANDS = ("zoo", "check", "decompose", "spectral", "classify", "verify")
 SIZES = (4, 6, 8, 12, 16, 24, 32, 48, 64)
 LARGE = 128
+_WS = ["--family", "weighted_shift", "--weights", "1,1,1", "--n", "4"]
+EDGE_CASES = (
+    ("no-command", []),
+    ("unknown-command", ["frobnicate", *_WS]),
+    ("unknown-flag", ["check", *_WS, "--no-such-flag"]),
+    ("format-xml", ["check", *_WS, "--format", "xml"]),
+    ("help", ["-h"]),
+    ("command-help", ["classify", "-h"]),
+)
 
 
 def _weights(n: int) -> str:
@@ -61,7 +73,10 @@ def run(main, argv: list[str]) -> tuple[int, str]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on usage errors and help
+                code = exc.code
     # warnings carry the file path and line, which differ between checkouts
     noted = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
     digest = hashlib.sha256((out.getvalue() + err.getvalue() + noted).encode()).hexdigest()
@@ -74,6 +89,7 @@ def main(argv=None) -> int:
         sys.stderr.write("usage: cli_grid.py SRC_DIR\n")
         return 2
     os.environ.pop("HCLAB_SEED", None)
+    os.environ["COLUMNS"] = "80"
     # one BLAS thread, set before numpy is first imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -84,6 +100,9 @@ def main(argv=None) -> int:
         argv = [command, *family_args(family, n), "--n", str(n), "--format", fmt]
         code, digest = run(hclab_main, argv)
         print(n, family, command, fmt, code, digest, flush=True)
+    for name, argv in EDGE_CASES:
+        code, digest = run(hclab_main, argv)
+        print("edge", name, code, digest, flush=True)
     return 0
 
 
