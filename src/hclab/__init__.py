@@ -23,7 +23,6 @@ from .classifier import (
     RelationCertificate,
     ShiftRankOneCertificate,
     classify,
-    polynomial_machinery,
     recurrence_residual,
     relation_detect,
     shift_rank_one_reconstruct,
@@ -66,7 +65,7 @@ from .spectral import (
     spectral_correspondence_check,
     structure_extract,
 )
-from .subspaces import Subspace, orthonormalize, project, subspace_ominus, subspace_sum
+from .subspaces import Subspace, orthonormalize, subspace_ominus, subspace_sum
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,10 @@
 """Verdict machinery: detect a four-term power relation, or reconstruct the
 shift-plus-rank-one normal form, and combine both into a classification.
 
-The two certificates are produced by independent routes.  The relation comes
-from a smallest-singular-value scan over stacked gram powers; the polynomial
-route rebuilds the same relation symbolically from two triples and is kept
-separate so the tests can compare them.
+Each certificate has one route.  The relation comes from a
+smallest-singular-value scan over stacked gram powers, and
+``recurrence_residual`` checks it as a recurrence on the tau and beta
+sequences.  The normal form is rebuilt from the single triple's chain basis.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .chains import ChainDecomposition, chain_decomposition, effective_depth, span_closure
 from .commutation import centered_check, gram_power, half_centered_check, kernel_of_adjoint
 from .errors import (
-    DegenerateTriples,
     HclabError,
     InconclusiveError,
     NoRelationFound,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .linalg import numerical_rank
 from .operators import OperatorModel, ToleranceConfig
-from .spectral import StructureData, TripleRecord, enumerate_triples, structure_extract
+from .spectral import StructureData, enumerate_triples, structure_extract
 
 __all__ = [
     "RelationCertificate",
@@ -35,7 +34,6 @@ __all__ = [
     "ClassificationReport",
     "relation_detect",
     "recurrence_residual",
-    "polynomial_machinery",
     "shift_rank_one_reconstruct",
     "classify",
 ]
@@ -185,86 +183,6 @@ def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
         else:
             cert.beta_residual = 0.0
     return cert
-
-
-@dataclass
-class PolynomialData:
-    p1: np.ndarray
-    p2: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    p: np.ndarray
-    tau_residual: float | None
-    beta_residual: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "P1": self.p1.tolist(), "P2": self.p2.tolist(),
-            "Q1": self.q1.tolist(), "Q2": self.q2.tolist(),
-            "P": self.p.tolist(),
-            "tau_residual": self.tau_residual,
-            "beta_residual": self.beta_residual,
-        }
-
-
-def _branch_polynomials(structure: StructureData, triple: TripleRecord,
-                        zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    lam = structure.me_spectrum.characters[triple.lambda_char]
-    m = triple.m
-    lam_m = lam.value(m)
-    A_lam = structure.A_values[triple.lambda_char]
-    C_gam = structure.C_values[triple.gamma_char]
-    first = np.zeros(m + 1)
-    second = np.zeros(m + 1)
-    first[0] = 1.0
-    second[0] = C_gam
-    if abs(lam_m) > zero_tol:
-        first[m] = -1.0 / lam_m
-        second[m] = -A_lam / lam_m
-    else:
-        first[m] = -1.0 / structure.tau[m]
-    return first, second
-
-
-def _apply_backward_shift_poly(p: np.ndarray, seq: np.ndarray) -> float | None:
-    """Max residual of sum_j p[j] seq[k+j] over all k the sequence covers."""
-    deg = len(p) - 1
-    top = len(seq) - 1 - deg
-    if top < 0:
-        return None
-    scale = max(float(np.max(np.abs(seq))), 1e-300) * max(float(np.sum(np.abs(p))), 1.0)
-    worst = 0.0
-    for k in range(top + 1):
-        worst = max(worst, abs(float(p @ seq[k:k + deg + 1])) / scale)
-    return worst
-
-
-def polynomial_machinery(triple1: TripleRecord, triple2: TripleRecord,
-                         structure: StructureData, cfg: ToleranceConfig) -> PolynomialData:
-    """Build the case-table polynomials of two triples and their difference
-    P = P1 Q2 - P2 Q1, then check that P annihilates the tau and beta
-    sequences under the backward shift.
-
-    Two effectively equal triples force P to vanish identically, which is
-    rejected as DegenerateTriples.
-    """
-    zero_tol = structure.me_spectrum.zero_tol(cfg)
-    p1, p2 = _branch_polynomials(structure, triple1, zero_tol)
-    q1, q2 = _branch_polynomials(structure, triple2, zero_tol)
-    poly = np.polynomial.polynomial
-    p = poly.polysub(poly.polymul(p1, q2), poly.polymul(p2, q1))
-    p = np.atleast_1d(p)
-    coeff_scale = max(np.max(np.abs(p1)), np.max(np.abs(p2)),
-                      np.max(np.abs(q1)), np.max(np.abs(q2)), 1.0)
-    if np.max(np.abs(p)) <= 1e-12 * coeff_scale:
-        raise DegenerateTriples("P = P1 Q2 - P2 Q1 vanishes identically")
-    tau_res = _apply_backward_shift_poly(p, structure.tau)
-    beta_res = None
-    if not structure.no_nonzero_beta:
-        beta_norm = structure.beta / max(np.max(np.abs(structure.beta)), 1e-300)
-        beta_res = _apply_backward_shift_poly(p, beta_norm)
-    return PolynomialData(p1=p1, p2=p2, q1=q1, q2=q2, p=p,
-                          tau_residual=tau_res, beta_residual=beta_res)
 
 
 @dataclass

@@ -53,17 +53,10 @@ def build_model(args) -> OperatorModel:
 
 
 def build_config(args) -> ToleranceConfig:
-    seed = args.seed
-    env_seed = os.environ.get("HCLAB_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise SpecParseError(f"HCLAB_SEED must be an integer, got {env_seed!r}") from exc
     return ToleranceConfig(
         rank_tol=args.tol_rank, commutator_tol=args.tol_comm,
         relation_tol=args.tol_rel, spectral_match_tol=args.tol_match,
-        depth=args.depth, seed=seed,
+        depth=args.depth, seed=args.seed,
     )
 
 
@@ -212,7 +205,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help or usage error
+        return 0 if exc.code == 0 else 1
     try:
         model = build_model(args)
         requested = build_config(args)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WindowExhausted
+from .errors import NonFinite, WindowExhausted
 from .linalg import numerical_rank
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
@@ -53,9 +53,14 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
         raise WindowExhausted(f"window({k}) = {model.window(k)} < 1")
     if k == 0:
         return np.eye(model.dim, dtype=complex)
-    p = model.power(k)
-    g = p @ p.conj().T if outer else p.conj().T @ p
-    return (g + g.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.linalg.matrix_power(model.matrix, k)
+        g = p @ p.conj().T if outer else p.conj().T @ p
+        g = (g + g.conj().T) / 2.0
+    if not np.all(np.isfinite(g)):
+        name = f"T^{k} T*^{k}" if outer else f"T*^{k} T^{k}"
+        raise NonFinite(f"{name} overflows: an entry is not finite")
+    return g
 
 
 def gram_power(model: OperatorModel, k: int) -> np.ndarray:

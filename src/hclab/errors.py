@@ -108,10 +108,6 @@ class NoRelationFound(InconclusiveError):
     pass
 
 
-class DegenerateTriples(PreconditionError):
-    pass
-
-
 class NotSingleTriple(PreconditionError):
     pass
 

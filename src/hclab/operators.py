@@ -132,9 +132,6 @@ class OperatorModel:
         """Leading block size where depth-k statements are reliable."""
         return max(self.dim - k * self.window_step, 0)
 
-    def power(self, k: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.matrix, k)
-
     def window_cols(self, w: int) -> np.ndarray:
         """Orthonormal basis of the leading-w window subspace."""
         if self.window_frame is not None:
@@ -374,14 +371,26 @@ def from_matrix(m, exact: bool = True) -> OperatorModel:
 
 # -- operator spec files ------------------------------------------------------
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, and not a bool (JSON true is no number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_scalar(value) -> complex:
     if isinstance(value, str):
         return parse_complex(value)
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
+    if (isinstance(value, dict) and set(value) <= {"re", "im"}
+            and all(map(_is_number, value.values()))):
         return complex(value.get("re", 0.0), value.get("im", 0.0))
     raise SpecParseError(f"cannot interpret {value!r} as a complex scalar")
+
+
+def _parse_real(value) -> float:
+    if isinstance(value, bool):
+        raise SpecParseError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 def _parse_int(value) -> int:
@@ -446,8 +455,8 @@ def load_operator_spec(spec) -> OperatorModel:
         return composition_operator(psi, _field(spec, "xi"), N)
     if family == "aq":
         N = _field(spec, "N", _parse_int)
-        r = None if spec.get("r") is None else _field(spec, "r", float)
-        return aq_operator(_field(spec, "q", float), r, N)
+        r = None if spec.get("r") is None else _field(spec, "r", _parse_real)
+        return aq_operator(_field(spec, "q", _parse_real), r, N)
     if family == "matrix":
         m = _field(spec, "matrix", loads_matrix)
         exact = True if spec.get("exact") is None else _field(spec, "exact", _parse_bool)

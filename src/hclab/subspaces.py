@@ -14,8 +14,7 @@ import numpy as np
 from .errors import EmptyInput, NotContained
 from .linalg import CONTAINMENT_TOL, DEFAULT_RANK_TOL, as_complex_matrix, numerical_rank
 
-__all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum", "subspace_ominus",
-           "project"]
+__all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum", "subspace_ominus"]
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,3 @@ def subspace_ominus(a: Subspace, b: Subspace) -> Subspace:
     u, s, _ = np.linalg.svd(residual, full_matrices=False)
     d = max(a.dim - b.dim, 0)
     return Subspace(frame=u[:, :d], rank_tol=a.rank_tol)
-
-
-def project(a: Subspace, v) -> np.ndarray:
-    """Orthogonal projection of an ambient vector onto the subspace."""
-    v = np.asarray(v, dtype=complex)
-    return a.frame @ (a.frame.conj().T @ v)

@@ -8,7 +8,6 @@ from hclab import (
     classify,
     enumerate_triples,
     from_matrix,
-    polynomial_machinery,
     projection_product,
     recurrence_residual,
     relation_detect,
@@ -18,12 +17,10 @@ from hclab import (
     weighted_shift,
 )
 from hclab.errors import (
-    DegenerateTriples,
     NoRelationFound,
     NotSingleTriple,
     PreconditionViolated,
 )
-from hclab.spectral import TripleRecord
 
 from conftest import random_unitary, random_weights
 
@@ -88,80 +85,6 @@ class TestRelationDetect:
                         atol=1e-12)
         # and as a centered weighted shift it lands in the first verdict
         assert classify(t, cfg).verdict == "centered_weighted_shift"
-
-
-class TestPolynomialMachinery:
-    @pytest.fixture
-    def aq_setup(self, cfg):
-        t = aq_operator(0.5, 5.0, 32)
-        chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
-        return t, chain, st, triples
-
-    def test_equal_triples_degenerate(self, aq_setup, cfg):
-        _, _, st, triples = aq_setup
-        with pytest.raises(DegenerateTriples):
-            polynomial_machinery(triples[0], triples[0], st, cfg)
-
-    def test_distinct_gammas_give_nonzero_constant_term(self, aq_setup, cfg):
-        _, _, st, triples = aq_setup
-        by_gamma = {}
-        for tr in triples:
-            by_gamma.setdefault(tr.gamma_char, tr)
-        keys = sorted(by_gamma)
-        c_vals = st.C_values
-        pick = None
-        for i in keys:
-            for j in keys:
-                if i < j and abs(c_vals[i] - c_vals[j]) > 1e-6:
-                    pick = (by_gamma[i], by_gamma[j])
-                    break
-            if pick:
-                break
-        assert pick is not None
-        data = polynomial_machinery(pick[0], pick[1], st, cfg)
-        expect_const = c_vals[pick[1].gamma_char] - c_vals[pick[0].gamma_char]
-        assert data.p[0] == pytest.approx(expect_const, rel=1e-6)
-        assert abs(data.p[0]) > 1e-8
-
-    def test_annihilates_tau_and_beta(self, aq_setup, cfg):
-        _, _, st, triples = aq_setup
-        t1 = triples[0]
-        t2 = next(tr for tr in triples if tr.gamma_char != t1.gamma_char)
-        data = polynomial_machinery(t1, t2, st, cfg)
-        assert data.tau_residual <= 1e-8
-        assert data.beta_residual <= 1e-8
-
-    def test_same_gamma_dim2_shape(self, cfg):
-        # two triples sharing gamma (the dim M_E = 2 situation) force a
-        # vanishing constant term while P itself survives
-        lam_vals = np.array([
-            [2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-            [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625],
-        ])
-        from hclab.spectral import Character, JointSpectrum, StructureData
-
-        tau = np.array([1.0, 1.25, 2.125, 4.0625, 8.03125, 16.015625, 32.0078125])
-        beta = np.concatenate([[0.0], lam_vals[0] - lam_vals[1]])
-        me = JointSpectrum(characters=[
-            Character(values=lam_vals[0], frame=np.eye(2)[:, :1], multiplicity=1),
-            Character(values=lam_vals[1], frame=np.eye(2)[:, 1:], multiplicity=1),
-        ], dim=2)
-        comp = JointSpectrum(characters=[
-            Character(values=(tau[1:] + 0.3 * beta[1:]), frame=np.eye(1), multiplicity=1),
-        ], dim=1)
-        st = StructureData(
-            tau=tau, beta=beta, beta_normalized=beta, A=np.eye(2), C=np.eye(1),
-            A_values={0: 1.0, 1: 0.0}, C_values={0: 0.3},
-            me_spectrum=me, compressed_spectrum=comp,
-            lambda_index=0, mu_index=1, no_nonzero_beta=False,
-        )
-        t1 = TripleRecord(lambda_char=0, gamma_char=0, m=1, match_residual=0.0)
-        t2 = TripleRecord(lambda_char=1, gamma_char=0, m=2, match_residual=0.0)
-        data = polynomial_machinery(t1, t2, st, cfg)
-        assert np.max(np.abs(data.p)) > 1e-10
-        assert abs(data.p[0]) <= 1e-12
 
 
 class TestShiftRankOneReconstruct:

@@ -139,19 +139,12 @@ class TestContracts:
         _, second = run(capsys, *args)
         assert first == second
 
-    def test_env_seed_override(self, capsys, monkeypatch):
+    def test_seed_environment_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("HCLAB_SEED", "123")
         code, out = run(capsys, "check", "--family", "weighted_shift",
                         "--weights", "1,1,1", "--n", "4", "--seed", "7")
         assert code == 0
-        # the echoed config must reflect the environment override
-
-    def test_env_seed_in_config(self, capsys, monkeypatch):
-        monkeypatch.setenv("HCLAB_SEED", "123")
-        _, out = run(capsys, "check", "--family", "weighted_shift",
-                     "--weights", "1,1,1", "--n", "4", "--seed", "7")
-        doc = json.loads(out)
-        assert doc["config"]["tolerances"]["seed"] == 123
+        assert json.loads(out)["config"]["tolerances"]["seed"] == 7
 
     def test_atomic_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -181,6 +174,13 @@ class TestContracts:
         ({"family": "shift_plus_rank_one", "N": 3, "weights": [1, 1], "a": 1, "n": 1.5}, "n"),
         ({"family": "shift_plus_rank_one", "N": 3, "weights": [1, 1], "a": 1, "n": False}, "n"),
         ({"family": "composition", "N": 3, "psi": [1.7, True, 0], "xi": [1, 1, 1]}, "psi"),
+        ({"family": "weighted_shift", "N": 4, "weights": [True, 1, 1]}, "weights"),
+        ({"family": "shift_plus_rank_one", "N": 3, "weights": [1, 1], "a": True, "n": 1}, "a"),
+        ({"family": "shift_plus_rank_one", "N": 3, "weights": [1, 1], "a": {"re": True},
+          "n": 1}, "a"),
+        ({"family": "composition", "N": 3, "psi": [1, 2, 0], "xi": [True, 1, 1]}, "xi"),
+        ({"family": "aq", "N": 8, "q": True}, "q"),
+        ({"family": "aq", "N": 8, "q": 0.5, "r": True}, "r"),
     ])
     def test_malformed_spec_field_is_a_parse_error(self, capsys, tmp_path, spec, field):
         path = tmp_path / "bad.json"
@@ -215,13 +215,10 @@ class TestContracts:
         assert err.startswith("error[ValueError]: r must be finite")
         assert "Traceback" not in err
 
-    def test_negative_seed_is_a_value_error(self, capsys, monkeypatch):
+    def test_negative_seed_is_a_value_error(self, capsys):
         argv = ["check", "--family", "weighted_shift", "--weights", "1,1,1", "--n", "4"]
         assert main(argv + ["--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error[ValueError]: seed must be at least 0")
-        monkeypatch.setenv("HCLAB_SEED", "-1")
-        assert main(argv) == 1
-        assert "seed must be at least 0" in capsys.readouterr().err
 
     def test_kernel_mass_loss_is_not_rounded_away(self, capsys):
         # at N = 4 the kernel of T* loses about 5e-8 of its mass to the
@@ -378,21 +375,22 @@ class TestFrontEnd:
         assert run(capsys, *argv, "--out", str(target)) == (code, "")
         assert target.read_bytes() == printed.encode("utf-8")
 
-    # numpy's LinAlgError subclasses ValueError, the parse-error class; the
-    # 1e200 weight overflows the grams into NaN before the SVD fails
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    # numpy's LinAlgError subclasses ValueError, the parse-error class
     @pytest.mark.parametrize("command, flags", [
         (cmd, ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"])
         for cmd in ("classify", "verify", "spectral")
-    ] + [
-        (cmd, ["--family", "weighted_shift", "--n", "16",
-               "--weights", "1e200" + ",1" * 14])
-        for cmd in ("classify", "verify")
     ], ids=lambda v: v if isinstance(v, str) else v[1])
     def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
         assert main([command, *flags]) == 3
         assert capsys.readouterr().err.startswith("error[LinAlgError]")
+
+    # the 1e200 weight overflows T*T; no NaN may reach an SVD
+    @pytest.mark.parametrize("command", ["check", "classify", "verify"])
+    def test_gram_overflow_is_non_finite(self, capsys, command):
+        code = main([command, "--family", "weighted_shift", "--n", "16",
+                     "--weights", "1e200" + ",1" * 14])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error[NonFinite]: T*^1 T^1 overflows")
 
 
 def test_cli_grid_tool(capsys):
@@ -420,5 +418,8 @@ def test_cli_grid_edge_cases(capsys):
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
     codes = {name: grid.run(main, argv)[0] for name, argv in grid.EDGE_CASES}
-    assert codes == {"no-command": 2, "unknown-command": 2, "unknown-flag": 2,
-                     "format-xml": 2, "help": 0, "command-help": 0}
+    assert codes == {"no-command": 1, "unknown-command": 1, "unknown-flag": 1,
+                     "format-xml": 1, "help": 0, "command-help": 0}
+    # main returns these codes; it does not raise SystemExit
+    for name, argv in grid.EDGE_CASES:
+        assert main(argv) == codes[name]

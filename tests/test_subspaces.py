@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hclab import orthonormalize, project, subspace_ominus, subspace_sum
+from hclab import orthonormalize, subspace_ominus, subspace_sum
 from hclab.errors import EmptyInput, NotContained, SpecParseError
 from hclab.linalg import DEFAULT_RANK_TOL
 from hclab.matio import dumps_matrix, format_complex, loads_matrix, parse_complex
@@ -86,10 +86,6 @@ class TestSumOminusProject:
         b = orthonormalize([e(1)])
         with pytest.raises(NotContained):
             subspace_ominus(a, b)
-
-    def test_project(self):
-        a = orthonormalize([e(0)])
-        assert_allclose(project(a, e(0) + e(1)), e(0), atol=1e-15)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_ominus_then_sum_recovers(self, rng, trial):

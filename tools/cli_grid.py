@@ -13,8 +13,9 @@ The grid: ws, sro (a = 0.3+0.4i, index 2), hardy (c = 0.5) and aq at
 q = 0.3, 0.5 (r = 5) and 0.7, times the six commands, times
 N in {4, 6, 8, 12, 16, 24, 32, 48, 64} in json and text, plus json at N = 128.
 After the grid come the argv edge cases of ``EDGE_CASES``, one line each,
-``edge name exit sha256``: argparse's own exits (usage errors and help) are
-caught, and ``COLUMNS`` is fixed at 80 so its line wrapping is reproducible.
+``edge name exit sha256``.  ``main`` returns 1 for a usage error and 0 for
+help; older checkouts raise argparse's ``SystemExit`` instead, so it is caught.
+``COLUMNS`` is fixed at 80 so argparse's line wrapping is reproducible.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def run(main, argv: list[str]) -> tuple[int, str]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse exits on usage errors and help
+            except SystemExit as exc:  # older checkouts exit on usage errors and help
                 code = exc.code
     # warnings carry the file path and line, which differ between checkouts
     noted = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
     if len(args) != 1:
         sys.stderr.write("usage: cli_grid.py SRC_DIR\n")
         return 2
-    os.environ.pop("HCLAB_SEED", None)
+    os.environ.pop("HCLAB_SEED", None)  # older checkouts let it override --seed
     os.environ["COLUMNS"] = "80"
     # one BLAS thread, set before numpy is first imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
