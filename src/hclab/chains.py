@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutation import _window_gram, analysis_depth, half_centered_check, kernel_of_adjoint
+from .commutation import (_window_gram, _window_gram_norm, analysis_depth, half_centered_check,
+                          kernel_of_adjoint)
 from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
 from .linalg import numerical_rank, polar, positive_sqrt
 from .operators import OperatorModel, ToleranceConfig, _memoized
@@ -70,8 +71,10 @@ def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> N
         block = T
     s = np.linalg.svd(block, compute_uv=False)
     smin = s[-1] if s.size else 0.0
-    if smin <= cfg.rank_tol * max(top, 1e-300):
-        raise NotInjectiveOnWindow(f"sigma_min {smin:.3e} on the effective window")
+    cutoff = cfg.rank_tol * max(top, 1e-300)
+    if smin <= cutoff:
+        raise NotInjectiveOnWindow(f"sigma_min {smin:.3e} on the effective window is not above "
+                                   f"the cutoff {cutoff:.3e} (rank_tol * ||T||_2)")
 
 
 @dataclass
@@ -108,7 +111,8 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
     embed = model.window_cols(w)
     Tb = model.window_compress(model.matrix, w)
     powers = [np.linalg.matrix_power(Tb, k) for k in range(K + 1)]
-    grams, scales = zip(*(_window_gram(model, k, False, w) for k in range(K + 1)))
+    grams = tuple(_window_gram(model, k, False, w) for k in range(K + 1))
+    scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
 
     E_full = kernel_of_adjoint(model, cfg)
     coords = embed.conj().T @ E_full.frame
@@ -210,7 +214,7 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
     if wn < 1:
         raise WindowExhausted(f"block window({n}) < 1")
     if n == 0:
-        return Subspace(np.eye(block.w, dtype=complex), cfg.rank_tol)
+        return Subspace(np.eye(block.w, dtype=block.matrix.dtype), cfg.rank_tol)
     return orthonormalize([block.powers[n][:, :wn]], rank_tol=cfg.rank_tol)
 
 
@@ -352,8 +356,8 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
     block = analysis_block(model, cfg)
     K = block.depth
     G1 = block.grams[1]
-    prev_theta = np.eye(block.w, dtype=complex)
-    product = np.eye(block.w, dtype=complex)
+    prev_theta = np.eye(block.w, dtype=block.matrix.dtype)
+    product = np.eye(block.w, dtype=block.matrix.dtype)
     levels = []
     for n in range(1, K + 1):
         Tn = block.powers[n]
@@ -441,7 +445,7 @@ def verify_chain_structure(
     out["space1_complement_dims"] = complement_dims
 
     P_V = [v.projector() for v in V]
-    P_sum = sum(P_V, np.zeros((block.w, block.w), complex))
+    P_sum = sum(P_V, np.zeros((block.w, block.w), block.matrix.dtype))
     out["space1_direct_sum"] = float(np.linalg.norm(P_sum - X[-1].projector()))
 
     power_norms = {d: float(np.linalg.norm(block.powers[d], 2)) for d in range(1, K + 1)}
@@ -474,7 +478,7 @@ def verify_chain_structure(
             _, s, vh = np.linalg.svd(cross)
             null = vh[numerical_rank(s, cfg.rank_tol, power_norms[1]):].conj().T
         else:
-            null = np.eye(Vm.dim, dtype=complex)
+            null = np.eye(Vm.dim, dtype=Tb.dtype)
         if null.shape[1] == 0:
             continue
         candidates = Tb @ (Vm.frame @ null)
@@ -503,7 +507,7 @@ def verify_chain_structure(
     # the compression P_{H_n} T P_{H_n} of each range, for key and fukth
     compressions = [P @ Tb @ P for P in (h.projector() for h in chain.H)]
     worst = 0.0
-    composed = np.eye(block.w, dtype=complex)
+    composed = np.eye(block.w, dtype=Tb.dtype)
     for lvl in tower.levels:
         n = lvl.n
         composed = polar(compressions[n - 1], rank_tol=cfg.rank_tol).isometry_part @ composed

@@ -86,7 +86,7 @@ def _canonical_null_vector(stack: np.ndarray, reference: np.ndarray,
     null_dim = len(s) - numerical_rank(s, max(tol, 1e2 * np.finfo(float).eps), s[0])
     if null_dim >= 2:
         basis = vh[len(s) - null_dim:].conj().T
-        cand = basis @ (basis.conj().T @ reference.astype(complex))
+        cand = basis @ (basis.conj().T @ reference)
         if np.linalg.norm(cand) > 0.1:
             vec = cand
         else:

@@ -52,7 +52,7 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     if model.window(k) < 1:
         raise WindowExhausted(f"window({k}) = {model.window(k)} < 1")
     if k == 0:
-        return np.eye(model.dim, dtype=complex)
+        return np.eye(model.dim, dtype=model.matrix.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.linalg.matrix_power(model.matrix, k)
         g = p @ p.conj().T if outer else p.conj().T @ p
@@ -93,25 +93,37 @@ class CommutationReport:
 
 
 @_memoized
-def _window_gram(model: OperatorModel, k: int, outer: bool, w: int) -> tuple:
+def _window_gram(model: OperatorModel, k: int, outer: bool, w: int) -> np.ndarray:
     """The leading-w window compression of T*^k T^k (of T^k T*^k when
-    ``outer``) and its operator norm."""
-    g = model.window_compress(_power_product(model, k, outer), w)
-    return g, np.linalg.norm(g, 2)
+    ``outer``)."""
+    return model.window_compress(_power_product(model, k, outer), w)
+
+
+@_memoized
+def _window_gram_norm(model: OperatorModel, k: int, outer: bool, w: int) -> float:
+    """The operator norm of ``_window_gram(model, k, outer, w)``."""
+    return np.linalg.norm(_window_gram(model, k, outer, w), 2)
 
 
 def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool) -> list:
     """Residuals of the family ``left`` at power j against ``right`` at power k
     (True: co-grams, False: grams) for 1 <= j, k <= K, each on the
-    window(j + k) block; j < k when both sides are the same family."""
+    window(j + k) block; j < k when both sides are the same family.
+
+    A pair that commutes exactly has residual 0 whatever the norms, so the
+    two operator norms are taken only for a nonzero commutator.
+    """
     pairs = []
     for j in range(1, K + 1):
         for k in range(j + 1 if left == right else 1, K + 1):
             w = model.window(j + k)
-            a, a_norm = _window_gram(model, j, left, w)
-            b, b_norm = _window_gram(model, k, right, w)
-            den = a_norm * b_norm
-            res = float(np.linalg.norm(a @ b - b @ a) / den) if den > 0 else 0.0
+            a = _window_gram(model, j, left, w)
+            b = _window_gram(model, k, right, w)
+            comm = np.linalg.norm(a @ b - b @ a)
+            res = 0.0
+            if comm:  # then neither gram is 0, and neither norm is
+                den = _window_gram_norm(model, j, left, w) * _window_gram_norm(model, k, right, w)
+                res = float(comm / den)
             pairs.append({"j": j, "k": k, "kind": kind, "residual": res})
     return pairs
 

@@ -1,9 +1,13 @@
-"""Dense complex matrix primitives: Hermitian eigen, positive square roots
-and polar decompositions with partial isometries.
+"""Dense matrix primitives: the dtype rule, Hermitian eigen, positive square
+roots and polar decompositions with partial isometries.
 
-All routines work on plain ``numpy`` arrays of complex128, treat their inputs
-as immutable, and return freshly allocated arrays.  Every rank decision is
-the tolerance cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
+The dtype rule (``as_matrix``): a finite 2-D input with no imaginary part is
+float64, anything else complex128.  Operator models and subspace frames apply
+it once, when they are built; every other routine takes its dtype from its
+operands, so a real operator is analysed in real arithmetic end to end and a
+complex one in complex arithmetic.  Routines treat their inputs as immutable
+and return freshly allocated arrays.  Every rank decision is the tolerance
+cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ CONTAINMENT_TOL = 1e-8   # how far the subspace removed by subspace_ominus may s
 __all__ = [
     "DEFAULT_RANK_TOL",
     "PolarPair",
-    "as_complex_matrix",
+    "as_matrix",
     "hermitian_eig",
     "numerical_rank",
     "positive_sqrt",
@@ -30,13 +34,23 @@ __all__ = [
 ]
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate and convert ``m`` to a finite 2-D complex128 array."""
-    a = np.asarray(m, dtype=complex)
+def _finite_matrix(m) -> np.ndarray:
+    """``m`` as a finite 2-D array of float64 (real input) or complex128."""
+    a = np.asarray(m)
+    a = a.astype(float if a.dtype.kind in "biuf" else complex, copy=False)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains NaN or Inf entries")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """The dtype rule: ``m`` as a finite 2-D array, float64 when no entry has
+    an imaginary part and complex128 otherwise."""
+    a = _finite_matrix(m)
+    if a.dtype.kind == "c" and not a.imag.any():
+        return np.ascontiguousarray(a.real)
     return a
 
 
@@ -65,7 +79,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     -------
     eigenvalues : (n,) ndarray of float
         Sorted ascending.
-    eigenvectors : (n, n) ndarray of complex
+    eigenvectors : (n, n) ndarray, real for a real ``h``
         Orthonormal columns, ``h @ v[:, i] == eigenvalues[i] * v[:, i]``.
 
     Raises
@@ -75,7 +89,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     NonFinite
         On NaN/Inf input.
     """
-    a = as_complex_matrix(h)
+    a = _finite_matrix(h)
     _require_square(a)
     scale = np.linalg.norm(a)
     asym = np.linalg.norm(a - a.conj().T)
@@ -122,7 +136,7 @@ def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
     Parameters
     ----------
     m : array_like
-        Square complex matrix.
+        Square matrix, real or complex.
     rank_tol : float
         Relative singular-value cutoff deciding the rank of ``m``.  Singular
         directions below the cutoff are annihilated by ``theta`` instead of
@@ -135,7 +149,7 @@ def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
         ``positive_part`` equals the positive square root of ``m* m`` and
         ``theta = m @ pinv(positive_part)``.
     """
-    a = as_complex_matrix(m)
+    a = _finite_matrix(m)
     _require_square(a)
     u, s, vh = np.linalg.svd(a)
     r = numerical_rank(s, rank_tol, s[0] if s.size else 0.0)

@@ -25,8 +25,7 @@ from .errors import (
     SpecParseError,
     ZeroWeight,
 )
-from .linalg import (DEFAULT_RANK_TOL, PROJECTION_TOL, as_complex_matrix, numerical_rank,
-                     positive_sqrt)
+from .linalg import DEFAULT_RANK_TOL, PROJECTION_TOL, as_matrix, numerical_rank, positive_sqrt
 from .matio import loads_matrix, parse_complex
 
 __all__ = [
@@ -83,6 +82,9 @@ class ToleranceConfig:
 class OperatorModel:
     """A finite matrix model of an operator plus truncation metadata.
 
+    ``matrix`` follows the dtype rule of ``linalg.as_matrix``: float64 when no
+    entry has an imaginary part, complex128 otherwise.
+
     ``bandwidth`` bounds the sparsity pattern (|i-j| > bandwidth implies a
     zero entry) up to the listed ``exceptions``; ``None`` means dense.
     ``window_step`` is the number of trailing indices each application of the
@@ -102,7 +104,9 @@ class OperatorModel:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
+        m = as_matrix(self.matrix)
+        if m is self.matrix:  # never freeze the caller's array
+            m = m.copy()
         if m.shape[0] != m.shape[1]:
             raise ValueError("operator models must be square")
         m.setflags(write=False)
@@ -136,7 +140,7 @@ class OperatorModel:
         """Orthonormal basis of the leading-w window subspace."""
         if self.window_frame is not None:
             return self.window_frame[:, :w]
-        return np.eye(self.dim, dtype=complex)[:, :w]
+        return np.eye(self.dim, dtype=self.matrix.dtype)[:, :w]
 
     def window_compress(self, m: np.ndarray, w: int) -> np.ndarray:
         """Compression of an ambient matrix to the leading-w window."""
@@ -158,11 +162,11 @@ class OperatorModel:
         so every window compression of the rotated model reproduces the
         original numbers and verdicts are basis independent.
         """
-        u = as_complex_matrix(u)
+        u = as_matrix(u)
         n = self.dim
         if u.shape != (n, n) or np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-10 * n:
             raise ValueError("conjugation requires a unitary of matching size")
-        frame = self.window_frame if self.window_frame is not None else np.eye(n, dtype=complex)
+        frame = self.window_frame if self.window_frame is not None else np.eye(n)
         return OperatorModel(
             matrix=u.conj().T @ self.matrix @ u,
             family=self.family, params=dict(self.params),
@@ -218,7 +222,8 @@ def weighted_shift(weights, N: int) -> OperatorModel:
     """Shift ``J e_k = w_k e_{k+1}`` truncated to C^N.
 
     The truncation zeroes the image of the last basis vector, so the model
-    is not exact: each power loses one trailing index.
+    is not exact: each power loses one trailing index.  The matrix is real
+    when every weight is.
     """
     w = np.asarray(list(weights), dtype=complex)
     if w.shape != (N - 1,):
@@ -234,11 +239,15 @@ def weighted_shift(weights, N: int) -> OperatorModel:
 
 
 def shift_plus_rank_one(weights, a: complex, n: int, N: int) -> OperatorModel:
-    """Weighted shift plus the rank-one term ``a * (e_0 (x) e_n*)``."""
+    """Weighted shift plus the rank-one term ``a * (e_0 (x) e_n*)``.
+
+    The sum is formed in complex arithmetic, so a complex ``a`` on real
+    weights keeps its imaginary part; the model then applies the dtype rule.
+    """
     if not 0 <= n < N:
         raise IndexOutOfRange(f"rank-one index {n} outside 0..{N - 1}")
     base = weighted_shift(weights, N)
-    m = base.matrix.copy()
+    m = base.matrix.astype(complex)
     m[0, n] += a
     return OperatorModel(
         matrix=m, family="shift_plus_rank_one",
@@ -249,15 +258,15 @@ def shift_plus_rank_one(weights, a: complex, n: int, N: int) -> OperatorModel:
 
 def projection_product(P, Q) -> OperatorModel:
     """Product ``P @ Q`` of two orthogonal projections; a genuine C^N operator."""
-    P = as_complex_matrix(P)
-    Q = as_complex_matrix(Q)
+    P = as_matrix(P)
+    Q = as_matrix(Q)
     for name, X in (("P", P), ("Q", Q)):
         tol = PROJECTION_TOL * max(1.0, np.linalg.norm(X))
         if np.linalg.norm(X @ X - X) > tol or np.linalg.norm(X - X.conj().T) > tol:
             raise NotProjection(f"{name} is not an orthogonal projection")
     return OperatorModel(
         matrix=P @ Q, family="projection_product",
-        params={"P": P.tolist(), "Q": Q.tolist()},
+        params={"P": P.astype(complex).tolist(), "Q": Q.astype(complex).tolist()},
         exact=True,
     )
 
@@ -288,7 +297,7 @@ def default_aq_margin(q: float) -> float:
 
 def aq_matrix(q: float, N: int) -> np.ndarray:
     """Tridiagonal matrix with super/sub-diagonal entries q^k at row k."""
-    A = np.zeros((N, N), dtype=complex)
+    A = np.zeros((N, N))
     ks = np.arange(N - 1)
     A[ks, ks + 1] = q ** ks
     A[ks + 1, ks] = q ** ks
@@ -302,7 +311,8 @@ def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
     geometrically decaying couplings.  The conjugation is dense, but the
     coupling decay confines the truncation error to the trailing indices;
     window validity is certified at construction via the intertwining
-    residual ``S* A_q S - q A_q`` on the interior block.
+    residual ``S* A_q S - q A_q`` on the interior block.  Every factor is
+    real, and so is the model.
     """
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
@@ -313,19 +323,19 @@ def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
     if not np.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     A = aq_matrix(q, N)
-    evals = np.linalg.eigvalsh(A.real)
+    evals = np.linalg.eigvalsh(A)
     if evals[0] + r <= DEFAULT_RANK_TOL:
         raise NotPositive(f"A_q + rI has eigenvalue {evals[0] + r:.3e} <= tolerance")
     shifted = A + r * np.eye(N)
     half = positive_sqrt(shifted)
     inv_half = np.linalg.inv(half)
-    S = np.zeros((N, N), dtype=complex)
+    S = np.zeros((N, N))
     S[np.arange(1, N), np.arange(N - 1)] = 1.0
     T = half @ S @ inv_half
     # certify the window: the q-intertwining relation must hold exactly on
     # the interior of the truncated A_q
     w = N - 1
-    certify = (S.conj().T @ A @ S - q * A)[:w, :w]
+    certify = (S.T @ A @ S - q * A)[:w, :w]
     resid = float(np.linalg.norm(certify))
     if resid > 1e-12 * max(1.0, np.linalg.norm(A)):
         raise NotPositive(f"truncated A_q violates the shift intertwining: {resid:.3e}")
@@ -354,7 +364,7 @@ def cauchy_dual(model: OperatorModel) -> OperatorModel:
     s = np.linalg.svd(G, compute_uv=False)
     if numerical_rank(s, DEFAULT_RANK_TOL, max(1.0, s[0])) < w:
         raise NotLeftInvertible(f"T*T has sigma_min {s[-1]:.3e} on the window")
-    dual = np.zeros((N, N), dtype=complex)
+    dual = np.zeros((N, N), dtype=T.dtype)
     dual[:, :w] = T[:, :w] @ np.linalg.inv(G)
     return OperatorModel(
         matrix=dual, family=f"cauchy_dual({model.family})",
@@ -365,7 +375,7 @@ def cauchy_dual(model: OperatorModel) -> OperatorModel:
 
 
 def from_matrix(m, exact: bool = True) -> OperatorModel:
-    return OperatorModel(matrix=as_complex_matrix(m), family="matrix", exact=exact,
+    return OperatorModel(matrix=m, family="matrix", exact=exact,
                          window_step=0 if exact else 1)
 
 

@@ -93,7 +93,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
     surviving characters are sorted by value vector for deterministic
     downstream reports.
     """
-    mats = [np.asarray(m, dtype=complex) for m in family]
+    mats = [np.asarray(m) for m in family]
     if not mats:
         raise ValueError("empty family")
     d = mats[0].shape[0]
@@ -115,7 +115,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(len(mats))
     combo = sum(c * m for c, m in zip(coeffs, mats))
-    blocks = _split_block([combo] + mats, np.eye(d, dtype=complex), cfg, 0)
+    blocks = _split_block([combo] + mats, np.eye(d, dtype=combo.dtype), cfg, 0)
 
     raw = []
     for frame in blocks:
@@ -243,7 +243,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     d = chain.M_E.dim
     residuals = {}
     if no_nonzero_beta:
-        A = np.zeros((d, d), dtype=complex)
+        A = np.zeros((d, d), dtype=me_mats[0].dtype)
     else:
         k0 = int(np.argmax(sig))  # me_mats[k0] is the depth-(k0+1) gram
         A = (me_mats[k0] - tau[k0 + 1] * np.eye(d)) / beta[k0 + 1]

@@ -1,4 +1,4 @@
-"""Subspaces of C^n represented by orthonormal frames.
+"""Subspaces of C^n (of R^n, for real frames) represented by orthonormal frames.
 
 A subspace remembers the rank tolerance that was used to decide its
 dimension, because every rank here is a tolerance decision: the infinite
@@ -12,20 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NotContained
-from .linalg import CONTAINMENT_TOL, DEFAULT_RANK_TOL, as_complex_matrix, numerical_rank
+from .linalg import CONTAINMENT_TOL, DEFAULT_RANK_TOL, as_matrix, numerical_rank
 
 __all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum", "subspace_ominus"]
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """An orthonormal frame (ambient_dim x d) plus its rank tolerance."""
+    """An orthonormal frame (ambient_dim x d) plus its rank tolerance; the frame
+    follows the dtype rule of ``linalg.as_matrix``."""
 
     frame: np.ndarray
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        f = as_complex_matrix(self.frame)
+        f = as_matrix(self.frame)
         object.__setattr__(self, "frame", f)
         d = f.shape[1]
         if d > f.shape[0]:
@@ -59,7 +60,7 @@ def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL,
     cols = []
     n = None
     for v in vectors:
-        a = np.asarray(v, dtype=complex)
+        a = np.asarray(v)
         a = a.reshape(-1, 1) if a.ndim == 1 else a
         if n is None:
             n = a.shape[0]
@@ -70,7 +71,7 @@ def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL,
         raise EmptyInput("no vectors given")
     m = np.hstack(cols)
     if m.shape[1] == 0:
-        return Subspace(frame=np.zeros((n, 0), dtype=complex), rank_tol=rank_tol)
+        return Subspace(frame=np.zeros((n, 0), dtype=m.dtype), rank_tol=rank_tol)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if scale is None:
         scale = float(np.max(np.linalg.norm(m, axis=0))) if m.size else 0.0
@@ -97,7 +98,7 @@ def extend_frame(frame: np.ndarray, block: np.ndarray,
     n, d = frame.shape
     m = block.shape[1]
     if m == 0 or d >= n:
-        return np.zeros((n, 0), dtype=complex)
+        return np.zeros((n, 0), dtype=np.result_type(frame, block))
     scale = float(np.max(np.linalg.norm(block, axis=0)))
     if d:
         scale = max(scale, 1.0)

@@ -11,7 +11,9 @@ from hclab import (
     centered_check,
     chain_decomposition,
     classify,
+    co_gram_power,
     composition_operator,
+    gram_power,
     half_centered_check,
     isometry_tower,
     kernel_of_adjoint,
@@ -298,6 +300,23 @@ class TestOneDerivationPerBlock:
             distinct |= {(p["j"], left, w), (p["k"], right, w)}
         assert report.depth == 6 and len(distinct) == 72
         assert len(norm_calls) == len(distinct)
+
+    def test_exactly_commuting_pairs_take_no_norm(self, shift32, cfg, norm_calls):
+        # the grams and co-grams of a weighted shift are diagonal: every pair
+        # commutes exactly, and its residual is 0 without the two norms
+        report = centered_check(shift32, cfg)
+        assert not norm_calls
+        assert report.depth == 6 and len(report.pairs) == 66
+        families = {"gram-gram": (gram_power, gram_power),
+                    "cogram-cogram": (co_gram_power, co_gram_power),
+                    "gram-cogram": (gram_power, co_gram_power)}
+        for p in report.pairs:
+            w = shift32.window(p["j"] + p["k"])
+            left, right = families[p["kind"]]
+            a = left(shift32, p["j"])[:w, :w]
+            b = right(shift32, p["k"])[:w, :w]
+            expect = np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
+            assert p["residual"] == expect == 0.0
 
     def test_one_analysis_block_per_model_and_config(self, cfg):
         t = aq_operator(0.5, 5.0, 64)

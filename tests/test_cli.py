@@ -375,10 +375,17 @@ class TestFrontEnd:
         assert run(capsys, *argv, "--out", str(target)) == (code, "")
         assert target.read_bytes() == printed.encode("utf-8")
 
-    # numpy's LinAlgError subclasses ValueError, the parse-error class
+    # numpy's LinAlgError subclasses ValueError, the parse-error class.  On the
+    # aq input (condition number about 1e20) classify stops at the
+    # half-centered precondition (residual 1.3e-9 in real arithmetic), so it
+    # takes the scaled complex shift plus rank one, which fails the Cholesky
+    # of extend_frame in span_closure.
     @pytest.mark.parametrize("command, flags", [
-        (cmd, ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"])
-        for cmd in ("classify", "verify", "spectral")
+        ("classify", ["--family", "shift_plus_rank_one", "--weights=" + ",".join(
+            map(repr, (5 * np.random.default_rng(3).uniform(0.6, 1.4, 31)).tolist())),
+            "--a", "1.5+2j", "--index", "2", "--n", "32"]),
+        *((cmd, ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"])
+          for cmd in ("verify", "spectral")),
     ], ids=lambda v: v if isinstance(v, str) else v[1])
     def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
         assert main([command, *flags]) == 3
@@ -391,6 +398,16 @@ class TestFrontEnd:
                      "--weights", "1e200" + ",1" * 14])
         assert code == 3
         assert capsys.readouterr().err.startswith("error[NonFinite]: T*^1 T^1 overflows")
+
+    # the injectivity cut is relative: sigma_min 1 lies below rank_tol * ||T||_2
+    @pytest.mark.parametrize("command", ["decompose", "spectral"])
+    def test_injectivity_failure_names_sigma_min_and_cutoff(self, capsys, command):
+        code = main([command, "--family", "weighted_shift", "--n", "16",
+                     "--weights", "1e200" + ",1" * 14])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[NotInjectiveOnWindow]: sigma_min 1.000e+00 ")
+        assert "cutoff 1.000e+190 (rank_tol * ||T||_2)" in err
 
 
 def test_cli_grid_tool(capsys):
@@ -408,6 +425,37 @@ def test_cli_grid_tool(capsys):
     first = grid.run(main, argv)
     assert first == grid.run(main, argv)
     assert first[0] == 0 and re.fullmatch(r"[0-9a-f]{64}", first[1])
+
+
+def test_invariance_grid_tool(monkeypatch):
+    """tools/invariance_grid.py summarizes the 300 json runs of cli_grid.py's
+    grid other than zoo, on T and on D T D*, with no residual in a summary."""
+    import hclab.cli
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import invariance_grid
+    runs = list(invariance_grid.runs())
+    assert len(runs) == len(set(runs)) == 300
+    assert {command for _, _, command in runs} == {"check", "decompose", "spectral",
+                                                   "classify", "verify"}
+
+    def summarize(command):
+        argv = [command, *invariance_grid.cli_grid.family_args("hardy", 16), "--n", "16",
+                "--format", "json"]
+        code, out, err, _ = invariance_grid.cli_grid.capture(main, argv)
+        return invariance_grid.summary(code, out, err)
+
+    plain = {command: summarize(command) for command in ("classify", "verify", "decompose")}
+    assert plain == {
+        "classify": '0 verdict="both" dim_E=1 dim_M_E=2 moduli_status="stable" triples=1 '
+                    'condition_II_ok=true',
+        "verify": '4 verdict=false dim_E=1 dim_M_E=2 V=[2,1,1,1,1,1,1] failures=["fukth"]',
+        "decompose": '0 dim_E=1 dim_M_E=2 moduli_status="stable" V=[2,1,1,1,1,1,1]',
+    }
+    monkeypatch.setattr(hclab.cli, "build_model", invariance_grid.phase_conjugated(hclab.cli))
+    assert {command: summarize(command) for command in plain} == plain
+    assert invariance_grid.summary(2, "", "error[ModuliTooSmall]: dim M_E = 1 < 2") == (
+        "2 error=ModuliTooSmall")
+    assert invariance_grid.main([]) == 2
 
 
 def test_cli_grid_edge_cases(capsys):

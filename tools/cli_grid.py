@@ -69,7 +69,8 @@ def grid():
                     yield n, family, command, fmt
 
 
-def run(main, argv: list[str]) -> tuple[int, str]:
+def capture(main, argv: list[str]) -> tuple[int, str, str, str]:
+    """Exit code, stdout, stderr and the warnings raised, of ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -80,8 +81,24 @@ def run(main, argv: list[str]) -> tuple[int, str]:
                 code = exc.code
     # warnings carry the file path and line, which differ between checkouts
     noted = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    digest = hashlib.sha256((out.getvalue() + err.getvalue() + noted).encode()).hexdigest()
-    return code, digest
+    return code, out.getvalue(), err.getvalue(), noted
+
+
+def run(main, argv: list[str]) -> tuple[int, str]:
+    code, *texts = capture(main, argv)
+    return code, hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def load_cli(src_dir: str):
+    """The ``hclab.cli`` module of SRC_DIR, with one BLAS thread and fixed COLUMNS."""
+    os.environ.pop("HCLAB_SEED", None)  # older checkouts let it override --seed
+    os.environ["COLUMNS"] = "80"
+    # one BLAS thread, set before numpy is first imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, os.path.abspath(src_dir))
+    import hclab.cli
+    return hclab.cli
 
 
 def main(argv=None) -> int:
@@ -89,13 +106,7 @@ def main(argv=None) -> int:
     if len(args) != 1:
         sys.stderr.write("usage: cli_grid.py SRC_DIR\n")
         return 2
-    os.environ.pop("HCLAB_SEED", None)  # older checkouts let it override --seed
-    os.environ["COLUMNS"] = "80"
-    # one BLAS thread, set before numpy is first imported
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    sys.path.insert(0, os.path.abspath(args[0]))
-    from hclab.cli import main as hclab_main
+    hclab_main = load_cli(args[0]).main
 
     for n, family, command, fmt in grid():
         argv = [command, *family_args(family, n), "--n", str(n), "--format", fmt]

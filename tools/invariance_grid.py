@@ -1,0 +1,105 @@
+"""Summarize the answers of the hclab command line on the grid of
+``cli_grid.py``, for each operator T and for D T D* with seeded diagonal
+phases D, and count the runs whose two summaries differ.
+
+Usage: python tools/invariance_grid.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``hclab`` package (``src`` in a
+checkout).  The runs are the json runs of ``cli_grid.grid()`` except ``zoo``:
+300 runs, each made twice, in process.  Each line reads
+``basis N family command exit`` and then the summary fields the run's report
+has: ``verdict``, ``dim_E``, ``dim_M_E``, ``moduli_status``, ``V`` (the chain's
+V_n dimensions), ``triples`` (a count), ``condition_II_ok`` and ``failures``
+(the failing ``verify`` keys).  A run without a report names its error type.
+``basis`` is ``T`` for the operator as the command line builds it and ``DTD*``
+for that model conjugated by D = diag(exp(2 pi i theta)), with theta drawn
+from ``default_rng(PHASE_SEED)``: a window-preserving change of basis, under
+which every answer should hold, and which makes a real operator complex.
+The last line, ``differ K of 300``, counts the runs whose T and DTD* lines
+differ.  Summaries do not hold residuals, so the ``T`` lines of two checkouts
+compare their answers where the bits of their arithmetic differ.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+
+import cli_grid
+
+PHASE_SEED = 20240601
+FIELDS = ("verdict", "dim_E", "dim_M_E", "moduli_status", "V", "triples",
+          "condition_II_ok", "failures")
+
+
+def runs():
+    """(N, family, command) of every json run of the grid except zoo."""
+    for n, family, command, fmt in cli_grid.grid():
+        if fmt == "json" and command != "zoo":
+            yield n, family, command
+
+
+def summary(code: int, out: str, err: str) -> str:
+    """``exit`` and the summary fields of one run's report."""
+    if not out:
+        found = re.match(r"error\[(\w+)\]", err)
+        return f"{code} error={found.group(1) if found else '?'}"
+    report = json.loads(out)
+    dims = report.get("dims") or (report.get("structure") or {}).get("dims") or {}
+    triples = report.get("triples")
+    values = {
+        "verdict": report.get("verdict"),
+        "dim_E": report.get("dim_E", dims.get("E")),
+        "dim_M_E": report.get("dim_M_E", dims.get("M_E")),
+        "moduli_status": report.get("moduli_status"),
+        "V": dims.get("V"),
+        "triples": len(triples) if isinstance(triples, list) else triples,
+        "condition_II_ok": report.get("condition_II_ok"),
+        "failures": sorted(report["failures"]) if "failures" in report else None,
+    }
+    return " ".join([str(code)] + [f"{key}={json.dumps(values[key], separators=(',', ':'))}"
+                                   for key in FIELDS if values[key] is not None])
+
+
+def phase_conjugated(cli):
+    """A ``build_model`` for ``cli`` that returns D T D* for the model T it
+    would build."""
+    import numpy as np  # imported here, after load_cli has set the BLAS threads
+
+    build = cli.build_model
+
+    def rotated(args):
+        model = build(args)
+        theta = np.random.default_rng(PHASE_SEED).uniform(size=model.dim)
+        return model.conjugated(np.diag(np.exp(2j * np.pi * theta)))
+    return rotated
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        sys.stderr.write("usage: invariance_grid.py SRC_DIR\n")
+        return 2
+    cli = cli_grid.load_cli(args[0])
+    builders = {"T": cli.build_model, "DTD*": phase_conjugated(cli)}
+    differ = total = 0
+    try:
+        for n, family, command in runs():
+            argv = [command, *cli_grid.family_args(family, n), "--n", str(n), "--format", "json"]
+            lines = {}
+            for basis, build in builders.items():
+                cli.build_model = build  # main looks it up at call time
+                code, out, err, _ = cli_grid.capture(cli.main, argv)
+                lines[basis] = summary(code, out, err)
+                print(basis, n, family, command, lines[basis], flush=True)
+            total += 1
+            differ += lines["T"] != lines["DTD*"]
+    finally:
+        cli.build_model = builders["T"]
+    print("differ", differ, "of", total)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
