@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutation import (_window_gram, _window_gram_norm, analysis_depth, half_centered_check,
-                          kernel_of_adjoint)
-from .errors import NotHalfCentered, NotInjectiveOnWindow, WindowExhausted
+from .commutation import (_window_gram, _window_gram_norm, analysis_depth, kernel_of_adjoint,
+                          require_half_centered)
+from .errors import NotInjectiveOnWindow, WindowExhausted
 from .linalg import numerical_rank, polar, positive_sqrt
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, extend_frame, orthonormalize, subspace_ominus, subspace_sum
@@ -65,11 +65,7 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
 def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> None:
     T = model.matrix
     top = np.linalg.norm(T, 2)
-    if model.window_step > 0:
-        block = model.window_restrict(T, model.window(1))
-    else:
-        block = T
-    s = np.linalg.svd(block, compute_uv=False)
+    s = np.linalg.svd(model.window_restrict(T, model.window(1)), compute_uv=False)
     smin = s[-1] if s.size else 0.0
     cutoff = cfg.rank_tol * max(top, 1e-300)
     if smin <= cutoff:
@@ -347,11 +343,7 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
     T^n) is only claimed for half-centered operators, so the verdict is
     enforced first.
     """
-    report = half_centered_check(model, cfg)
-    if not report.half_centered:
-        raise NotHalfCentered(
-            f"half-centered residual {report.max_half_residual:.3e} exceeds tolerance"
-        )
+    require_half_centered(model, cfg)
     _ensure_injective_on_window(model, cfg)
     block = analysis_block(model, cfg)
     K = block.depth

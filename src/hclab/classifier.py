@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, effective_depth, span_closure
-from .commutation import centered_check, gram_power, half_centered_check, kernel_of_adjoint
+from .commutation import (_window_gram, centered_check, gram_power, kernel_of_adjoint,
+                          require_half_centered)
 from .errors import (
     HclabError,
     InconclusiveError,
@@ -129,46 +130,39 @@ def recurrence_residual(coefficients, n: int, m: int, seq) -> float | None:
 
 def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
                     structure: StructureData | None = None) -> RelationCertificate:
-    """Best four-term relation a I + b T_n + c T_m + d T_{n+m} = 0.
+    """Smallest-degree four-term relation a I + b T_n + c T_m + d T_{n+m} = 0.
 
     Stacks the vectorized window blocks of the four gram powers and reads
-    the coefficients off the smallest singular direction.  Among exponent
-    pairs whose residual clears the tolerance the lexicographically smallest
-    (n + m, n) wins, which makes the smallest-degree relation canonical.
-    The coincidence n = m collapses the system to three terms, stored as
-    (a, b+c, 0, d) with the degenerate flag set.
+    the coefficients off the smallest singular direction.  The exponent
+    pairs are tried in the canonical order of (n + m, n), and the first
+    whose residual clears the tolerance is the relation.  The coincidence
+    n = m collapses the system to three terms, stored as (a, b+c, 0, d) with
+    the degenerate flag set.
     """
     K = effective_depth(model, cfg)
-    candidates = []
-    for n in range(1, K // 2 + 1):
-        for m in range(n, K - n + 1):
-            w = model.window(n + m)
-            if w < 2:
-                continue
-            powers = (0, n, 2 * n) if n == m else (0, n, m, n + m)
-            reference = _REFERENCE_3 if n == m else _REFERENCE_4
-            blocks = [model.window_compress(gram_power(model, k), w) for k in powers]
-            stack = np.column_stack([blk.ravel() for blk in blocks])
-            coeffs = _canonical_null_vector(stack, reference, cfg.relation_tol)
-            combo = sum(ci * blk for ci, blk in zip(coeffs, blocks))
-            term = max(np.linalg.norm(ci * blk) for ci, blk in zip(coeffs, blocks))
-            residual = float(np.linalg.norm(combo) / max(term, 1e-300))
-            if n == m:
-                stored = (coeffs[0], coeffs[1], 0.0, coeffs[2])
-            else:
-                stored = tuple(coeffs)
-            candidates.append((residual, n + m, n, m, stored))
-    if not candidates:
-        raise NoRelationFound("no exponent pair fits inside the window")
-    accepted = [c for c in candidates if c[0] <= cfg.relation_tol]
-    if not accepted:
-        best = min(candidates)
-        raise NoRelationFound(
-            f"best residual {best[0]:.3e} at (n, m) = ({best[2]}, {best[3]}) "
-            f"exceeds {cfg.relation_tol:.1e}"
-        )
-    accepted.sort(key=lambda c: (c[1], c[2]))
-    residual, _, n, m, stored = accepted[0]
+    best = None  # (residual, n, m) of the smallest residual tried
+    for n, m in ((n, s - n) for s in range(2, K + 1) for n in range(1, s // 2 + 1)):
+        w = model.window(n + m)
+        if w < 2:
+            continue
+        powers = (0, n, 2 * n) if n == m else (0, n, m, n + m)
+        reference = _REFERENCE_3 if n == m else _REFERENCE_4
+        blocks = [_window_gram(model, k, False, w) for k in powers]
+        stack = np.column_stack([blk.ravel() for blk in blocks])
+        coeffs = _canonical_null_vector(stack, reference, cfg.relation_tol)
+        combo = sum(ci * blk for ci, blk in zip(coeffs, blocks))
+        term = max(np.linalg.norm(ci * blk) for ci, blk in zip(coeffs, blocks))
+        residual = float(np.linalg.norm(combo) / max(term, 1e-300))
+        if residual <= cfg.relation_tol:
+            break
+        if best is None or residual < best[0]:
+            best = (residual, n, m)
+    else:
+        if best is None:
+            raise NoRelationFound("no exponent pair fits inside the window")
+        raise NoRelationFound(f"best residual {best[0]:.3e} at (n, m) = ({best[1]}, {best[2]}) "
+                              f"exceeds {cfg.relation_tol:.1e}")
+    stored = (coeffs[0], coeffs[1], 0.0, coeffs[2]) if n == m else tuple(coeffs)
     cert = RelationCertificate(
         coefficients=tuple(float(x) for x in stored), n=n, m=m,
         operator_residual=residual, degenerate=(n == m),
@@ -323,8 +317,7 @@ class ClassificationReport:
 
 
 def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
-    block = model.window_compress(gram_power(model, 1), model.window(1))
-    s = np.linalg.svd(block, compute_uv=False)
+    s = np.linalg.svd(_window_gram(model, 1, False, model.window(1)), compute_uv=False)
     return numerical_rank(s, cfg.rank_tol, s[0]) == s.size
 
 
@@ -332,26 +325,19 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     """Main dichotomy: weighted shift, shift plus rank one, four-term
     relation, both, or inconclusive with diagnostics.
 
-    Preconditions: half-centered within tolerance and a one-dimensional
-    kernel of T*.  The span condition (the chain must exhaust the ambient
-    window) is reported but does not abort the run.
+    Preconditions: half-centered within tolerance, a one-dimensional kernel
+    of T*, and a chain on the window; a failed one raises the
+    PreconditionViolated subtype that names it (NotHalfCentered,
+    WindowExhausted, NotInjectiveOnWindow).  The span condition (the chain
+    must exhaust the ambient window) is reported but does not abort the run.
     """
-    diagnostics: dict = {}
-    half = half_centered_check(model, cfg)
-    if not half.half_centered:
-        raise PreconditionViolated(
-            f"not half-centered: residual {half.max_half_residual:.3e}"
-        )
-    diagnostics["half_residual"] = half.max_half_residual
+    diagnostics: dict = {"half_residual": require_half_centered(model, cfg).max_half_residual}
 
     E = kernel_of_adjoint(model, cfg)
     if E.dim != 1:
         raise PreconditionViolated(f"dim ker T* = {E.dim}, the analysis needs 1")
 
-    try:
-        chain = chain_decomposition(model, cfg)
-    except PreconditionError as exc:
-        raise PreconditionViolated(str(exc)) from exc
+    chain = chain_decomposition(model, cfg)
 
     closure, closure_status = span_closure(model, cfg, chain.M_E)
     w_check = model.window(chain.depth)

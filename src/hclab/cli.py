@@ -18,7 +18,8 @@ import numpy as np
 
 from .chains import chain_decomposition, isometry_tower, verify_chain_structure
 from .classifier import classify
-from .commutation import analysis_depth, centered_check, centered_criterion, half_centered_check
+from .commutation import (analysis_depth, centered_check, centered_criterion,
+                          require_half_centered)
 from .errors import HclabError, SpecParseError
 from .matio import dumps_matrix
 from .operators import OperatorModel, ToleranceConfig, _jsonable, load_operator_spec
@@ -157,7 +158,7 @@ def cmd_classify(model, cfg) -> tuple[dict, int]:
 
 
 def cmd_verify(model, cfg) -> tuple[dict, int]:
-    half = half_centered_check(model, cfg)
+    half = require_half_centered(model, cfg)
     chain = chain_decomposition(model, cfg)
     tower = isometry_tower(model, cfg)
     table = verify_chain_structure(model, chain, tower, cfg)

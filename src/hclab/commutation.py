@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, WindowExhausted
+from .errors import NonFinite, NotHalfCentered, WindowExhausted
 from .linalg import numerical_rank
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
@@ -25,6 +25,7 @@ __all__ = [
     "gram_power",
     "co_gram_power",
     "half_centered_check",
+    "require_half_centered",
     "centered_check",
     "centered_criterion",
     "kernel_of_adjoint",
@@ -142,6 +143,17 @@ def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> Commutati
     )
 
 
+def require_half_centered(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
+    """``half_centered_check``, raising NotHalfCentered when the verdict is
+    false: the one gate of every stage whose theory needs a half-centered T."""
+    report = half_centered_check(model, cfg)
+    if not report.half_centered:
+        raise NotHalfCentered(
+            f"half-centered residual {report.max_half_residual:.3e} exceeds tolerance"
+        )
+    return report
+
+
 def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
     """Commutation of the full family {T^j T*^j} u {T*^k T^k}."""
     half = half_centered_check(model, cfg)
@@ -195,10 +207,10 @@ def centered_criterion(model: OperatorModel, cfg: ToleranceConfig) -> CriterionR
     per_power = []
     worst = 0.0
     for k in range(1, analysis_depth(model, cfg) + 1):
-        g = gram_power(model, k)
-        image = g @ E.frame
+        image = gram_power(model, k) @ E.frame
         leak = image - E.frame @ (E.frame.conj().T @ image)
-        res = float(np.linalg.norm(leak) / max(np.linalg.norm(g, 2), 1e-300))
+        scale = _window_gram_norm(model, k, False, model.dim)
+        res = float(np.linalg.norm(leak) / max(scale, 1e-300))
         per_power.append({"k": k, "residual": res})
         worst = max(worst, res)
     return CriterionReport(

@@ -80,15 +80,19 @@ class NotLeftInvertible(PreconditionError):
 
 # -- commutation / chain analysis -------------------------------------------
 
-class WindowExhausted(PreconditionError):
+class PreconditionViolated(PreconditionError):
+    """A precondition of the structure theory fails on this model."""
+
+
+class WindowExhausted(PreconditionViolated):
     pass
 
 
-class NotHalfCentered(PreconditionError):
+class NotHalfCentered(PreconditionViolated):
     pass
 
 
-class NotInjectiveOnWindow(PreconditionError):
+class NotInjectiveOnWindow(PreconditionViolated):
     pass
 
 
@@ -113,8 +117,4 @@ class NotSingleTriple(PreconditionError):
 
 
 class PatternResidualTooLarge(InconclusiveError):
-    pass
-
-
-class PreconditionViolated(PreconditionError):
     pass

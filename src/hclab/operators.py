@@ -5,8 +5,8 @@ window metadata describing for which power depth k the entries of
 ``T*^k T^k`` still agree with the infinite operator the matrix truncates.
 For a band-``b`` truncation, each power corrupts ``b`` further trailing
 indices, so statements at depth ``k`` are asserted on the leading
-``N - k*b`` block only.  Genuinely finite operators carry ``exact=True``
-and a full window at every depth.
+``N - k*b`` block only.  Genuinely finite operators carry ``window_step = 0``,
+a full window at every depth, and so are ``exact``.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class OperatorModel:
     params: dict = field(default_factory=dict)
     bandwidth: int | None = None
     exceptions: tuple = ()
-    exact: bool = True
     window_step: int = 0
     companion: np.ndarray | None = None
     window_frame: np.ndarray | None = None
@@ -111,8 +110,6 @@ class OperatorModel:
             raise ValueError("operator models must be square")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.exact and self.window_step != 0:
-            raise ValueError("exact models must have window_step == 0")
         if self.bandwidth is not None:
             self._check_band()
 
@@ -127,6 +124,11 @@ class OperatorModel:
                 f"declared bandwidth {self.bandwidth} inconsistent with entries "
                 f"(largest off-band magnitude {stray:.3e})"
             )
+
+    @property
+    def exact(self) -> bool:
+        """A genuinely finite operator: no power corrupts any index."""
+        return self.window_step == 0
 
     @property
     def dim(self) -> int:
@@ -170,8 +172,7 @@ class OperatorModel:
         return OperatorModel(
             matrix=u.conj().T @ self.matrix @ u,
             family=self.family, params=dict(self.params),
-            bandwidth=None, exceptions=(),
-            exact=self.exact, window_step=self.window_step,
+            bandwidth=None, exceptions=(), window_step=self.window_step,
             companion=self.companion,
             window_frame=u.conj().T @ frame,
         )
@@ -234,7 +235,7 @@ def weighted_shift(weights, N: int) -> OperatorModel:
     m[np.arange(1, N), np.arange(N - 1)] = w
     return OperatorModel(
         matrix=m, family="weighted_shift", params={"weights": w.tolist()},
-        bandwidth=1, exact=False, window_step=1,
+        bandwidth=1, window_step=1,
     )
 
 
@@ -252,7 +253,7 @@ def shift_plus_rank_one(weights, a: complex, n: int, N: int) -> OperatorModel:
     return OperatorModel(
         matrix=m, family="shift_plus_rank_one",
         params={"weights": list(base.params["weights"]), "a": complex(a), "n": n},
-        bandwidth=1, exceptions=((0, n),), exact=False, window_step=1,
+        bandwidth=1, exceptions=((0, n),), window_step=1,
     )
 
 
@@ -267,7 +268,6 @@ def projection_product(P, Q) -> OperatorModel:
     return OperatorModel(
         matrix=P @ Q, family="projection_product",
         params={"P": P.astype(complex).tolist(), "Q": Q.astype(complex).tolist()},
-        exact=True,
     )
 
 
@@ -286,7 +286,6 @@ def composition_operator(psi, xi, N: int) -> OperatorModel:
     return OperatorModel(
         matrix=m, family="composition",
         params={"psi": psi, "xi": xi.tolist()},
-        exact=True,
     )
 
 
@@ -342,8 +341,7 @@ def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
     return OperatorModel(
         matrix=T, family="aq",
         params={"q": q, "r": r, "intertwining_residual": resid},
-        bandwidth=None, exact=False, window_step=1,
-        companion=A,
+        bandwidth=None, window_step=1, companion=A,
     )
 
 
@@ -369,14 +367,12 @@ def cauchy_dual(model: OperatorModel) -> OperatorModel:
     return OperatorModel(
         matrix=dual, family=f"cauchy_dual({model.family})",
         params={"of": model.describe()},
-        bandwidth=None, exact=False,
-        window_step=max(model.window_step, 1),
+        bandwidth=None, window_step=max(model.window_step, 1),
     )
 
 
 def from_matrix(m, exact: bool = True) -> OperatorModel:
-    return OperatorModel(matrix=m, family="matrix", exact=exact,
-                         window_step=0 if exact else 1)
+    return OperatorModel(matrix=m, family="matrix", window_step=0 if exact else 1)
 
 
 # -- operator spec files ------------------------------------------------------

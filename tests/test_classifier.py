@@ -3,11 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hclab import (
+    OperatorModel,
+    RelationCertificate,
     aq_operator,
     chain_decomposition,
     classify,
     enumerate_triples,
     from_matrix,
+    gram_power,
     projection_product,
     recurrence_residual,
     relation_detect,
@@ -16,7 +19,11 @@ from hclab import (
     structure_extract,
     weighted_shift,
 )
+from hclab.chains import effective_depth
+from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
+                              _closed_range_flag)
 from hclab.errors import (
+    HclabError,
     NoRelationFound,
     NotSingleTriple,
     PreconditionViolated,
@@ -85,6 +92,113 @@ class TestRelationDetect:
                         atol=1e-12)
         # and as a centered weighted shift it lands in the first verdict
         assert classify(t, cfg).verdict == "centered_weighted_shift"
+
+
+def _exhaustive_relation_detect(model, cfg):
+    """Reference search: certify every exponent pair, then take the smallest
+    (n + m, n) among those that clear the tolerance."""
+    K = effective_depth(model, cfg)
+    candidates = []
+    for n in range(1, K // 2 + 1):
+        for m in range(n, K - n + 1):
+            w = model.window(n + m)
+            if w < 2:
+                continue
+            powers = (0, n, 2 * n) if n == m else (0, n, m, n + m)
+            reference = _REFERENCE_3 if n == m else _REFERENCE_4
+            blocks = [model.window_compress(gram_power(model, k), w) for k in powers]
+            stack = np.column_stack([blk.ravel() for blk in blocks])
+            coeffs = _canonical_null_vector(stack, reference, cfg.relation_tol)
+            combo = sum(ci * blk for ci, blk in zip(coeffs, blocks))
+            term = max(np.linalg.norm(ci * blk) for ci, blk in zip(coeffs, blocks))
+            residual = float(np.linalg.norm(combo) / max(term, 1e-300))
+            stored = (coeffs[0], coeffs[1], 0.0, coeffs[2]) if n == m else tuple(coeffs)
+            candidates.append((residual, n + m, n, m, stored))
+    if not candidates:
+        raise NoRelationFound("no exponent pair fits inside the window")
+    accepted = [c for c in candidates if c[0] <= cfg.relation_tol]
+    if not accepted:
+        best = min(candidates)
+        raise NoRelationFound(
+            f"best residual {best[0]:.3e} at (n, m) = ({best[2]}, {best[3]}) "
+            f"exceeds {cfg.relation_tol:.1e}"
+        )
+    residual, _, n, m, stored = min(accepted, key=lambda c: (c[1], c[2]))
+    return RelationCertificate(coefficients=tuple(float(x) for x in stored), n=n, m=m,
+                               operator_residual=residual, degenerate=(n == m))
+
+
+def _outcome(search, model, cfg):
+    """The certificate of ``search``, or the type and message of its error."""
+    try:
+        return search(model, cfg)
+    except HclabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _relation_model(family, n, rng):
+    if family == "ws":
+        return weighted_shift(random_weights(rng, n - 1), n)
+    if family == "sro":
+        return shift_plus_rank_one(random_weights(rng, n - 1), 0.3 + 0.4j, 2, n)
+    if family == "hardy":
+        return shift_plus_rank_one([0.5] * (n - 1), 1.0, 0, n)
+    return aq_operator(float(family[2:]), None, n)
+
+
+class TestRelationSearchParity:
+    """The first pair to clear the tolerance in canonical order is the pair the
+    exhaustive search picks, with a bit-identical certificate."""
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.5", "aq0.7"])
+    def test_same_answer_as_the_exhaustive_search(self, family, n, conj, cfg):
+        rng = np.random.default_rng(n)
+        model = _relation_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        expected = _outcome(_exhaustive_relation_detect, model, cfg)
+        assert _outcome(relation_detect, model, cfg) == expected
+
+    def test_pairs_after_the_relation_are_not_tried(self, cfg):
+        # aq q = 0.66 at N = 16 in a rotated basis: (1, 2) clears the tolerance,
+        # and a later pair, which the exhaustive search also factors, has a
+        # null vector that is not real up to a phase
+        rng = np.random.default_rng(16)
+        model = aq_operator(0.66, None, 16).conjugated(random_unitary(rng, 16))
+        with pytest.raises(HclabError, match="failed to be real"):
+            _exhaustive_relation_detect(model, cfg)
+        cert = relation_detect(model, cfg)
+        assert (cert.n, cert.m) == (1, 2)
+        assert cert.operator_residual <= cfg.relation_tol
+
+    def test_aq_takes_one_null_vector(self, cfg, monkeypatch):
+        # (1, 1) clears the tolerance; the exhaustive search takes all 9 pairs of K = 6
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _canonical_null_vector(*args)
+        monkeypatch.setattr("hclab.classifier._canonical_null_vector", counting)
+        cert = relation_detect(aq_operator(0.5, None, 64), cfg)
+        assert (cert.n, cert.m) == (1, 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("stage", [relation_detect, _closed_range_flag],
+                             ids=["relation_detect", "closed_range_flag"])
+    def test_second_call_compresses_no_gram(self, stage, cfg, monkeypatch):
+        model = aq_operator(0.5, 5.0, 32)
+        stage(model, cfg)
+        calls = []
+        compress = OperatorModel.window_compress
+
+        def counting(self, m, w):
+            calls.append(w)
+            return compress(self, m, w)
+        monkeypatch.setattr(OperatorModel, "window_compress", counting)
+        stage(model, cfg)
+        assert calls == []
 
 
 class TestShiftRankOneReconstruct:

@@ -288,6 +288,8 @@ _FLAGS = {
     "composition_without_xi": ["--family", "composition", "--psi", ",".join(_PSI)],
     "aq_without_q": ["--family", "aq", "--r", "5"],
 }
+# r lies 1e-9 above -lambda_min(A_q): T is ill-conditioned and not half-centered
+_AQ_ILL_CONDITIONED = ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"]
 
 
 @pytest.mark.parametrize("cmd", ["classify", "zoo"])
@@ -376,20 +378,31 @@ class TestFrontEnd:
         assert target.read_bytes() == printed.encode("utf-8")
 
     # numpy's LinAlgError subclasses ValueError, the parse-error class.  On the
-    # aq input (condition number about 1e20) classify stops at the
-    # half-centered precondition (residual 1.3e-9 in real arithmetic), so it
-    # takes the scaled complex shift plus rank one, which fails the Cholesky
-    # of extend_frame in span_closure.
+    # aq input (condition number about 1e20) classify and verify stop at the
+    # half-centered precondition (residual 1.3e-9 in real arithmetic), so
+    # classify takes the scaled complex shift plus rank one, which fails the
+    # Cholesky of extend_frame in span_closure; spectral has no such gate.
     @pytest.mark.parametrize("command, flags", [
         ("classify", ["--family", "shift_plus_rank_one", "--weights=" + ",".join(
             map(repr, (5 * np.random.default_rng(3).uniform(0.6, 1.4, 31)).tolist())),
             "--a", "1.5+2j", "--index", "2", "--n", "32"]),
-        *((cmd, ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"])
-          for cmd in ("verify", "spectral")),
+        ("spectral", _AQ_ILL_CONDITIONED),
     ], ids=lambda v: v if isinstance(v, str) else v[1])
     def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
         assert main([command, *flags]) == 3
         assert capsys.readouterr().err.startswith("error[LinAlgError]")
+
+    # verify gates on half-centeredness before it builds anything of the chain
+    def test_verify_stops_at_the_half_centered_gate(self, capsys, monkeypatch):
+        import hclab.chains
+
+        closures = []
+        monkeypatch.setattr(hclab.chains, "_moduli_on_block",
+                            lambda *args: closures.append(args))
+        assert main(["verify", *_AQ_ILL_CONDITIONED]) == 2
+        assert capsys.readouterr().err == (
+            "error[NotHalfCentered]: half-centered residual 1.315e-09 exceeds tolerance\n")
+        assert closures == []
 
     # the 1e200 weight overflows T*T; no NaN may reach an SVD
     @pytest.mark.parametrize("command", ["check", "classify", "verify"])
@@ -429,7 +442,8 @@ def test_cli_grid_tool(capsys):
 
 def test_invariance_grid_tool(monkeypatch):
     """tools/invariance_grid.py summarizes the 300 json runs of cli_grid.py's
-    grid other than zoo, on T and on D T D*, with no residual in a summary."""
+    grid other than zoo, on T, on D T D* and on U T U*, with no residual in a
+    summary."""
     import hclab.cli
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import invariance_grid
@@ -451,8 +465,11 @@ def test_invariance_grid_tool(monkeypatch):
         "verify": '4 verdict=false dim_E=1 dim_M_E=2 V=[2,1,1,1,1,1,1] failures=["fukth"]',
         "decompose": '0 dim_E=1 dim_M_E=2 moduli_status="stable" V=[2,1,1,1,1,1,1]',
     }
-    monkeypatch.setattr(hclab.cli, "build_model", invariance_grid.phase_conjugated(hclab.cli))
-    assert {command: summarize(command) for command in plain} == plain
+    build = hclab.cli.build_model
+    for rotated in (invariance_grid.phase_conjugated, invariance_grid.unitary_conjugated):
+        monkeypatch.setattr(hclab.cli, "build_model", rotated(hclab.cli))
+        assert {command: summarize(command) for command in plain} == plain
+        monkeypatch.setattr(hclab.cli, "build_model", build)
     assert invariance_grid.summary(2, "", "error[ModuliTooSmall]: dim M_E = 1 < 2") == (
         "2 error=ModuliTooSmall")
     assert invariance_grid.main([]) == 2

@@ -3,20 +3,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hclab import (
+    aq_operator,
     centered_check,
     centered_criterion,
+    classify,
     co_gram_power,
     composition_operator,
     from_matrix,
     gram_power,
     half_centered_check,
+    isometry_tower,
     kernel_of_adjoint,
     projection_product,
     shift_plus_rank_one,
     weighted_shift,
 )
 from hclab.chains import analysis_block
-from hclab.errors import WindowExhausted
+from hclab.cli import cmd_verify
+from hclab.commutation import require_half_centered
+from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
+                          WindowExhausted)
 
 from conftest import random_weights
 
@@ -84,6 +90,29 @@ class TestHalfCenteredCheck:
     def test_residual_ordering(self, pq, cfg):
         report = centered_check(pq, cfg)
         assert report.max_half_residual <= report.max_full_residual + 1e-15
+
+
+class TestRequireHalfCentered:
+    """One gate: every stage that needs a half-centered T stops at it alike."""
+
+    @pytest.mark.parametrize("model", [
+        from_matrix([[1.0, 1.0], [0.0, 1.0]]),
+        aq_operator(0.5, 1.123915264854093, 32),  # residual 1.3e-9 against 1e-9
+    ], ids=["jordan", "aq_ill_conditioned"])
+    def test_every_stage_raises_the_same_error(self, model, cfg):
+        residual = half_centered_check(model, cfg).max_half_residual
+        expected = f"half-centered residual {residual:.3e} exceeds tolerance"
+        for stage in (require_half_centered, classify, cmd_verify, isometry_tower):
+            with pytest.raises(NotHalfCentered) as caught:
+                stage(model, cfg)
+            assert str(caught.value) == expected, stage.__name__
+
+    def test_passes_the_report_through(self, pq, cfg):
+        assert require_half_centered(pq, cfg) is half_centered_check(pq, cfg)
+
+    @pytest.mark.parametrize("error", [WindowExhausted, NotHalfCentered, NotInjectiveOnWindow])
+    def test_chain_preconditions_are_violations(self, error):
+        assert issubclass(error, PreconditionViolated)
 
 
 class TestCenteredCheck:

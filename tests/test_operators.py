@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hclab import (
+    OperatorModel,
     ToleranceConfig,
     aq_operator,
     cauchy_dual,
@@ -327,6 +328,20 @@ class TestOperatorSpecs:
         # null means "missing": the default, an exact model
         model = load_operator_spec({"family": "matrix", "matrix": "1 1 1", "exact": exact})
         assert model.exact is (exact is not False)
+
+    def test_exact_is_derived_from_the_window_step(self, rng):
+        # exact means a full window at every depth; it is read, never set
+        u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        for model, exact in ((weighted_shift([1.0] * 5, 6), False),
+                             (aq_operator(0.5, 5.0, 6), False),
+                             (composition_operator(range(6), [1.0] * 6, 6), True)):
+            assert model.exact is exact
+            assert model.window_step == (0 if exact else 1)
+            assert model.conjugated(u).exact is exact
+        with pytest.raises(TypeError):
+            OperatorModel(matrix=np.eye(2), exact=True)
+        with pytest.raises(AttributeError):
+            model.exact = False
 
     def test_integral_float_dimension_is_an_integer(self):
         model = load_operator_spec({"family": "aq", "q": 0.5, "N": 12.0})

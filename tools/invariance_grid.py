@@ -1,23 +1,27 @@
 """Summarize the answers of the hclab command line on the grid of
-``cli_grid.py``, for each operator T and for D T D* with seeded diagonal
-phases D, and count the runs whose two summaries differ.
+``cli_grid.py``, for each operator T, for D T D* with seeded diagonal phases D
+and for U T U* with a seeded dense unitary U, and count the runs whose rotated
+summaries differ from the plain one.
 
 Usage: python tools/invariance_grid.py SRC_DIR
 
 SRC_DIR is the directory that holds the ``hclab`` package (``src`` in a
 checkout).  The runs are the json runs of ``cli_grid.grid()`` except ``zoo``:
-300 runs, each made twice, in process.  Each line reads
+300 runs, each made three times, in process.  Each line reads
 ``basis N family command exit`` and then the summary fields the run's report
 has: ``verdict``, ``dim_E``, ``dim_M_E``, ``moduli_status``, ``V`` (the chain's
 V_n dimensions), ``triples`` (a count), ``condition_II_ok`` and ``failures``
 (the failing ``verify`` keys).  A run without a report names its error type.
-``basis`` is ``T`` for the operator as the command line builds it and ``DTD*``
+``basis`` is ``T`` for the operator as the command line builds it, ``DTD*``
 for that model conjugated by D = diag(exp(2 pi i theta)), with theta drawn
-from ``default_rng(PHASE_SEED)``: a window-preserving change of basis, under
-which every answer should hold, and which makes a real operator complex.
-The last line, ``differ K of 300``, counts the runs whose T and DTD* lines
-differ.  Summaries do not hold residuals, so the ``T`` lines of two checkouts
-compare their answers where the bits of their arithmetic differ.
+from ``default_rng(PHASE_SEED)``, and ``UTU*`` for it conjugated by a Haar
+unitary U drawn from ``default_rng(UNITARY_SEED)``.  Both go through
+``OperatorModel.conjugated``, which rotates the window along, so every answer
+should hold; both make a real operator complex, and U makes it dense.  The
+last two lines, ``differ K of 300`` and ``differ UTU* K of 300``, count the
+runs whose DTD* line and whose UTU* line differ from the T line.  Summaries
+do not hold residuals, so the ``T`` lines of two checkouts compare their
+answers where the bits of their arithmetic differ.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import sys
 import cli_grid
 
 PHASE_SEED = 20240601
+UNITARY_SEED = 20240602
 FIELDS = ("verdict", "dim_E", "dim_M_E", "moduli_status", "V", "triples",
           "condition_II_ok", "failures")
 
@@ -62,18 +67,41 @@ def summary(code: int, out: str, err: str) -> str:
                                    for key in FIELDS if values[key] is not None])
 
 
-def phase_conjugated(cli):
-    """A ``build_model`` for ``cli`` that returns D T D* for the model T it
-    would build."""
+def _conjugating(cli, unitary):
+    """A ``build_model`` for ``cli`` that returns the model T it would build,
+    conjugated by ``unitary(np, N)``."""
     import numpy as np  # imported here, after load_cli has set the BLAS threads
 
     build = cli.build_model
 
     def rotated(args):
         model = build(args)
-        theta = np.random.default_rng(PHASE_SEED).uniform(size=model.dim)
-        return model.conjugated(np.diag(np.exp(2j * np.pi * theta)))
+        return model.conjugated(unitary(np, model.dim))
     return rotated
+
+
+def _phases(np, n):
+    theta = np.random.default_rng(PHASE_SEED).uniform(size=n)
+    return np.diag(np.exp(2j * np.pi * theta))
+
+
+def _haar(np, n):
+    """Q of the QR of a complex Gaussian matrix, its phases fixed by R's diagonal."""
+    z = np.random.default_rng(UNITARY_SEED).standard_normal((2, n, n))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def phase_conjugated(cli):
+    """A ``build_model`` for ``cli`` that returns D T D* for the model T it
+    would build."""
+    return _conjugating(cli, _phases)
+
+
+def unitary_conjugated(cli):
+    """A ``build_model`` for ``cli`` that returns U T U* for the model T it
+    would build."""
+    return _conjugating(cli, _haar)
 
 
 def main(argv=None) -> int:
@@ -82,8 +110,10 @@ def main(argv=None) -> int:
         sys.stderr.write("usage: invariance_grid.py SRC_DIR\n")
         return 2
     cli = cli_grid.load_cli(args[0])
-    builders = {"T": cli.build_model, "DTD*": phase_conjugated(cli)}
-    differ = total = 0
+    builders = {"T": cli.build_model, "DTD*": phase_conjugated(cli),
+                "UTU*": unitary_conjugated(cli)}
+    differ = {"DTD*": 0, "UTU*": 0}
+    total = 0
     try:
         for n, family, command in runs():
             argv = [command, *cli_grid.family_args(family, n), "--n", str(n), "--format", "json"]
@@ -94,10 +124,12 @@ def main(argv=None) -> int:
                 lines[basis] = summary(code, out, err)
                 print(basis, n, family, command, lines[basis], flush=True)
             total += 1
-            differ += lines["T"] != lines["DTD*"]
+            for basis in differ:
+                differ[basis] += lines["T"] != lines[basis]
     finally:
         cli.build_model = builders["T"]
-    print("differ", differ, "of", total)
+    print("differ", differ["DTD*"], "of", total)
+    print("differ UTU*", differ["UTU*"], "of", total)
     return 0
 
 
