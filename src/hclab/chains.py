@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutation import (_window_gram, _window_gram_norm, analysis_depth, kernel_of_adjoint,
-                          require_half_centered)
+from .commutation import (_singular_pairs, _window_gram, _window_gram_norm, analysis_depth,
+                          kernel_of_adjoint, require_half_centered)
 from .errors import NotInjectiveOnWindow, WindowExhausted
-from .linalg import numerical_rank, polar, positive_sqrt
+from .linalg import numerical_rank, polar, positive_sqrt, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, extend_frame, orthonormalize, subspace_ominus, subspace_sum
 
@@ -63,9 +63,8 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
 
 @_memoized
 def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> None:
-    T = model.matrix
-    top = np.linalg.norm(T, 2)
-    s = np.linalg.svd(model.window_restrict(T, model.window(1)), compute_uv=False)
+    top = _singular_pairs(model)[1][0]
+    s = np.linalg.svd(model.window_restrict(model.matrix, model.window(1)), compute_uv=False)
     smin = s[-1] if s.size else 0.0
     cutoff = cfg.rank_tol * max(top, 1e-300)
     if smin <= cutoff:
@@ -106,7 +105,7 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
         raise WindowExhausted(f"window({K}) < 1")
     embed = model.window_cols(w)
     Tb = model.window_compress(model.matrix, w)
-    powers = [np.linalg.matrix_power(Tb, k) for k in range(K + 1)]
+    powers = power_table(Tb, K)
     grams = tuple(_window_gram(model, k, False, w) for k in range(K + 1))
     scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
 
@@ -518,8 +517,7 @@ def verify_chain_structure(
 
     worst = 0.0
     for n in range(1, K + 1):
-        for j in range(1, K - n + 1):
-            cj = np.linalg.matrix_power(compressions[n], j)
+        for j, cj in enumerate(power_table(compressions[n], K - n)[1:], start=1):
             gj = cj.conj().T @ cj
             for m in range(n, K + 1):
                 Vm = V[m]

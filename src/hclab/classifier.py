@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     PreconditionViolated,
 )
-from .linalg import numerical_rank
+from .linalg import hermitian_eigvals, hermitian_norm, numerical_rank
 from .operators import OperatorModel, ToleranceConfig
 from .spectral import StructureData, enumerate_triples, structure_extract
 
@@ -226,20 +226,26 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
 
     T = model.matrix
     N = model.dim
-    basis = []
+    X = np.empty((N, N), dtype=np.result_type(T, w_vec, v_vec))
+    B = 0
     ortho_tol = 1e-7
 
     def push(vec) -> bool:
+        """Append the direction of ``vec`` as column B of X if it is orthogonal
+        to the columns before it (two block Gram-Schmidt passes)."""
+        nonlocal B
         nrm = np.linalg.norm(vec)
         if nrm <= cfg.rank_tol:
             return False
         u = vec / nrm
-        for b in basis:
-            u = u - b * np.vdot(b, u)
+        frame = X[:, :B]
+        for _ in range(2):
+            u = u - frame @ (frame.conj().T @ u)
         nrm2 = np.linalg.norm(u)
         if nrm2 < 1.0 - ortho_tol:
             return False
-        basis.append(u / nrm2)
+        X[:, B] = u / nrm2
+        B += 1
         return True
 
     cur = w_vec
@@ -248,19 +254,18 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
             raise PatternResidualTooLarge("lambda chain collapsed before depth m")
         cur = T @ cur
     cur = v_vec
-    while len(basis) < N:
+    while B < N:
         if not push(cur):
             break
         cur = T @ cur
-    X = np.column_stack(basis)
+    X = X[:, :B]
 
     # gauge: make each subdiagonal weight positive real where possible
-    for k in range(X.shape[1] - 1):
+    for k in range(B - 1):
         wk = np.vdot(X[:, k + 1], T @ X[:, k])
         if abs(wk) > cfg.rank_tol:
             X[:, k + 1] *= wk / abs(wk)
 
-    B = X.shape[1]
     Tt = X.conj().T @ T @ X
     pattern = np.zeros((B, B), dtype=bool)
     pattern[np.arange(1, B), np.arange(B - 1)] = True
@@ -279,7 +284,7 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
     for k in range(1, K + 1):
         g = X.conj().T @ gram_power(model, k) @ X
         offd = g - np.diag(np.diag(g))
-        joint_res = max(joint_res, float(np.linalg.norm(offd) / max(np.linalg.norm(g, 2), 1e-300)))
+        joint_res = max(joint_res, float(np.linalg.norm(offd) / max(hermitian_norm(g), 1e-300)))
 
     return ShiftRankOneCertificate(
         basis=X, weights=weights, a=a, n=m - 1,
@@ -317,8 +322,9 @@ class ClassificationReport:
 
 
 def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
-    s = np.linalg.svd(_window_gram(model, 1, False, model.window(1)), compute_uv=False)
-    return numerical_rank(s, cfg.rank_tol, s[0]) == s.size
+    # the gram is Hermitian PSD: its singular values are its |eigenvalues|
+    s = np.abs(hermitian_eigvals(_window_gram(model, 1, False, model.window(1))))
+    return numerical_rank(s, cfg.rank_tol, s.max()) == s.size
 
 
 def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport:

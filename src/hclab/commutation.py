@@ -5,6 +5,9 @@ centered when the doubly infinite family including the co-grams T^k T*^k
 commutes as well.  On a truncation, the commutator of a pair (j, k) is only
 meaningful on the leading ``window(j + k)`` block, so every residual here is
 computed on that block and scaled by the product of the factors' norms.
+Grams are Hermitian PSD, so their norms and commutators go through the
+Hermitian kernels of ``linalg``, and every power T^k of one model comes from
+one shared power table.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
-from .linalg import numerical_rank
+from .linalg import hermitian_commutator_norm, hermitian_norm, numerical_rank, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
@@ -46,6 +49,12 @@ def analysis_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
 
 
 @_memoized
+def _power_products(model: OperatorModel) -> dict:
+    """The products of the model's power table, shared by grams and co-grams."""
+    return {}
+
+
+@_memoized
 def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     """T*^k T^k, or T^k T*^k when ``outer``; the identity for k = 0."""
     if k < 0:
@@ -55,7 +64,7 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     if k == 0:
         return np.eye(model.dim, dtype=model.matrix.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.linalg.matrix_power(model.matrix, k)
+        p = power_table(model.matrix, k, _power_products(model))[k]
         g = p @ p.conj().T if outer else p.conj().T @ p
         g = (g + g.conj().T) / 2.0
     if not np.all(np.isfinite(g)):
@@ -103,7 +112,23 @@ def _window_gram(model: OperatorModel, k: int, outer: bool, w: int) -> np.ndarra
 @_memoized
 def _window_gram_norm(model: OperatorModel, k: int, outer: bool, w: int) -> float:
     """The operator norm of ``_window_gram(model, k, outer, w)``."""
-    return np.linalg.norm(_window_gram(model, k, outer, w), 2)
+    return hermitian_norm(_window_gram(model, k, outer, w))
+
+
+@_memoized
+def _gram_frobenius(model: OperatorModel, k: int, outer: bool) -> float:
+    """The Frobenius norm of the full gram (co-gram when ``outer``)."""
+    return float(np.linalg.norm(_power_product(model, k, outer)))
+
+
+@_memoized
+def _window_gram_is_zero(model: OperatorModel, k: int, outer: bool, w: int) -> bool:
+    """Whether ``_window_gram(model, k, outer, w)`` is zero up to the roundoff
+    of compressing the full gram: Frobenius norm at most w * eps times the
+    full gram's.  A co-gram T^k T*^k vanishes on the indices T*^k kills,
+    exactly in the model's own basis and to roundoff in a rotated one."""
+    cut = w * np.finfo(float).eps * _gram_frobenius(model, k, outer)
+    return bool(np.linalg.norm(_window_gram(model, k, outer, w)) <= cut)
 
 
 def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool) -> list:
@@ -111,20 +136,21 @@ def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool
     (True: co-grams, False: grams) for 1 <= j, k <= K, each on the
     window(j + k) block; j < k when both sides are the same family.
 
-    A pair that commutes exactly has residual 0 whatever the norms, so the
-    two operator norms are taken only for a nonzero commutator.
+    A pair that commutes exactly, or has a numerically zero member, has
+    residual 0 whatever the norms, so the two operator norms are taken only
+    for a nonzero commutator of two grams that are not zero.
     """
     pairs = []
     for j in range(1, K + 1):
         for k in range(j + 1 if left == right else 1, K + 1):
             w = model.window(j + k)
-            a = _window_gram(model, j, left, w)
-            b = _window_gram(model, k, right, w)
-            comm = np.linalg.norm(a @ b - b @ a)
+            comm = hermitian_commutator_norm(_window_gram(model, j, left, w),
+                                             _window_gram(model, k, right, w))
             res = 0.0
-            if comm:  # then neither gram is 0, and neither norm is
-                den = _window_gram_norm(model, j, left, w) * _window_gram_norm(model, k, right, w)
-                res = float(comm / den)
+            if comm and not (_window_gram_is_zero(model, j, left, w)
+                             or _window_gram_is_zero(model, k, right, w)):
+                res = comm / (_window_gram_norm(model, j, left, w)
+                              * _window_gram_norm(model, k, right, w))
             pairs.append({"j": j, "k": k, "kind": kind, "residual": res})
     return pairs
 
@@ -170,9 +196,16 @@ def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationRep
 
 
 @_memoized
+def _singular_pairs(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
+    """The left singular vectors and the singular values of T, from one SVD."""
+    u, s, _ = np.linalg.svd(model.matrix)
+    return u, s
+
+
+@_memoized
 def kernel_of_adjoint(model: OperatorModel, cfg: ToleranceConfig) -> Subspace:
     """ker T* = (T H)^perp, found from the singular directions of T."""
-    u, s, _ = np.linalg.svd(model.matrix)
+    u, s = _singular_pairs(model)
     rank = numerical_rank(s, cfg.rank_tol, s[0] if s.size else 0.0)
     return orthonormalize([u[:, rank:]], rank_tol=cfg.rank_tol)
 

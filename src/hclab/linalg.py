@@ -1,5 +1,6 @@
-"""Dense matrix primitives: the dtype rule, Hermitian eigen, positive square
-roots and polar decompositions with partial isometries.
+"""Dense matrix primitives: the dtype rule, Hermitian eigen, norms and
+commutators, positive square roots, polar decompositions with partial
+isometries, and power tables.
 
 The dtype rule (``as_matrix``): a finite 2-D input with no imaginary part is
 float64, anything else complex128.  Operator models and subspace frames apply
@@ -8,6 +9,20 @@ operands, so a real operator is analysed in real arithmetic end to end and a
 complex one in complex arithmetic.  Routines treat their inputs as immutable
 and return freshly allocated arrays.  Every rank decision is the tolerance
 cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
+
+The gram layer runs on three kernels:
+
+- ``hermitian_norm(h)``: the operator norm as the largest |eigenvalue|, from
+  ``hermitian_eigvals`` (``eigvalsh`` on the rows not already diagonal)
+  instead of a singular value decomposition;
+- ``hermitian_commutator_norm(a, b)``: ``||ab - ba||_F`` from the single
+  product P = ab, as ``||P - P*||_F``;
+- ``power_table(a, K)``: a^0..a^K, each bit for bit ``np.linalg.matrix_power``,
+  with the products that the powers have in common formed once.
+
+The first two require Hermitian operands up to roundoff, such as the window
+compressions of gram powers in a rotated basis.  They act on the Hermitian
+parts (h + h*)/2, which equal exactly Hermitian operands bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +42,14 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "PolarPair",
     "as_matrix",
+    "hermitian_commutator_norm",
     "hermitian_eig",
+    "hermitian_eigvals",
+    "hermitian_norm",
     "numerical_rank",
     "positive_sqrt",
     "polar",
+    "power_table",
 ]
 
 
@@ -64,6 +83,97 @@ def numerical_rank(s, rank_tol: float, scale: float) -> int:
     return int(np.sum(np.asarray(s) > rank_tol * max(scale, 1e-300)))
 
 
+def _adjoint(h) -> np.ndarray:
+    """h*, without the copy that conj() makes of a real array."""
+    return h.conj().T if h.dtype.kind == "c" else h.T
+
+
+def _hermitian_part(h) -> np.ndarray:
+    """(h + h*) / 2, equal to ``h`` bit for bit when ``h`` is exactly Hermitian."""
+    h = np.asarray(h)
+    return (h + _adjoint(h)) / 2.0
+
+
+def hermitian_eigvals(h) -> np.ndarray:
+    """The eigenvalues, unsorted, of the Hermitian part of ``h``.
+
+    An index whose row is zero off the diagonal isolates its diagonal entry
+    as an eigenvalue, exactly (as balancing does for general matrices), and
+    ``eigvalsh`` factors only the block of the other indices.  The grams of
+    shift-like operators are diagonal but for a few rows, so there this
+    skips most of the O(n^3) reduction; a dense matrix goes to ``eigvalsh``
+    whole.
+    """
+    a = _hermitian_part(h)
+    d = np.diagonal(a)
+    coupled = np.count_nonzero(a, axis=1) > (d != 0)
+    if coupled.all():
+        return np.linalg.eigvalsh(a)
+    lone = d[~coupled].real
+    if not coupled.any():
+        return lone
+    return np.concatenate([lone, np.linalg.eigvalsh(a[np.ix_(coupled, coupled)])])
+
+
+def hermitian_norm(h) -> float:
+    """Operator norm of a Hermitian matrix: its largest |eigenvalue|.
+
+    ``h`` must be Hermitian up to roundoff; the norm is that of its Hermitian
+    part, within a few ``eps * ||h||`` of the largest singular value of ``h``.
+    On a dense real matrix ``eigvalsh`` costs about half the singular values.
+    """
+    return float(np.max(np.abs(hermitian_eigvals(h)), initial=0.0))
+
+
+def hermitian_commutator_norm(a, b) -> float:
+    """``||ab - ba||_F`` for Hermitian ``a`` and ``b``, from one product.
+
+    For Hermitian operands ba = (ab)*, so the commutator is P - P* with
+    P = ab.  Both must be Hermitian up to roundoff; the value is the
+    commutator of their Hermitian parts.  A pair of diagonal matrices gives
+    exactly 0.
+    """
+    p = _hermitian_part(a) @ _hermitian_part(b)
+    return float(np.linalg.norm(p - _adjoint(p)))
+
+
+def power_table(a, K: int, products: dict | None = None) -> list:
+    """The powers a^0..a^K, each equal bit for bit to ``np.linalg.matrix_power(a, k)``.
+
+    ``matrix_power`` forms a^2 = a a and a^3 = (a a) a; above 3 it multiplies
+    the repeated squares a^(2^i) of the set bits of k into a running
+    product, lowest bit first.  The table forms each of those products once,
+    so the squares and the running products of shared low bits serve every
+    power: a^0..a^6 take 5 products, separate ``matrix_power`` calls 11.
+    ``products`` keeps them between calls, so a later call with a larger K
+    extends the same table.  As in ``matrix_power``, a^1 is ``a`` itself, and
+    the entries are shared with ``products``: treat them as read-only.
+    """
+    products = {} if products is None else products
+    return [_power(a, k, products) for k in range(K + 1)]
+
+
+def _power(a, k: int, products: dict) -> np.ndarray:
+    """a^k formed as ``matrix_power`` forms it, from the shared ``products``."""
+    if k not in products:
+        top = 1 << max(k.bit_length() - 1, 0)   # the highest set bit of k
+        if k <= 1:
+            p = a if k else np.eye(a.shape[0], dtype=a.dtype)
+        elif k == 3:  # the short-cut (a a) a
+            p = np.matmul(_power(a, 2, products), a)
+        elif k == top:  # a repeated square
+            half = _power(a, k // 2, products)
+            p = np.matmul(half, half)
+        else:  # the running product over the lower set bits, times the top square
+            low = k - top
+            if low == 3 and "a (a a)" not in products:  # not the short-cut for 3
+                products["a (a a)"] = np.matmul(a, _power(a, 2, products))
+            acc = products["a (a a)"] if low == 3 else _power(a, low, products)
+            p = np.matmul(acc, _power(a, top, products))
+        products[k] = p
+    return products[k]
+
+
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -95,7 +205,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     asym = np.linalg.norm(a - a.conj().T)
     if asym > HERMITIAN_TOL * max(scale, 1e-300):
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(a))
     return w, v
 
 
@@ -114,7 +224,7 @@ def positive_sqrt(h) -> np.ndarray:
     if w[0] < -HERMITIAN_TOL * scale:
         raise NotPSD(f"eigenvalue {w[0]:.3e} is materially negative")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    return _hermitian_part(root)
 
 
 @dataclass(frozen=True)
@@ -155,5 +265,5 @@ def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
     r = numerical_rank(s, rank_tol, s[0] if s.size else 0.0)
     theta = u[:, :r] @ vh[:r, :]
     p = (vh.conj().T * s) @ vh
-    return PolarPair(isometry_part=theta, positive_part=(p + p.conj().T) / 2.0)
+    return PolarPair(isometry_part=theta, positive_part=_hermitian_part(p))
 

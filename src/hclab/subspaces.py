@@ -102,9 +102,10 @@ def extend_frame(frame: np.ndarray, block: np.ndarray,
     scale = float(np.max(np.linalg.norm(block, axis=0)))
     if d:
         scale = max(scale, 1.0)
-    coef = frame.conj().T @ block
+    frame_h = frame.conj().T
+    coef = frame_h @ block
     resid = block - frame @ coef
-    again = frame.conj().T @ resid
+    again = frame_h @ resid
     resid -= frame @ again
     coef += again
     chol = np.linalg.cholesky(np.eye(m) + coef.conj().T @ coef)
@@ -115,7 +116,7 @@ def extend_frame(frame: np.ndarray, block: np.ndarray,
     r = min(numerical_rank(s, rank_tol, scale), n - d)
     # u comes from a residual that may be tiny, so it is only roughly
     # orthogonal to frame: project once more and re-orthonormalize
-    fresh = u[:, :r] - frame @ (frame.conj().T @ u[:, :r])
+    fresh = u[:, :r] - frame @ (frame_h @ u[:, :r])
     return np.linalg.qr(fresh)[0]
 
 

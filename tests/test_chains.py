@@ -26,9 +26,11 @@ from hclab import (
     weighted_shift,
 )
 import hclab.chains
+import hclab.commutation
 from hclab.chains import _moduli_on_block, analysis_block, effective_depth
 from hclab.cli import main
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
+from hclab.linalg import hermitian_norm
 
 from conftest import random_unitary, random_weights
 
@@ -258,6 +260,18 @@ class TestOneDerivationPerBlock:
     the stages read them instead of taking them again."""
 
     @pytest.fixture
+    def hermitian_norm_calls(self, monkeypatch):
+        calls = []
+        norm = hclab.commutation.hermitian_norm
+
+        def counting(h):
+            calls.append(np.shape(h))
+            return norm(h)
+
+        monkeypatch.setattr(hclab.commutation, "hermitian_norm", counting)
+        return calls
+
+    @pytest.fixture
     def norm_calls(self, monkeypatch):
         calls = []
         norm = np.linalg.norm
@@ -270,13 +284,16 @@ class TestOneDerivationPerBlock:
         monkeypatch.setattr(np.linalg, "norm", counting)
         return calls
 
-    def test_block_powers_and_scales_are_the_numpy_values(self, sro32, rng, cfg):
+    def test_block_powers_are_numpy_powers_and_scales_hermitian_norms(self, sro32, rng, cfg):
+        eps = np.finfo(float).eps
         for t in (sro32, sro32.conjugated(random_unitary(rng, 32))):
             block = analysis_block(t, cfg)
             assert len(block.powers) == len(block.grams) == len(block.scales) == block.depth + 1
             for k in range(block.depth + 1):
                 assert np.array_equal(block.powers[k], np.linalg.matrix_power(block.matrix, k))
-                assert block.scales[k] == np.linalg.norm(block.grams[k], 2)
+                assert block.scales[k] == hermitian_norm(block.grams[k])
+                svd_norm = np.linalg.norm(block.grams[k], 2)
+                assert abs(block.scales[k] - svd_norm) <= 4 * block.w * eps * block.scales[k]
 
     def test_structural_suite_takes_each_norm_once(self, sro32, cfg, norm_calls):
         chain = chain_decomposition(sro32, cfg)
@@ -289,7 +306,8 @@ class TestOneDerivationPerBlock:
         chain = chain_decomposition(sro32, cfg)      # a fresh model: nothing memoized yet
         assert len(norm_calls) <= chain.depth + 2
 
-    def test_pair_tables_take_one_norm_per_windowed_gram(self, sro32, cfg, norm_calls):
+    def test_pair_tables_take_one_norm_per_windowed_gram(self, sro32, cfg, norm_calls,
+                                                         hermitian_norm_calls):
         report = centered_check(sro32, cfg)
         outer = {"gram-gram": (False, False), "cogram-cogram": (True, True),
                  "gram-cogram": (False, True)}
@@ -299,7 +317,9 @@ class TestOneDerivationPerBlock:
             w = sro32.window(p["j"] + p["k"])
             distinct |= {(p["j"], left, w), (p["k"], right, w)}
         assert report.depth == 6 and len(distinct) == 72
-        assert len(norm_calls) == len(distinct)
+        assert len(hermitian_norm_calls) == len(distinct)
+        assert set(hermitian_norm_calls) == {(w, w) for _, _, w in distinct}
+        assert not norm_calls
 
     def test_exactly_commuting_pairs_take_no_norm(self, shift32, cfg, norm_calls):
         # the grams and co-grams of a weighted shift are diagonal: every pair

@@ -217,6 +217,16 @@ class TestShiftRankOneReconstruct:
         assert cert.reconstruction_residual <= 1e-8
         assert cert.joint_eigenvector_residual <= 1e-8
 
+    @pytest.mark.parametrize("conj", [False, True])
+    def test_basis_is_orthonormal(self, rng, cfg, conj):
+        t = shift_plus_rank_one(random_weights(rng, 47), 0.3 + 0.4j, 2, 48)
+        if conj:
+            t = t.conjugated(random_unitary(rng, 48))
+        rep = classify(t, cfg)
+        X = rep.reconstruction.basis
+        assert X.shape == (48, 48)
+        assert np.linalg.norm(X.conj().T @ X - np.eye(48)) <= 1e-12
+
     def test_hardy_recovers_corner_form(self, cfg):
         t = shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)
         chain = chain_decomposition(t, cfg)

@@ -24,7 +24,7 @@ from hclab.commutation import require_half_centered
 from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
                           WindowExhausted)
 
-from conftest import random_weights
+from conftest import random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -115,6 +115,42 @@ class TestRequireHalfCentered:
         assert issubclass(error, PreconditionViolated)
 
 
+class TestPowerTableGrams:
+    """Grams and co-grams read T^k from one power table per model, and are
+    the grams the separate matrix_power construction gives, bit for bit."""
+
+    @staticmethod
+    def separate_construction(t, k, outer):
+        p = np.linalg.matrix_power(t, k)
+        g = p @ p.conj().T if outer else p.conj().T @ p
+        return (g + g.conj().T) / 2.0
+
+    @pytest.mark.parametrize("make", [lambda: aq_operator(0.5, 5.0, 40),
+                                      lambda: shift_plus_rank_one(
+                                          random_weights(np.random.default_rng(3), 39),
+                                          0.3 + 0.4j, 2, 40)])
+    def test_bit_identical_to_separate_powers(self, make):
+        t = make()
+        for k in range(1, 7):
+            assert np.array_equal(gram_power(t, k), self.separate_construction(t.matrix, k, False))
+            assert np.array_equal(co_gram_power(t, k), self.separate_construction(t.matrix, k, True))
+
+    def test_depth_six_takes_five_power_products(self, monkeypatch):
+        t = aq_operator(0.5, 5.0, 40)
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        for k in range(1, 7):
+            gram_power(t, k)
+            co_gram_power(t, k)
+        assert len(calls) == 5
+
+
 class TestCenteredCheck:
     def test_isometry_is_centered(self, cfg):
         t = weighted_shift([1.0] * 19, 20)
@@ -134,6 +170,17 @@ class TestCenteredCheck:
     def test_weighted_shift_centered_on_window(self, rng, cfg):
         t = weighted_shift(random_weights(rng, 23), 24)
         assert centered_check(t, cfg).centered
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    def test_weighted_shift_centered_under_dense_unitary(self, n, cfg):
+        # windows of 2 to 5 indices hold an exactly zero co-gram block on T
+        # and a roundoff block on U T U*; both are zero, not a commutator
+        w = [(-1) ** (k + 1) * (0.6 + 0.1 * (k % 5)) for k in range(n - 1)]
+        t = weighted_shift(w, n)
+        rot = t.conjugated(random_unitary(np.random.default_rng(n), n))
+        plain, rotated = centered_check(t, cfg), centered_check(rot, cfg)
+        assert plain.centered and rotated.centered
+        assert rotated.max_full_residual <= 1e3 * np.finfo(float).eps
 
     def test_cogram_of_shift(self):
         t = weighted_shift([1, 2, 3], 4)

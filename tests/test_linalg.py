@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from hclab import hermitian_eig, polar, positive_sqrt
 from hclab.errors import NonFinite, NotHermitian, NotPSD
-from hclab.linalg import numerical_rank
+from hclab.linalg import (hermitian_commutator_norm, hermitian_eigvals, hermitian_norm,
+                          numerical_rank, power_table)
 
 
 def random_hermitian(rng, n):
@@ -135,3 +136,121 @@ class TestNumericalRank:
         assert np.all(pair.isometry_part == 0)
         assert np.all(pair.positive_part == 0)
 
+
+
+def random_matrix(rng, n, dtype):
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a / np.sqrt(n)
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return calls
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bit_for_bit_matrix_power(self, rng, dtype):
+        a = random_matrix(rng, 9, dtype)
+        table = power_table(a, 12)
+        assert len(table) == 13
+        for k, p in enumerate(table):
+            assert p.dtype == a.dtype
+            assert np.array_equal(p, np.linalg.matrix_power(a, k)), k
+
+    def test_bit_for_bit_on_a_view(self, rng):
+        # the analysis block takes the powers of a leading-block view
+        a = random_matrix(rng, 12, complex)[:9, :9]
+        for k, p in enumerate(power_table(a, 12)):
+            assert np.array_equal(p, np.linalg.matrix_power(a, k)), k
+
+    def test_depth_six_takes_five_products(self, rng, matmul_calls):
+        power_table(random_matrix(rng, 6, float), 6)
+        assert len(matmul_calls) == 5
+
+    def test_shared_products_extend_the_table(self, rng, matmul_calls):
+        a = random_matrix(rng, 6, complex)
+        products = {}
+        first = power_table(a, 3, products)
+        assert len(matmul_calls) == 2
+        longer = power_table(a, 6, products)
+        assert len(matmul_calls) == 5
+        assert all(p is q for p, q in zip(first, longer))
+
+
+class TestHermitianKernels:
+    eps = np.finfo(float).eps
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_norm_is_the_largest_singular_value(self, rng, dtype):
+        for h in (random_psd(rng, 12), random_hermitian(rng, 12), np.diag([0.5, -3.0, 1.0])):
+            h = h.real if dtype is float else h
+            assert hermitian_norm(h) == pytest.approx(np.linalg.norm(h, 2),
+                                                      rel=4 * h.shape[0] * self.eps)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_isolated_rows_split_off_exactly(self, rng, dtype, monkeypatch):
+        # rows 0, 3 and 5 are zero off the diagonal; the rest is one dense block
+        h = random_psd(rng, 8) / 100.0   # block eigenvalues below 1
+        h = h.real if dtype is float else h
+        for i in (0, 3, 5):
+            h[i, :] = h[:, i] = 0.0
+            h[i, i] = 10.0 + i
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        w = hermitian_eigvals(h)
+        assert shapes == [(5, 5)]
+        assert_allclose(np.sort(w), eigvalsh(h), rtol=0, atol=8 * self.eps * 15.0)
+        assert hermitian_norm(h) == 15.0
+        shapes.clear()
+        assert hermitian_norm(np.diag([1.0, -4.0, 2.0]) + 0j) == 4.0
+        assert not shapes
+
+    def test_norm_of_empty_and_zero(self):
+        assert hermitian_norm(np.zeros((0, 0))) == 0.0
+        assert hermitian_norm(np.zeros((3, 3))) == 0.0
+
+    def test_norm_takes_the_hermitian_part(self, rng):
+        u = np.linalg.qr(random_matrix(rng, 10, complex))[0]
+        h = u @ np.diag(np.arange(1.0, 11.0)) @ u.conj().T   # Hermitian to roundoff only
+        assert not np.array_equal(h, h.conj().T)
+        assert abs(hermitian_norm(h) - 10.0) <= 4 * 10 * self.eps * 10.0
+
+    def _assert_commutator(self, a, b):
+        n = a.shape[0]
+        expect = np.linalg.norm(a @ b - b @ a)
+        bound = n * self.eps * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+        assert abs(hermitian_commutator_norm(a, b) - expect) <= bound
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_commutator_agrees_with_two_products(self, rng, dtype):
+        for _ in range(5):
+            a, b = random_hermitian(rng, 16), random_psd(rng, 16)
+            if dtype is float:
+                a, b = a.real, b.real
+            self._assert_commutator(a, b)
+
+    def test_commutator_of_rotated_commuting_pair(self, rng):
+        # U* D U and U* D' U commute, and are Hermitian only to roundoff
+        u = np.linalg.qr(random_matrix(rng, 20, complex))[0]
+        d1, d2 = rng.uniform(0.1, 2.0, 20), rng.uniform(0.1, 2.0, 20)
+        a = u.conj().T @ np.diag(d1) @ u
+        b = u.conj().T @ np.diag(d2) @ u
+        assert not np.array_equal(a, a.conj().T)
+        self._assert_commutator(a, b)
+        assert hermitian_commutator_norm(a, b) <= 20 * self.eps * 4.0
+
+    def test_commutator_of_diagonal_pair_is_exactly_zero(self, rng):
+        a, b = np.diag(rng.uniform(size=8)), np.diag(rng.uniform(size=8) + 0j)
+        assert hermitian_commutator_norm(a, b) == 0.0
