@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, effective_depth, span_closure
-from .commutation import (_window_gram, centered_check, gram_power, kernel_of_adjoint,
-                          require_half_centered)
+from .commutation import (_window_gram, _window_gram_eigvals, centered_check, gram_power,
+                          kernel_of_adjoint, require_half_centered)
 from .errors import (
     HclabError,
     InconclusiveError,
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     PreconditionViolated,
 )
-from .linalg import hermitian_eigvals, hermitian_norm, numerical_rank
+from .linalg import hermitian_norm, numerical_rank
 from .operators import OperatorModel, ToleranceConfig
 from .spectral import StructureData, enumerate_triples, structure_extract
 
@@ -84,7 +84,8 @@ def _canonical_null_vector(stack: np.ndarray, reference: np.ndarray,
     pattern, which is basis independent, instead of an arbitrary SVD column.
     """
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    null_dim = len(s) - numerical_rank(s, max(tol, 1e2 * np.finfo(float).eps), s[0])
+    rank = numerical_rank(s, max(tol, 1e2 * np.finfo(float).eps), s[0])
+    null_dim = len(s) - rank
     if null_dim >= 2:
         basis = vh[len(s) - null_dim:].conj().T
         cand = basis @ (basis.conj().T @ reference)
@@ -95,11 +96,17 @@ def _canonical_null_vector(stack: np.ndarray, reference: np.ndarray,
     else:
         vec = vh[-1].conj()
     # the stacked columns are Hermitian matrices, so the null vector is real
-    # up to a global phase; rotate it there and drop the residual imag part
+    # up to a global phase; rotate it there and drop the residual imag part.
+    # The null space is accurate to eps * s[0] / gap, the gap being the
+    # smallest singular value kept, so the imag part may reach that much; a
+    # vector known no better than ``tol`` certifies no relation, and keeps
+    # the floor 1e-10.
     pivot = vec[int(np.argmax(np.abs(vec)))]
     if abs(pivot) > 0:
         vec = vec * (pivot.conjugate() / abs(pivot))
-    if np.max(np.abs(vec.imag)) > 1e-10 * np.linalg.norm(vec):
+    accuracy = np.finfo(float).eps * s[0] / s[rank - 1] if rank else 0.0
+    cut = max(1e-10, accuracy if accuracy <= tol else 0.0)
+    if np.max(np.abs(vec.imag)) > cut * np.linalg.norm(vec):
         raise HclabError("relation coefficients failed to be real")
     vec = vec.real
     vec /= np.linalg.norm(vec)
@@ -323,7 +330,7 @@ class ClassificationReport:
 
 def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
     # the gram is Hermitian PSD: its singular values are its |eigenvalues|
-    s = np.abs(hermitian_eigvals(_window_gram(model, 1, False, model.window(1))))
+    s = np.abs(_window_gram_eigvals(model, 1, False, model.window(1)))
     return numerical_rank(s, cfg.rank_tol, s.max()) == s.size
 
 

@@ -8,6 +8,17 @@ computed on that block and scaled by the product of the factors' norms.
 Grams are Hermitian PSD, so their norms and commutators go through the
 Hermitian kernels of ``linalg``, and every power T^k of one model comes from
 one shared power table.
+
+Each windowed gram has one view, built once per model and read by every pair
+and every norm: the window as an exactly Hermitian matrix and the mask of its
+coupled rows (those with a nonzero off the diagonal).  A pair's commutator is
+formed on the union of its two masks, which is exact (see ``linalg``): the
+gram-gram pairs of weighted shifts and of a shift plus rank one take no
+product, their co-gram pairs a product on a few rows, aq's a product on the
+rows its windows couple.  In the model's own basis a window is a slice of an
+exactly Hermitian gram and its mask comes from one pass over the full gram;
+in a rotated basis (``window_frame`` set) the window is dense at roundoff and
+is symmetrized once.
 """
 
 from __future__ import annotations
@@ -17,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
-from .linalg import hermitian_commutator_norm, hermitian_norm, numerical_rank, power_table
+from .linalg import (_hermitian_view, _split_commutator_norm, _split_eigvals, _split_norm,
+                     numerical_rank, power_table)
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
@@ -110,9 +122,41 @@ def _window_gram(model: OperatorModel, k: int, outer: bool, w: int) -> np.ndarra
 
 
 @_memoized
+def _first_coupling(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
+    """For each row of the full gram (co-gram when ``outer``), the first
+    column off the diagonal that holds a nonzero; ``dim`` when there is none.
+    Row i of the window-w gram is coupled exactly when its entry is < w."""
+    nonzero = _power_product(model, k, outer) != 0
+    nonzero.flat[::model.dim + 1] = False
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), model.dim)
+
+
+@_memoized
+def _window_view(model: OperatorModel, k: int, outer: bool,
+                 w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_window_gram(model, k, outer, w)`` as an exactly Hermitian matrix,
+    and the mask of its coupled rows (those with a nonzero off the diagonal).
+
+    In the model's own basis the window is a slice of an exactly Hermitian
+    gram, and the mask comes from ``_first_coupling``; in a rotated basis
+    the window is symmetrized here, once for every pair and norm that reads
+    it.
+    """
+    g = _window_gram(model, k, outer, w)
+    if model.window_frame is None:
+        return g, _first_coupling(model, k, outer)[:w] < w
+    return _hermitian_view(g)
+
+
+def _window_gram_eigvals(model: OperatorModel, k: int, outer: bool, w: int) -> np.ndarray:
+    """The eigenvalues, unsorted, of ``_window_gram(model, k, outer, w)``."""
+    return _split_eigvals(*_window_view(model, k, outer, w))
+
+
+@_memoized
 def _window_gram_norm(model: OperatorModel, k: int, outer: bool, w: int) -> float:
     """The operator norm of ``_window_gram(model, k, outer, w)``."""
-    return hermitian_norm(_window_gram(model, k, outer, w))
+    return _split_norm(*_window_view(model, k, outer, w))
 
 
 @_memoized
@@ -144,8 +188,8 @@ def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool
     for j in range(1, K + 1):
         for k in range(j + 1 if left == right else 1, K + 1):
             w = model.window(j + k)
-            comm = hermitian_commutator_norm(_window_gram(model, j, left, w),
-                                             _window_gram(model, k, right, w))
+            comm = _split_commutator_norm(*_window_view(model, j, left, w),
+                                          *_window_view(model, k, right, w))
             res = 0.0
             if comm and not (_window_gram_is_zero(model, j, left, w)
                              or _window_gram_is_zero(model, k, right, w)):

@@ -13,16 +13,31 @@ cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
 The gram layer runs on three kernels:
 
 - ``hermitian_norm(h)``: the operator norm as the largest |eigenvalue|, from
-  ``hermitian_eigvals`` (``eigvalsh`` on the rows not already diagonal)
-  instead of a singular value decomposition;
+  ``hermitian_eigvals`` (``eigvalsh`` on the coupled rows only) instead of a
+  singular value decomposition;
 - ``hermitian_commutator_norm(a, b)``: ``||ab - ba||_F`` from the single
-  product P = ab, as ``||P - P*||_F``;
+  product P = ab, as ``||P - P*||_F``, formed on the coupled rows only;
 - ``power_table(a, K)``: a^0..a^K, each bit for bit ``np.linalg.matrix_power``,
   with the products that the powers have in common formed once.
 
 The first two require Hermitian operands up to roundoff, such as the window
 compressions of gram powers in a rotated basis.  They act on the Hermitian
 parts (h + h*)/2, which equal exactly Hermitian operands bit for bit.
+
+The coupled split.  A row of a Hermitian matrix is coupled when it holds a
+nonzero off the diagonal.  An uncoupled index i is an eigenvector with
+eigenvalue h_ii, exactly, so the eigenvalues are those diagonal entries and
+the eigenvalues of the coupled block.  An index uncoupled in both a and b
+gives a zero row and a zero column of ab - ba (both are a_ii b_ii there), and
+no coupled index reaches it in either product, so ``||ab - ba||_F`` is the
+same norm of the blocks on the union of the two coupled sets: an empty union
+is 0 with no product, a full one the dense product.  The grams of weighted
+shifts are diagonal, and those of a shift plus a rank-one term couple a few
+rows, so most of their norms and commutators take no factorization and no
+product.  ``_hermitian_view`` returns the Hermitian part with its mask, and
+the ``_split_*`` kernels take that pair, so a caller that reads one matrix in
+several pairs (the pair tables of ``commutation``, ``joint_diagonalize``)
+symmetrizes it and finds its coupled rows once.
 """
 
 from __future__ import annotations
@@ -94,6 +109,57 @@ def _hermitian_part(h) -> np.ndarray:
     return (h + _adjoint(h)) / 2.0
 
 
+def _coupled_rows(a) -> np.ndarray:
+    """The mask of the rows of a Hermitian ``a`` that hold a nonzero off the
+    diagonal."""
+    off = a != 0
+    off.flat[::a.shape[0] + 1] = False
+    return off.any(axis=1)
+
+
+def _hermitian_view(h) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian part of ``h`` and the mask of its coupled rows: the
+    operands of the split kernels below."""
+    a = _hermitian_part(h)
+    return a, _coupled_rows(a)
+
+
+def _split_eigvals(a, coupled) -> np.ndarray:
+    """The eigenvalues, unsorted, of an exactly Hermitian ``a`` whose
+    ``coupled`` mask marks its coupled rows: each other row gives its
+    diagonal entry, and ``eigvalsh`` factors the block of the coupled ones."""
+    if coupled.all():
+        return np.linalg.eigvalsh(a)
+    lone = np.diagonal(a)[~coupled].real
+    if not coupled.any():
+        return lone
+    rows = np.flatnonzero(coupled)
+    return np.concatenate([lone, np.linalg.eigvalsh(a[rows[:, None], rows])])
+
+
+def _split_norm(a, coupled) -> float:
+    """The largest |eigenvalue| of ``_split_eigvals(a, coupled)``."""
+    return float(np.max(np.abs(_split_eigvals(a, coupled)), initial=0.0))
+
+
+def _split_commutator_norm(a, a_coupled, b, b_coupled) -> float:
+    """``||ab - ba||_F`` for exactly Hermitian ``a`` and ``b`` with the masks
+    of their coupled rows, from one product on the union of the masks.
+
+    An index coupled in neither gives a zero row and a zero column of
+    ab - ba, and no coupled index reaches it, so the commutator is that of
+    the blocks on the union: an empty union is 0 with no product, a full one
+    is the dense product with no gather.
+    """
+    rows = np.flatnonzero(a_coupled | b_coupled)
+    if rows.size == 0:
+        return 0.0
+    if rows.size < a_coupled.size:
+        a, b = a[rows[:, None], rows], b[rows[:, None], rows]
+    p = np.matmul(a, b)
+    return float(np.linalg.norm(p - _adjoint(p)))
+
+
 def hermitian_eigvals(h) -> np.ndarray:
     """The eigenvalues, unsorted, of the Hermitian part of ``h``.
 
@@ -104,15 +170,7 @@ def hermitian_eigvals(h) -> np.ndarray:
     skips most of the O(n^3) reduction; a dense matrix goes to ``eigvalsh``
     whole.
     """
-    a = _hermitian_part(h)
-    d = np.diagonal(a)
-    coupled = np.count_nonzero(a, axis=1) > (d != 0)
-    if coupled.all():
-        return np.linalg.eigvalsh(a)
-    lone = d[~coupled].real
-    if not coupled.any():
-        return lone
-    return np.concatenate([lone, np.linalg.eigvalsh(a[np.ix_(coupled, coupled)])])
+    return _split_eigvals(*_hermitian_view(h))
 
 
 def hermitian_norm(h) -> float:
@@ -122,19 +180,19 @@ def hermitian_norm(h) -> float:
     part, within a few ``eps * ||h||`` of the largest singular value of ``h``.
     On a dense real matrix ``eigvalsh`` costs about half the singular values.
     """
-    return float(np.max(np.abs(hermitian_eigvals(h)), initial=0.0))
+    return _split_norm(*_hermitian_view(h))
 
 
 def hermitian_commutator_norm(a, b) -> float:
     """``||ab - ba||_F`` for Hermitian ``a`` and ``b``, from one product.
 
     For Hermitian operands ba = (ab)*, so the commutator is P - P* with
-    P = ab.  Both must be Hermitian up to roundoff; the value is the
-    commutator of their Hermitian parts.  A pair of diagonal matrices gives
-    exactly 0.
+    P = ab, formed on the rows where ``a`` or ``b`` has a nonzero off the
+    diagonal (the other rows and columns of the commutator are zero).  Both
+    must be Hermitian up to roundoff; the value is the commutator of their
+    Hermitian parts.  A pair of diagonal matrices gives exactly 0.
     """
-    p = _hermitian_part(a) @ _hermitian_part(b)
-    return float(np.linalg.norm(p - _adjoint(p)))
+    return _split_commutator_norm(*_hermitian_view(a), *_hermitian_view(b))
 
 
 def power_table(a, K: int, products: dict | None = None) -> list:

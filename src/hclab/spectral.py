@@ -13,7 +13,7 @@ import numpy as np
 from .chains import ChainDecomposition
 from .commutation import gram_power
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
-from .linalg import hermitian_commutator_norm, hermitian_norm
+from .linalg import _hermitian_view, _split_commutator_norm, _split_norm
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import orthonormalize, subspace_ominus
 
@@ -103,12 +103,13 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
             raise ValueError("family members must share one square shape")
     if d == 0:
         return JointSpectrum(characters=[], dim=0)
-    scales = [max(hermitian_norm(m), 1e-300) for m in mats]
+    views = [_hermitian_view(m) for m in mats]   # one symmetrization per member
+    scales = [max(_split_norm(*v), 1e-300) for v in views]
     for i, a in enumerate(mats):
         if np.linalg.norm(a - a.conj().T) > cfg.commutator_tol * scales[i] * 10:
             raise NotCommuting(f"family member {i} is not Hermitian")
         for j in range(i):
-            res = hermitian_commutator_norm(a, mats[j]) / (scales[i] * scales[j])
+            res = _split_commutator_norm(*views[i], *views[j]) / (scales[i] * scales[j])
             if res > cfg.commutator_tol * 100:
                 raise NotCommuting(f"members {j} and {i} fail to commute ({res:.3e})")
 

@@ -27,6 +27,7 @@ from hclab import (
 )
 import hclab.chains
 import hclab.commutation
+import hclab.linalg
 from hclab.chains import _moduli_on_block, analysis_block, effective_depth
 from hclab.cli import main
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
@@ -260,15 +261,27 @@ class TestOneDerivationPerBlock:
     the stages read them instead of taking them again."""
 
     @pytest.fixture
-    def hermitian_norm_calls(self, monkeypatch):
+    def eigval_calls(self, monkeypatch):
         calls = []
-        norm = hclab.commutation.hermitian_norm
+        eigvals = hclab.linalg._split_eigvals
+
+        def counting(h, coupled):
+            calls.append(np.shape(h))
+            return eigvals(h, coupled)
+
+        monkeypatch.setattr(hclab.linalg, "_split_eigvals", counting)
+        return calls
+
+    @pytest.fixture
+    def hermitian_parts(self, monkeypatch):
+        calls = []
+        part = hclab.linalg._hermitian_part
 
         def counting(h):
             calls.append(np.shape(h))
-            return norm(h)
+            return part(h)
 
-        monkeypatch.setattr(hclab.commutation, "hermitian_norm", counting)
+        monkeypatch.setattr(hclab.linalg, "_hermitian_part", counting)
         return calls
 
     @pytest.fixture
@@ -306,20 +319,46 @@ class TestOneDerivationPerBlock:
         chain = chain_decomposition(sro32, cfg)      # a fresh model: nothing memoized yet
         assert len(norm_calls) <= chain.depth + 2
 
-    def test_pair_tables_take_one_norm_per_windowed_gram(self, sro32, cfg, norm_calls,
-                                                         hermitian_norm_calls):
-        report = centered_check(sro32, cfg)
+    @staticmethod
+    def windowed_grams(model, report) -> set:
+        """(power, co-gram, window) of every windowed gram the pairs read."""
         outer = {"gram-gram": (False, False), "cogram-cogram": (True, True),
                  "gram-cogram": (False, True)}
         distinct = set()
         for p in report.pairs:
             left, right = outer[p["kind"]]
-            w = sro32.window(p["j"] + p["k"])
+            w = model.window(p["j"] + p["k"])
             distinct |= {(p["j"], left, w), (p["k"], right, w)}
+        return distinct
+
+    def test_pair_tables_take_one_norm_per_windowed_gram(self, sro32, cfg, norm_calls,
+                                                         eigval_calls, hermitian_parts):
+        # one eigenvalue split per windowed gram, on the view the pairs read:
+        # the norms symmetrize nothing and take no singular values
+        report = centered_check(sro32, cfg)
+        distinct = self.windowed_grams(sro32, report)
         assert report.depth == 6 and len(distinct) == 72
-        assert len(hermitian_norm_calls) == len(distinct)
-        assert set(hermitian_norm_calls) == {(w, w) for _, _, w in distinct}
+        assert len(eigval_calls) == len(distinct)
+        assert set(eigval_calls) == {(w, w) for _, _, w in distinct}
+        assert not hermitian_parts
         assert not norm_calls
+
+    @pytest.mark.parametrize("name", ["shift32", "sro32", "hardy24", "aq48"])
+    def test_unrotated_centered_check_forms_no_hermitian_part(self, name, request, cfg,
+                                                              hermitian_parts):
+        model = request.getfixturevalue(name)
+        hermitian_parts.clear()   # aq's construction takes a positive square root
+        centered_check(model, cfg)
+        assert not hermitian_parts
+
+    def test_rotated_centered_check_symmetrizes_each_windowed_gram_once(self, sro32, rng, cfg,
+                                                                       hermitian_parts):
+        model = sro32.conjugated(random_unitary(rng, 32))
+        report = centered_check(model, cfg)
+        distinct = self.windowed_grams(model, report)
+        assert len(distinct) == 72
+        assert len(hermitian_parts) == len(distinct)
+        assert set(hermitian_parts) == {(w, w) for _, _, w in distinct}
 
     def test_exactly_commuting_pairs_take_no_norm(self, shift32, cfg, norm_calls):
         # the grams and co-grams of a weighted shift are diagonal: every pair

@@ -20,6 +20,7 @@ from hclab import (
     weighted_shift,
 )
 from hclab.chains import effective_depth
+from hclab.commutation import _window_gram
 from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
                               _closed_range_flag)
 from hclab.errors import (
@@ -172,6 +173,29 @@ class TestRelationSearchParity:
         cert = relation_detect(model, cfg)
         assert (cert.n, cert.m) == (1, 2)
         assert cert.operator_residual <= cfg.relation_tol
+
+    def test_rotated_null_vector_is_real_within_its_accuracy(self, cfg):
+        # aq (q = 0.5, r = 5, N = 12) under 20 Haar unitaries, pair (1, 3) on
+        # window 8: the imaginary parts reach 1.7e-10, within the null
+        # vector's accuracy eps * s[0] / s[-2] = 4.1e-9
+        eps = np.finfo(float).eps
+        for seed in range(20240600, 20240620):
+            u = random_unitary(np.random.default_rng(seed), 12)
+            model = aq_operator(0.5, 5.0, 12).conjugated(u)
+            w = model.window(4)
+            blocks = [_window_gram(model, k, False, w) for k in (0, 1, 3, 4)]
+            stack = np.column_stack([blk.ravel() for blk in blocks])
+            s = np.linalg.svd(stack, compute_uv=False)
+            assert 1e-10 < eps * s[0] / s[-2] < cfg.relation_tol
+            vec = _canonical_null_vector(stack, _REFERENCE_4, cfg.relation_tol)
+            assert vec.dtype == float and abs(np.linalg.norm(vec) - 1.0) <= 4 * eps
+            assert np.linalg.norm(stack @ vec) <= 1e-13 * s[0]
+
+    def test_complex_null_vector_is_rejected(self, rng):
+        # c1 + i c2 = 0: the null vector (1, i) / sqrt(2) is complex at any cut
+        c = rng.standard_normal(16)
+        with pytest.raises(HclabError, match="failed to be real"):
+            _canonical_null_vector(np.column_stack([c, 1j * c]), np.ones(2), 1e-8)
 
     def test_aq_takes_one_null_vector(self, cfg, monkeypatch):
         # (1, 1) clears the tolerance; the exhaustive search takes all 9 pairs of K = 6

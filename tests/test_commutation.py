@@ -20,9 +20,10 @@ from hclab import (
 )
 from hclab.chains import analysis_block
 from hclab.cli import cmd_verify
-from hclab.commutation import require_half_centered
+from hclab.commutation import _window_view, require_half_centered
 from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
                           WindowExhausted)
+from hclab.linalg import _coupled_rows
 
 from conftest import random_unitary, random_weights
 
@@ -149,6 +150,83 @@ class TestPowerTableGrams:
             gram_power(t, k)
             co_gram_power(t, k)
         assert len(calls) == 5
+
+
+def _pair_model(family, n):
+    w = random_weights(np.random.default_rng(n), n - 1)
+    if family == "ws":
+        return weighted_shift(w, n)
+    if family == "sro":
+        return shift_plus_rank_one(w, 0.3 + 0.4j, 2, n)
+    if family == "hardy":
+        return shift_plus_rank_one([0.5] * (n - 1), 1.0, 0, n)
+    return aq_operator(0.5, 5.0, n)
+
+
+class TestCoupledPairTables:
+    """Each pair commutator is taken on the rows its two window grams couple,
+    and agrees with the dense product of the two symmetrized windows."""
+
+    eps = np.finfo(float).eps
+    KINDS = {"gram-gram": (gram_power, gram_power),
+             "cogram-cogram": (co_gram_power, co_gram_power),
+             "gram-cogram": (gram_power, co_gram_power)}
+
+    def dense_residual(self, a, b, w, full_a, full_b):
+        """The residual as the dense formula gives it: one product of the
+        Hermitian parts, 0 for a window at most w * eps of its full gram."""
+        ha, hb = (a + a.conj().T) / 2, (b + b.conj().T) / 2
+        p = ha @ hb
+        comm = np.linalg.norm(p - p.conj().T)
+        cut = w * self.eps
+        if (comm == 0 or np.linalg.norm(a) <= cut * np.linalg.norm(full_a)
+                or np.linalg.norm(b) <= cut * np.linalg.norm(full_b)):
+            return 0.0
+        return comm / (np.linalg.norm(ha, 2) * np.linalg.norm(hb, 2))
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "UTU*"])
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq"])
+    def test_pair_tables_agree_with_the_dense_formula(self, family, n, conj, cfg):
+        model = _pair_model(family, n)
+        if conj:
+            model = model.conjugated(random_unitary(np.random.default_rng(n + 1), n))
+        report = centered_check(model, cfg)
+        assert report.depth == 6 and len(report.pairs) == 66
+        for p in report.pairs:
+            w = model.window(p["j"] + p["k"])
+            left, right = self.KINDS[p["kind"]]
+            full_a, full_b = left(model, p["j"]), right(model, p["k"])
+            a, b = model.window_compress(full_a, w), model.window_compress(full_b, w)
+            expect = self.dense_residual(a, b, w, full_a, full_b)
+            assert abs(p["residual"] - expect) <= 4 * w * self.eps, p
+            if family != "aq" and p["kind"] == "gram-gram" and not conj:
+                assert p["residual"] == 0.0
+
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq"])
+    def test_window_views_and_masks(self, family, rng):
+        # plain: the view is the window itself, and the mask read off the
+        # full gram's first coupling marks exactly the window's coupled rows;
+        # rotated: the view is exactly Hermitian
+        model = _pair_model(family, 24)
+        rotated = model.conjugated(random_unitary(rng, 24))
+        for k in range(1, 7):
+            for outer in (False, True):
+                for w in range(1, model.window(k) + 1):
+                    h, mask = _window_view(model, k, outer, w)
+                    window = (co_gram_power if outer else gram_power)(model, k)[:w, :w]
+                    assert np.shares_memory(h, window) and np.array_equal(h, window)
+                    assert np.array_equal(mask, _coupled_rows(window))
+                    h, mask = _window_view(rotated, k, outer, w)
+                    assert np.array_equal(h, h.conj().T)
+                    assert np.array_equal(mask, _coupled_rows(h))
+
+    def test_shift_like_co_grams_couple_a_few_rows(self, sro32):
+        # the co-grams of a shift plus rank one are diagonal but for a few rows
+        for k in range(1, 7):
+            w = sro32.window(k + 1)
+            assert not _window_view(sro32, k, False, w)[1].any()
+            assert 0 < np.count_nonzero(_window_view(sro32, k, True, w)[1]) <= 9
 
 
 class TestCenteredCheck:

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from hclab import hermitian_eig, polar, positive_sqrt
 from hclab.errors import NonFinite, NotHermitian, NotPSD
-from hclab.linalg import (hermitian_commutator_norm, hermitian_eigvals, hermitian_norm,
-                          numerical_rank, power_table)
+from hclab.linalg import (_coupled_rows, _split_commutator_norm, hermitian_commutator_norm,
+                          hermitian_eigvals, hermitian_norm, numerical_rank, power_table)
 
 
 def random_hermitian(rng, n):
@@ -254,3 +254,81 @@ class TestHermitianKernels:
     def test_commutator_of_diagonal_pair_is_exactly_zero(self, rng):
         a, b = np.diag(rng.uniform(size=8)), np.diag(rng.uniform(size=8) + 0j)
         assert hermitian_commutator_norm(a, b) == 0.0
+
+
+def _plant_uncoupled(h, rows, rng):
+    """``h`` with each of ``rows`` zero off the diagonal, keeping it Hermitian."""
+    h = h.copy()
+    for i in rows:
+        h[i, :] = h[:, i] = 0.0
+        h[i, i] = rng.uniform(0.5, 2.0)
+    return h
+
+
+class TestCoupledSplit:
+    """The commutator taken on the rows either operand couples equals the
+    dense ||ab - ba||_F."""
+
+    eps = np.finfo(float).eps
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        shapes = []
+        matmul = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return matmul(a, b, *args, **kwargs)
+        monkeypatch.setattr(np, "matmul", counting)
+        return shapes
+
+    def _assert_dense(self, a, b, value):
+        n = a.shape[0]
+        expect = np.linalg.norm(a @ b - b @ a)
+        assert abs(value - expect) <= n * self.eps * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+
+    def test_coupled_rows_are_the_rows_with_an_off_diagonal_nonzero(self, rng):
+        h = _plant_uncoupled(random_hermitian(rng, 9), (0, 4, 8), rng)
+        h[2, 2] = 0.0   # a zero diagonal entry leaves its row coupled
+        assert _coupled_rows(h).tolist() == [i not in (0, 4, 8) for i in range(9)]
+        assert not _coupled_rows(np.diag([1.0, 0.0, 3.0])).any()
+        assert _coupled_rows(np.zeros((0, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_planted_uncoupled_rows(self, rng, dtype, products):
+        # a couples all but 0..5, b all but 3..8: the union leaves out 3, 4, 5
+        for _ in range(5):
+            a = _plant_uncoupled(random_hermitian(rng, 16), range(0, 6), rng)
+            b = _plant_uncoupled(random_psd(rng, 16), range(3, 9), rng)
+            if dtype is float:
+                a, b = a.real, b.real
+            products.clear()
+            self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+            assert products == [(13, 13)]
+            value = _split_commutator_norm(a, _coupled_rows(a), b, _coupled_rows(b))
+            self._assert_dense(a, b, value)
+
+    def test_fully_coupled_pair_takes_the_dense_product(self, rng, products):
+        a, b = random_hermitian(rng, 12), random_psd(rng, 12)
+        self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+        assert products == [(12, 12)]
+
+    def test_rotated_blocks_hermitian_to_roundoff(self, rng):
+        # a rotated commuting pair on the leading 10 indices, uncoupled rows after
+        u = np.linalg.qr(random_matrix(rng, 10, complex))[0]
+        a, b = np.zeros((14, 14), complex), np.zeros((14, 14), complex)
+        a[:10, :10] = u.conj().T @ np.diag(rng.uniform(0.1, 2.0, 10)) @ u
+        b[:10, :10] = u.conj().T @ np.diag(rng.uniform(0.1, 2.0, 10)) @ u
+        a[10:, 10:] = np.diag(rng.uniform(0.1, 2.0, 4))
+        b[10:, 10:] = np.diag(rng.uniform(0.1, 2.0, 4))
+        assert not np.array_equal(a, a.conj().T)
+        self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+        assert hermitian_commutator_norm(a, b) <= 14 * self.eps * 4.0
+        b[:10, :10] = random_psd(rng, 10)   # no longer commuting
+        self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+
+    def test_diagonal_pair_takes_no_product(self, rng, products):
+        a, b = np.diag(rng.uniform(size=8)), np.diag(rng.uniform(size=8) + 0j)
+        assert hermitian_commutator_norm(a, b) == 0.0
+        assert _split_commutator_norm(a, _coupled_rows(a), b, _coupled_rows(b)) == 0.0
+        assert products == []

@@ -1,0 +1,132 @@
+"""Run the json runs of ``cli_grid.py``'s grid on two checkouts and print one
+line per run whose output differs, saying how it differs.
+
+Usage: python tools/report_diff.py SRC_A SRC_B
+
+SRC_A and SRC_B are directories that each hold an ``hclab`` package (``src``
+in a checkout).  Both run in this process, one after the other, through
+``cli_grid.load_cli`` (one BLAS thread: the N = 128 reports depend on the BLAS
+thread count) and ``cli_grid.capture``.  Each line reads
+``N family command exit CODE`` (``A->B`` when the exit codes differ), then
+``fields=`` with the paths of the report fields other than floats that differ
+(verdicts, dimensions, statuses, keys present on one side only; list indices
+are written ``[]``), then ``numbers=K max_abs=X max_rel=Y`` over the floats
+that differ.  A run whose stdout is not a json report compares its stderr and
+warnings as the fields ``stderr`` and ``warnings``.  The last line reads
+``differ K of R``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import sys
+
+import cli_grid
+
+
+def runs():
+    """(N, family, command) of every json run of the grid."""
+    for n, family, command, fmt in cli_grid.grid():
+        if fmt == "json":
+            yield n, family, command
+
+
+def outputs(src_dir: str) -> list:
+    """(exit, stdout, stderr, warnings) of every run of ``runs()`` on SRC_DIR."""
+    for name in [name for name in sys.modules if name == "hclab" or name.startswith("hclab.")]:
+        del sys.modules[name]   # the other checkout's package
+    main = cli_grid.load_cli(src_dir).main
+    sys.path.remove(os.path.abspath(src_dir))
+    return [cli_grid.capture(main, [command, *cli_grid.family_args(family, n), "--n", str(n),
+                                    "--format", "json"])
+            for n, family, command in runs()]
+
+
+class Difference:
+    """The differing non-float fields and floats of two json documents."""
+
+    def __init__(self):
+        self.fields = set()
+        self.numbers = 0
+        self.max_abs = 0.0
+        self.max_rel = 0.0
+
+    def compare(self, a, b, path: str = "") -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(set(a) | set(b)):
+                sub = f"{path}.{key}" if path else key
+                if key in a and key in b:
+                    self.compare(a[key], b[key], sub)
+                else:
+                    self.fields.add(sub)
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for x, y in zip(a, b):
+                self.compare(x, y, path + "[]")
+        elif _is_float(a, b):
+            self._number(float(a), float(b))
+        elif a != b:
+            self.fields.add(path)
+
+    def _number(self, a: float, b: float) -> None:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        self.numbers += 1
+        gap = abs(a - b)
+        gap = math.inf if math.isnan(gap) else gap
+        self.max_abs = max(self.max_abs, gap)
+        self.max_rel = max(self.max_rel, gap / max(abs(a), abs(b)))
+
+
+def _is_float(a, b) -> bool:
+    """Two json numbers, at least one of them a float (an int pair, such as a
+    dimension, is compared as a field)."""
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+    return numbers and (isinstance(a, float) or isinstance(b, float))
+
+
+def _report(out: str):
+    try:
+        return json.loads(out)
+    except ValueError:
+        return None
+
+
+def describe(a: tuple, b: tuple) -> str | None:
+    """How run outputs ``a`` and ``b`` differ, or None when they are equal."""
+    if a == b:
+        return None
+    diff = Difference()
+    report_a, report_b = _report(a[1]), _report(b[1])
+    if report_a is not None and report_b is not None:
+        diff.compare(report_a, report_b)
+    elif a[1] != b[1]:
+        diff.fields.add("stdout")
+    for name, i in (("stderr", 2), ("warnings", 3)):
+        if a[i] != b[i]:
+            diff.fields.add(name)
+    code = f"{a[0]}" if a[0] == b[0] else f"{a[0]}->{b[0]}"
+    return (f"exit {code} fields={','.join(sorted(diff.fields)) or '-'} "
+            f"numbers={diff.numbers} max_abs={diff.max_abs:.2e} max_rel={diff.max_rel:.2e}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.stderr.write("usage: report_diff.py SRC_A SRC_B\n")
+        return 2
+    first = outputs(args[0])
+    second = outputs(args[1])
+    differ = 0
+    for (n, family, command), a, b in zip(runs(), first, second):
+        line = describe(a, b)
+        if line is not None:
+            differ += 1
+            print(n, family, command, line, flush=True)
+    print("differ", differ, "of", len(first))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
