@@ -6,9 +6,9 @@ operator runs on the compressed window block: the leading ``window(K)``
 indices, where the truncation still agrees with the infinite operator.  The
 gram family used on the block is the window compression of the full-size
 grams (exact where the window promises), not the grams of the compressed
-matrix, whose own boundary would corrupt them.  Frames are reported in the
-ambient space; residual tables are computed in block coordinates, which
-makes them invariant under basis rotations of the model.
+matrix, whose own boundary would corrupt them.  Every stage reads the chain,
+its ranges and defects in block coordinates, which makes residual tables
+invariant under basis rotations of the model; ambient frames are lifts.
 """
 
 from __future__ import annotations
@@ -215,22 +215,21 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
 
 @dataclass(eq=False)  # compared, and memoized on, by identity
 class ChainDecomposition:
-    """E, M_E and the chain X_n = X_{n-1} (+) V_n of one model.
+    """E, M_E and the chain X_n = X_{n-1} (+) V_n of one model, in block coordinates.
 
-    ``chain_decomposition`` builds E, M_E, ``moduli_status``, the depth and the
-    block up front.  The chain (``X``, ``V``, ``layers`` and its two ``notes``),
-    the ranges ``H``, the ``defects`` and ``dims`` are built on first read,
-    once per chain, and an error raised while building one of them (e.g.
-    ``NotContained`` from a defect) is raised at that first read.
+    ``chain_decomposition`` builds ``M_E_block``, ``moduli_status``, the depth
+    and the block up front; the chain (``X_block``, ``V_block``, ``layers_block``,
+    ``notes``), the ranges ``H``, ``defects_block`` and ``dims`` on first read,
+    once per chain, raising there any error of the build (e.g. ``NotContained``
+    from a defect).  ``E``, ``M_E``, ``X``, ``V``, ``layers`` and ``defects``
+    are their ambient lifts, each built once, on first read.
     """
 
-    E: Subspace
-    M_E: Subspace
     moduli_status: str
     depth: int
     block: AnalysisBlock
     cfg: ToleranceConfig
-    M_E_block: Subspace         # M_E in the coordinates of block
+    M_E_block: Subspace
 
     @cached_property
     def _chain(self) -> tuple:
@@ -261,12 +260,11 @@ class ChainDecomposition:
                 leak = image - Vn.frame @ (Vn.frame.conj().T @ image)
                 worst = max(worst, float(np.linalg.norm(leak) / max(scale, 1e-300)))
         notes["gram_invariance_residual"] = worst
-        lift = block.lift
-        return [lift(x) for x in X], [lift(v) for v in V], [lift(s) for s in layers], notes
+        return X, V, layers, notes
 
-    X = property(lambda self: self._chain[0])
-    V = property(lambda self: self._chain[1])
-    layers = property(lambda self: self._chain[2])
+    X_block = property(lambda self: self._chain[0])
+    V_block = property(lambda self: self._chain[1])
+    layers_block = property(lambda self: self._chain[2])
     notes = property(lambda self: self._chain[3])
 
     @cached_property
@@ -275,15 +273,23 @@ class ChainDecomposition:
         return [_range_space(self.block, n, self.cfg) for n in range(self.depth + 1)]
 
     @cached_property
-    def defects(self) -> list:
-        """E_n = H_n (-) H_{n+1}, n < depth, in ambient coordinates."""
+    def defects_block(self) -> list:
+        """E_n = H_n (-) H_{n+1}, n < depth, in the coordinates of block."""
         H = self.H
-        return [self.block.lift(subspace_ominus(H[n], H[n + 1])) for n in range(self.depth)]
+        return [subspace_ominus(H[n], H[n + 1]) for n in range(self.depth)]
+
+    E = cached_property(lambda self: self.block.lift(self.block.E))
+    M_E = cached_property(lambda self: self.block.lift(self.M_E_block))
+    X = cached_property(lambda self: [self.block.lift(x) for x in self.X_block])
+    V = cached_property(lambda self: [self.block.lift(v) for v in self.V_block])
+    layers = cached_property(lambda self: [self.block.lift(s) for s in self.layers_block])
+    defects = cached_property(lambda self: [self.block.lift(d) for d in self.defects_block])
 
     @cached_property
     def dims(self) -> dict:
-        return {"E": self.E.dim, "M_E": self.M_E.dim, "X": [x.dim for x in self.X],
-                "V": [v.dim for v in self.V], "defects": [d.dim for d in self.defects]}
+        return {"E": self.block.E.dim, "M_E": self.M_E_block.dim,
+                "X": [x.dim for x in self.X_block], "V": [v.dim for v in self.V_block],
+                "defects": [d.dim for d in self.defects_block]}
 
     def as_dict(self) -> dict:
         return {
@@ -305,10 +311,8 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
     _ensure_injective_on_window(model, cfg)
     block = analysis_block(model, cfg)
     M_E_blk, status = _moduli_on_block(block, cfg)
-    return ChainDecomposition(
-        E=block.lift(block.E), M_E=block.lift(M_E_blk), moduli_status=status,
-        depth=block.depth, block=block, cfg=cfg, M_E_block=M_E_blk,
-    )
+    return ChainDecomposition(moduli_status=status, depth=block.depth, block=block, cfg=cfg,
+                              M_E_block=M_E_blk)
 
 
 @dataclass
@@ -409,12 +413,7 @@ def verify_chain_structure(
     block = chain.block
     Tb = block.matrix
     K = chain.depth
-    # work with block-coordinate frames throughout
-    V = [Subspace(block.embed.conj().T @ v.frame, v.rank_tol) for v in chain.V]
-    X = [Subspace(block.embed.conj().T @ x.frame, x.rank_tol) for x in chain.X]
-    layers = [Subspace(block.embed.conj().T @ s.frame, s.rank_tol) for s in chain.layers]
-    defects = [Subspace(block.embed.conj().T @ d.frame, d.rank_tol) for d in chain.defects]
-    M_E = Subspace(block.embed.conj().T @ chain.M_E.frame, chain.M_E.rank_tol)
+    V, X, M_E = chain.V_block, chain.X_block, chain.M_E_block
     out: dict = {"depth": K, "dims": dict(chain.dims)}
 
     worst = 0.0
@@ -483,10 +482,10 @@ def verify_chain_structure(
     out["jups_samples"] = sampled
 
     worst = 0.0
-    for n, En in enumerate(defects):
+    for En, layer in zip(chain.defects_block, chain.layers_block):
         if En.dim == 0:
             continue
-        worst = max(worst, _containment_residual(En.frame, layers[n]))
+        worst = max(worst, _containment_residual(En.frame, layer))
     out["saknar"] = worst
 
     out["labann"] = max(

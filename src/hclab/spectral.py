@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainDecomposition
-from .commutation import gram_power
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
 from .linalg import _hermitian_view, _split_commutator_norm, _split_norm
 from .operators import OperatorModel, ToleranceConfig, _memoized
@@ -186,16 +185,17 @@ def _affine_fit(values: np.ndarray, tau: np.ndarray, beta: np.ndarray) -> float:
 
 @_memoized
 def _moduli_spectrum(model: OperatorModel, chain: ChainDecomposition, cfg: ToleranceConfig):
-    """Grams 1..K, tau (None without a kernel vector), the grams compressed
-    to M_E and their joint spectrum."""
-    grams = [gram_power(model, k) for k in range(1, chain.depth + 1)]
+    """tau (None without a kernel vector), the windowed grams 1..K compressed
+    to M_E and their joint spectrum, all read on the chain's block."""
+    block = chain.block
+    grams = block.grams[1:chain.depth + 1]
     tau = None
-    if chain.E.dim:
-        e = chain.E.frame[:, 0]
+    if block.E.dim:
+        e = block.E.frame[:, 0]
         tau = np.array([1.0] + [float(np.real(e.conj() @ g @ e)) for g in grams])
-    ME = chain.M_E.frame
+    ME = chain.M_E_block.frame
     me_mats = [ME.conj().T @ g @ ME for g in grams]
-    return grams, tau, me_mats, joint_diagonalize(me_mats, cfg)
+    return tau, me_mats, joint_diagonalize(me_mats, cfg)
 
 
 def structure_extract(model: OperatorModel, chain: ChainDecomposition,
@@ -209,16 +209,16 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     a significant beta and residual-checked against all the others, so the
     affine law is an independent check rather than a fit artifact.
     """
-    if chain.E.dim != 1:
-        raise PreconditionViolated(f"kernel of T* has dimension {chain.E.dim}, need 1")
-    if chain.M_E.dim < 2:
-        raise ModuliTooSmall(f"dim M_E = {chain.M_E.dim} < 2: beta is undefined")
+    E, M_E = chain.block.E, chain.M_E_block
+    if E.dim != 1:
+        raise PreconditionViolated(f"kernel of T* has dimension {E.dim}, need 1")
+    if M_E.dim < 2:
+        raise ModuliTooSmall(f"dim M_E = {M_E.dim} < 2: beta is undefined")
     K = chain.depth
-    grams, tau, me_mats, me_spec = _moduli_spectrum(model, chain, cfg)
+    tau, me_mats, me_spec = _moduli_spectrum(model, chain, cfg)
 
-    MEoE = subspace_ominus(chain.M_E, chain.E)
-    F = MEoE.frame
-    comp_mats = [F.conj().T @ g @ F for g in grams]
+    F = subspace_ominus(M_E, E).frame
+    comp_mats = [F.conj().T @ g @ F for g in chain.block.grams[1:K + 1]]
     comp_spec = joint_diagonalize(comp_mats, cfg)
 
     table = me_spec.value_table()  # rows: characters, cols: k = 1..K
@@ -241,7 +241,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
         first = 1 + int(np.argmax(sig))
         beta_normalized = beta / beta[first]
 
-    d = chain.M_E.dim
+    d = M_E.dim
     residuals = {}
     if no_nonzero_beta:
         A = np.zeros((d, d), dtype=me_mats[0].dtype)
@@ -255,7 +255,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     )
 
     # compression of A to M_E (-) E, in the coordinates of that subspace
-    coords_F = chain.M_E.frame.conj().T @ F
+    coords_F = M_E.frame.conj().T @ F
     C = coords_F.conj().T @ A @ coords_F
     C = (C + C.conj().T) / 2.0
     dC = F.shape[1]
@@ -359,15 +359,16 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
     levels, i.e. gamma-ratios at depth k agree with lambda-ratios at depth
     k + n.  Reports the worst best-match residual per layer.
     """
-    if chain.E.dim == 0:  # then M_E and every V_n are empty
+    if chain.block.E.dim == 0:  # then M_E and every V_n are empty
         return {"per_layer": {}, "worst": 0.0}
     K = chain.depth
-    grams, tau, _, me_spec = _moduli_spectrum(model, chain, cfg)
+    tau, _, me_spec = _moduli_spectrum(model, chain, cfg)
+    grams = chain.block.grams[1:K + 1]
     zero_tol = me_spec.zero_tol(cfg)
     lam_ratios = _ratio_table(me_spec, tau, zero_tol, K)
 
     layers = {}
-    for n, Vn in enumerate(chain.V):
+    for n, Vn in enumerate(chain.V_block):
         if Vn.dim == 0:
             continue
         # V_0 is M_E, whose spectrum and ratios are already at hand

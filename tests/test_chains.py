@@ -13,6 +13,7 @@ from hclab import (
     classify,
     co_gram_power,
     composition_operator,
+    enumerate_triples,
     gram_power,
     half_centered_check,
     isometry_tower,
@@ -22,6 +23,8 @@ from hclab import (
     projection_product,
     shift_plus_rank_one,
     span_closure,
+    spectral_correspondence_check,
+    structure_extract,
     verify_chain_structure,
     weighted_shift,
 )
@@ -29,9 +32,10 @@ import hclab.chains
 import hclab.commutation
 import hclab.linalg
 from hclab.chains import _moduli_on_block, analysis_block, effective_depth
-from hclab.cli import main
+from hclab.cli import cmd_classify, main
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import hermitian_norm
+from hclab.spectral import _moduli_spectrum
 
 from conftest import random_unitary, random_weights
 
@@ -586,3 +590,98 @@ class TestModuliKrylovClosure:
         model = aq_operator(0.5, None, 64)
         sub, _ = moduli_subspace(model, cfg)
         assert widths and sum(widths) <= analysis_block(model, cfg).depth * sub.dim
+
+
+class TestOneCoordinateSystem:
+    """Every stage after the analysis block reads the chain in block
+    coordinates; ambient frames are lifts, built once, at the public edge."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        calls = []
+        lift = hclab.chains.AnalysisBlock.lift
+
+        def counting(block, sub):
+            calls.append(sub)
+            return lift(block, sub)
+
+        monkeypatch.setattr(hclab.chains.AnalysisBlock, "lift", counting)
+        return calls
+
+    @staticmethod
+    def _model(family, n, conj):
+        rng = np.random.default_rng(n)
+        model = (aq_operator(0.5, 5.0, n) if family == "aq"
+                 else _parity_model(family, n, rng))
+        return model.conjugated(random_unitary(rng, n)) if conj else model
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("family", ["sro", "aq"])
+    def test_no_stage_after_the_block_lifts(self, family, conj, cfg, lifts):
+        model = self._model(family, 32, conj)
+        chain = chain_decomposition(model, cfg)
+        verify_chain_structure(model, chain, isometry_tower(model, cfg), cfg)
+        structure = structure_extract(model, chain, cfg)
+        enumerate_triples(model, chain, structure, cfg)
+        spectral_correspondence_check(model, chain, cfg)
+        assert chain.as_dict()["dims"]["M_E"] >= 2
+        assert lifts == []
+
+    @pytest.mark.parametrize("family", ["sro", "aq"])
+    def test_classify_lifts_once(self, family, cfg, lifts):
+        cmd_classify(self._model(family, 32, False), cfg)
+        assert len(lifts) == 1
+
+    def test_verify_subspace_budget(self, capsys, monkeypatch):
+        built = []
+        post_init = Subspace.__post_init__
+
+        def counting(sub):
+            built.append(sub)
+            post_init(sub)
+
+        monkeypatch.setattr(Subspace, "__post_init__", counting)
+        weights = ",".join(["0.9", "-1.1"] * 15 + ["0.9"])
+        assert main(["verify", "--family", "shift_plus_rank_one", f"--weights={weights}",
+                     "--a", "0.3+0.4j", "--index", "2", "--n", "32"]) == 0
+        capsys.readouterr()
+        # an ambient round trip of the chain's frames takes 57 more
+        assert len(built) <= 71
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("family", ["sro", "aq"])
+    def test_ambient_names_are_lifts_of_block_ones(self, family, conj, cfg, lifts):
+        chain = chain_decomposition(self._model(family, 32, conj), cfg)
+        block = chain.block
+        pairs = {"E": ([chain.E], [block.E]), "M_E": ([chain.M_E], [chain.M_E_block]),
+                 "X": (chain.X, chain.X_block), "V": (chain.V, chain.V_block),
+                 "layers": (chain.layers, chain.layers_block),
+                 "defects": (chain.defects, chain.defects_block)}
+        for name, (ambient, blk) in pairs.items():
+            assert len(ambient) == len(blk), name
+            for a, b in zip(ambient, blk):
+                assert np.array_equal(a.frame, block.embed @ b.frame), name
+                assert a.rank_tol == b.rank_tol
+        for name in pairs:
+            assert getattr(chain, name) is getattr(chain, name), name
+        K = chain.depth
+        assert len(lifts) == 2 + 3 * (K + 1) + K
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq"])
+    def test_block_route_matches_ambient_formula(self, family, n, conj, cfg):
+        model = self._model(family, n, conj)
+        chain = chain_decomposition(model, cfg)
+        block, eps = chain.block, np.finfo(float).eps
+        tau, me_mats, _ = _moduli_spectrum(model, chain, cfg)
+        e, ME = chain.E.frame[:, 0], chain.M_E.frame
+        for k in range(1, chain.depth + 1):
+            # the ambient formula: the full N x N gram on lifted frames
+            G = gram_power(model, k)
+            tol = 8 * block.w * eps * hermitian_norm(G)
+            assert np.linalg.norm(me_mats[k - 1] - ME.conj().T @ G @ ME, 2) <= tol
+            assert abs(tau[k] - np.real(e.conj() @ G @ e)) <= tol
+            for Vn, Vb in zip(chain.V, chain.V_block):
+                comp = Vb.frame.conj().T @ block.grams[k] @ Vb.frame
+                assert np.linalg.norm(comp - Vn.frame.conj().T @ G @ Vn.frame, 2) <= tol

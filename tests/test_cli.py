@@ -478,7 +478,8 @@ def test_invariance_grid_tool(monkeypatch):
 def test_report_diff_tool(monkeypatch):
     """tools/report_diff.py reads the json runs of cli_grid.py's grid and says
     how two outputs differ: exit codes, fields other than floats, and the
-    count and largest differences of the floats."""
+    count and largest differences of the floats, with the path of the
+    largest absolute one."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import report_diff
     runs = list(report_diff.runs())
@@ -489,9 +490,10 @@ def test_report_diff_tool(monkeypatch):
         {"residual": 1e-17}, {"residual": 3e-17}], "extra": None, "status": "stable"})
     assert report_diff.describe((0, a, "", ""), (0, a, "", "")) is None
     assert report_diff.describe((0, a, "", ""), (4, b, "", "")) == (
-        "exit 0->4 fields=dims.V[],extra numbers=2 max_abs=1.00e-17 max_rel=1.00e+00")
+        "exit 0->4 fields=dims.V[],extra numbers=2 max_abs=1.00e-17 max_rel=1.00e+00 "
+        "at=pairs[].residual")
     assert report_diff.describe((2, "", "error[X]: a", ""), (2, "", "error[X]: b", "")) == (
-        "exit 2 fields=stderr numbers=0 max_abs=0.00e+00 max_rel=0.00e+00")
+        "exit 2 fields=stderr numbers=0 max_abs=0.00e+00 max_rel=0.00e+00 at=-")
     assert report_diff.main(["only-one"]) == 2
 
 

@@ -11,8 +11,10 @@ thread count) and ``cli_grid.capture``.  Each line reads
 ``fields=`` with the paths of the report fields other than floats that differ
 (verdicts, dimensions, statuses, keys present on one side only; list indices
 are written ``[]``), then ``numbers=K max_abs=X max_rel=Y`` over the floats
-that differ.  A run whose stdout is not a json report compares its stderr and
-warnings as the fields ``stderr`` and ``warnings``.  The last line reads
+that differ, then ``at=PATH``, the path of the float with the largest absolute
+change (the first on a tie; ``-`` when no float differs).  A run whose stdout
+is not a json report compares its stderr and warnings as the fields
+``stderr`` and ``warnings``.  The last line reads
 ``differ K of R``.
 """
 
@@ -52,6 +54,7 @@ class Difference:
         self.numbers = 0
         self.max_abs = 0.0
         self.max_rel = 0.0
+        self.max_path = "-"
 
     def compare(self, a, b, path: str = "") -> None:
         if isinstance(a, dict) and isinstance(b, dict):
@@ -65,17 +68,18 @@ class Difference:
             for x, y in zip(a, b):
                 self.compare(x, y, path + "[]")
         elif _is_float(a, b):
-            self._number(float(a), float(b))
+            self._number(float(a), float(b), path)
         elif a != b:
             self.fields.add(path)
 
-    def _number(self, a: float, b: float) -> None:
+    def _number(self, a: float, b: float, path: str) -> None:
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
         self.numbers += 1
         gap = abs(a - b)
         gap = math.inf if math.isnan(gap) else gap
-        self.max_abs = max(self.max_abs, gap)
+        if gap > self.max_abs:
+            self.max_abs, self.max_path = gap, path
         self.max_rel = max(self.max_rel, gap / max(abs(a), abs(b)))
 
 
@@ -108,7 +112,8 @@ def describe(a: tuple, b: tuple) -> str | None:
             diff.fields.add(name)
     code = f"{a[0]}" if a[0] == b[0] else f"{a[0]}->{b[0]}"
     return (f"exit {code} fields={','.join(sorted(diff.fields)) or '-'} "
-            f"numbers={diff.numbers} max_abs={diff.max_abs:.2e} max_rel={diff.max_rel:.2e}")
+            f"numbers={diff.numbers} max_abs={diff.max_abs:.2e} max_rel={diff.max_rel:.2e} "
+            f"at={diff.max_path}")
 
 
 def main(argv=None) -> int:
