@@ -33,6 +33,7 @@ __all__ = [
     "effective_depth",
     "analysis_block",
     "moduli_subspace",
+    "krylov_closure",
     "span_closure",
     "wandering_span",
     "chain_decomposition",
@@ -154,37 +155,59 @@ def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspac
     return block.lift(sub), status
 
 
+def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol: float,
+                   frame: np.ndarray | None = None,
+                   limit: int | None = None) -> tuple[np.ndarray, str]:
+    """Orthonormal frame of the closure of span(frame, seed) under ``matrix``.
+
+    Arnoldi on fresh directions (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2nd ed., ch. 6), after the orthonormal ``frame``.  Step 0 adds
+    the seed's directions outside it, cut at ``rank_tol``; step k applies
+    ``matrix`` only to the directions step k - 1 added, cut at ``rank_tol *
+    scale`` (``scale`` = ||matrix||_2): the frame projected out twice, one SVD
+    (a norm when one wide), the kept block projected once more, then a QR.
+    Steps that fall 1e3 or more below the one before and end the closure
+    come from the truncation's boundary and are dropped.  Status:
+    ``"capped"`` at ``limit`` columns (default n), else ``"stable"``.
+    """
+    n = seed.shape[0]
+    limit = n if limit is None else min(limit, n)
+    frame = np.zeros((n, 0)) if frame is None else frame
+    d = frame.shape[1]
+    buf = np.empty((n, n), dtype=np.result_type(matrix, seed, frame), order="F")
+    buf_h = np.empty((n, n), dtype=buf.dtype)  # buf's adjoint, kept row by row
+    buf[:, :d], buf_h[:d] = frame, frame.conj().T
+    block, cut, low, edge = seed, 1.0, 0.0, None  # the seed is on its own (unit) scale
+    while True:
+        done, done_h = buf[:, :d], buf_h[:d]
+        resid = block - done @ (done_h @ block)
+        resid -= done @ (done_h @ resid)
+        u, s = ((resid, np.linalg.norm(resid, axis=0)) if resid.shape[1] == 1
+                else np.linalg.svd(resid, full_matrices=False)[:2])
+        r = min(numerical_rank(s, rank_tol, cut), limit - d)
+        if r == 0:
+            break
+        edge = (edge or d) if s[0] <= 1e-3 * low else None  # the width before the drops
+        fresh = u[:, :r] - done @ (done_h @ u[:, :r])
+        buf[:, d:d + r] = fresh / np.linalg.norm(fresh) if r == 1 else np.linalg.qr(fresh)[0]
+        buf_h[d:d + r] = buf[:, d:d + r].conj().T
+        d += r
+        if d >= limit:
+            break
+        low = s[r - 1] if block is not seed else 0.0
+        block, cut = matrix @ buf[:, d - r:d], scale
+    d = edge or d
+    return buf[:, :d], "capped" if d >= limit else "stable"
+
+
 def span_closure(model: OperatorModel, cfg: ToleranceConfig,
                  seed_space: Subspace) -> tuple[Subspace, str]:
-    """Closure of an ambient subspace under repeated application of T.
-
-    Step k adds the directions of the layer T^k(seed) that the frame built
-    so far lacks: one residual block per power, factored on its own (see
-    ``extend_frame``).  A step costs O(N^2 m) for an m-dimensional seed and
-    at most N steps add directions, so the closure of a seed of bounded
-    dimension costs O(N^3).  The cut is where an SVD of the stacked
-    [frame, layer] would cut, at ``cfg.rank_tol`` times the largest column
-    norm of that stack; directions already in the frame are never dropped.
-    The status is ``"capped"`` once the frame fills the ambient space and
-    ``"stable"`` once a layer adds nothing.
-
-    A ``"stable"`` closure below the ambient dimension is not always an
-    invariant subspace: when the layers decay geometrically (or grow until
-    the scale dwarfs the new directions) they fall below the cut and the
-    closure stops at a dimension set by the tolerance, not by T.
-    """
-    frame = seed_space.frame
-    layer = frame
-    status = "stable"
-    for _ in range(model.dim + 1):
-        layer = model.matrix @ layer
-        fresh = extend_frame(frame, layer, cfg.rank_tol)
-        if fresh.shape[1] == 0:
-            break
-        frame = np.hstack([frame, fresh])
-        if frame.shape[1] >= model.dim:
-            status = "capped"
-            break
+    """Closure of an ambient subspace under T: one ``krylov_closure`` at
+    ``cfg.rank_tol * ||T||_2``, which applies T once to each direction it
+    keeps (O(N^3) for a seed of bounded dimension).  ``"capped"``: the frame
+    fills the space; ``"stable"``: the closure ended below it."""
+    frame, status = krylov_closure(model.matrix, seed_space.frame,
+                                   _singular_pairs(model)[1][0], cfg.rank_tol)
     return Subspace(frame, cfg.rank_tol), status
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ChainDecomposition, chain_decomposition, effective_depth, span_closure
-from .commutation import (_window_gram, _window_gram_eigvals, centered_check, gram_power,
-                          kernel_of_adjoint, require_half_centered)
+from .chains import (ChainDecomposition, chain_decomposition, effective_depth, krylov_closure,
+                     span_closure)
+from .commutation import (_singular_pairs, _window_gram, _window_gram_eigvals, _window_view,
+                          centered_check, kernel_of_adjoint, require_half_centered)
 from .errors import (
     HclabError,
     InconclusiveError,
@@ -25,7 +26,7 @@ from .errors import (
     PreconditionError,
     PreconditionViolated,
 )
-from .linalg import hermitian_norm, numerical_rank
+from .linalg import numerical_rank
 from .operators import OperatorModel, ToleranceConfig
 from .spectral import StructureData, enumerate_triples, structure_extract
 
@@ -211,11 +212,11 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
     """Recover the basis in which T is a weighted shift plus one rank-one term.
 
     With a single triple (lambda, gamma, m) and a two-dimensional moduli
-    subspace, the basis is x_k = T^k w (normalized) below the triple depth
-    and x_k = T^{k-m} v above it, where w is the lambda eigenvector and v
-    the other one.  In that basis T must show a subdiagonal plus a single
-    entry in row 0 at column m - 1; everything off that pattern is the
-    reconstruction residual.
+    subspace, the basis is the Krylov basis of w under T up to the triple
+    depth m (x_k ~ T^k w), then that of v (x_k ~ T^{k-m} v), where w is the
+    lambda eigenvector and v the other one; both come from ``krylov_closure``.
+    In that basis T must show a subdiagonal plus a single entry in row 0 at
+    column m - 1; everything off that pattern is the reconstruction residual.
     """
     if len(triples) != 1:
         raise NotSingleTriple(f"expected exactly one triple, found {len(triples)}")
@@ -226,54 +227,24 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
     chars = structure.me_spectrum.characters
     if len(chars) != 2:
         raise PreconditionViolated("moduli characters are degenerate")
-    lam = chars[triple.lambda_char]
-    other = chars[1 - triple.lambda_char]
-    w_vec = chain.M_E.frame @ lam.frame[:, 0]
-    v_vec = chain.M_E.frame @ other.frame[:, 0]
+    w, v = (chain.M_E.frame @ chars[j].frame[:, :1]
+            for j in (triple.lambda_char, 1 - triple.lambda_char))
 
-    T = model.matrix
-    N = model.dim
-    X = np.empty((N, N), dtype=np.result_type(T, w_vec, v_vec))
-    B = 0
-    ortho_tol = 1e-7
+    T, N, scale = model.matrix, model.dim, _singular_pairs(model)[1][0]
+    X = krylov_closure(T, w, scale, cfg.rank_tol, limit=m)[0]
+    if X.shape[1] < min(m, N):
+        raise PatternResidualTooLarge("lambda chain collapsed before depth m")
+    X = krylov_closure(T, v, scale, cfg.rank_tol, frame=X)[0]
+    B = X.shape[1]
 
-    def push(vec) -> bool:
-        """Append the direction of ``vec`` as column B of X if it is orthogonal
-        to the columns before it (two block Gram-Schmidt passes)."""
-        nonlocal B
-        nrm = np.linalg.norm(vec)
-        if nrm <= cfg.rank_tol:
-            return False
-        u = vec / nrm
-        frame = X[:, :B]
-        for _ in range(2):
-            u = u - frame @ (frame.conj().T @ u)
-        nrm2 = np.linalg.norm(u)
-        if nrm2 < 1.0 - ortho_tol:
-            return False
-        X[:, B] = u / nrm2
-        B += 1
-        return True
+    # gauge: make each subdiagonal weight positive real where possible; the
+    # phases accumulate down the chain and act on X*TX as a diagonal similarity
+    Tt = X.conj().T @ (T @ X)
+    unit = np.where(np.abs(np.diagonal(Tt, -1)) > cfg.rank_tol, np.diagonal(Tt, -1), 1.0)
+    phase = np.cumprod(np.concatenate([[1.0], unit / np.abs(unit)]))
+    phase /= np.abs(phase)  # a long running product drifts off the unit circle
+    X, Tt = X * phase, phase.conj()[:, None] * Tt * phase
 
-    cur = w_vec
-    for _ in range(min(m, N)):
-        if not push(cur):
-            raise PatternResidualTooLarge("lambda chain collapsed before depth m")
-        cur = T @ cur
-    cur = v_vec
-    while B < N:
-        if not push(cur):
-            break
-        cur = T @ cur
-    X = X[:, :B]
-
-    # gauge: make each subdiagonal weight positive real where possible
-    for k in range(B - 1):
-        wk = np.vdot(X[:, k + 1], T @ X[:, k])
-        if abs(wk) > cfg.rank_tol:
-            X[:, k + 1] *= wk / abs(wk)
-
-    Tt = X.conj().T @ T @ X
     pattern = np.zeros((B, B), dtype=bool)
     pattern[np.arange(1, B), np.arange(B - 1)] = True
     pattern[0, m - 1] = True
@@ -283,15 +254,20 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
     if residual > cfg.relation_tol:
         raise PatternResidualTooLarge(f"off-pattern mass {residual:.3e}")
 
-    weights = np.array([Tt[k + 1, k] for k in range(B - 1)])
+    weights = np.diagonal(Tt, -1).copy()
     a = complex(Tt[0, m - 1])
 
-    K = chain.depth
+    # ||G_k X - X diag(X* G_k X)||_F / max|diag|, G_k in window coordinates: a row
+    # G_k does not couple is its diagonal entry, a coupled one stays on the coupled block
+    Xw = X if model.window_frame is None else model.window_cols(N).conj().T @ X
     joint_res = 0.0
-    for k in range(1, K + 1):
-        g = X.conj().T @ gram_power(model, k) @ X
-        offd = g - np.diag(np.diag(g))
-        joint_res = max(joint_res, float(np.linalg.norm(offd) / max(hermitian_norm(g), 1e-300)))
+    for k in range(1, chain.depth + 1):
+        g, coupled = _window_view(model, k, False, N)
+        gx = np.diagonal(g)[:, None] * Xw
+        gx[coupled] = g[np.ix_(coupled, coupled)] @ Xw[coupled]
+        diag = np.einsum("ij,ij->j", Xw.conj(), gx)
+        joint_res = max(joint_res, float(np.linalg.norm(gx - Xw * diag)
+                                         / max(np.max(np.abs(diag)), 1e-300)))
 
     return ShiftRankOneCertificate(
         basis=X, weights=weights, a=a, n=m - 1,

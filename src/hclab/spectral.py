@@ -138,9 +138,10 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
 
     characters = []
     for vals, frames in merged:
-        stacked = orthonormalize(frames, rank_tol=cfg.rank_tol)
-        characters.append(Character(values=vals, frame=stacked.frame,
-                                    multiplicity=stacked.dim))
+        # one eigh frame is orthonormal already; a merge of several is re-spanned
+        frame = frames[0] if len(frames) == 1 else orthonormalize(
+            frames, rank_tol=cfg.rank_tol).frame
+        characters.append(Character(values=vals, frame=frame, multiplicity=frame.shape[1]))
     characters.sort(key=lambda c: tuple(c.values))
     return JointSpectrum(characters=characters, dim=d)
 

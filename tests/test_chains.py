@@ -31,7 +31,7 @@ from hclab import (
 import hclab.chains
 import hclab.commutation
 import hclab.linalg
-from hclab.chains import _moduli_on_block, analysis_block, effective_depth
+from hclab.chains import _moduli_on_block, analysis_block, effective_depth, krylov_closure
 from hclab.cli import cmd_classify, main
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import hermitian_norm
@@ -455,6 +455,13 @@ class TestWanderingSpan:
         # stack then also dropped the frame built so far (dim 20 fell to 1)
         _assert_dual_misses_geometric_direction(0.3, 24, cfg)
 
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    def test_dual_at_48_drops_only_the_boundary_step(self, a, cfg):
+        # the last step's direction comes from the truncation's boundary; at
+        # N = 48 it falls below the rank cut (3e-15 and 8e-26 of ||T||_2 for
+        # a = 0.5 and 0.3), at N = 24, a = 0.5 (5e-8) the gap rule drops it
+        _assert_dual_misses_geometric_direction(a, 48, cfg)
+
 
 def _assert_dual_misses_geometric_direction(a, n, cfg):
     # the dual misses exactly the geometric direction, which is an
@@ -502,7 +509,8 @@ def _parity_model(family, n, rng):
 
 
 class TestSpanClosureParity:
-    """The block closure decides every rank exactly as the stacked SVD does."""
+    """The closure decides every rank as the stacked SVD does, or fills the
+    space where the stacked cut stopped on a decaying layer."""
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -519,12 +527,65 @@ class TestSpanClosureParity:
         for name, seed in seeds.items():
             ref, ref_status = _stacked_span_closure(model, cfg, seed)
             got, status = span_closure(model, cfg, seed)
+            if got.dim != ref.dim:
+                # the stacked cut stops where T^k(seed) decays past it (hardy
+                # at N = 64 stops at 35); the closure must then fill the space
+                assert status == "capped", name
+                probe = model.window_cols(model.window(effective_depth(model, cfg)))
+                leak = probe - got.frame @ (got.frame.conj().T @ probe)
+                assert np.linalg.norm(leak, 2) <= 1e-14, name
+                continue
             assert (got.dim, status) == (ref.dim, ref_status), name
             # a closure that stops below N ends on directions at the cut,
             # where the two factorizations may rotate by far more than roundoff
             if status == "capped":
                 gap = np.linalg.norm(got.projector() - ref.projector(), 2)
                 assert gap <= 1e-12, name
+
+
+class TestKrylovClosure:
+    """The Arnoldi closure behind span_closure and the reconstruction basis."""
+
+    def test_applies_t_to_each_kept_direction_once(self, cfg):
+        widths = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                widths.append(other.shape[1])
+                return np.asarray(self) @ other
+
+        for model in (aq_operator(0.5, None, 64), shift_plus_rank_one([0.5] * 47, 1.0, 0, 48)):
+            widths.clear()
+            seed = chain_decomposition(model, cfg).M_E
+            frame, status = krylov_closure(model.matrix.view(Counting), seed.frame,
+                                           np.linalg.norm(model.matrix, 2), cfg.rank_tol)
+            assert widths and sum(widths) <= frame.shape[1]
+            assert (sum(widths) == frame.shape[1]) == (status == "stable")
+            assert np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[1])) <= 1e-12
+
+    @pytest.mark.parametrize("c, n", [(2, 128), (3, 64)])
+    def test_scaled_weighted_shift_meets_condition_ii(self, c, n, cfg):
+        # T^k e_0 grows like c^k: a cut on the raw layer's scale lost the
+        # new directions, and the closure stopped at span e_0
+        weights = c * np.random.default_rng(0).uniform(0.9, 1.1, n - 1)
+        rep = classify(weighted_shift(weights, n), cfg)
+        assert rep.condition_II_ok and rep.diagnostics["span_status"] == "capped"
+        assert rep.diagnostics["span_defect"] <= 1e-14
+
+    @pytest.mark.parametrize("small", [1e-3, 1e-6])
+    def test_small_weight_inside_the_chain_is_kept(self, small, cfg):
+        # the step past the small weight falls 1e3 or more below the one
+        # before it, but the closure goes on after it: no truncation boundary
+        weights = np.ones(31)
+        weights[10] = small
+        rep = classify(weighted_shift(weights, 32), cfg)
+        assert rep.condition_II_ok and rep.diagnostics["span_status"] == "capped"
+
+    @pytest.mark.parametrize("n", [48, 128])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_grid_models_meet_condition_ii(self, family, n, cfg):
+        rep = classify(_parity_model(family, n, np.random.default_rng(n)), cfg)
+        assert rep.condition_II_ok and rep.diagnostics["span_status"] == "capped"
 
 
 def _sweep_moduli_on_block(block, cfg):

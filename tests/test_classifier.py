@@ -29,6 +29,7 @@ from hclab.errors import (
     NotSingleTriple,
     PreconditionViolated,
 )
+from hclab.linalg import hermitian_norm
 
 from conftest import random_unitary, random_weights
 
@@ -260,6 +261,39 @@ class TestShiftRankOneReconstruct:
         assert cert.n == 0
         assert abs(cert.a) == pytest.approx(1.0, abs=1e-10)
         assert_allclose(np.abs(cert.weights), 0.5, atol=1e-10)
+
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_hardy_basis_fills_the_space(self, N, cfg):
+        # T^k w decays like 0.5^k: an absolute cut on it stopped the basis at 35
+        rep = classify(shift_plus_rank_one([0.5] * (N - 1), 1.0, 0, N), cfg)
+        cert = rep.reconstruction
+        assert cert.basis.shape == (N, N)
+        assert cert.n == 0 and abs(cert.a) == pytest.approx(1.0, abs=1e-10)
+        assert_allclose(np.abs(cert.weights), 0.5, atol=1e-10)
+        assert cert.reconstruction_residual <= 1e-12 and cert.joint_eigenvector_residual <= 1e-12
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("N", [48, 128])
+    @pytest.mark.parametrize("family", ["sro", "hardy"])
+    def test_joint_residual_matches_the_compressed_grams(self, family, N, conj, rng, cfg):
+        # on a square basis ||G X - X diag||_F = ||offdiag(X* G X)||_F, which
+        # needs the gauge phases to stay on the unit circle down a chain of N;
+        # the sro weights are the command-line grid's (real, alternating sign)
+        weights = [(-1) ** (k + 1) * (0.6 + 0.1 * (k % 5)) for k in range(N - 1)]
+        t = (shift_plus_rank_one(weights, 0.3 + 0.4j, 2, N) if family == "sro"
+             else shift_plus_rank_one([0.5] * (N - 1), 1.0, 0, N))
+        if conj:
+            t = t.conjugated(random_unitary(rng, N))
+        chain = chain_decomposition(t, cfg)
+        cert = classify(t, cfg).reconstruction
+        X = cert.basis
+        assert X.shape == (N, N)
+        old = 0.0
+        for k in range(1, chain.depth + 1):
+            g = X.conj().T @ gram_power(t, k) @ X
+            offd = g - np.diag(np.diag(g))
+            old = max(old, np.linalg.norm(offd) / hermitian_norm(g))
+        assert abs(cert.joint_eigenvector_residual - old) <= 1e-14
 
     def test_requires_single_triple(self, cfg):
         t = aq_operator(0.5, 5.0, 32)

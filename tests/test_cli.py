@@ -379,18 +379,25 @@ class TestFrontEnd:
 
     # numpy's LinAlgError subclasses ValueError, the parse-error class.  On the
     # aq input (condition number about 1e20) classify and verify stop at the
-    # half-centered precondition (residual 1.3e-9 in real arithmetic), so
-    # classify takes the scaled complex shift plus rank one, which fails the
-    # Cholesky of extend_frame in span_closure; spectral has no such gate.
-    @pytest.mark.parametrize("command, flags", [
-        ("classify", ["--family", "shift_plus_rank_one", "--weights=" + ",".join(
-            map(repr, (5 * np.random.default_rng(3).uniform(0.6, 1.4, 31)).tolist())),
-            "--a", "1.5+2j", "--index", "2", "--n", "32"]),
-        ("spectral", _AQ_ILL_CONDITIONED),
-    ], ids=lambda v: v if isinstance(v, str) else v[1])
+    # half-centered precondition (residual 1.3e-9 in real arithmetic), and
+    # spectral, which has no such gate, fails the Cholesky of extend_frame in
+    # the moduli closure.
+    @pytest.mark.parametrize("command, flags", [("spectral", _AQ_ILL_CONDITIONED)],
+                             ids=lambda v: v if isinstance(v, str) else v[1])
     def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
         assert main([command, *flags]) == 3
         assert capsys.readouterr().err.startswith("error[LinAlgError]")
+
+    # T^k of the scaled shift plus rank one grows like 5^k; its closure once
+    # failed a Cholesky, and now fills the space
+    def test_scaled_shift_plus_rank_one_classifies(self, capsys):
+        weights = 5 * np.random.default_rng(3).uniform(0.6, 1.4, 31)
+        code = main(["classify", "--family", "shift_plus_rank_one",
+                     "--weights=" + ",".join(map(repr, weights.tolist())),
+                     "--a", "1.5+2j", "--index", "2", "--n", "32"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "shift_plus_rank_one" and doc["condition_II_ok"]
 
     # verify gates on half-centeredness before it builds anything of the chain
     def test_verify_stops_at_the_half_centered_gate(self, capsys, monkeypatch):

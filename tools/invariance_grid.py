@@ -18,8 +18,10 @@ from ``default_rng(PHASE_SEED)``, and ``UTU*`` for it conjugated by a Haar
 unitary U drawn from ``default_rng(UNITARY_SEED)``.  Both go through
 ``OperatorModel.conjugated``, which rotates the window along, so every answer
 should hold; both make a real operator complex, and U makes it dense.  The
-last two lines, ``differ K of 300`` and ``differ UTU* K of 300``, count the
-runs whose DTD* line and whose UTU* line differ from the T line.  Summaries
+lines ``differ K of 300`` and ``differ UTU* K of 300`` count the runs whose
+DTD* line and whose UTU* line differ from the T line, and the last,
+``condition II false K of M``, counts the ``classify`` runs, over all three
+bases, whose report reads ``condition_II_ok`` false.  Summaries
 do not hold residuals, so the ``T`` lines of two checkouts compare their
 answers where the bits of their arithmetic differ.
 """
@@ -114,6 +116,7 @@ def main(argv=None) -> int:
                 "UTU*": unitary_conjugated(cli)}
     differ = {"DTD*": 0, "UTU*": 0}
     total = 0
+    span_false = span_runs = 0
     try:
         for n, family, command in runs():
             argv = [command, *cli_grid.family_args(family, n), "--n", str(n), "--format", "json"]
@@ -122,6 +125,9 @@ def main(argv=None) -> int:
                 cli.build_model = build  # main looks it up at call time
                 code, out, err, _ = cli_grid.capture(cli.main, argv)
                 lines[basis] = summary(code, out, err)
+                if command == "classify":
+                    span_runs += 1
+                    span_false += "condition_II_ok=false" in lines[basis]
                 print(basis, n, family, command, lines[basis], flush=True)
             total += 1
             for basis in differ:
@@ -130,6 +136,7 @@ def main(argv=None) -> int:
         cli.build_model = builders["T"]
     print("differ", differ["DTD*"], "of", total)
     print("differ UTU*", differ["UTU*"], "of", total)
+    print("condition II false", span_false, "of", span_runs)
     return 0
 
 
