@@ -64,13 +64,15 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
 
 @_memoized
 def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> None:
+    w = model.window(1)
+    if w < 1:
+        raise WindowExhausted("window(1) < 1")
     top = _singular_pairs(model)[1][0]
-    s = np.linalg.svd(model.window_restrict(model.matrix, model.window(1)), compute_uv=False)
-    smin = s[-1] if s.size else 0.0
-    cutoff = cfg.rank_tol * max(top, 1e-300)
-    if smin <= cutoff:
-        raise NotInjectiveOnWindow(f"sigma_min {smin:.3e} on the effective window is not above "
-                                   f"the cutoff {cutoff:.3e} (rank_tol * ||T||_2)")
+    s = np.linalg.svd(model.window_restrict(model.matrix, w), compute_uv=False)
+    if numerical_rank(s, cfg.rank_tol, top) < s.size:
+        raise NotInjectiveOnWindow(f"sigma_min {s[-1]:.3e} on the effective window is not above "
+                                   f"the cutoff {cfg.rank_tol * max(top, 1e-300):.3e} "
+                                   "(rank_tol * ||T||_2)")
 
 
 @dataclass
@@ -269,10 +271,7 @@ class ChainDecomposition:
             Vn = orthonormalize([fresh], rank_tol=tol, scale=1.0)
             V.append(Vn)
             X.append(subspace_sum(prev, Vn))
-        vdims = [v.dim for v in V]
-        notes = {"v_dims_weakly_decreasing": all(
-            vdims[m] <= vdims[n] for n in range(len(vdims)) for m in range(n, len(vdims))
-        )}
+        notes = {"v_dims_weakly_decreasing": all(b.dim <= a.dim for a, b in zip(V, V[1:]))}
         # each V_n must be invariant under every gram power
         worst = 0.0
         for Vn in V:
@@ -424,14 +423,19 @@ def verify_chain_structure(
 
     - ``space1``: containment of T V_k in V_{k+1} (+) (X_k (-) T X_{k-1}),
       and ``space1_direct_sum``: the layers reconstruct the chain span.
-    - ``isisis``: the compressed maps P_{V_m} T^{m-n} : V_n -> V_m are onto
-      (projection defect, plus the smallest-singular-value certificate).
+    - ``isisis``: the compressed maps P_{V_m} T^{m-n} : V_n -> V_m are onto.
+      A map of numerical rank r leaves sqrt((dim V_m - r) / dim V_m) of V_m
+      outside its image (0.0 when every map is onto); ``isisis_sigma_min``
+      is the smallest-singular-value certificate.
     - ``jups``: sampled v in V_m with T v orthogonal to M_E land in V_{m+1}.
     - ``saknar``: the defect space E_n sits inside T^n M_E.
     - ``labann`` / ``key``: the tower factor identities, and agreement of
       polar(T^n) with the composed level-wise isometries.
     - ``fuio`` / ``fukth``: layer projections commute with the gram family;
-      grams agree with range-compressed grams on deep layers.
+      grams agree with range-compressed grams on deep layers.  For Hermitian
+      G and P = V V*, ||P G - G P||_F = sqrt(2) ||(I - P) G V||_F (Stewart &
+      Sun, Matrix Perturbation Theory, ch. V), so ``fuio`` is sqrt(2) times
+      the chain's ``gram_invariance_residual``.
     """
     block = chain.block
     Tb = block.matrix
@@ -457,8 +461,7 @@ def verify_chain_structure(
     # dimension is reported as-is
     out["space1_complement_dims"] = complement_dims
 
-    P_V = [v.projector() for v in V]
-    P_sum = sum(P_V, np.zeros((block.w, block.w), block.matrix.dtype))
+    P_sum = sum((v.projector() for v in V), np.zeros((block.w, block.w), block.matrix.dtype))
     out["space1_direct_sum"] = float(np.linalg.norm(P_sum - X[-1].projector()))
 
     power_norms = {d: float(np.linalg.norm(block.powers[d], 2)) for d in range(1, K + 1)}
@@ -470,12 +473,11 @@ def verify_chain_structure(
             if Vn.dim == 0 or Vm.dim == 0:
                 continue
             map_block = Vm.frame.conj().T @ block.powers[m - n] @ Vn.frame
-            image_span = orthonormalize([Vm.frame @ map_block], rank_tol=cfg.rank_tol,
-                                        scale=power_norms[m - n])
-            defect = max(defect, _containment_residual(Vm.frame, image_span))
             s = np.linalg.svd(map_block, compute_uv=False)
-            if Vm.dim <= Vn.dim and s.size and s[0] > 0:
-                certificate = min(certificate, float(s[min(map_block.shape) - 1] / s[0]))
+            r = numerical_rank(s, cfg.rank_tol, power_norms[m - n])
+            defect = max(defect, float(np.sqrt((Vm.dim - r) / Vm.dim)))
+            if Vm.dim <= Vn.dim and s[0] > 0:
+                certificate = min(certificate, float(s[-1] / s[0]))
     out["isisis"] = defect
     out["isisis_sigma_min"] = None if certificate is np.inf else certificate
 
@@ -485,13 +487,10 @@ def verify_chain_structure(
         Vm = V[m]
         if Vm.dim == 0 or V[m + 1].dim == 0:
             continue
-        cross = M_E.frame.conj().T @ (Tb @ Vm.frame)
-        if cross.size:
-            # directions count as "T v orthogonal to M_E" relative to ||T||
-            _, s, vh = np.linalg.svd(cross)
-            null = vh[numerical_rank(s, cfg.rank_tol, power_norms[1]):].conj().T
-        else:
-            null = np.eye(Vm.dim, dtype=Tb.dtype)
+        # directions count as "T v orthogonal to M_E" relative to ||T||; V_m and
+        # M_E, which it grows from, are nonempty, so the product is too
+        _, s, vh = np.linalg.svd(M_E.frame.conj().T @ (Tb @ Vm.frame))
+        null = vh[numerical_rank(s, cfg.rank_tol, power_norms[1]):].conj().T
         if null.shape[1] == 0:
             continue
         candidates = Tb @ (Vm.frame @ null)
@@ -529,13 +528,8 @@ def verify_chain_structure(
         worst = max(worst, float(np.linalg.norm((composed - lvl.theta)[:wn, :wn]) / scale))
     out["key"] = worst
 
-    worst = 0.0
-    for Vm, P in zip(V, P_V):
-        if Vm.dim == 0:
-            continue
-        for g, scale in zip(block.grams[1:], block.scales[1:]):
-            worst = max(worst, float(np.linalg.norm(P @ g - g @ P) / max(scale, 1e-300)))
-    out["fuio"] = worst
+    # for Hermitian G and P = V V*, ||P G - G P||_F = sqrt(2) ||(I - P) G V||_F
+    out["fuio"] = float(np.sqrt(2.0) * chain.notes["gram_invariance_residual"])
 
     worst = 0.0
     for n in range(1, K + 1):

@@ -107,8 +107,12 @@ def _canonical_null_vector(stack: np.ndarray, reference: np.ndarray,
         vec = vec * (pivot.conjugate() / abs(pivot))
     accuracy = np.finfo(float).eps * s[0] / s[rank - 1] if rank else 0.0
     cut = max(1e-10, accuracy if accuracy <= tol else 0.0)
-    if np.max(np.abs(vec.imag)) > cut * np.linalg.norm(vec):
-        raise HclabError("relation coefficients failed to be real")
+    imag, norm = np.max(np.abs(vec.imag)), np.linalg.norm(vec)
+    if imag > cut * norm:
+        raise HclabError(f"relation null vector unresolved: accuracy {accuracy:.3e} "
+                         f"(eps * s[0] / s_gap) exceeds the tolerance {tol:.3e}, "
+                         f"imaginary part {imag / norm:.3e}" if accuracy > tol
+                         else "relation coefficients failed to be real")
     vec = vec.real
     vec /= np.linalg.norm(vec)
     sig = np.abs(vec) > 1e-8

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -166,11 +168,13 @@ class TestRelationSearchParity:
     def test_pairs_after_the_relation_are_not_tried(self, cfg):
         # aq q = 0.66 at N = 16 in a rotated basis: (1, 2) clears the tolerance,
         # and a later pair, which the exhaustive search also factors, has a
-        # null vector that is not real up to a phase
+        # null vector known only to eps * s[0] / s_gap, above relation_tol
         rng = np.random.default_rng(16)
         model = aq_operator(0.66, None, 16).conjugated(random_unitary(rng, 16))
-        with pytest.raises(HclabError, match="failed to be real"):
+        with pytest.raises(HclabError, match="null vector unresolved: accuracy") as info:
             _exhaustive_relation_detect(model, cfg)
+        accuracy = float(re.search(r"accuracy (\S+) ", str(info.value)).group(1))
+        assert accuracy > cfg.relation_tol
         cert = relation_detect(model, cfg)
         assert (cert.n, cert.m) == (1, 2)
         assert cert.operator_residual <= cfg.relation_tol

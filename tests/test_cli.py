@@ -215,6 +215,24 @@ class TestContracts:
         assert err.startswith("error[ValueError]: r must be finite")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["zoo", "check", "decompose", "spectral", "classify",
+                                         "verify"])
+    def test_empty_matrix_exhausts_the_window(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"family": "matrix", "matrix": "0 0"}))
+        code = main([command, "--file", str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "zoo":
+            assert code == 0
+        else:
+            assert code == 2 and err.startswith("error[WindowExhausted]")
+        if command in ("decompose", "spectral"):
+            # a one-dimensional shift has no window column either
+            code = main([command, "--family", "weighted_shift", "--n", "1", "--weights="])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("error[WindowExhausted]")
+
     def test_negative_seed_is_a_value_error(self, capsys):
         argv = ["check", "--family", "weighted_shift", "--weights", "1,1,1", "--n", "4"]
         assert main(argv + ["--seed", "-1"]) == 1
@@ -517,3 +535,19 @@ def test_cli_grid_edge_cases(capsys):
     # main returns these codes; it does not raise SystemExit
     for name, argv in grid.EDGE_CASES:
         assert main(argv) == codes[name]
+
+
+def test_cli_grid_readme_commands(capsys, pq_spec):
+    """tools/cli_grid.py runs the README's commands, with pq.json given as
+    the JSON text of the same spec; each exits 0."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
+    spec = importlib.util.spec_from_file_location("cli_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    assert json.loads(grid.PQ_SPEC) == json.loads(Path(pq_spec).read_text())
+    inline = [[grid.PQ_SPEC if arg == "pq.json" else arg for arg in argv]
+              for argv in _readme_commands()]
+    assert [argv for _, argv in grid.README_COMMANDS] == inline
+    assert [name for name, _ in grid.README_COMMANDS] == [argv[0] for argv in inline]
+    assert [grid.run(main, argv)[0] for _, argv in grid.README_COMMANDS] == [0] * 6

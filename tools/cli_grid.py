@@ -13,8 +13,12 @@ The grid: ws, sro (a = 0.3+0.4i, index 2), hardy (c = 0.5) and aq at
 q = 0.3, 0.5 (r = 5) and 0.7, times the six commands, times
 N in {4, 6, 8, 12, 16, 24, 32, 48, 64} in json and text, plus json at N = 128.
 After the grid come the argv edge cases of ``EDGE_CASES``, one line each,
-``edge name exit sha256``.  ``main`` returns 1 for a usage error and 0 for
-help; older checkouts raise argparse's ``SystemExit`` instead, so it is caught.
+``edge name exit sha256``, and the six commands of the README's "Command
+line" block, ``readme name exit sha256``: 684 + 6 + 6 runs.  The README's
+``check --file pq.json`` is run on the JSON text of that projection-product
+spec, which ``--file`` accepts, so no file is needed.  ``main`` returns 1 for
+a usage error and 0 for help; older checkouts raise argparse's
+``SystemExit`` instead, so it is caught.
 ``COLUMNS`` is fixed at 80 so argparse's line wrapping is reproducible.
 """
 
@@ -39,6 +43,19 @@ EDGE_CASES = (
     ("format-xml", ["check", *_WS, "--format", "xml"]),
     ("help", ["-h"]),
     ("command-help", ["classify", "-h"]),
+)
+PQ_SPEC = ('{"family": "projection_product", "P": [[0.5, -0.5], [-0.5, 0.5]], '
+           '"Q": [[1, 0], [0, 0]]}')
+_AQ = ["--family", "aq", "--q", "0.5", "--r", "5"]
+README_COMMANDS = (
+    ("zoo", ["zoo", "--family", "weighted_shift", "--weights", "1,2,3", "--n", "4",
+             "--format", "text"]),
+    ("check", ["check", "--file", PQ_SPEC]),
+    ("decompose", ["decompose", *_AQ, "--n", "32"]),
+    ("spectral", ["spectral", "--family", "shift_plus_rank_one", "--weights", "0.7,0.9,1.1",
+                  "--a", "0.3+0.4j", "--index", "1", "--n", "4"]),
+    ("classify", ["classify", *_AQ, "--n", "48"]),
+    ("verify", ["verify", *_AQ, "--n", "32"]),
 )
 
 
@@ -112,9 +129,10 @@ def main(argv=None) -> int:
         argv = [command, *family_args(family, n), "--n", str(n), "--format", fmt]
         code, digest = run(hclab_main, argv)
         print(n, family, command, fmt, code, digest, flush=True)
-    for name, argv in EDGE_CASES:
-        code, digest = run(hclab_main, argv)
-        print("edge", name, code, digest, flush=True)
+    for tag, cases in (("edge", EDGE_CASES), ("readme", README_COMMANDS)):
+        for name, argv in cases:
+            code, digest = run(hclab_main, argv)
+            print(tag, name, code, digest, flush=True)
     return 0
 
 
