@@ -65,7 +65,7 @@ from .spectral import (
     spectral_correspondence_check,
     structure_extract,
 )
-from .subspaces import Subspace, orthonormalize, subspace_ominus, subspace_sum
+from .subspaces import Subspace, orthonormalize, subspace_sum
 
 __version__ = "0.1.0"
 

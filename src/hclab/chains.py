@@ -1,4 +1,4 @@
-"""Moduli subspace, the chain decomposition X_n / V_n / E_n, and the tower
+"""Moduli subspace, the chain decomposition X_n / V_n, and the tower
 of partial isometries carried by the polar decompositions of operator powers.
 
 Truncated shifts are nilpotent, so everything that needs an injective
@@ -6,8 +6,8 @@ operator runs on the compressed window block: the leading ``window(K)``
 indices, where the truncation still agrees with the infinite operator.  The
 gram family used on the block is the window compression of the full-size
 grams (exact where the window promises), not the grams of the compressed
-matrix, whose own boundary would corrupt them.  Every stage reads the chain,
-its ranges and defects in block coordinates, which makes residual tables
+matrix, whose own boundary would corrupt them.  Every stage reads the chain
+and its ranges in block coordinates, which makes residual tables
 invariant under basis rotations of the model; ambient frames are lifts.
 """
 
@@ -20,10 +20,10 @@ import numpy as np
 
 from .commutation import (_singular_pairs, _window_gram, _window_gram_norm, analysis_depth,
                           kernel_of_adjoint, require_half_centered)
-from .errors import NotInjectiveOnWindow, WindowExhausted
-from .linalg import numerical_rank, polar, positive_sqrt, power_table
+from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
+from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
-from .subspaces import Subspace, extend_frame, orthonormalize, subspace_ominus, subspace_sum
+from .subspaces import Subspace, extend_frame, orthonormalize, subspace_sum
 
 __all__ = [
     "AnalysisBlock",
@@ -244,10 +244,10 @@ class ChainDecomposition:
 
     ``chain_decomposition`` builds ``M_E_block``, ``moduli_status``, the depth
     and the block up front; the chain (``X_block``, ``V_block``, ``layers_block``,
-    ``notes``), the ranges ``H``, ``defects_block`` and ``dims`` on first read,
-    once per chain, raising there any error of the build (e.g. ``NotContained``
-    from a defect).  ``E``, ``M_E``, ``X``, ``V``, ``layers`` and ``defects``
-    are their ambient lifts, each built once, on first read.
+    ``notes``), the ranges ``H`` and ``dims`` on first read, once per chain.
+    ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
+    ``E``, ``M_E``, ``X``, ``V`` and ``layers`` are their ambient lifts, each
+    built once, on first read.
     """
 
     moduli_status: str
@@ -294,24 +294,17 @@ class ChainDecomposition:
         """Ranges H_0..H_depth, in the coordinates of block."""
         return [_range_space(self.block, n, self.cfg) for n in range(self.depth + 1)]
 
-    @cached_property
-    def defects_block(self) -> list:
-        """E_n = H_n (-) H_{n+1}, n < depth, in the coordinates of block."""
-        H = self.H
-        return [subspace_ominus(H[n], H[n + 1]) for n in range(self.depth)]
-
     E = cached_property(lambda self: self.block.lift(self.block.E))
     M_E = cached_property(lambda self: self.block.lift(self.M_E_block))
     X = cached_property(lambda self: [self.block.lift(x) for x in self.X_block])
     V = cached_property(lambda self: [self.block.lift(v) for v in self.V_block])
     layers = cached_property(lambda self: [self.block.lift(s) for s in self.layers_block])
-    defects = cached_property(lambda self: [self.block.lift(d) for d in self.defects_block])
 
     @cached_property
     def dims(self) -> dict:
         return {"E": self.block.E.dim, "M_E": self.M_E_block.dim,
                 "X": [x.dim for x in self.X_block], "V": [v.dim for v in self.V_block],
-                "defects": [d.dim for d in self.defects_block]}
+                "defects": [max(a.dim - b.dim, 0) for a, b in zip(self.H, self.H[1:])]}
 
     def as_dict(self) -> dict:
         return {
@@ -423,12 +416,15 @@ def verify_chain_structure(
 
     - ``space1``: containment of T V_k in V_{k+1} (+) (X_k (-) T X_{k-1}),
       and ``space1_direct_sum``: the layers reconstruct the chain span.
+      Raises ``NotContained`` when T X_{k-1} sticks out of X_k beyond
+      ``CONTAINMENT_TOL``.
     - ``isisis``: the compressed maps P_{V_m} T^{m-n} : V_n -> V_m are onto.
       A map of numerical rank r leaves sqrt((dim V_m - r) / dim V_m) of V_m
       outside its image (0.0 when every map is onto); ``isisis_sigma_min``
       is the smallest-singular-value certificate.
     - ``jups``: sampled v in V_m with T v orthogonal to M_E land in V_{m+1}.
-    - ``saknar``: the defect space E_n sits inside T^n M_E.
+    - ``saknar``: the defect space E_n = H_n (-) H_{n+1} sits inside T^n M_E:
+      ||(I - P_{T^n M_E}) (P_{H_n} - P_{H_{n+1}})||_F / sqrt(dim H_n - dim H_{n+1}).
     - ``labann`` / ``key``: the tower factor identities, and agreement of
       polar(T^n) with the composed level-wise isometries.
     - ``fuio`` / ``fukth``: layer projections commute with the gram family;
@@ -443,19 +439,24 @@ def verify_chain_structure(
     V, X, M_E = chain.V_block, chain.X_block, chain.M_E_block
     out: dict = {"depth": K, "dims": dict(chain.dims)}
 
+    # V_{k+1} is orthogonal to X_k, so V_{k+1} (+) (X_k (-) T X_{k-1}) is
+    # X_{k+1} (-) T X_{k-1}, with projector P_{X_{k+1}} - P_{T X_{k-1}}
     worst = 0.0
-    complement_dims = []
+    complement_dims = [X[0].dim]
+    TXprev = np.zeros((block.w, 0), dtype=Tb.dtype)  # T X_{-1} = 0
     for k in range(K):
-        if k == 0:
-            complement = X[0]
-        else:
-            TXprev = orthonormalize([Tb @ X[k - 1].frame], rank_tol=cfg.rank_tol)
-            complement = subspace_ominus(X[k], TXprev)
-        complement_dims.append(complement.dim)
+        if k:
+            TXprev = orthonormalize([Tb @ X[k - 1].frame], rank_tol=cfg.rank_tol).frame
+            leak = np.linalg.norm(TXprev - X[k].frame @ (X[k].frame.conj().T @ TXprev))
+            if leak > CONTAINMENT_TOL * max(1.0, np.sqrt(TXprev.shape[1])):
+                raise NotContained(f"second subspace leaks out by {leak:.3e}")
+            complement_dims.append(max(X[k].dim - TXprev.shape[1], 0))
         if V[k].dim == 0:
             continue
-        allowed = subspace_sum(V[k + 1], complement)
-        worst = max(worst, _containment_residual(Tb @ V[k].frame, allowed))
+        image = Tb @ V[k].frame
+        Xn = X[k + 1].frame
+        leak = image - Xn @ (Xn.conj().T @ image) + TXprev @ (TXprev.conj().T @ image)
+        worst = max(worst, float(np.linalg.norm(leak) / max(np.linalg.norm(image), 1e-300)))
     out["space1"] = worst
     # the complement X_k (-) T X_{k-1} carries no interpretation here; its
     # dimension is reported as-is
@@ -503,21 +504,24 @@ def verify_chain_structure(
     out["jups"] = worst
     out["jups_samples"] = sampled
 
-    worst = 0.0
-    for En, layer in zip(chain.defects_block, chain.layers_block):
-        if En.dim == 0:
-            continue
-        worst = max(worst, _containment_residual(En.frame, layer))
-    out["saknar"] = worst
-
     out["labann"] = max(
         (max(lvl.residuals["reconstruct"], lvl.residuals["r_two_routes"],
              lvl.residuals["rstar_r_vs_gram"]) for lvl in tower.levels),
         default=0.0,
     )
 
-    # the compression P_{H_n} T P_{H_n} of each range, for key and fukth
-    compressions = [P @ Tb @ P for P in (h.projector() for h in chain.H)]
+    # one projector per range: the defect E_n = H_n (-) H_{n+1} has projector
+    # P_{H_n} - P_{H_{n+1}}, and P_{H_n} T P_{H_n} feeds key and fukth
+    P_H = [h.projector() for h in chain.H]
+    worst = 0.0
+    for n, d in enumerate(chain.dims["defects"]):
+        if d:
+            P_E, L = P_H[n] - P_H[n + 1], chain.layers_block[n].frame
+            leak = P_E - L @ (L.conj().T @ P_E)
+            worst = max(worst, float(np.linalg.norm(leak) / np.sqrt(d)))
+    out["saknar"] = worst
+
+    compressions = [P @ Tb @ P for P in P_H]
     worst = 0.0
     composed = np.eye(block.w, dtype=Tb.dtype)
     for lvl in tower.levels:

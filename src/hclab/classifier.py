@@ -333,10 +333,11 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     chain = chain_decomposition(model, cfg)
 
     closure, closure_status = span_closure(model, cfg, chain.M_E)
-    w_check = model.window(chain.depth)
-    probe = model.window_cols(w_check)
-    leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
-    span_defect = float(np.linalg.norm(leak, 2))
+    span_defect = 0.0  # a capped closure fills the space: nothing lies outside it
+    if closure_status != "capped":
+        probe = model.window_cols(model.window(chain.depth))
+        leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
+        span_defect = float(np.linalg.norm(leak, 2))
     condition_II_ok = span_defect <= 1e-8
     diagnostics["span_defect"] = span_defect
     diagnostics["span_status"] = closure_status

@@ -51,7 +51,7 @@ from .errors import NonFinite, NotHermitian, NotPSD
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-9     # relative asymmetry or negative eigenvalue taken as roundoff
 PROJECTION_TOL = 1e-9    # relative ||P^2 - P|| and ||P - P*|| of an orthogonal projection
-CONTAINMENT_TOL = 1e-8   # how far the subspace removed by subspace_ominus may stick out
+CONTAINMENT_TOL = 1e-8   # how far T X_{k-1} may stick out of X_k in the structural suite
 
 __all__ = [
     "DEFAULT_RANK_TOL",

@@ -14,7 +14,7 @@ from .chains import ChainDecomposition
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
 from .linalg import _hermitian_view, _split_commutator_norm, _split_norm
 from .operators import OperatorModel, ToleranceConfig, _memoized
-from .subspaces import orthonormalize, subspace_ominus
+from .subspaces import orthonormalize
 
 __all__ = [
     "Character",
@@ -218,7 +218,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
     K = chain.depth
     tau, me_mats, me_spec = _moduli_spectrum(model, chain, cfg)
 
-    F = subspace_ominus(M_E, E).frame
+    F = M_E.frame[:, E.dim:]  # M_E (-) E: the moduli closure's frame starts with E's
     comp_mats = [F.conj().T @ g @ F for g in chain.block.grams[1:K + 1]]
     comp_spec = joint_diagonalize(comp_mats, cfg)
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NotContained
-from .linalg import CONTAINMENT_TOL, DEFAULT_RANK_TOL, as_matrix, numerical_rank
+from .errors import EmptyInput
+from .linalg import DEFAULT_RANK_TOL, as_matrix, numerical_rank
 
-__all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum", "subspace_ominus"]
+__all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum"]
 
 
 @dataclass(frozen=True)
@@ -131,23 +131,3 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return Subspace(a.frame, tol)
     return orthonormalize([a.frame, b.frame], rank_tol=tol)
 
-
-def subspace_ominus(a: Subspace, b: Subspace) -> Subspace:
-    """Orthogonal complement ``a (-) b`` for ``b`` contained in ``a``.
-
-    Raises ``NotContained`` when ``b`` sticks out of ``a`` beyond ``CONTAINMENT_TOL``.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if b.dim:
-        leak = np.linalg.norm(b.frame - a.frame @ (a.frame.conj().T @ b.frame))
-        if leak > CONTAINMENT_TOL * max(1.0, np.sqrt(b.dim)):
-            raise NotContained(f"second subspace leaks out by {leak:.3e}")
-    if b.dim == 0:
-        return a
-    residual = a.frame - b.frame @ (b.frame.conj().T @ a.frame)
-    # residual columns can be nearly dependent; re-orthonormalize with the
-    # dimension forced to dim(a) - dim(b)
-    u, s, _ = np.linalg.svd(residual, full_matrices=False)
-    d = max(a.dim - b.dim, 0)
-    return Subspace(frame=u[:, :d], rank_tol=a.rank_tol)

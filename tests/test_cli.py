@@ -327,9 +327,10 @@ def test_flags_and_file_agree(capsys, tmp_path, cmd, case):
     assert capsys.readouterr().out == out
 
 
-# Small truncations whose chain defects fail to build (NotContained at N = 6
-# and 8, WindowExhausted for a weighted shift at N = 2).  Commands that never
-# read the defects report the next failed precondition, with the same exit.
+# Small truncations (a weighted shift at N = 2, aq at N = 6 and 8) and the
+# precondition each command fails there.  The chain's defect dimensions are
+# differences of range dimensions, which no truncation fails to build, so
+# decompose and verify of the same aq models get further (the test after this).
 def _aq(q, *r):
     return ["--family", "aq", "--q", q, *r]
 
@@ -360,6 +361,31 @@ _NEXT_PRECONDITION = [
 def test_small_truncations_exit_on_the_next_precondition(capsys, cmd, flags, n, error):
     assert main([cmd, *flags, "--n", str(n)]) == 2
     assert capsys.readouterr().err.startswith(f"error[{error}]")
+
+
+@pytest.mark.parametrize("cmd, flags, n, code", [
+    ("decompose", _aq("0.3"), 6, 0),
+    ("decompose", _aq("0.7"), 6, 0),
+    ("decompose", _aq("0.5", "--r", "5"), 6, 0),
+    ("decompose", _aq("0.7"), 8, 0),
+    ("verify", _aq("0.3"), 6, 4),
+    ("verify", _aq("0.7"), 8, 4),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_small_truncations_report_the_defect_dims(capsys, cmd, flags, n, code):
+    assert main([cmd, *flags, "--n", str(n)]) == code
+    doc = json.loads(capsys.readouterr().out)
+    report = doc if cmd == "decompose" else doc["structure"]
+    assert len(report["dims"]["defects"]) == report["depth"]
+
+
+def test_chain_leak_raises_not_contained(capsys):
+    """T X_{k-1} leaving X_k beyond CONTAINMENT_TOL stays a precondition error
+    of the structural suite: verify exits 2, decompose skips the structure."""
+    flags = [*_aq("0.5", "--r", "5"), "--n", "64"]
+    assert main(["verify", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error[NotContained]: second subspace leaks out")
+    assert main(["decompose", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["structure_skipped"].startswith("NotContained")
 
 
 class TestFrontEnd:
@@ -500,7 +526,7 @@ def test_invariance_grid_tool(monkeypatch):
     assert invariance_grid.main([]) == 2
 
 
-def test_report_diff_tool(monkeypatch):
+def test_report_diff_tool(monkeypatch, capsys):
     """tools/report_diff.py reads the json runs of cli_grid.py's grid and says
     how two outputs differ: exit codes, fields other than floats, and the
     count and largest differences of the floats, with the path of the
@@ -520,6 +546,16 @@ def test_report_diff_tool(monkeypatch):
     assert report_diff.describe((2, "", "error[X]: a", ""), (2, "", "error[X]: b", "")) == (
         "exit 2 fields=stderr numbers=0 max_abs=0.00e+00 max_rel=0.00e+00 at=-")
     assert report_diff.main(["only-one"]) == 2
+    # the summary lines, on canned outputs: one run changes its exit code, one
+    # its stderr only
+    rest = [(0, a, "", "")] * (len(runs) - 2)
+    canned = {"A": [(0, a, "", ""), (2, "", "error[X]: a", "")] + rest,
+              "B": [(4, b, "", ""), (2, "", "error[X]: b", "")] + rest}
+    monkeypatch.setattr(report_diff, "outputs", canned.__getitem__)
+    capsys.readouterr()
+    assert report_diff.main(["A", "B"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "differ 2 of 360", "exit changed 1 of 360"]
 
 
 def test_cli_grid_edge_cases(capsys):

@@ -14,8 +14,8 @@ are written ``[]``), then ``numbers=K max_abs=X max_rel=Y`` over the floats
 that differ, then ``at=PATH``, the path of the float with the largest absolute
 change (the first on a tie; ``-`` when no float differs).  A run whose stdout
 is not a json report compares its stderr and warnings as the fields
-``stderr`` and ``warnings``.  The last line reads
-``differ K of R``.
+``stderr`` and ``warnings``.  Two summary lines close the output:
+``differ K of R`` and ``exit changed K of R``, the runs whose exit code differs.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ def main(argv=None) -> int:
             differ += 1
             print(n, family, command, line, flush=True)
     print("differ", differ, "of", len(first))
+    print("exit changed", sum(a[0] != b[0] for a, b in zip(first, second)), "of", len(first))
     return 0
 
 
