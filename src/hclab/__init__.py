@@ -11,7 +11,6 @@ from .chains import (
     ChainDecomposition,
     IsometryTower,
     chain_decomposition,
-    effective_depth,
     isometry_tower,
     moduli_subspace,
     span_closure,
@@ -33,12 +32,12 @@ from .commutation import (
     centered_check,
     centered_criterion,
     co_gram_power,
+    effective_depth,
     gram_power,
     half_centered_check,
     kernel_of_adjoint,
 )
 from .linalg import (
-    PolarPair,
     hermitian_eig,
     polar,
     positive_sqrt,
@@ -65,7 +64,7 @@ from .spectral import (
     spectral_correspondence_check,
     structure_extract,
 )
-from .subspaces import Subspace, orthonormalize, subspace_sum
+from .subspaces import Subspace, orthonormalize
 
 __version__ = "0.1.0"
 

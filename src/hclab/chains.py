@@ -18,19 +18,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutation import (_singular_pairs, _window_gram, _window_gram_norm, analysis_depth,
+from .commutation import (_singular_pairs, _window_gram, _window_gram_norm, effective_depth,
                           kernel_of_adjoint, require_half_centered)
 from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
 from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
-from .subspaces import Subspace, extend_frame, orthonormalize, subspace_sum
+from .subspaces import Subspace, extend_frame, orthonormalize
 
 __all__ = [
     "AnalysisBlock",
     "ChainDecomposition",
     "IsometryTower",
     "TowerLevel",
-    "effective_depth",
     "analysis_block",
     "moduli_subspace",
     "krylov_closure",
@@ -40,27 +39,6 @@ __all__ = [
     "isometry_tower",
     "verify_chain_structure",
 ]
-
-MIN_WINDOW = 8
-
-
-def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
-    """Depth of the analysis block on this truncation.
-
-    Starts from ``analysis_depth``; banded truncations lose ``window_step``
-    indices per power, so the depth is lowered further to keep at least
-    ``MIN_WINDOW`` uncorrupted indices (falling back to a single index for
-    very small models).
-    """
-    K = analysis_depth(model, cfg)
-    if model.window_step == 0:
-        return K
-    for floor in (MIN_WINDOW, 1):
-        k = min(K, (model.dim - floor) // model.window_step)
-        if k >= 1:
-            return k
-    raise WindowExhausted(f"dimension {model.dim} leaves no usable window")
-
 
 @_memoized
 def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> None:
@@ -87,14 +65,14 @@ class AnalysisBlock:
     grams: tuple                # window compressions of the full grams, 0..depth
     scales: tuple               # operator norm of each gram
     E: Subspace                 # kernel line in block coordinates
-    embed: np.ndarray           # ambient_dim x w window basis
+    embed: np.ndarray           # N x w window basis
 
     def window(self, k: int) -> int:
         return max(self.w - k * self.step, 0)
 
     def lift(self, sub: Subspace) -> Subspace:
         """Express a block subspace in ambient coordinates."""
-        return Subspace(self.embed @ sub.frame, sub.rank_tol)
+        return Subspace(self.embed @ sub.frame)
 
 
 @_memoized
@@ -134,13 +112,13 @@ def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspa
         fresh = extend_frame(frame, np.hstack([g @ fresh for g in grams]), cfg.rank_tol)
         frame = np.hstack([frame, fresh])
     if frame.shape[1] >= block.w:
-        return Subspace(frame, cfg.rank_tol), "capped"
+        return Subspace(frame), "capped"
     # invariance certificate: max_j ||(I - P) G_j P||_2 / ||G_j||_2, P the frame's projector
     images = [g @ frame for g in grams]
     leak = max(np.linalg.svd(x - frame @ (frame.conj().T @ x), compute_uv=False)[0]
                / max(s, 1e-300) for x, s in zip(images, block.scales[1:]))
     status = "stable" if leak <= 100 * block.w * np.finfo(float).eps else "tolerance"
-    return Subspace(frame, cfg.rank_tol), status
+    return Subspace(frame), status
 
 
 def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
@@ -210,7 +188,7 @@ def span_closure(model: OperatorModel, cfg: ToleranceConfig,
     fills the space; ``"stable"``: the closure ended below it."""
     frame, status = krylov_closure(model.matrix, seed_space.frame,
                                    _singular_pairs(model)[1][0], cfg.rank_tol)
-    return Subspace(frame, cfg.rank_tol), status
+    return Subspace(frame), status
 
 
 def wandering_span(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
@@ -234,7 +212,7 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
     if wn < 1:
         raise WindowExhausted(f"block window({n}) < 1")
     if n == 0:
-        return Subspace(np.eye(block.w, dtype=block.matrix.dtype), cfg.rank_tol)
+        return Subspace(np.eye(block.w, dtype=block.matrix.dtype))
     return orthonormalize([block.powers[n][:, :wn]], rank_tol=cfg.rank_tol)
 
 
@@ -242,16 +220,16 @@ def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace
 class ChainDecomposition:
     """E, M_E and the chain X_n = X_{n-1} (+) V_n of one model, in block coordinates.
 
-    ``chain_decomposition`` builds ``M_E_block``, ``moduli_status``, the depth
-    and the block up front; the chain (``X_block``, ``V_block``, ``layers_block``,
-    ``notes``), the ranges ``H`` and ``dims`` on first read, once per chain.
+    ``chain_decomposition`` builds ``M_E_block``, ``moduli_status`` and the
+    block (whose depth is the chain's) up front; the chain (``X_block``,
+    ``V_block``, ``layers_block``, ``notes``), the ranges ``H`` and ``dims``
+    on first read, once per chain.
     ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
     ``E``, ``M_E``, ``X``, ``V`` and ``layers`` are their ambient lifts, each
     built once, on first read.
     """
 
     moduli_status: str
-    depth: int
     block: AnalysisBlock
     cfg: ToleranceConfig
     M_E_block: Subspace
@@ -270,7 +248,7 @@ class ChainDecomposition:
             # never on the residual's own (possibly dust) magnitude
             Vn = orthonormalize([fresh], rank_tol=tol, scale=1.0)
             V.append(Vn)
-            X.append(subspace_sum(prev, Vn))
+            X.append(orthonormalize([prev.frame, Vn.frame], rank_tol=tol) if Vn.dim else prev)
         notes = {"v_dims_weakly_decreasing": all(b.dim <= a.dim for a, b in zip(V, V[1:]))}
         # each V_n must be invariant under every gram power
         worst = 0.0
@@ -284,6 +262,7 @@ class ChainDecomposition:
         notes["gram_invariance_residual"] = worst
         return X, V, layers, notes
 
+    depth = property(lambda self: self.block.depth)
     X_block = property(lambda self: self._chain[0])
     V_block = property(lambda self: self._chain[1])
     layers_block = property(lambda self: self._chain[2])
@@ -326,8 +305,7 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
     _ensure_injective_on_window(model, cfg)
     block = analysis_block(model, cfg)
     M_E_blk, status = _moduli_on_block(block, cfg)
-    return ChainDecomposition(moduli_status=status, depth=block.depth, block=block, cfg=cfg,
-                              M_E_block=M_E_blk)
+    return ChainDecomposition(moduli_status=status, block=block, cfg=cfg, M_E_block=M_E_blk)
 
 
 @dataclass
@@ -341,14 +319,6 @@ class TowerLevel:
 @dataclass
 class IsometryTower:
     levels: list
-    block: AnalysisBlock
-
-    def as_dict(self) -> dict:
-        return {
-            "levels": [
-                {"n": lvl.n, "residuals": dict(lvl.residuals)} for lvl in self.levels
-            ]
-        }
 
 
 def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
@@ -371,7 +341,7 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
     levels = []
     for n in range(1, K + 1):
         Tn = block.powers[n]
-        theta = polar(Tn, rank_tol=cfg.rank_tol).isometry_part
+        theta = polar(Tn, rank_tol=cfg.rank_tol)
         gram_n = block.grams[n]
         r_sqrt = positive_sqrt(gram_n)
         factor = positive_sqrt(prev_theta.conj().T @ G1 @ prev_theta)
@@ -393,15 +363,7 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
         }
         levels.append(TowerLevel(n=n, theta=theta, r=r_sqrt, residuals=residuals))
         prev_theta = theta
-    return IsometryTower(levels=levels, block=block)
-
-
-def _containment_residual(vectors: np.ndarray, space: Subspace) -> float:
-    if vectors.size == 0:
-        return 0.0
-    leak = vectors - space.frame @ (space.frame.conj().T @ vectors)
-    scale = max(np.linalg.norm(vectors), 1e-300)
-    return float(np.linalg.norm(leak) / scale)
+    return IsometryTower(levels=levels)
 
 
 def verify_chain_structure(
@@ -448,8 +410,10 @@ def verify_chain_structure(
         if k:
             TXprev = orthonormalize([Tb @ X[k - 1].frame], rank_tol=cfg.rank_tol).frame
             leak = np.linalg.norm(TXprev - X[k].frame @ (X[k].frame.conj().T @ TXprev))
-            if leak > CONTAINMENT_TOL * max(1.0, np.sqrt(TXprev.shape[1])):
-                raise NotContained(f"second subspace leaks out by {leak:.3e}")
+            limit = CONTAINMENT_TOL * max(1.0, np.sqrt(TXprev.shape[1]))
+            if leak > limit:
+                raise NotContained(f"T X_{k - 1} leaks out of X_{k} by {leak:.3e} "
+                                   f"(limit {limit:.1e})")
             complement_dims.append(max(X[k].dim - TXprev.shape[1], 0))
         if V[k].dim == 0:
             continue
@@ -499,7 +463,8 @@ def verify_chain_structure(
         candidates = candidates[:, keep]
         if candidates.shape[1] == 0:
             continue
-        worst = max(worst, _containment_residual(candidates, V[m + 1]))
+        leak = candidates - V[m + 1].frame @ (V[m + 1].frame.conj().T @ candidates)
+        worst = max(worst, float(np.linalg.norm(leak) / max(np.linalg.norm(candidates), 1e-300)))
         sampled += candidates.shape[1]
     out["jups"] = worst
     out["jups_samples"] = sampled
@@ -526,7 +491,7 @@ def verify_chain_structure(
     composed = np.eye(block.w, dtype=Tb.dtype)
     for lvl in tower.levels:
         n = lvl.n
-        composed = polar(compressions[n - 1], rank_tol=cfg.rank_tol).isometry_part @ composed
+        composed = polar(compressions[n - 1], rank_tol=cfg.rank_tol) @ composed
         wn = block.window(n)
         scale = max(np.linalg.norm(lvl.theta[:wn, :wn]), 1e-300)
         worst = max(worst, float(np.linalg.norm((composed - lvl.theta)[:wn, :wn]) / scale))

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ChainDecomposition, chain_decomposition, effective_depth, krylov_closure,
-                     span_closure)
+from .chains import ChainDecomposition, chain_decomposition, krylov_closure, span_closure
 from .commutation import (_singular_pairs, _window_gram, _window_gram_eigvals, _window_view,
-                          centered_check, kernel_of_adjoint, require_half_centered)
+                          centered_check, effective_depth, kernel_of_adjoint,
+                          require_half_centered)
 from .errors import (
     HclabError,
     InconclusiveError,

@@ -61,11 +61,13 @@ def build_config(args) -> ToleranceConfig:
     )
 
 
-def _config_echo(model: OperatorModel, cfg: ToleranceConfig,
-                 requested: ToleranceConfig | None = None) -> dict:
-    echo = {"operator": model.describe(), "tolerances": cfg.as_dict()}
-    if requested is not None and requested.depth != cfg.depth:
-        echo["depth_requested"] = requested.depth
+def _config_echo(model: OperatorModel, cfg: ToleranceConfig) -> dict:
+    """The operator and the tolerances at the depth the stages ran at, with
+    the parsed depth as ``depth_requested`` when the two differ."""
+    depth = analysis_depth(model, cfg)
+    echo = {"operator": model.describe(), "tolerances": {**cfg.as_dict(), "depth": depth}}
+    if depth != cfg.depth:
+        echo["depth_requested"] = cfg.depth
     return echo
 
 
@@ -212,17 +214,16 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         model = build_model(args)
-        requested = build_config(args)
-        cfg = requested.with_depth(analysis_depth(model, requested))
+        cfg = build_config(args)
         # looked up at call time, so a rebound cmd_* attribute is the one called
         report, code = globals()[f"cmd_{args.command}"](model, cfg)
         if args.command != "zoo":
-            echo = _config_echo(model, cfg, requested)
+            echo = _config_echo(model, cfg)
         elif args.format == "text":  # the raw matrix dump, as matio reads it
             _emit("".join(report.values()), args.out)
             return code
-        else:  # the spec's own config, before the depth is capped to the model
-            echo = _config_echo(model, requested)
+        else:  # the spec's own config: zoo runs no stage that caps the depth
+            echo = {"operator": model.describe(), "tolerances": cfg.as_dict()}
         _emit_report({"config": echo, **report}, args)
         return code
     except (HclabError, ValueError, OSError) as exc:

@@ -36,7 +36,9 @@ from .subspaces import Subspace, orthonormalize
 __all__ = [
     "CommutationReport",
     "CriterionReport",
+    "MIN_WINDOW",
     "analysis_depth",
+    "effective_depth",
     "gram_power",
     "co_gram_power",
     "half_centered_check",
@@ -58,6 +60,27 @@ def analysis_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
         return cfg.depth
     feasible = (model.dim - 1) // (2 * model.window_step)
     return min(cfg.depth, feasible) if feasible >= 1 else cfg.depth
+
+
+MIN_WINDOW = 8
+
+
+def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
+    """Depth of the analysis block on this truncation.
+
+    Starts from ``analysis_depth``; banded truncations lose ``window_step``
+    indices per power, so the depth is lowered further to keep at least
+    ``MIN_WINDOW`` uncorrupted indices (falling back to a single index for
+    very small models).
+    """
+    K = analysis_depth(model, cfg)
+    if model.window_step == 0:
+        return K
+    for floor in (MIN_WINDOW, 1):
+        k = min(K, (model.dim - floor) // model.window_step)
+        if k >= 1:
+            return k
+    raise WindowExhausted(f"dimension {model.dim} leaves no usable window")
 
 
 @_memoized

@@ -1,6 +1,6 @@
 """Dense matrix primitives: the dtype rule, Hermitian eigen, norms and
-commutators, positive square roots, polar decompositions with partial
-isometries, and power tables.
+commutators, positive square roots, the partial-isometry factor of a polar
+decomposition, and power tables.
 
 The dtype rule (``as_matrix``): a finite 2-D input with no imaginary part is
 float64, anything else complex128.  Operator models and subspace frames apply
@@ -42,8 +42,6 @@ symmetrizes it and finds its coupled rows once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFinite, NotHermitian, NotPSD
@@ -55,7 +53,6 @@ CONTAINMENT_TOL = 1e-8   # how far T X_{k-1} may stick out of X_k in the structu
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "PolarPair",
     "as_matrix",
     "hermitian_commutator_norm",
     "hermitian_eig",
@@ -285,21 +282,8 @@ def positive_sqrt(h) -> np.ndarray:
     return _hermitian_part(root)
 
 
-@dataclass(frozen=True)
-class PolarPair:
-    """Factors ``m = isometry_part @ positive_part``.
-
-    ``isometry_part`` is a partial isometry: it maps the range of
-    ``positive_part`` isometrically and is zero on the orthogonal
-    complement, so ``(theta* theta)^2 = theta* theta``.
-    """
-
-    isometry_part: np.ndarray
-    positive_part: np.ndarray
-
-
-def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
-    """Polar decomposition ``m = theta p`` with a partial-isometry factor.
+def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """The partial-isometry factor theta of the polar decomposition ``m = theta p``.
 
     Parameters
     ----------
@@ -313,15 +297,13 @@ def polar(m, rank_tol: float = DEFAULT_RANK_TOL) -> PolarPair:
 
     Returns
     -------
-    PolarPair
-        ``positive_part`` equals the positive square root of ``m* m`` and
-        ``theta = m @ pinv(positive_part)``.
+    (n, n) ndarray
+        ``theta = u_r vh_r`` from the singular triplets above the cutoff: it
+        maps the range of p = (m* m)^{1/2} isometrically and is zero on its
+        orthogonal complement, so ``(theta* theta)^2 = theta* theta``.
     """
     a = _finite_matrix(m)
     _require_square(a)
     u, s, vh = np.linalg.svd(a)
     r = numerical_rank(s, rank_tol, s[0] if s.size else 0.0)
-    theta = u[:, :r] @ vh[:r, :]
-    p = (vh.conj().T * s) @ vh
-    return PolarPair(isometry_part=theta, positive_part=_hermitian_part(p))
-
+    return u[:, :r] @ vh[:r, :]

@@ -12,7 +12,7 @@ a full window at every depth, and so are ``exact``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, wraps
 
 import numpy as np
@@ -63,9 +63,6 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be at least {low}")
-
-    def with_depth(self, depth: int) -> "ToleranceConfig":
-        return replace(self, depth=depth)
 
     def as_dict(self) -> dict:
         return {

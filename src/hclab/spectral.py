@@ -46,7 +46,6 @@ class Character:
 @dataclass
 class JointSpectrum:
     characters: list
-    dim: int
 
     def value_table(self) -> np.ndarray:
         return np.array([c.values for c in self.characters])
@@ -101,7 +100,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
         if m.shape != (d, d):
             raise ValueError("family members must share one square shape")
     if d == 0:
-        return JointSpectrum(characters=[], dim=0)
+        return JointSpectrum(characters=[])
     views = [_hermitian_view(m) for m in mats]   # one symmetrization per member
     scales = [max(_split_norm(*v), 1e-300) for v in views]
     for i, a in enumerate(mats):
@@ -143,7 +142,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
             frames, rank_tol=cfg.rank_tol).frame
         characters.append(Character(values=vals, frame=frame, multiplicity=frame.shape[1]))
     characters.sort(key=lambda c: tuple(c.values))
-    return JointSpectrum(characters=characters, dim=d)
+    return JointSpectrum(characters=characters)
 
 
 @dataclass
@@ -151,8 +150,6 @@ class StructureData:
     tau: np.ndarray
     beta: np.ndarray
     beta_normalized: np.ndarray
-    A: np.ndarray
-    C: np.ndarray
     A_values: dict
     C_values: dict
     me_spectrum: JointSpectrum
@@ -276,7 +273,7 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
         for i, c in enumerate(me_spec.characters)
     )
     return StructureData(
-        tau=tau, beta=beta, beta_normalized=beta_normalized, A=A, C=C,
+        tau=tau, beta=beta, beta_normalized=beta_normalized,
         A_values=A_values, C_values=C_values,
         me_spectrum=me_spec, compressed_spectrum=comp_spec,
         lambda_index=lam_idx, mu_index=mu_idx,

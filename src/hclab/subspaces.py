@@ -1,8 +1,8 @@
 """Subspaces of C^n (of R^n, for real frames) represented by orthonormal frames.
 
-A subspace remembers the rank tolerance that was used to decide its
-dimension, because every rank here is a tolerance decision: the infinite
-picture works with exact closures, the finite model cannot.
+Every rank here is a tolerance decision, made when the frame is built
+(``orthonormalize``, ``extend_frame``): the infinite picture works with exact
+closures, the finite model cannot.  A ``Subspace`` holds only the checked frame.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ import numpy as np
 from .errors import EmptyInput
 from .linalg import DEFAULT_RANK_TOL, as_matrix, numerical_rank
 
-__all__ = ["Subspace", "orthonormalize", "extend_frame", "subspace_sum"]
+__all__ = ["Subspace", "orthonormalize", "extend_frame"]
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """An orthonormal frame (ambient_dim x d) plus its rank tolerance; the frame
-    follows the dtype rule of ``linalg.as_matrix``."""
+    """An orthonormal frame (n x d); it follows the dtype rule of
+    ``linalg.as_matrix``."""
 
     frame: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         f = as_matrix(self.frame)
@@ -34,10 +33,6 @@ class Subspace:
         gram = f.conj().T @ f
         if d and np.linalg.norm(gram - np.eye(d)) > 10 * np.finfo(float).eps * f.shape[0] * max(1, d):
             raise ValueError("frame columns are not orthonormal")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.frame.shape[0]
 
     @property
     def dim(self) -> int:
@@ -71,11 +66,11 @@ def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL,
         raise EmptyInput("no vectors given")
     m = np.hstack(cols)
     if m.shape[1] == 0:
-        return Subspace(frame=np.zeros((n, 0), dtype=m.dtype), rank_tol=rank_tol)
+        return Subspace(frame=np.zeros((n, 0), dtype=m.dtype))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if scale is None:
         scale = float(np.max(np.linalg.norm(m, axis=0))) if m.size else 0.0
-    return Subspace(frame=u[:, :numerical_rank(s, rank_tol, scale)], rank_tol=rank_tol)
+    return Subspace(frame=u[:, :numerical_rank(s, rank_tol, scale)])
 
 
 def extend_frame(frame: np.ndarray, block: np.ndarray,
@@ -118,16 +113,4 @@ def extend_frame(frame: np.ndarray, block: np.ndarray,
     # orthogonal to frame: project once more and re-orthonormalize
     fresh = u[:, :r] - frame @ (frame_h @ u[:, :r])
     return np.linalg.qr(fresh)[0]
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Span of the union of two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    tol = min(a.rank_tol, b.rank_tol)
-    if a.dim == 0:
-        return Subspace(b.frame, tol)
-    if b.dim == 0:
-        return Subspace(a.frame, tol)
-    return orthonormalize([a.frame, b.frame], rank_tol=tol)
 

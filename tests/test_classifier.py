@@ -21,8 +21,7 @@ from hclab import (
     structure_extract,
     weighted_shift,
 )
-from hclab.chains import effective_depth
-from hclab.commutation import _window_gram
+from hclab.commutation import _window_gram, effective_depth
 from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
                               _closed_range_flag)
 from hclab.errors import (

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hclab import ToleranceConfig, centered_check, classify, shift_plus_rank_one
+from hclab import (ToleranceConfig, centered_check, centered_criterion, classify,
+                   shift_plus_rank_one, weighted_shift)
 from hclab.cli import main
 from hclab.matio import loads_matrix
+from hclab.operators import _jsonable
 
 
 def run(capsys, *argv):
@@ -162,6 +164,24 @@ class TestContracts:
         doc = json.loads(out)
         assert doc["config"]["depth_requested"] == 6
         assert doc["config"]["tolerances"]["depth"] == 1
+
+    @pytest.mark.parametrize("command, library", [
+        ("classify", lambda t, cfg: classify(t, cfg).as_dict()),
+        ("check", lambda t, cfg: {**centered_check(t, cfg).as_dict(),
+                                  "criterion": centered_criterion(t, cfg).as_dict()}),
+    ])
+    def test_capped_depth_runs_the_parsed_config(self, capsys, command, library):
+        """The stages cap the depth themselves, so the report is the library's
+        on the parsed, uncapped config; the echo names the depth they used."""
+        weights = [1.0, 1.5, 0.5, 2.0, 1.0, 1.25, 0.75]
+        code, out = run(capsys, command, "--family", "weighted_shift", "--n", "8",
+                        "--weights", ",".join(map(str, weights)), "--depth", "6")
+        assert code == 0
+        doc = json.loads(out)
+        config = doc.pop("config")
+        assert (config["tolerances"]["depth"], config["depth_requested"]) == (3, 6)
+        expect = library(weighted_shift(weights, 8), ToleranceConfig())
+        assert doc == json.loads(json.dumps(_jsonable(expect)))
 
     @pytest.mark.parametrize("spec, field", [
         ({"family": "aq", "N": None, "q": 0.5}, "N"),
@@ -382,10 +402,12 @@ def test_chain_leak_raises_not_contained(capsys):
     """T X_{k-1} leaving X_k beyond CONTAINMENT_TOL stays a precondition error
     of the structural suite: verify exits 2, decompose skips the structure."""
     flags = [*_aq("0.5", "--r", "5"), "--n", "64"]
+    leak = r"T X_1 leaks out of X_2 by \d\.\d{3}e-\d\d \(limit 6\.4e-08\)"
     assert main(["verify", *flags]) == 2
-    assert capsys.readouterr().err.startswith("error[NotContained]: second subspace leaks out")
+    assert re.fullmatch(rf"error\[NotContained\]: {leak}\n", capsys.readouterr().err)
     assert main(["decompose", *flags]) == 0
-    assert json.loads(capsys.readouterr().out)["structure_skipped"].startswith("NotContained")
+    skipped = json.loads(capsys.readouterr().out)["structure_skipped"]
+    assert re.fullmatch(f"NotContained: {leak}", skipped)
 
 
 class TestFrontEnd:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -345,5 +347,5 @@ class TestRestrictionStability:
             basis = u[:, s > cfg.rank_tol * s[0]]
             compressed = basis @ (basis.conj().T @ block.matrix @ basis) @ basis.conj().T
             sub = from_matrix(compressed, exact=False)
-            report = half_centered_check(sub, cfg.with_depth(3))
+            report = half_centered_check(sub, replace(cfg, depth=3))
             assert report.half_centered, model.family

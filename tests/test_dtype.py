@@ -14,7 +14,6 @@ from hclab import (
     weighted_shift,
 )
 from hclab.cli import cmd_verify
-from hclab.commutation import analysis_depth
 from hclab.errors import HclabError
 from hclab.linalg import as_matrix
 
@@ -74,10 +73,9 @@ class TestDtypeRule:
         assert orthonormalize([v[:, :1] + 1j * v[:, 1:2]]).frame.dtype == np.complex128
 
 
-def _summary(model, requested):
+def _summary(model, cfg):
     """The classify fields and the verify exit code that must not depend on
-    the basis."""
-    cfg = requested.with_depth(analysis_depth(model, requested))
+    the basis, from the parsed config as the command line runs it."""
     report = classify(model, cfg)
     try:
         code = cmd_verify(model, cfg)[1]

@@ -75,36 +75,42 @@ class TestPositiveSqrt:
 
 
 class TestPolar:
+    # polar returns theta alone; the positive factor p = (m* m)^{1/2} is formed here
     def test_unitary_input(self, rng):
         z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         q, _ = np.linalg.qr(z)
-        pair = polar(q)
-        assert_allclose(pair.isometry_part, q, atol=1e-13)
-        assert_allclose(pair.positive_part, np.eye(5), atol=1e-13)
+        assert_allclose(polar(q), q, atol=1e-13)
 
     def test_partial_isometry_on_singular_input(self):
-        pair = polar(np.diag([3.0, 0.0]))
-        assert_allclose(pair.isometry_part, np.diag([1.0, 0.0]), atol=1e-15)
-        assert_allclose(pair.positive_part, np.diag([3.0, 0.0]), atol=1e-15)
+        m = np.diag([3.0, 0.0])
+        theta = polar(m)
+        assert_allclose(theta, np.diag([1.0, 0.0]), atol=1e-15)
+        assert_allclose(theta @ positive_sqrt(m.T @ m), m, atol=1e-15)
 
     def test_pq_example(self):
         t = np.array([[0.5, 0.0], [-0.5, 0.0]])
-        pair = polar(t)
+        theta = polar(t)
         s = 1 / np.sqrt(2)
-        assert_allclose(pair.isometry_part, [[s, 0.0], [-s, 0.0]], atol=1e-15)
-        assert_allclose(pair.positive_part, [[s, 0.0], [0.0, 0.0]], atol=1e-15)
-        assert_allclose(pair.isometry_part @ pair.positive_part, t, atol=1e-15)
+        assert_allclose(theta, [[s, 0.0], [-s, 0.0]], atol=1e-15)
+        assert_allclose(theta @ positive_sqrt(t.T @ t), t, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 12, 40])
     def test_reconstruction_and_projection(self, rng, n):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        r = n
         if n == 12:  # exercise a rank-deficient case too
             m[:, 0] = m[:, 1]
-        pair = polar(m)
-        theta = pair.isometry_part
-        assert np.linalg.norm(theta @ pair.positive_part - m) <= 1e-10 * np.linalg.norm(m)
+            r = n - 1
+        theta = polar(m)
+        p = positive_sqrt(m.conj().T @ m)
+        assert np.linalg.norm(theta @ p - m) <= 1e-10 * np.linalg.norm(m)
         gram = theta.conj().T @ theta
         assert np.linalg.norm(gram @ gram - gram) <= 1e-10
+        assert np.linalg.norm(gram - gram.conj().T) <= 1e-12
+        assert round(float(np.real(np.trace(gram)))) == r
+
+    def test_zero_matrix_gives_zero(self):
+        assert np.all(polar(np.zeros((4, 4), dtype=complex)) == 0)
 
 
 class TestNumericalRank:
@@ -132,9 +138,7 @@ class TestNumericalRank:
         assert type(numerical_rank([3.0, 2.0], 1e-10, 3.0)) is int
 
     def test_polar_of_zero_has_zero_isometric_part(self):
-        pair = polar(np.zeros((3, 3)))
-        assert np.all(pair.isometry_part == 0)
-        assert np.all(pair.positive_part == 0)
+        assert np.all(polar(np.zeros((3, 3))) == 0)
 
 
 

@@ -3,7 +3,8 @@ import pkgutil
 
 import hclab
 
-REMOVED = ("polynomial_machinery", "PolynomialData", "DegenerateTriples", "project")
+REMOVED = ("polynomial_machinery", "PolynomialData", "DegenerateTriples", "project",
+           "subspace_sum", "PolarPair")
 
 
 def test_exports_resolve_and_removed_names_are_gone():
@@ -16,3 +17,9 @@ def test_exports_resolve_and_removed_names_are_gone():
         assert hasattr(hclab, name)
     assert not [name for name in REMOVED if hasattr(hclab, name)]
     assert not hasattr(hclab.OperatorModel, "power")
+
+
+def test_config_and_subspace_hold_only_what_stages_read():
+    assert not hasattr(hclab.ToleranceConfig(), "with_depth")
+    sub = hclab.orthonormalize([[1.0, 0.0]])
+    assert not [name for name in ("rank_tol", "ambient_dim") if hasattr(sub, name)]

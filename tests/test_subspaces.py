@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hclab import Subspace, orthonormalize, subspace_sum
+from hclab import Subspace, orthonormalize
 from hclab.errors import EmptyInput, SpecParseError
 from hclab.linalg import DEFAULT_RANK_TOL
 from hclab.matio import dumps_matrix, format_complex, loads_matrix, parse_complex
@@ -71,8 +71,10 @@ class TestExtendFrame:
 
 
 class TestSumOminusProject:
+    # a sum is orthonormalize of the two frames, as the chain grows X_n from X_{n-1} and V_n
     def test_sum(self):
-        assert subspace_sum(orthonormalize([e(0)]), orthonormalize([e(1)])).dim == 2
+        a, b = orthonormalize([e(0)]), orthonormalize([e(1)])
+        assert orthonormalize([a.frame, b.frame]).dim == 2
 
     @pytest.mark.parametrize("trial", range(5))
     def test_ominus_then_sum_recovers(self, rng, trial):
@@ -80,8 +82,8 @@ class TestSumOminusProject:
         a = orthonormalize([rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))])
         b = orthonormalize([a.frame[:, :3]])
         # a (-) b from a frame that starts with b's span, as structure_extract takes M_E (-) E
-        diff = Subspace(a.frame[:, 3:], a.rank_tol)
-        back = subspace_sum(diff, b)
+        diff = Subspace(a.frame[:, 3:])
+        back = orthonormalize([diff.frame, b.frame])
         assert back.dim == a.dim
         assert np.linalg.norm(back.projector() - a.projector()) <= 1e-10
 
