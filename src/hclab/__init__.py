@@ -52,6 +52,7 @@ from .operators import (
     from_matrix,
     load_operator_spec,
     projection_product,
+    real_gauge,
     shift_plus_rank_one,
     weighted_shift,
 )

@@ -241,14 +241,7 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
     X = krylov_closure(T, v, scale, cfg.rank_tol, frame=X)[0]
     B = X.shape[1]
 
-    # gauge: make each subdiagonal weight positive real where possible; the
-    # phases accumulate down the chain and act on X*TX as a diagonal similarity
     Tt = X.conj().T @ (T @ X)
-    unit = np.where(np.abs(np.diagonal(Tt, -1)) > cfg.rank_tol, np.diagonal(Tt, -1), 1.0)
-    phase = np.cumprod(np.concatenate([[1.0], unit / np.abs(unit)]))
-    phase /= np.abs(phase)  # a long running product drifts off the unit circle
-    X, Tt = X * phase, phase.conj()[:, None] * Tt * phase
-
     pattern = np.zeros((B, B), dtype=bool)
     pattern[np.arange(1, B), np.arange(B - 1)] = True
     pattern[0, m - 1] = True

@@ -22,7 +22,8 @@ from .commutation import (analysis_depth, centered_check, centered_criterion,
                           require_half_centered)
 from .errors import HclabError, SpecParseError
 from .matio import dumps_matrix
-from .operators import OperatorModel, ToleranceConfig, _jsonable, load_operator_spec
+from .operators import (OperatorModel, ToleranceConfig, _jsonable, load_operator_spec,
+                        real_gauge)
 from .spectral import enumerate_triples, spectral_correspondence_check, structure_extract
 
 VERIFY_TOLERANCES = {
@@ -143,6 +144,7 @@ def cmd_decompose(model, cfg) -> tuple[dict, int]:
 
 
 def cmd_spectral(model, cfg) -> tuple[dict, int]:
+    require_half_centered(model, cfg)
     chain = chain_decomposition(model, cfg)
     structure = structure_extract(model, chain, cfg)
     triples = enumerate_triples(model, chain, structure, cfg)
@@ -215,8 +217,11 @@ def main(argv=None) -> int:
     try:
         model = build_model(args)
         cfg = build_config(args)
+        # the stages run on |T| when a diagonal gauge makes T nonnegative: the
+        # reports are basis invariant, while zoo and the echo keep the user's T
+        analysed = model if args.command == "zoo" else real_gauge(model)
         # looked up at call time, so a rebound cmd_* attribute is the one called
-        report, code = globals()[f"cmd_{args.command}"](model, cfg)
+        report, code = globals()[f"cmd_{args.command}"](analysed, cfg)
         if args.command != "zoo":
             echo = _config_echo(model, cfg)
         elif args.format == "text":  # the raw matrix dump, as matio reads it

@@ -12,7 +12,7 @@ a full window at every depth, and so are ``exact``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, wraps
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "aq_operator",
     "cauchy_dual",
     "from_matrix",
+    "real_gauge",
     "load_operator_spec",
 ]
 
@@ -370,6 +371,54 @@ def cauchy_dual(model: OperatorModel) -> OperatorModel:
 
 def from_matrix(m, exact: bool = True) -> OperatorModel:
     return OperatorModel(matrix=m, family="matrix", window_step=0 if exact else 1)
+
+
+def real_gauge(model: OperatorModel) -> OperatorModel:
+    """The twin of a complex model with matrix ``|T|``, when a diagonal
+    unitary D and a unimodular λ give ``λ D* T D = |T|``; else the model.
+
+    The certificate is combinatorial.  Read the nonzero pattern as an
+    undirected graph, one edge per nonzero T_ij (self-loops included);
+    entry (i, j) asks the depth h_i = h_j + 1.  Along a spanning forest every
+    phase can be moved into D, and a closing edge (i, j) leaves a cycle of
+    winding 1 − (h_i − h_j), whose phase λ absorbs when the winding is
+    nonzero.  So a forest, or one cycle of nonzero winding, gauges: a
+    weighted shift is a path, a shift plus rank one at index n closes a
+    cycle of winding n + 1, and a (0, 0) corner is a loop of winding 1.
+    Grams, co-grams, ker T*, the chain and the tower all map by D, the
+    leading-column windows are kept, and every norm, dimension and residual
+    is the same.  A model with a ``window_frame`` is left as it is.
+    """
+    T = model.matrix
+    if not np.iscomplexobj(T) or model.window_frame is not None:
+        return model
+    rows, cols = np.nonzero(T)
+    if len(rows) > model.dim:  # at most one cycle needs edges <= vertices
+        return model
+    edges = [[] for _ in range(model.dim)]
+    for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        edges[i].append((e, j, 1))
+        edges[j].append((e, i, -1))
+    depth = [None] * model.dim
+    seen, windings = set(), []
+    for root in range(model.dim):
+        if depth[root] is not None:
+            continue
+        depth[root], stack = 0, [root]
+        while stack:
+            u = stack.pop()
+            for e, v, step in edges[u]:
+                if e in seen:
+                    continue
+                seen.add(e)
+                if depth[v] is None:
+                    depth[v] = depth[u] - step
+                    stack.append(v)
+                else:
+                    windings.append(step - depth[u] + depth[v])
+    if len(windings) > 1 or 0 in windings:
+        return model
+    return replace(model, matrix=np.abs(T))
 
 
 # -- operator spec files ------------------------------------------------------

@@ -280,7 +280,7 @@ class TestShiftRankOneReconstruct:
     @pytest.mark.parametrize("family", ["sro", "hardy"])
     def test_joint_residual_matches_the_compressed_grams(self, family, N, conj, rng, cfg):
         # on a square basis ||G X - X diag||_F = ||offdiag(X* G X)||_F, which
-        # needs the gauge phases to stay on the unit circle down a chain of N;
+        # needs the columns of X to stay orthonormal down a chain of N;
         # the sro weights are the command-line grid's (real, alternating sign)
         weights = [(-1) ** (k + 1) * (0.6 + 0.1 * (k % 5)) for k in range(N - 1)]
         t = (shift_plus_rank_one(weights, 0.3 + 0.4j, 2, N) if family == "sro"

@@ -356,23 +356,25 @@ def _aq(q, *r):
 
 
 _NEXT_PRECONDITION = [
-    ("spectral", ["--family", "weighted_shift", "--weights", "0.9"], 2, "ModuliTooSmall"),
+    ("spectral", ["--family", "weighted_shift", "--weights", "0.9"], 2, "WindowExhausted"),
     ("spectral", _aq("0.3"), 6, "NotCommuting"),
+    ("spectral", _aq("0.5"), 6, "NotHalfCentered"),
     ("classify", _aq("0.3"), 6, "NotCommuting"),
     ("verify", _aq("0.5"), 6, "NotHalfCentered"),
-    ("spectral", _aq("0.6"), 6, "NotCommuting"),
+    ("spectral", _aq("0.6"), 6, "NotHalfCentered"),
     ("verify", _aq("0.6"), 6, "NotHalfCentered"),
-    ("spectral", _aq("0.66"), 6, "NotCommuting"),
+    ("spectral", _aq("0.66"), 6, "NotHalfCentered"),
     ("verify", _aq("0.66"), 6, "NotHalfCentered"),
-    ("spectral", _aq("0.7"), 6, "NotCommuting"),
+    ("spectral", _aq("0.7"), 6, "NotHalfCentered"),
     ("verify", _aq("0.7"), 6, "NotHalfCentered"),
     ("spectral", _aq("0.6"), 8, "NotCommuting"),
     ("classify", _aq("0.6"), 8, "NotCommuting"),
-    ("spectral", _aq("0.66"), 8, "NotCommuting"),
+    ("spectral", _aq("0.66"), 8, "NotHalfCentered"),
     ("verify", _aq("0.66"), 8, "NotHalfCentered"),
     ("spectral", _aq("0.7"), 8, "NotCommuting"),
     ("classify", _aq("0.7"), 8, "NotCommuting"),
     ("verify", _aq("0.5", "--r", "5"), 6, "NotHalfCentered"),
+    ("spectral", _aq("0.5", "--r", "5"), 6, "NotHalfCentered"),
 ]
 
 
@@ -444,11 +446,12 @@ class TestFrontEnd:
         assert target.read_bytes() == printed.encode("utf-8")
 
     # numpy's LinAlgError subclasses ValueError, the parse-error class.  On the
-    # aq input (condition number about 1e20) classify and verify stop at the
-    # half-centered precondition (residual 1.3e-9 in real arithmetic), and
-    # spectral, which has no such gate, fails the Cholesky of extend_frame in
-    # the moduli closure.
-    @pytest.mark.parametrize("command, flags", [("spectral", _AQ_ILL_CONDITIONED)],
+    # aq input (condition number about 1e20) every analysis stops at the
+    # half-centered precondition (residual 1.3e-9 in real arithmetic); with
+    # the gate at 1e-8, spectral fails the Cholesky of extend_frame in the
+    # moduli closure.
+    @pytest.mark.parametrize("command, flags",
+                             [("spectral", [*_AQ_ILL_CONDITIONED, "--tol-comm", "1e-8"])],
                              ids=lambda v: v if isinstance(v, str) else v[1])
     def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
         assert main([command, *flags]) == 3
@@ -478,22 +481,23 @@ class TestFrontEnd:
         assert closures == []
 
     # the 1e200 weight overflows T*T; no NaN may reach an SVD
-    @pytest.mark.parametrize("command", ["check", "classify", "verify"])
+    @pytest.mark.parametrize("command", ["check", "classify", "verify", "spectral"])
     def test_gram_overflow_is_non_finite(self, capsys, command):
         code = main([command, "--family", "weighted_shift", "--n", "16",
                      "--weights", "1e200" + ",1" * 14])
         assert code == 3
         assert capsys.readouterr().err.startswith("error[NonFinite]: T*^1 T^1 overflows")
 
-    # the injectivity cut is relative: sigma_min 1 lies below rank_tol * ||T||_2
+    # the injectivity cut is relative: sigma_min 1 lies below rank_tol * ||T||_2;
+    # the 1e150 weight keeps the grams finite, so spectral passes its gate
     @pytest.mark.parametrize("command", ["decompose", "spectral"])
     def test_injectivity_failure_names_sigma_min_and_cutoff(self, capsys, command):
         code = main([command, "--family", "weighted_shift", "--n", "16",
-                     "--weights", "1e200" + ",1" * 14])
+                     "--weights", "1e150" + ",1" * 14])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error[NotInjectiveOnWindow]: sigma_min 1.000e+00 ")
-        assert "cutoff 1.000e+190 (rank_tol * ||T||_2)" in err
+        assert "cutoff 1.000e+140 (rank_tol * ||T||_2)" in err
 
 
 def test_cli_grid_tool(capsys):

@@ -19,9 +19,12 @@ unitary U drawn from ``default_rng(UNITARY_SEED)``.  Both go through
 ``OperatorModel.conjugated``, which rotates the window along, so every answer
 should hold; both make a real operator complex, and U makes it dense.  The
 lines ``differ K of 300`` and ``differ UTU* K of 300`` count the runs whose
-DTD* line and whose UTU* line differ from the T line, and the last,
-``condition II false K of M``, counts the ``classify`` runs, over all three
-bases, whose report reads ``condition_II_ok`` false.  Summaries
+DTD* line and whose UTU* line differ from the T line, and
+``condition II false K of M`` counts the ``classify`` runs, over all three
+bases, whose report reads ``condition_II_ok`` false.  The lines ``analysed
+real BASIS K of M`` count, per basis, the runs whose model the command line
+analyses in float64: those where ``real_gauge(model)`` is real (a checkout
+without ``real_gauge`` analyses the model as built).  Summaries
 do not hold residuals, so the ``T`` lines of two checkouts compare their
 answers where the bits of their arithmetic differ.
 """
@@ -115,6 +118,15 @@ def main(argv=None) -> int:
     builders = {"T": cli.build_model, "DTD*": phase_conjugated(cli),
                 "UTU*": unitary_conjugated(cli)}
     differ = {"DTD*": 0, "UTU*": 0}
+    real = dict.fromkeys(builders, 0)
+    gauge = getattr(cli, "real_gauge", lambda model: model)
+    built = []
+
+    def recording(build):
+        def record(args):
+            built.append(build(args))
+            return built[-1]
+        return record
     total = 0
     span_false = span_runs = 0
     try:
@@ -122,8 +134,10 @@ def main(argv=None) -> int:
             argv = [command, *cli_grid.family_args(family, n), "--n", str(n), "--format", "json"]
             lines = {}
             for basis, build in builders.items():
-                cli.build_model = build  # main looks it up at call time
+                cli.build_model = recording(build)  # main looks it up at call time
+                built.clear()
                 code, out, err, _ = cli_grid.capture(cli.main, argv)
+                real[basis] += bool(built) and gauge(built[0]).matrix.dtype == "float64"
                 lines[basis] = summary(code, out, err)
                 if command == "classify":
                     span_runs += 1
@@ -137,6 +151,8 @@ def main(argv=None) -> int:
     print("differ", differ["DTD*"], "of", total)
     print("differ UTU*", differ["UTU*"], "of", total)
     print("condition II false", span_false, "of", span_runs)
+    for basis, count in real.items():
+        print("analysed real", basis, count, "of", total)
     return 0
 
 
