@@ -9,7 +9,6 @@ relation among the gram powers.
 
 from .chains import (
     ChainDecomposition,
-    IsometryTower,
     chain_decomposition,
     isometry_tower,
     moduli_subspace,

@@ -28,7 +28,6 @@ from .subspaces import Subspace, extend_frame, orthonormalize
 __all__ = [
     "AnalysisBlock",
     "ChainDecomposition",
-    "IsometryTower",
     "TowerLevel",
     "analysis_block",
     "moduli_subspace",
@@ -225,8 +224,8 @@ class ChainDecomposition:
     ``V_block``, ``layers_block``, ``notes``), the ranges ``H`` and ``dims``
     on first read, once per chain.
     ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
-    ``E``, ``M_E``, ``X``, ``V`` and ``layers`` are their ambient lifts, each
-    built once, on first read.
+    ``M_E``, the closure seed of ``classify``, is the one ambient lift, built
+    once, on first read; any other block subspace lifts by ``block.lift``.
     """
 
     moduli_status: str
@@ -273,11 +272,7 @@ class ChainDecomposition:
         """Ranges H_0..H_depth, in the coordinates of block."""
         return [_range_space(self.block, n, self.cfg) for n in range(self.depth + 1)]
 
-    E = cached_property(lambda self: self.block.lift(self.block.E))
     M_E = cached_property(lambda self: self.block.lift(self.M_E_block))
-    X = cached_property(lambda self: [self.block.lift(x) for x in self.X_block])
-    V = cached_property(lambda self: [self.block.lift(v) for v in self.V_block])
-    layers = cached_property(lambda self: [self.block.lift(s) for s in self.layers_block])
 
     @cached_property
     def dims(self) -> dict:
@@ -316,60 +311,52 @@ class TowerLevel:
     residuals: dict
 
 
-@dataclass
-class IsometryTower:
-    levels: list
+def _corner_residual(diff: np.ndarray, wn: int, whole: np.ndarray) -> float:
+    """||diff[:wn, :wn]||_F / ||whole||_F: a claim read on the corner the
+    window certifies, on the scale of its whole factor.  The corner's own
+    norm is no scale: at the levels with wn <= n it holds almost none of
+    T_b^n, and for a shift exactly none."""
+    return float(np.linalg.norm(diff[:wn, :wn]) / max(np.linalg.norm(whole), 1e-300))
 
 
-def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> IsometryTower:
-    """Partial isometries theta_n = polar(T^n) and their positive factors.
+def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> list[TowerLevel]:
+    """The levels n = 1..depth of the tower: theta_n = polar(T_b^n) and
+    r_n = (T_b*^n T_b^n)^{1/2}, the positive square root of the block gram.
 
-    Each r_n is computed twice: as the positive square root of the gram
-    power, and as the descending product of conjugated square roots of the
-    first gram; their disagreement is recorded per level.  The identity
-    between the two routes (and between theta_n and the polar factor of
-    T^n) is only claimed for half-centered operators, so the verdict is
-    enforced first.
+    Each level records two claims, each read on the corner
+    ``[:wn, :wn]`` that window(n) certifies and divided by the Frobenius
+    norm of its whole factor: ``reconstruct``, theta_n r_n = T_b^n over
+    ||T_b^n||_F, and ``r_two_routes``, r_n against the descending product of
+    the square roots of theta_{k-1}* G_1 theta_{k-1}, k = 1..n, over
+    ||r_n||_F.  That r_n squares to the gram and theta_n is a partial
+    isometry hold by construction and are tested in ``linalg``.  The
+    identities are only claimed for half-centered operators, so the verdict
+    is enforced first.
     """
     require_half_centered(model, cfg)
     _ensure_injective_on_window(model, cfg)
     block = analysis_block(model, cfg)
-    K = block.depth
     G1 = block.grams[1]
     prev_theta = np.eye(block.w, dtype=block.matrix.dtype)
     product = np.eye(block.w, dtype=block.matrix.dtype)
     levels = []
-    for n in range(1, K + 1):
+    for n in range(1, block.depth + 1):
         Tn = block.powers[n]
         theta = polar(Tn, rank_tol=cfg.rank_tol)
-        gram_n = block.grams[n]
-        r_sqrt = positive_sqrt(gram_n)
-        factor = positive_sqrt(prev_theta.conj().T @ G1 @ prev_theta)
-        product = factor @ product
+        r = positive_sqrt(block.grams[n])
+        product = positive_sqrt(prev_theta.conj().T @ G1 @ prev_theta) @ product
         wn = block.window(n)
-        scale = max(np.linalg.norm(Tn[:wn, :wn]), 1e-300)
-        proj = theta @ theta.conj().T
-        residuals = {
-            "reconstruct": float(np.linalg.norm((theta @ r_sqrt - Tn)[:wn, :wn]) / scale),
-            "r_two_routes": float(
-                np.linalg.norm((product - r_sqrt)[:wn, :wn])
-                / max(np.linalg.norm(r_sqrt[:wn, :wn]), 1e-300)
-            ),
-            "rstar_r_vs_gram": float(
-                np.linalg.norm((r_sqrt.conj().T @ r_sqrt - gram_n)[:wn, :wn])
-                / max(np.linalg.norm(gram_n[:wn, :wn]), 1e-300)
-            ),
-            "theta_partial_isometry": float(np.linalg.norm(proj @ proj - proj)),
-        }
-        levels.append(TowerLevel(n=n, theta=theta, r=r_sqrt, residuals=residuals))
+        residuals = {"reconstruct": _corner_residual(theta @ r - Tn, wn, Tn),
+                     "r_two_routes": _corner_residual(product - r, wn, r)}
+        levels.append(TowerLevel(n=n, theta=theta, r=r, residuals=residuals))
         prev_theta = theta
-    return IsometryTower(levels=levels)
+    return levels
 
 
 def verify_chain_structure(
     model: OperatorModel,
     chain: ChainDecomposition,
-    tower: IsometryTower,
+    tower: list[TowerLevel],
     cfg: ToleranceConfig,
 ) -> dict:
     """Residuals for the structural claims about the chain and the tower.
@@ -387,8 +374,12 @@ def verify_chain_structure(
     - ``jups``: sampled v in V_m with T v orthogonal to M_E land in V_{m+1}.
     - ``saknar``: the defect space E_n = H_n (-) H_{n+1} sits inside T^n M_E:
       ||(I - P_{T^n M_E}) (P_{H_n} - P_{H_{n+1}})||_F / sqrt(dim H_n - dim H_{n+1}).
-    - ``labann`` / ``key``: the tower factor identities, and agreement of
-      polar(T^n) with the composed level-wise isometries.
+    - ``labann``: the largest tower residual of ``isometry_tower``
+      (``reconstruct`` and ``r_two_routes``), each read on the corner
+      ``[:wn, :wn]`` that window(n) certifies, over the Frobenius norm of
+      its whole factor, T_b^n or r_n.
+    - ``key``: theta_n against the composed isometries polar(P_{H_{k-1}} T_b
+      P_{H_{k-1}}), k = 1..n, read on the same corner, over ||theta_n||_F.
     - ``fuio`` / ``fukth``: layer projections commute with the gram family;
       grams agree with range-compressed grams on deep layers.  For Hermitian
       G and P = V V*, ||P G - G P||_F = sqrt(2) ||(I - P) G V||_F (Stewart &
@@ -469,11 +460,8 @@ def verify_chain_structure(
     out["jups"] = worst
     out["jups_samples"] = sampled
 
-    out["labann"] = max(
-        (max(lvl.residuals["reconstruct"], lvl.residuals["r_two_routes"],
-             lvl.residuals["rstar_r_vs_gram"]) for lvl in tower.levels),
-        default=0.0,
-    )
+    out["labann"] = max((max(lvl.residuals["reconstruct"], lvl.residuals["r_two_routes"])
+                         for lvl in tower), default=0.0)
 
     # one projector per range: the defect E_n = H_n (-) H_{n+1} has projector
     # P_{H_n} - P_{H_{n+1}}, and P_{H_n} T P_{H_n} feeds key and fukth
@@ -489,12 +477,9 @@ def verify_chain_structure(
     compressions = [P @ Tb @ P for P in P_H]
     worst = 0.0
     composed = np.eye(block.w, dtype=Tb.dtype)
-    for lvl in tower.levels:
-        n = lvl.n
-        composed = polar(compressions[n - 1], rank_tol=cfg.rank_tol) @ composed
-        wn = block.window(n)
-        scale = max(np.linalg.norm(lvl.theta[:wn, :wn]), 1e-300)
-        worst = max(worst, float(np.linalg.norm((composed - lvl.theta)[:wn, :wn]) / scale))
+    for lvl in tower:
+        composed = polar(compressions[lvl.n - 1], rank_tol=cfg.rank_tol) @ composed
+        worst = max(worst, _corner_residual(composed - lvl.theta, block.window(lvl.n), lvl.theta))
     out["key"] = worst
 
     # for Hermitian G and P = V V*, ||P G - G P||_F = sqrt(2) ||(I - P) G V||_F

@@ -25,6 +25,19 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def family_model(family, n, rng):
+    """A grid family at size n: ws and sro (a = 0.3+0.4i, index 2) with weights
+    drawn from ``rng``, hardy (c = 0.5), or aq named as ``aqQ`` or ``aqQrR``."""
+    if family == "ws":
+        return weighted_shift(random_weights(rng, n - 1), n)
+    if family == "sro":
+        return shift_plus_rank_one(random_weights(rng, n - 1), 0.3 + 0.4j, 2, n)
+    if family == "hardy":
+        return shift_plus_rank_one([0.5] * (n - 1), 1.0, 0, n)
+    q, _, r = family[2:].partition("r")
+    return aq_operator(float(q), float(r) if r else None, n)
+
+
 @pytest.fixture
 def shift32(rng):
     return weighted_shift(random_weights(rng, 31), 32)

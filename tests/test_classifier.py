@@ -373,10 +373,10 @@ class TestCertificateInvariants:
 
         combo = (a * np.eye(t.dim) + b * gram_power(t, n) + c * gram_power(t, m)
                  + d * gram_power(t, n + m))
-        for v in chain.V:
+        for v in chain.V_block:
             if v.dim == 0:
                 continue
-            assert np.linalg.norm(combo @ v.frame) <= 1e-8
+            assert np.linalg.norm(combo @ chain.block.lift(v).frame) <= 1e-8
 
     def test_closed_range_under_relation(self, cfg):
         t = aq_operator(0.5, 5.0, 48)

@@ -529,23 +529,36 @@ def test_invariance_grid_tool(monkeypatch):
     assert {command for _, _, command in runs} == {"check", "decompose", "spectral",
                                                    "classify", "verify"}
 
-    def summarize(command):
-        argv = [command, *invariance_grid.cli_grid.family_args("hardy", 16), "--n", "16",
+    def summarize(command, family="hardy", n=16):
+        argv = [command, *invariance_grid.cli_grid.family_args(family, n), "--n", str(n),
                 "--format", "json"]
         code, out, err, _ = invariance_grid.cli_grid.capture(main, argv)
         return invariance_grid.summary(code, out, err)
 
-    plain = {command: summarize(command) for command in ("classify", "verify", "decompose")}
+    def summaries():
+        table = {command: summarize(command) for command in ("classify", "verify", "decompose")}
+        # ws verify: the tower residuals read the certified corner on the
+        # scale of the whole factor, so the deep levels, whose corner holds
+        # none of T^n, pass in every basis; only fukth fails, at N = 8 and 16
+        table.update({f"ws verify {n}": summarize("verify", "ws", n) for n in (6, 8, 12, 16)})
+        return table
+
+    plain = summaries()
+    ws = "verdict={} dim_E=1 dim_M_E=1 V=[{}] failures=[{}]"
     assert plain == {
         "classify": '0 verdict="both" dim_E=1 dim_M_E=2 moduli_status="stable" triples=1 '
                     'condition_II_ok=true',
         "verify": '4 verdict=false dim_E=1 dim_M_E=2 V=[2,1,1,1,1,1,1] failures=["fukth"]',
         "decompose": '0 dim_E=1 dim_M_E=2 moduli_status="stable" V=[2,1,1,1,1,1,1]',
+        "ws verify 6": "0 " + ws.format("true", "1,1,1", ""),
+        "ws verify 8": "4 " + ws.format("false", "1,1,1,1", '"fukth"'),
+        "ws verify 12": "0 " + ws.format("true", "1,1,1,1,1", ""),
+        "ws verify 16": "4 " + ws.format("false", "1,1,1,1,1,1,1", '"fukth"'),
     }
     build = hclab.cli.build_model
     for rotated in (invariance_grid.phase_conjugated, invariance_grid.unitary_conjugated):
         monkeypatch.setattr(hclab.cli, "build_model", rotated(hclab.cli))
-        assert {command: summarize(command) for command in plain} == plain
+        assert summaries() == plain
         monkeypatch.setattr(hclab.cli, "build_model", build)
     assert invariance_grid.summary(2, "", "error[ModuliTooSmall]: dim M_E = 1 < 2") == (
         "2 error=ModuliTooSmall")

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hclab import hermitian_eig, polar, positive_sqrt
+from hclab import ToleranceConfig, hermitian_eig, polar, positive_sqrt
+from hclab.chains import analysis_block
 from hclab.errors import NonFinite, NotHermitian, NotPSD
 from hclab.linalg import (_coupled_rows, _split_commutator_norm, hermitian_commutator_norm,
                           hermitian_eigvals, hermitian_norm, numerical_rank, power_table)
+
+from conftest import family_model, random_unitary
 
 
 def random_hermitian(rng, n):
@@ -111,6 +114,32 @@ class TestPolar:
 
     def test_zero_matrix_gives_zero(self):
         assert np.all(polar(np.zeros((4, 4), dtype=complex)) == 0)
+
+
+class TestTowerFactors:
+    """The identities the isometry tower's factors hold by construction, on
+    the block grams and block powers it factors: r_n = positive_sqrt(G_n)
+    squares to G_n, and theta_n = polar(T_b^n) makes theta theta* and
+    theta* theta orthogonal projections."""
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.3", "aq0.5r5", "aq0.7"])
+    def test_square_root_and_partial_isometry(self, family, n, conj):
+        cfg = ToleranceConfig()
+        rng = np.random.default_rng(n)
+        model = family_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        block = analysis_block(model, cfg)
+        for k in range(1, block.depth + 1):
+            g = block.grams[k]
+            r = positive_sqrt(g)
+            assert np.linalg.norm(r @ r - g) <= 1e-12 * np.linalg.norm(g), k
+            theta = polar(block.powers[k], rank_tol=cfg.rank_tol)
+            for p in (theta @ theta.conj().T, theta.conj().T @ theta):
+                assert np.linalg.norm(p @ p - p) <= 1e-12, k
+                assert np.linalg.norm(p - p.conj().T) <= 1e-12, k
 
 
 class TestNumericalRank:

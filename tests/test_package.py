@@ -4,7 +4,7 @@ import pkgutil
 import hclab
 
 REMOVED = ("polynomial_machinery", "PolynomialData", "DegenerateTriples", "project",
-           "subspace_sum", "PolarPair")
+           "subspace_sum", "PolarPair", "IsometryTower")
 
 
 def test_exports_resolve_and_removed_names_are_gone():

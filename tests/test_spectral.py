@@ -237,7 +237,7 @@ class TestSpectralCorrespondence:
         chain = chain_decomposition(t, cfg)
         lam = np.concatenate([[1.0], np.cumprod(w ** 2)])
         for m in range(1, chain.depth):
-            vm = chain.V[m].frame[:, 0]
+            vm = chain.block.lift(chain.V_block[m]).frame[:, 0]
             for j in range(1, chain.depth - m):
                 g = gram_power(t, j)
                 val = np.real(vm.conj() @ g @ vm)
@@ -253,7 +253,7 @@ class TestSpectralSideConditions:
         st = structure_extract(t, chain, cfg)
         lam = st.me_spectrum.characters[st.lambda_index]
         mu = st.me_spectrum.characters[st.mu_index]
-        e = chain.E.frame[:, 0]
+        e = chain.block.lift(chain.block.E).frame[:, 0]
         scale = max(np.abs(lam.values).max(), 1.0)
         for m in range(1, chain.depth + 1):
             if abs(lam.value(m) - mu.value(m)) <= 1e-9 * scale:
