@@ -40,14 +40,14 @@ print("The layer dims drop from 2 to 1 exactly at the tower depth of the")
 print("rank-one perturbation: the chain sees where the corner term acts.")
 print()
 
-tower = isometry_tower(T, cfg)
+tower = isometry_tower(chain)
 print("isometry tower residuals per level (certified corner over the whole factor):")
 for lvl in tower:
     print(f"  n={lvl.n}:  theta r = T^n: {lvl.residuals['reconstruct']:.1e}   "
           f"product route: {lvl.residuals['r_two_routes']:.1e}")
 print()
 
-table = verify_chain_structure(T, chain, tower, cfg)
+table = verify_chain_structure(chain)
 print("structural residual table:")
 for tag in ("space1", "space1_direct_sum", "isisis", "jups", "saknar",
             "labann", "key", "fuio", "fukth"):
@@ -56,7 +56,7 @@ print(f"  layer dims weakly decreasing: {table['v_dims_weakly_decreasing']}")
 print(f"  surjectivity certificate (smallest sigma): {table['isisis_sigma_min']:.3f}")
 print()
 
-cor = spectral_correspondence_check(T, chain, cfg)
+cor = spectral_correspondence_check(chain)
 print("layer-to-moduli spectral correspondence, worst best-match residual:")
 for n, r in cor["per_layer"].items():
     print(f"  V_{n}: {r:.2e}")

@@ -13,7 +13,7 @@ invariant under basis rotations of the model; ambient frames are lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -226,12 +226,15 @@ class ChainDecomposition:
     ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
     ``M_E``, the closure seed of ``classify``, is the one ambient lift, built
     once, on first read; any other block subspace lifts by ``block.lift``.
+    Every later stage takes the chain alone and reads ``model`` and ``cfg`` off it.
     """
 
+    model: OperatorModel
+    cfg: ToleranceConfig
     moduli_status: str
     block: AnalysisBlock
-    cfg: ToleranceConfig
     M_E_block: Subspace
+    _memo: dict = field(default_factory=dict, init=False, repr=False)  # for _memoized
 
     @cached_property
     def _chain(self) -> tuple:
@@ -300,7 +303,7 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
     _ensure_injective_on_window(model, cfg)
     block = analysis_block(model, cfg)
     M_E_blk, status = _moduli_on_block(block, cfg)
-    return ChainDecomposition(moduli_status=status, block=block, cfg=cfg, M_E_block=M_E_blk)
+    return ChainDecomposition(model, cfg, status, block, M_E_blk)
 
 
 @dataclass
@@ -319,8 +322,8 @@ def _corner_residual(diff: np.ndarray, wn: int, whole: np.ndarray) -> float:
     return float(np.linalg.norm(diff[:wn, :wn]) / max(np.linalg.norm(whole), 1e-300))
 
 
-def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> list[TowerLevel]:
-    """The levels n = 1..depth of the tower: theta_n = polar(T_b^n) and
+def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
+    """The levels n = 1..depth of the chain's tower: theta_n = polar(T_b^n) and
     r_n = (T_b*^n T_b^n)^{1/2}, the positive square root of the block gram.
 
     Each level records two claims, each read on the corner
@@ -333,16 +336,15 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> list[TowerLeve
     identities are only claimed for half-centered operators, so the verdict
     is enforced first.
     """
-    require_half_centered(model, cfg)
-    _ensure_injective_on_window(model, cfg)
-    block = analysis_block(model, cfg)
+    require_half_centered(chain.model, chain.cfg)
+    block = chain.block
     G1 = block.grams[1]
     prev_theta = np.eye(block.w, dtype=block.matrix.dtype)
     product = np.eye(block.w, dtype=block.matrix.dtype)
     levels = []
     for n in range(1, block.depth + 1):
         Tn = block.powers[n]
-        theta = polar(Tn, rank_tol=cfg.rank_tol)
+        theta = polar(Tn, rank_tol=chain.cfg.rank_tol)
         r = positive_sqrt(block.grams[n])
         product = positive_sqrt(prev_theta.conj().T @ G1 @ prev_theta) @ product
         wn = block.window(n)
@@ -353,13 +355,9 @@ def isometry_tower(model: OperatorModel, cfg: ToleranceConfig) -> list[TowerLeve
     return levels
 
 
-def verify_chain_structure(
-    model: OperatorModel,
-    chain: ChainDecomposition,
-    tower: list[TowerLevel],
-    cfg: ToleranceConfig,
-) -> dict:
-    """Residuals for the structural claims about the chain and the tower.
+def verify_chain_structure(chain: ChainDecomposition) -> dict:
+    """Residuals for the structural claims about the chain and its tower,
+    built first (so the tower's gate comes before any claim).
 
     Keys of the returned table:
 
@@ -386,7 +384,8 @@ def verify_chain_structure(
       Sun, Matrix Perturbation Theory, ch. V), so ``fuio`` is sqrt(2) times
       the chain's ``gram_invariance_residual``.
     """
-    block = chain.block
+    tower = isometry_tower(chain)
+    block, cfg = chain.block, chain.cfg
     Tb = block.matrix
     K = chain.depth
     V, X, M_E = chain.V_block, chain.X_block, chain.M_E_block

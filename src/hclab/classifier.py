@@ -210,10 +210,10 @@ class ShiftRankOneCertificate:
         }
 
 
-def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
-                               structure: StructureData, triples: list,
-                               cfg: ToleranceConfig) -> ShiftRankOneCertificate:
-    """Recover the basis in which T is a weighted shift plus one rank-one term.
+def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureData,
+                               triples: list) -> ShiftRankOneCertificate:
+    """Recover the basis in which the chain's T is a weighted shift plus one
+    rank-one term, from ``structure_extract(chain)`` and its triples.
 
     With a single triple (lambda, gamma, m) and a two-dimensional moduli
     subspace, the basis is the Krylov basis of w under T up to the triple
@@ -234,6 +234,7 @@ def shift_rank_one_reconstruct(model: OperatorModel, chain: ChainDecomposition,
     w, v = (chain.M_E.frame @ chars[j].frame[:, :1]
             for j in (triple.lambda_char, 1 - triple.lambda_char))
 
+    model, cfg = chain.model, chain.cfg
     T, N, scale = model.matrix, model.dim, _singular_pairs(model)[1][0]
     X = krylov_closure(T, w, scale, cfg.rank_tol, limit=m)[0]
     if X.shape[1] < min(m, N):
@@ -347,8 +348,8 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
             moduli_status=chain.moduli_status, diagnostics=diagnostics,
         )
 
-    structure = structure_extract(model, chain, cfg)
-    triples = enumerate_triples(model, chain, structure, cfg)
+    structure = structure_extract(chain)
+    triples = enumerate_triples(chain, structure)
     diagnostics["no_nonzero_beta"] = structure.no_nonzero_beta
     diagnostics["bt1_residual"] = structure.residuals.get("bt1")
 
@@ -361,7 +362,7 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     reconstruction = None
     if len(triples) == 1:
         try:
-            reconstruction = shift_rank_one_reconstruct(model, chain, structure, triples, cfg)
+            reconstruction = shift_rank_one_reconstruct(chain, structure, triples)
         except (PreconditionError, InconclusiveError) as exc:
             diagnostics["reconstruction"] = str(exc)
 

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .chains import chain_decomposition, isometry_tower, verify_chain_structure
+from .chains import chain_decomposition, verify_chain_structure
 from .classifier import classify
 from .commutation import (analysis_depth, centered_check, centered_criterion,
                           require_half_centered)
@@ -135,8 +135,7 @@ def cmd_decompose(model, cfg) -> tuple[dict, int]:
     chain = chain_decomposition(model, cfg)
     out = chain.as_dict()
     try:
-        tower = isometry_tower(model, cfg)
-        out["structure"] = verify_chain_structure(model, chain, tower, cfg)
+        out["structure"] = verify_chain_structure(chain)
     except HclabError as exc:
         out["structure"] = None
         out["structure_skipped"] = f"{type(exc).__name__}: {exc}"
@@ -146,9 +145,9 @@ def cmd_decompose(model, cfg) -> tuple[dict, int]:
 def cmd_spectral(model, cfg) -> tuple[dict, int]:
     require_half_centered(model, cfg)
     chain = chain_decomposition(model, cfg)
-    structure = structure_extract(model, chain, cfg)
-    triples = enumerate_triples(model, chain, structure, cfg)
-    correspondence = spectral_correspondence_check(model, chain, cfg)
+    structure = structure_extract(chain)
+    triples = enumerate_triples(chain, structure)
+    correspondence = spectral_correspondence_check(chain)
     return {
         **structure.as_dict(),
         "triples": [t.as_dict() for t in triples],
@@ -163,9 +162,7 @@ def cmd_classify(model, cfg) -> tuple[dict, int]:
 
 def cmd_verify(model, cfg) -> tuple[dict, int]:
     half = require_half_centered(model, cfg)
-    chain = chain_decomposition(model, cfg)
-    tower = isometry_tower(model, cfg)
-    table = verify_chain_structure(model, chain, tower, cfg)
+    table = verify_chain_structure(chain_decomposition(model, cfg))
     failures = {}
     for key, tol in VERIFY_TOLERANCES.items():
         val = table.get(key)

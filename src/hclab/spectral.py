@@ -13,7 +13,7 @@ import numpy as np
 from .chains import ChainDecomposition
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
 from .linalg import _hermitian_view, _split_commutator_norm, _split_norm
-from .operators import OperatorModel, ToleranceConfig, _memoized
+from .operators import ToleranceConfig, _memoized
 from .subspaces import orthonormalize
 
 __all__ = [
@@ -34,7 +34,7 @@ class Character:
 
     values: np.ndarray
     frame: np.ndarray
-    multiplicity: int
+    multiplicity = property(lambda self: self.frame.shape[1])
 
     def value(self, k: int) -> float:
         """Value on the k-th member, with k = 0 meaning the identity."""
@@ -140,7 +140,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
         # one eigh frame is orthonormal already; a merge of several is re-spanned
         frame = frames[0] if len(frames) == 1 else orthonormalize(
             frames, rank_tol=cfg.rank_tol).frame
-        characters.append(Character(values=vals, frame=frame, multiplicity=frame.shape[1]))
+        characters.append(Character(values=vals, frame=frame))
     characters.sort(key=lambda c: tuple(c.values))
     return JointSpectrum(characters=characters)
 
@@ -182,9 +182,9 @@ def _affine_fit(values: np.ndarray, tau: np.ndarray, beta: np.ndarray) -> float:
 
 
 @_memoized
-def _moduli_spectrum(model: OperatorModel, chain: ChainDecomposition, cfg: ToleranceConfig):
+def _moduli_spectrum(chain: ChainDecomposition):
     """tau (None without a kernel vector), the windowed grams 1..K compressed
-    to M_E and their joint spectrum, all read on the chain's block."""
+    to M_E and their joint spectrum, read on the chain's block, kept on it."""
     block = chain.block
     grams = block.grams[1:chain.depth + 1]
     tau = None
@@ -193,12 +193,12 @@ def _moduli_spectrum(model: OperatorModel, chain: ChainDecomposition, cfg: Toler
         tau = np.array([1.0] + [float(np.real(e.conj() @ g @ e)) for g in grams])
     ME = chain.M_E_block.frame
     me_mats = [ME.conj().T @ g @ ME for g in grams]
-    return tau, me_mats, joint_diagonalize(me_mats, cfg)
+    return tau, me_mats, joint_diagonalize(me_mats, chain.cfg)
 
 
-def structure_extract(model: OperatorModel, chain: ChainDecomposition,
-                      cfg: ToleranceConfig) -> StructureData:
-    """Extract tau, beta, and the affine structure of the grams on M_E.
+def structure_extract(chain: ChainDecomposition) -> StructureData:
+    """Extract tau, beta, and the affine structure of the grams on M_E of the
+    chain, at its depth and tolerances.
 
     tau_k is the diagonal matrix element of the k-th gram at the unit kernel
     vector.  beta is the difference of the two extreme characters, the
@@ -212,8 +212,8 @@ def structure_extract(model: OperatorModel, chain: ChainDecomposition,
         raise PreconditionViolated(f"kernel of T* has dimension {E.dim}, need 1")
     if M_E.dim < 2:
         raise ModuliTooSmall(f"dim M_E = {M_E.dim} < 2: beta is undefined")
-    K = chain.depth
-    tau, me_mats, me_spec = _moduli_spectrum(model, chain, cfg)
+    K, cfg = chain.depth, chain.cfg
+    tau, me_mats, me_spec = _moduli_spectrum(chain)
 
     F = M_E.frame[:, E.dim:]  # M_E (-) E: the moduli closure's frame starts with E's
     comp_mats = [F.conj().T @ g @ F for g in chain.block.grams[1:K + 1]]
@@ -325,17 +325,16 @@ def _match_residual(lhs: np.ndarray, rhs: np.ndarray, axis) -> np.ndarray:
                           axis=axis, initial=0.0)
 
 
-def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
-                      structure: StructureData, cfg: ToleranceConfig) -> list:
-    """All triples (lambda, gamma, m) certified within the match tolerance,
-    in (gamma, m, lambda) order.
+def enumerate_triples(chain: ChainDecomposition, structure: StructureData) -> list:
+    """All triples (lambda, gamma, m) of ``structure_extract(chain)`` certified
+    within the chain's match tolerance, in (gamma, m, lambda) order.
 
     For each character gamma of the compressed family and each tower depth
     m, a moduli character lambda qualifies when the compressed values agree
     with the depth-shifted ratio values of lambda for every power still
     inside the window.  An empty result is a valid outcome.
     """
-    me = structure.me_spectrum
+    me, cfg = structure.me_spectrum, chain.cfg
     ratios = _ratio_table(me, structure.tau, me.zero_tol(cfg), chain.depth)
     gammas = structure.compressed_spectrum.value_table()
     # residual[gamma, m - 1, lambda] for m = 1..K-1
@@ -348,8 +347,7 @@ def enumerate_triples(model: OperatorModel, chain: ChainDecomposition,
     ]
 
 
-def spectral_correspondence_check(model: OperatorModel, chain: ChainDecomposition,
-                                  cfg: ToleranceConfig) -> dict:
+def spectral_correspondence_check(chain: ChainDecomposition) -> dict:
     """Match characters on each chain layer V_n to moduli characters.
 
     Both sides are evaluated through the ratio formulas: a character gamma
@@ -359,8 +357,8 @@ def spectral_correspondence_check(model: OperatorModel, chain: ChainDecompositio
     """
     if chain.block.E.dim == 0:  # then M_E and every V_n are empty
         return {"per_layer": {}, "worst": 0.0}
-    K = chain.depth
-    tau, _, me_spec = _moduli_spectrum(model, chain, cfg)
+    K, cfg = chain.depth, chain.cfg
+    tau, _, me_spec = _moduli_spectrum(chain)
     grams = chain.block.grams[1:K + 1]
     zero_tol = me_spec.zero_tol(cfg)
     lam_ratios = _ratio_table(me_spec, tau, zero_tol, K)

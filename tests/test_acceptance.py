@@ -16,7 +16,6 @@ from hclab import (
     enumerate_triples,
     gram_power,
     half_centered_check,
-    isometry_tower,
     joint_diagonalize,
     kernel_of_adjoint,
     moduli_subspace,
@@ -119,7 +118,7 @@ def test_criterion_05_weighted_shift():
     assert worst_proj <= 1e-10
     rep = classify(t, cfg)
     assert rep.verdict == "centered_weighted_shift"
-    cor = spectral_correspondence_check(t, chain, cfg)
+    cor = spectral_correspondence_check(chain)
     assert cor["worst"] <= 1e-10
     # the layer character values are exactly the weight-product ratios
     lam = np.concatenate([[1.0], np.cumprod(np.abs(w) ** 2)])
@@ -141,14 +140,14 @@ def test_criterion_06_shift_plus_rank_one():
     t = shift_plus_rank_one(w, a, n, big_n)
     chain = chain_decomposition(t, cfg)
     assert chain.M_E.dim == 2
-    st = structure_extract(t, chain, cfg)
-    triples = enumerate_triples(t, chain, st, cfg)
+    st = structure_extract(chain)
+    triples = enumerate_triples(chain, st)
     assert len(triples) == 1
     # frozen from the exhaustive-scan oracle: the unique triple's tower
     # depth sits one above the rank-one column index, and the normal form
     # reads the rank-one entry back off at column m - 1
     assert triples[0].m == n + 1
-    cert = shift_rank_one_reconstruct(t, chain, st, triples, cfg)
+    cert = shift_rank_one_reconstruct(chain, st, triples)
     assert cert.reconstruction_residual <= 1e-8
     assert cert.n == n
     assert abs(cert.a) == pytest.approx(abs(a), abs=1e-8)
@@ -169,7 +168,7 @@ def test_criterion_07_hardy_example():
     frame_gap = np.linalg.norm(sub.projector() - expect)
     assert frame_gap <= 1e-10
     chain = chain_decomposition(t, cfg)
-    st = structure_extract(t, chain, cfg)
+    st = structure_extract(chain)
     assert abs(st.tau[1] - 0.45) <= 1e-12
     kernel = kernel_of_adjoint(t, cfg)
     ref = np.zeros(big_n, dtype=complex)
@@ -195,9 +194,7 @@ def test_criterion_08_structural_suite():
     }
     worst = {}
     for name, model in instances.items():
-        chain = chain_decomposition(model, cfg)
-        tower = isometry_tower(model, cfg)
-        table = verify_chain_structure(model, chain, tower, cfg)
+        table = verify_chain_structure(chain_decomposition(model, cfg))
         assert table["key"] <= 1e-9, name
         assert table["labann"] <= 1e-9, name
         assert table["v_dims_weakly_decreasing"], name
@@ -236,7 +233,7 @@ def test_criterion_10_property_suite():
     ]
     for t in analyzed:
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         assert np.all(st.tau > 0)
         assert st.beta[0] == 0.0
         # shared extreme values force the kernel line to be an eigenvector

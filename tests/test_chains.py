@@ -33,7 +33,7 @@ import hclab.commutation
 import hclab.linalg
 from hclab.chains import _moduli_on_block, analysis_block, krylov_closure
 from hclab.cli import cmd_classify, main
-from hclab.commutation import effective_depth
+from hclab.commutation import analysis_depth, effective_depth
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import hermitian_norm
 from hclab.spectral import _moduli_spectrum
@@ -145,9 +145,8 @@ class TestIsometryTower:
     def test_isometry_levels(self, cfg):
         # for an isometry, theta_n is T^n itself and r_n the identity, on
         # the part of the block the window still certifies
-        t = weighted_shift([1.0] * 19, 20)
-        tower = isometry_tower(t, cfg)
-        block = analysis_block(t, cfg)
+        chain = chain_decomposition(weighted_shift([1.0] * 19, 20), cfg)
+        tower, block = isometry_tower(chain), chain.block
         for lvl in tower:
             wn = block.window(lvl.n)
             expect = np.linalg.matrix_power(block.matrix, lvl.n)
@@ -155,9 +154,8 @@ class TestIsometryTower:
             assert np.linalg.norm(lvl.r[:wn, :wn] - np.eye(wn)) <= 1e-12
 
     def test_weighted_shift_theta_is_unweighted_power(self, rng, cfg):
-        t = weighted_shift(rng.uniform(0.6, 1.4, 23), 24)
-        tower = isometry_tower(t, cfg)
-        w = analysis_block(t, cfg).w
+        chain = chain_decomposition(weighted_shift(rng.uniform(0.6, 1.4, 23), 24), cfg)
+        tower, w = isometry_tower(chain), chain.block.w
         s = np.zeros((w, w))
         s[np.arange(1, w), np.arange(w - 1)] = 1.0
         for lvl in tower:
@@ -167,7 +165,7 @@ class TestIsometryTower:
         # r_n r_n = G_n and the partial isometry of theta_n hold by
         # construction; test_linalg checks them on the tower's inputs
         t = shift_plus_rank_one(random_weights(rng, 23), 0.3 + 0.4j, 2, 24)
-        tower = isometry_tower(t, cfg)
+        tower = isometry_tower(chain_decomposition(t, cfg))
         for lvl in tower:
             assert set(lvl.residuals) == {"reconstruct", "r_two_routes"}
             assert lvl.residuals["r_two_routes"] <= 1e-9
@@ -181,9 +179,9 @@ class TestIsometryTower:
         model = weighted_shift(random_weights(rng, 15), 16)
         if conj:
             model = model.conjugated(random_unitary(rng, 16))
-        block = analysis_block(model, cfg)
-        tower = isometry_tower(model, cfg)
-        table = verify_chain_structure(model, chain_decomposition(model, cfg), tower, cfg)
+        chain = chain_decomposition(model, cfg)
+        block, tower = chain.block, isometry_tower(chain)
+        table = verify_chain_structure(chain)
         bound = 100 * block.w * np.finfo(float).eps
         assert [lvl.n for lvl in tower] == [1, 2, 3, 4, 5, 6]
         for lvl in tower[4:]:
@@ -204,18 +202,31 @@ class TestIsometryTower:
         from hclab import from_matrix
 
         with pytest.raises(NotHalfCentered):
-            isometry_tower(from_matrix(bad, exact=False), cfg)
+            isometry_tower(chain_decomposition(from_matrix(bad, exact=False), cfg))
 
 
 class TestVerifyChainStructure:
+    @pytest.mark.parametrize("build, depth, expect", [
+        (lambda: aq_operator(0.5, 5.0, 32), 3, 3),
+        (lambda: aq_operator(0.5, 5.0, 32), 6, 6),
+        # analysis_depth 5, but the block keeps MIN_WINDOW indices at depth 4
+        (lambda: weighted_shift([1.0] * 11, 12), 6, 4),
+    ], ids=["aq_depth3", "aq_depth6", "ws12"])
+    def test_suite_and_tower_read_the_chains_depth(self, build, depth, expect):
+        model, cfg = build(), ToleranceConfig(depth=depth)
+        chain = chain_decomposition(model, cfg)
+        tower = isometry_tower(chain)
+        table = verify_chain_structure(chain)
+        assert table["depth"] == chain.depth == len(tower) == expect
+        assert effective_depth(model, cfg) == expect <= analysis_depth(model, cfg)
+        assert table["labann"] == max(max(lvl.residuals.values()) for lvl in tower)
+
     @pytest.mark.parametrize("name", ["weighted_shift", "rank_one_n2", "hardy",
                                       "aq", "composition_cycle"])
     def test_structural_suite(self, rng, name):
         cfg = ToleranceConfig(depth=5)
         model = suite_instances(rng)[name]
-        chain = chain_decomposition(model, cfg)
-        tower = isometry_tower(model, cfg)
-        table = verify_chain_structure(model, chain, tower, cfg)
+        table = verify_chain_structure(chain_decomposition(model, cfg))
         for key, tol in STRUCT_TOLERANCES.items():
             assert table[key] <= tol, (name, key, table[key])
         assert table["v_dims_weakly_decreasing"]
@@ -232,17 +243,16 @@ class TestVerifyChainStructure:
     def test_complement_dims_reported(self, rng, cfg):
         t = weighted_shift(random_weights(rng, 23), 24)
         chain = chain_decomposition(t, cfg)
-        tower = isometry_tower(t, cfg)
-        table = verify_chain_structure(t, chain, tower, cfg)
+        table = verify_chain_structure(chain)
         assert len(table["space1_complement_dims"]) == chain.depth
 
 
 def _verify_pipeline(t, cfg):
     half = half_centered_check(t, cfg)
     chain = chain_decomposition(t, cfg)
-    tower = isometry_tower(t, cfg)
+    tower = isometry_tower(chain)
     return {"half": half.as_dict(), "tower": [lvl.residuals for lvl in tower],
-            "structure": verify_chain_structure(t, chain, tower, cfg)}
+            "structure": verify_chain_structure(chain)}
 
 
 class TestSharedDerivations:
@@ -251,9 +261,10 @@ class TestSharedDerivations:
 
     def test_stages_share_one_block_and_half_report(self, cfg):
         t = aq_operator(0.5, 5.0, 32)
-        block = chain_decomposition(t, cfg).block
+        chain = chain_decomposition(t, cfg)
+        block = chain.block
         assert block is analysis_block(t, cfg)
-        assert all(lvl.theta.shape == (block.w, block.w) for lvl in isometry_tower(t, cfg))
+        assert all(lvl.theta.shape == (block.w, block.w) for lvl in isometry_tower(chain))
         assert half_centered_check(t, cfg) is half_centered_check(t, cfg)
         assert half_centered_check(t, replace(cfg, depth=3)).depth == 3
 
@@ -341,9 +352,8 @@ class TestOneDerivationPerBlock:
 
     def test_structural_suite_takes_each_norm_once(self, sro32, cfg, norm_calls):
         chain = chain_decomposition(sro32, cfg)
-        tower = isometry_tower(sro32, cfg)
         norm_calls.clear()
-        verify_chain_structure(sro32, chain, tower, cfg)
+        verify_chain_structure(chain)
         assert len(norm_calls) <= chain.depth + 2
 
     def test_chain_takes_each_gram_norm_once(self, sro32, cfg, norm_calls):
@@ -411,8 +421,7 @@ class TestOneDerivationPerBlock:
     def test_one_analysis_block_per_model_and_config(self, cfg):
         t = aq_operator(0.5, 5.0, 64)
         moduli_subspace(t, cfg)
-        chain_decomposition(t, cfg)
-        isometry_tower(t, cfg)
+        isometry_tower(chain_decomposition(t, cfg))
         built = [key for key in t._memo if key[0] is analysis_block.__wrapped__]
         assert len(built) == 1
 
@@ -692,10 +701,10 @@ class TestOneCoordinateSystem:
     def test_no_stage_after_the_block_lifts(self, family, conj, cfg, lifts):
         model = self._model(family, 32, conj)
         chain = chain_decomposition(model, cfg)
-        verify_chain_structure(model, chain, isometry_tower(model, cfg), cfg)
-        structure = structure_extract(model, chain, cfg)
-        enumerate_triples(model, chain, structure, cfg)
-        spectral_correspondence_check(model, chain, cfg)
+        verify_chain_structure(chain)
+        structure = structure_extract(chain)
+        enumerate_triples(chain, structure)
+        spectral_correspondence_check(chain)
         assert chain.as_dict()["dims"]["M_E"] >= 2
         assert lifts == []
 
@@ -742,7 +751,7 @@ class TestOneCoordinateSystem:
         model = self._model(family, n, conj)
         chain = chain_decomposition(model, cfg)
         block, eps = chain.block, np.finfo(float).eps
-        tau, me_mats, _ = _moduli_spectrum(model, chain, cfg)
+        tau, me_mats, _ = _moduli_spectrum(chain)
         e, ME = block.lift(block.E).frame[:, 0], chain.M_E.frame
         for k in range(1, chain.depth + 1):
             # the ambient formula: the full N x N gram on lifted frames
@@ -777,7 +786,7 @@ class TestOneFactPerClaim:
     def test_fuio_matches_the_commutator_above_roundoff(self, cfg):
         model = aq_operator(0.5, None, 40)
         chain = chain_decomposition(model, cfg)
-        table = verify_chain_structure(model, chain, isometry_tower(model, cfg), cfg)
+        table = verify_chain_structure(chain)
         oracle = _commutator_oracle(chain)
         assert oracle > 1e-11
         assert abs(table["fuio"] - oracle) <= 1e-12 * oracle
@@ -789,7 +798,7 @@ class TestOneFactPerClaim:
         model = family_model(family, 32, rng)
         model = model.conjugated(random_unitary(rng, 32)) if conj else model
         chain = chain_decomposition(model, cfg)
-        table = verify_chain_structure(model, chain, isometry_tower(model, cfg), cfg)
+        table = verify_chain_structure(chain)
         assert abs(table["fuio"] - _commutator_oracle(chain)) <= 1e-14
 
     @pytest.mark.parametrize("family, n", [
@@ -799,7 +808,7 @@ class TestOneFactPerClaim:
     def test_isisis_is_zero_where_every_map_is_onto(self, family, n, cfg):
         model = family_model(family, n, np.random.default_rng(n))
         chain = chain_decomposition(model, cfg)
-        table = verify_chain_structure(model, chain, isometry_tower(model, cfg), cfg)
+        table = verify_chain_structure(chain)
         assert table["isisis"] == 0.0
 
 
@@ -828,7 +837,7 @@ class TestDefectsFromProjectors:
     @staticmethod
     def _suite(model, cfg):
         chain = chain_decomposition(model, cfg)
-        return chain, verify_chain_structure(model, chain, isometry_tower(model, cfg), cfg)
+        return chain, verify_chain_structure(chain)
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])

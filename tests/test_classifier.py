@@ -236,9 +236,9 @@ class TestShiftRankOneReconstruct:
         a = 0.3 + 0.4j
         t = shift_plus_rank_one(w, a, n, N)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
-        cert = shift_rank_one_reconstruct(t, chain, st, triples, cfg)
+        st = structure_extract(chain)
+        triples = enumerate_triples(chain, st)
+        cert = shift_rank_one_reconstruct(chain, st, triples)
         assert cert.n == n
         assert abs(cert.a) == pytest.approx(abs(a), abs=1e-10)
         assert_allclose(np.abs(cert.weights), np.abs(w)[: len(cert.weights)], atol=1e-10)
@@ -258,9 +258,9 @@ class TestShiftRankOneReconstruct:
     def test_hardy_recovers_corner_form(self, cfg):
         t = shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
-        cert = shift_rank_one_reconstruct(t, chain, st, triples, cfg)
+        st = structure_extract(chain)
+        triples = enumerate_triples(chain, st)
+        cert = shift_rank_one_reconstruct(chain, st, triples)
         assert cert.n == 0
         assert abs(cert.a) == pytest.approx(1.0, abs=1e-10)
         assert_allclose(np.abs(cert.weights), 0.5, atol=1e-10)
@@ -301,10 +301,10 @@ class TestShiftRankOneReconstruct:
     def test_requires_single_triple(self, cfg):
         t = aq_operator(0.5, 5.0, 32)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
+        st = structure_extract(chain)
+        triples = enumerate_triples(chain, st)
         with pytest.raises((NotSingleTriple, PreconditionViolated)):
-            shift_rank_one_reconstruct(t, chain, st, triples, cfg)
+            shift_rank_one_reconstruct(chain, st, triples)
 
 
 class TestClassify:

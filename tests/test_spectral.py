@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,6 +66,12 @@ class TestJointDiagonalize:
         spec = joint_diagonalize(fam, cfg)
         assert sorted(c.multiplicity for c in spec.characters) == [1, 2]
 
+    def test_multiplicity_is_the_frame_width(self, cfg):
+        # read off the frame, not stored beside it where the two could differ
+        char = joint_diagonalize([np.diag([1.0, 1.0, 2.0])], cfg).characters[0]
+        assert "multiplicity" not in {f.name for f in fields(char)}
+        assert char.multiplicity == char.frame.shape[1] == 2
+
     def test_rejects_non_commuting(self, cfg):
         with pytest.raises(NotCommuting):
             joint_diagonalize([np.diag([1.0, 2.0]), np.array([[0.0, 1], [1, 0.0]])], cfg)
@@ -74,13 +82,13 @@ class TestStructureExtract:
         t = weighted_shift(random_weights(rng, 23), 24)
         chain = chain_decomposition(t, cfg)
         with pytest.raises(ModuliTooSmall):
-            structure_extract(t, chain, cfg)
+            structure_extract(chain)
 
     def test_hardy_tau(self, cfg):
         # tau_1 = |a|^2 (2 + |a|^2) / (1 + |a|^2) = 0.45 at a = 1/2
         t = shift_plus_rank_one([0.5] * 15, 1.0, 0, 16)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         assert st.tau[0] == 1.0
         assert st.tau[1] == pytest.approx(0.45, abs=1e-12)
 
@@ -91,7 +99,7 @@ class TestStructureExtract:
             aq_operator(0.5, 5.0, 24),
         ]:
             chain = chain_decomposition(t, cfg)
-            st = structure_extract(t, chain, cfg)
+            st = structure_extract(chain)
             assert np.all(st.tau > 0), t.family
             assert st.beta[0] == 0.0
 
@@ -99,7 +107,7 @@ class TestStructureExtract:
         # every moduli character satisfies values = tau + A_char * beta
         t = shift_plus_rank_one(random_weights(rng, 23), 0.3 + 0.4j, 2, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         assert st.residuals["hemma1"] <= 1e-8
         assert st.residuals["bt1"] <= 1e-9
         assert st.residuals["wwraw"] <= 1e-9
@@ -108,7 +116,7 @@ class TestStructureExtract:
         # any distinct character pair gives the same beta up to one constant
         t = aq_operator(0.5, 5.0, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         table = st.me_spectrum.value_table()
         tau = st.tau[1:]
         base = st.beta[1:]
@@ -125,7 +133,7 @@ class TestStructureExtract:
     def test_normalized_beta_leads_with_one(self, rng, cfg):
         t = shift_plus_rank_one(random_weights(rng, 23), 0.3 + 0.4j, 2, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         sig = np.abs(st.beta_normalized) > 1e-9
         first = np.argmax(sig)
         assert st.beta_normalized[first] == pytest.approx(1.0)
@@ -137,8 +145,8 @@ class TestEnumerateTriples:
         # family sits at tower depth m = 3 = n + 1
         t = shift_plus_rank_one(random_weights(rng, 31), 0.3 + 0.4j, 2, 32)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
+        st = structure_extract(chain)
+        triples = enumerate_triples(chain, st)
         assert len(triples) == 1
         assert triples[0].m == 3
         assert triples[0].match_residual <= 1e-10
@@ -146,16 +154,16 @@ class TestEnumerateTriples:
     def test_hardy_triple_at_depth_one(self, cfg):
         t = shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
+        st = structure_extract(chain)
+        triples = enumerate_triples(chain, st)
         assert len(triples) == 1
         assert triples[0].m == 1
 
     def test_aq_has_many_triples(self, cfg):
         t = aq_operator(0.5, 5.0, 32)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        triples = enumerate_triples(t, chain, st, cfg)
+        st = structure_extract(chain)
+        triples = enumerate_triples(chain, st)
         assert len(triples) >= 2
         keys = [(tr.gamma_char, tr.m, tr.lambda_char) for tr in triples]
         assert keys == sorted(keys)
@@ -172,8 +180,8 @@ class TestEnumerateTriples:
             aq_operator(0.5, 5.0, 32),
         ]:
             chain = chain_decomposition(t, cfg)
-            st = structure_extract(t, chain, cfg)
-            triples = enumerate_triples(t, chain, st, cfg)
+            st = structure_extract(chain)
+            triples = enumerate_triples(chain, st)
             assert triples
             for tr in triples:
                 lam = st.me_spectrum.characters[tr.lambda_char]
@@ -188,21 +196,21 @@ class TestSpectralCorrespondence:
     def test_weighted_shift_exact(self, rng, cfg):
         t = weighted_shift(random_weights(rng, 31), 32)
         chain = chain_decomposition(t, cfg)
-        report = spectral_correspondence_check(t, chain, cfg)
+        report = spectral_correspondence_check(chain)
         assert report["worst"] <= 1e-10
         assert report["per_layer"][0] == 0.0
 
     def test_hardy(self, cfg):
         t = shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)
         chain = chain_decomposition(t, cfg)
-        report = spectral_correspondence_check(t, chain, cfg)
+        report = spectral_correspondence_check(chain)
         assert report["worst"] <= 1e-8
 
     def test_no_kernel_has_no_layers(self, cfg):
         # a unitary has ker T* = 0, so M_E and every layer V_n are empty
         t = from_matrix(np.diag(np.exp(1j * np.arange(5))))
         chain = chain_decomposition(t, cfg)
-        assert spectral_correspondence_check(t, chain, cfg) == {"per_layer": {}, "worst": 0.0}
+        assert spectral_correspondence_check(chain) == {"per_layer": {}, "worst": 0.0}
 
     def test_vanishing_characters_use_the_tau_ratio(self, cfg):
         # tau_m = 1e-4m falls below the zero tolerance from m = 3 on, so the
@@ -210,7 +218,7 @@ class TestSpectralCorrespondence:
         t = weighted_shift([0.01] * 15, 16)
         chain = chain_decomposition(t, cfg)
         assert gram_power(t, 3)[0, 0].real < cfg.rank_tol
-        assert spectral_correspondence_check(t, chain, cfg)["worst"] <= 1e-10
+        assert spectral_correspondence_check(chain)["worst"] <= 1e-10
 
     def test_each_family_is_diagonalized_once(self, monkeypatch, cfg):
         # structure, triples and correspondence share one M_E spectrum
@@ -224,9 +232,9 @@ class TestSpectralCorrespondence:
         monkeypatch.setattr(spectral, "joint_diagonalize", recording)
         t = aq_operator(0.5, 5.0, 32)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
-        enumerate_triples(t, chain, st, cfg)
-        spectral_correspondence_check(t, chain, cfg)
+        st = structure_extract(chain)
+        enumerate_triples(chain, st)
+        spectral_correspondence_check(chain)
         assert len(seen) >= 2
         assert len(set(seen)) == len(seen)
 
@@ -250,7 +258,7 @@ class TestSpectralSideConditions:
         # kernel vector to be an eigenvector of that gram power
         t = shift_plus_rank_one(random_weights(rng, 23), 0.3 + 0.4j, 2, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         lam = st.me_spectrum.characters[st.lambda_index]
         mu = st.me_spectrum.characters[st.mu_index]
         e = chain.block.lift(chain.block.E).frame[:, 0]
@@ -279,7 +287,7 @@ class TestSpectralSideConditions:
         # dim M_E >= 3 forces at least two characters downstairs
         t = aq_operator(0.5, 5.0, 24)
         chain = chain_decomposition(t, cfg)
-        st = structure_extract(t, chain, cfg)
+        st = structure_extract(chain)
         assert chain.M_E.dim >= 3
         assert len(st.compressed_spectrum.characters) >= 2
 
@@ -291,9 +299,9 @@ class TestSpectralSideConditions:
             shift_plus_rank_one([0.5] * 23, 1.0, 0, 24),
         ]:
             chain = chain_decomposition(t, cfg)
-            st = structure_extract(t, chain, cfg)
+            st = structure_extract(chain)
             assert chain.M_E.dim == 2
-            triples = enumerate_triples(t, chain, st, cfg)
+            triples = enumerate_triples(chain, st)
             assert triples
             for tr in triples:
                 gap = abs(st.A_values[tr.lambda_char] - st.C_values[tr.gamma_char])
