@@ -60,11 +60,16 @@ class AnalysisBlock:
     step: int
     depth: int
     matrix: np.ndarray          # w x w compression of the operator
-    powers: list                # matrix^0..depth
     grams: tuple                # window compressions of the full grams, 0..depth
     scales: tuple               # operator norm of each gram
     E: Subspace                 # kernel line in block coordinates
     embed: np.ndarray           # N x w window basis
+
+    @cached_property
+    def powers(self) -> list:
+        """matrix^0..depth, formed on first read: the ranges, the tower and
+        the structural suite read them, ``classify`` and ``spectral`` never."""
+        return power_table(self.matrix, self.depth)
 
     def window(self, k: int) -> int:
         return max(self.w - k * self.step, 0)
@@ -76,16 +81,15 @@ class AnalysisBlock:
 
 @_memoized
 def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
-    """Build the compressed stage: operator block and its powers, exact gram
-    compressions and their norms, and the kernel line restricted to the
-    window.  Shared by every caller."""
+    """Build the compressed stage: operator block, exact gram compressions
+    and their norms, and the kernel line restricted to the window (the
+    block's powers wait for their first read).  Shared by every caller."""
     K = effective_depth(model, cfg)
     w = model.window(K)
     if w < 1:
         raise WindowExhausted(f"window({K}) < 1")
     embed = model.window_cols(w)
     Tb = model.window_compress(model.matrix, w)
-    powers = power_table(Tb, K)
     grams = tuple(_window_gram(model, k, False, w) for k in range(K + 1))
     scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
 
@@ -98,8 +102,8 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
                 f"kernel of T* loses {1.0 - mass:.1e} of its mass outside the window (limit 1e-08)"
             )
     E_blk = orthonormalize([coords], rank_tol=cfg.rank_tol)
-    return AnalysisBlock(w=w, step=model.window_step, depth=K, matrix=Tb, powers=powers,
-                         grams=grams, scales=scales, E=E_blk, embed=embed)
+    return AnalysisBlock(w=w, step=model.window_step, depth=K, matrix=Tb, grams=grams,
+                         scales=scales, E=E_blk, embed=embed)
 
 
 def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspace, str]:
@@ -322,6 +326,7 @@ def _corner_residual(diff: np.ndarray, wn: int, whole: np.ndarray) -> float:
     return float(np.linalg.norm(diff[:wn, :wn]) / max(np.linalg.norm(whole), 1e-300))
 
 
+@_memoized
 def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
     """The levels n = 1..depth of the chain's tower: theta_n = polar(T_b^n) and
     r_n = (T_b*^n T_b^n)^{1/2}, the positive square root of the block gram.
@@ -334,7 +339,8 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
     ||r_n||_F.  That r_n squares to the gram and theta_n is a partial
     isometry hold by construction and are tested in ``linalg``.  The
     identities are only claimed for half-centered operators, so the verdict
-    is enforced first.
+    is enforced first.  Built once per chain; ``verify_chain_structure``
+    reads the same levels.
     """
     require_half_centered(chain.model, chain.cfg)
     block = chain.block

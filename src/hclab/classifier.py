@@ -140,16 +140,35 @@ def recurrence_residual(coefficients, n: int, m: int, seq) -> float | None:
     return worst
 
 
+def _relation_columns(model: OperatorModel, powers: tuple, w: int) -> list:
+    """The window-w grams of ``powers`` as vectors of the entries any of them
+    can hold: the diagonal of the rows none of them couples, then the block
+    of the rows some of them couple (the union of their masks).
+
+    In the model's own basis every other entry is exactly zero: each window
+    is a slice of an exactly Hermitian gram, and a row no gram couples has
+    no nonzero off the diagonal, in its row or (by symmetry) its column.  So
+    the stack has the singular values and right singular vectors of the full
+    one.  A rotated window is dense at roundoff and is stacked whole.
+    """
+    grams = [_window_gram(model, k, False, w) for k in powers]
+    if model.window_frame is not None:
+        return [g.ravel() for g in grams]
+    rows = np.logical_or.reduce([_window_view(model, k, False, w)[1] for k in powers])
+    lone, block = ~rows, np.ix_(rows, rows)
+    return [np.concatenate([np.diagonal(g)[lone], g[block].ravel()]) for g in grams]
+
+
 def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
                     structure: StructureData | None = None) -> RelationCertificate:
     """Smallest-degree four-term relation a I + b T_n + c T_m + d T_{n+m} = 0.
 
-    Stacks the vectorized window blocks of the four gram powers and reads
-    the coefficients off the smallest singular direction.  The exponent
-    pairs are tried in the canonical order of (n + m, n), and the first
-    whose residual clears the tolerance is the relation.  The coincidence
-    n = m collapses the system to three terms, stored as (a, b+c, 0, d) with
-    the degenerate flag set.
+    Stacks the window grams of the four powers as vectors of the entries
+    they can hold (``_relation_columns``) and reads the coefficients off the
+    smallest singular direction.  The exponent pairs are tried in the
+    canonical order of (n + m, n), and the first whose residual clears the
+    tolerance is the relation.  The coincidence n = m collapses the system
+    to three terms, stored as (a, b+c, 0, d) with the degenerate flag set.
     """
     K = effective_depth(model, cfg)
     best = None  # (residual, n, m) of the smallest residual tried
@@ -159,8 +178,8 @@ def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
             continue
         powers = (0, n, 2 * n) if n == m else (0, n, m, n + m)
         reference = _REFERENCE_3 if n == m else _REFERENCE_4
-        blocks = [_window_gram(model, k, False, w) for k in powers]
-        stack = np.column_stack([blk.ravel() for blk in blocks])
+        blocks = _relation_columns(model, powers, w)
+        stack = np.column_stack(blocks)
         coeffs = _canonical_null_vector(stack, reference, cfg.relation_tol)
         combo = sum(ci * blk for ci, blk in zip(coeffs, blocks))
         term = max(np.linalg.norm(ci * blk) for ci, blk in zip(coeffs, blocks))

@@ -9,6 +9,7 @@ spec and seed, JSON output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,6 +179,7 @@ def cmd_verify(model, cfg) -> tuple[dict, int]:
     }, 0 if not failures else 4
 
 
+@functools.cache  # one parser per process; argparse reads the terminal width when it formats
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hclab",

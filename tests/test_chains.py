@@ -193,6 +193,30 @@ class TestIsometryTower:
             assert lvl.residuals["r_two_routes"] <= bound, lvl.n
         assert table["key"] <= bound and table["labann"] <= bound
 
+    def test_one_tower_per_chain(self, sro32, cfg, monkeypatch):
+        chain = chain_decomposition(sro32, cfg)
+        tower = isometry_tower(chain)
+        assert isometry_tower(chain) is tower
+        polars, roots = [], []
+        polar, positive_sqrt = hclab.chains.polar, hclab.chains.positive_sqrt
+
+        def counting_polar(a, **kwargs):
+            polars.append(a)
+            return polar(a, **kwargs)
+
+        def counting_sqrt(a):
+            roots.append(a)
+            return positive_sqrt(a)
+
+        monkeypatch.setattr(hclab.chains, "polar", counting_polar)
+        monkeypatch.setattr(hclab.chains, "positive_sqrt", counting_sqrt)
+        verify_chain_structure(chain)
+        # the suite reads the chain's tower: no level is factored again,
+        # and its own polars are key's composed isometries, one per level
+        assert roots == []
+        assert len(polars) == len(tower)
+        assert not any(a is p for a in polars for p in chain.block.powers)
+
     def test_requires_half_centered(self, cfg):
         n = 20
         bad = np.zeros((n, n))
@@ -447,6 +471,12 @@ class TestLazyChain:
         for t in (sro32, aq_operator(0.5, 5.0, 48)):
             classify(t, cfg)
         assert calls == {"ranges": []}
+
+    def test_classify_and_spectral_form_no_block_power(self, sro32, cfg):
+        for t in (sro32, aq_operator(0.5, 5.0, 48)):
+            classify(t, cfg)
+            spectral_correspondence_check(chain_decomposition(t, cfg))
+            assert "powers" not in vars(analysis_block(t, cfg))
 
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_decompose_and_verify_build_each_range_and_defect_once(

@@ -21,9 +21,9 @@ from hclab import (
     structure_extract,
     weighted_shift,
 )
-from hclab.commutation import _window_gram, effective_depth
+from hclab.commutation import _window_gram, _window_view, effective_depth
 from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
-                              _closed_range_flag)
+                              _closed_range_flag, _relation_columns)
 from hclab.errors import (
     HclabError,
     NoRelationFound,
@@ -97,9 +97,23 @@ class TestRelationDetect:
         assert classify(t, cfg).verdict == "centered_weighted_shift"
 
 
+def _nonzero_entries(grams):
+    """Each gram as the vector of the entries any of them can hold: the
+    diagonal of the indices whose row and column are zero off the diagonal
+    in every gram, then the block of the other indices."""
+    off = np.zeros(grams[0].shape, dtype=bool)
+    for g in grams:
+        off |= g != 0
+    np.fill_diagonal(off, False)
+    rows = off.any(axis=0) | off.any(axis=1)
+    return [np.concatenate([np.diagonal(g)[~rows], g[np.ix_(rows, rows)].ravel()])
+            for g in grams]
+
+
 def _exhaustive_relation_detect(model, cfg):
-    """Reference search: certify every exponent pair, then take the smallest
-    (n + m, n) among those that clear the tolerance."""
+    """Reference search: certify every exponent pair, each on the stack of
+    ``_nonzero_entries``, then take the smallest (n + m, n) among those that
+    clear the tolerance."""
     K = effective_depth(model, cfg)
     candidates = []
     for n in range(1, K // 2 + 1):
@@ -109,8 +123,9 @@ def _exhaustive_relation_detect(model, cfg):
                 continue
             powers = (0, n, 2 * n) if n == m else (0, n, m, n + m)
             reference = _REFERENCE_3 if n == m else _REFERENCE_4
-            blocks = [model.window_compress(gram_power(model, k), w) for k in powers]
-            stack = np.column_stack([blk.ravel() for blk in blocks])
+            blocks = _nonzero_entries([model.window_compress(gram_power(model, k), w)
+                                       for k in powers])
+            stack = np.column_stack(blocks)
             coeffs = _canonical_null_vector(stack, reference, cfg.relation_tol)
             combo = sum(ci * blk for ci, blk in zip(coeffs, blocks))
             term = max(np.linalg.norm(ci * blk) for ci, blk in zip(coeffs, blocks))
@@ -227,6 +242,83 @@ class TestRelationSearchParity:
         monkeypatch.setattr(OperatorModel, "window_compress", counting)
         stage(model, cfg)
         assert calls == []
+
+
+def _full_columns(model, powers, w):
+    """Every entry of each window gram, the stack before it was reduced."""
+    return [_window_gram(model, k, False, w).ravel() for k in powers]
+
+
+def _pair_and_flag(outcome):
+    """(n, m, degenerate) of a certificate, or the class of the error."""
+    if isinstance(outcome, RelationCertificate):
+        return outcome.n, outcome.m, outcome.degenerate
+    return outcome[0]
+
+
+def _assert_keeps_every_nonzero(reduced, full):
+    """Each column of ``reduced`` holds exactly the nonzero entries of the
+    same column of ``full``, and zeros beside them."""
+    for r, f in zip(reduced.T, full.T):
+        assert np.array_equal(np.sort_complex(r[r != 0]), np.sort_complex(f[f != 0]))
+
+
+class TestReducedRelationStack:
+    """The stack of the entries the grams can hold has the full stack's
+    singular values, and the search stops where the full stack's does."""
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.5", "aq0.7"])
+    def test_same_spectrum_and_pair_as_the_full_stack(self, family, n, conj, cfg,
+                                                      monkeypatch):
+        rng = np.random.default_rng(n)
+        model = _relation_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        K = effective_depth(model, cfg)
+        for total in range(2, K + 1):
+            w = model.window(total)
+            for k in range(1, total // 2 + 1):
+                powers = (0, k, total) if 2 * k == total else (0, k, total - k, total)
+                reduced = np.column_stack(_relation_columns(model, powers, w))
+                full = np.column_stack(_full_columns(model, powers, w))
+                if conj:  # a rotated window is stacked whole, bit for bit
+                    assert np.array_equal(reduced, full)
+                _assert_keeps_every_nonzero(reduced, full)
+                s_full = np.linalg.svd(full, compute_uv=False)
+                s_reduced = np.linalg.svd(reduced, compute_uv=False)
+                assert np.max(np.abs(s_reduced - s_full)) <= 10 * np.finfo(float).eps * s_full[0]
+        found = _outcome(relation_detect, model, cfg)
+        monkeypatch.setattr("hclab.classifier._relation_columns", _full_columns)
+        assert _pair_and_flag(found) == _pair_and_flag(_outcome(relation_detect, model, cfg))
+
+    def test_union_of_the_masks(self):
+        # a shift with a second path e_1 -> e_7: G_1 couples rows 1 and 6,
+        # G_2 rows 0 and 5, and G_3 none, so no one gram's mask holds the
+        # entries of all four
+        a = np.diag(np.linspace(0.6, 1.4, 7), -1)
+        a[7, 1] = 0.4
+        model = from_matrix(a)
+        powers = (0, 1, 2, 3)
+        masks = [_window_view(model, k, False, 8)[1] for k in powers]
+        assert [np.flatnonzero(m).tolist() for m in masks] == [[], [1, 6], [0, 5], []]
+        reduced = np.column_stack(_relation_columns(model, powers, 8))
+        full = np.column_stack(_full_columns(model, powers, 8))
+        assert reduced.shape == (4 + 4 * 4, 4)
+        _assert_keeps_every_nonzero(reduced, full)
+
+    def test_shift_plus_rank_one_stacks_a_few_rows(self, rng, cfg):
+        model = _relation_model("sro", 160, rng)
+        K = effective_depth(model, cfg)
+        kept = entries = 0
+        for total in range(2, K + 1):
+            w = model.window(total)
+            for k in range(1, total // 2 + 1):
+                powers = (0, k, total) if 2 * k == total else (0, k, total - k, total)
+                kept += _relation_columns(model, powers, w)[0].size
+                entries += w * w
+        assert kept < 0.01 * entries
 
 
 class TestShiftRankOneReconstruct:

@@ -9,6 +9,7 @@ import pytest
 
 from hclab import (ToleranceConfig, centered_check, centered_criterion, classify,
                    shift_plus_rank_one, weighted_shift)
+import hclab.cli
 from hclab.cli import main
 from hclab.matio import loads_matrix
 from hclab.operators import _jsonable
@@ -413,7 +414,7 @@ def test_chain_leak_raises_not_contained(capsys):
 
 
 class TestFrontEnd:
-    def test_one_parser_per_call(self, capsys, monkeypatch):
+    def test_one_parser_per_process(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -422,9 +423,11 @@ class TestFrontEnd:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        code, _ = run(capsys, "check", "--family", "weighted_shift",
-                      "--weights", "1,1,1", "--n", "4")
-        assert code == 0
+        hclab.cli._parser.cache_clear()
+        for _ in range(2):
+            code, _ = run(capsys, "check", "--family", "weighted_shift",
+                          "--weights", "1,1,1", "--n", "4")
+            assert code == 0
         assert len(built) == 1
 
     def test_flags_before_the_command(self, capsys):
