@@ -14,7 +14,7 @@ invariant under basis rotations of the model; ambient frames are lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -138,6 +138,10 @@ def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspac
     return block.lift(sub), status
 
 
+def _project_out(done: np.ndarray, done_h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x - done @ (done_h @ x)  # one Gram-Schmidt pass
+
+
 def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol: float,
                    frame: np.ndarray | None = None,
                    limit: int | None = None) -> tuple[np.ndarray, str]:
@@ -147,11 +151,15 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     Problems, 2nd ed., ch. 6), after the orthonormal ``frame``.  Step 0 adds
     the seed's directions outside it, cut at ``rank_tol``; step k applies
     ``matrix`` only to the directions step k - 1 added, cut at ``rank_tol *
-    scale`` (``scale`` = ||matrix||_2): the frame projected out twice, one SVD
-    (a norm when one wide), the kept block projected once more, then a QR.
-    Steps that fall 1e3 or more below the one before and end the closure
-    come from the truncation's boundary and are dropped.  Status:
-    ``"capped"`` at ``limit`` columns (default n), else ``"stable"``.
+    scale`` (``scale`` = ||matrix||_2).  A step projects the frame out once,
+    and again while a pass removed more than 1 - 1/sqrt(2) of a column's norm
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976; Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005), three passes at most.  A
+    one-wide step divides by the norm it has; a wider one takes one SVD, a
+    pass on its kept block and a QR.  Steps that fall 1e3 or more below the
+    one before and end the closure come from the truncation's boundary and
+    are dropped.  Status: ``"capped"`` at ``limit`` columns (default n), else
+    ``"stable"``.
     """
     n = seed.shape[0]
     limit = n if limit is None else min(limit, n)
@@ -163,21 +171,28 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     block, cut, low, edge = seed, 1.0, 0.0, None  # the seed is on its own (unit) scale
     while True:
         done, done_h = buf[:, :d], buf_h[:d]
-        resid = block - done @ (done_h @ block)
-        resid -= done @ (done_h @ resid)
-        u, s = ((resid, np.linalg.norm(resid, axis=0)) if resid.shape[1] == 1
-                else np.linalg.svd(resid, full_matrices=False)[:2])
+        wide = block.shape[1] > 1
+        norms = partial(np.linalg.norm, axis=0) if wide else np.linalg.norm  # one wide: a float
+        resid, s = block, norms(block)
+        for _ in range(3 - wide):  # a wide step's third pass is on its kept block
+            resid, before = _project_out(done, done_h, resid), s
+            s = norms(resid)
+            if (s >= np.sqrt(0.5) * before).all():  # nothing cancelled: no repeat
+                break
+        if wide:
+            u, s = np.linalg.svd(resid, full_matrices=False)[:2]
         r = min(numerical_rank(s, rank_tol, cut), limit - d)
         if r == 0:
             break
-        edge = (edge or d) if s[0] <= 1e-3 * low else None  # the width before the drops
-        fresh = u[:, :r] - done @ (done_h @ u[:, :r])
-        buf[:, d:d + r] = fresh / np.linalg.norm(fresh) if r == 1 else np.linalg.qr(fresh)[0]
+        top, bottom = (s[0], s[r - 1]) if wide else (s, s)
+        edge = (edge or d) if top <= 1e-3 * low else None  # the width before the drops
+        buf[:, d:d + r] = (np.linalg.qr(_project_out(done, done_h, u[:, :r]))[0] if wide
+                           else resid / s)
         buf_h[d:d + r] = buf[:, d:d + r].conj().T
         d += r
         if d >= limit:
             break
-        low = s[r - 1] if block is not seed else 0.0
+        low = bottom if block is not seed else 0.0
         block, cut = matrix @ buf[:, d - r:d], scale
     d = edge or d
     return buf[:, :d], "capped" if d >= limit else "stable"
@@ -186,9 +201,9 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
 def span_closure(model: OperatorModel, cfg: ToleranceConfig,
                  seed_space: Subspace) -> tuple[Subspace, str]:
     """Closure of an ambient subspace under T: one ``krylov_closure`` at
-    ``cfg.rank_tol * ||T||_2``, which applies T once to each direction it
-    keeps (O(N^3) for a seed of bounded dimension).  ``"capped"``: the frame
-    fills the space; ``"stable"``: the closure ended below it."""
+    ``cfg.rank_tol * ||T||_2``: T once on each kept direction, a second pass
+    only after cancellation (O(N^3) for a seed of bounded dimension).
+    ``"capped"``: the frame fills the space; ``"stable"``: it ended below."""
     frame, status = krylov_closure(model.matrix, seed_space.frame,
                                    _singular_pairs(model)[1][0], cfg.rank_tol)
     return Subspace(frame), status

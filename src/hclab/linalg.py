@@ -92,7 +92,8 @@ def _require_square(a: np.ndarray) -> None:
 
 def numerical_rank(s, rank_tol: float, scale: float) -> int:
     """How many singular values ``s`` lie strictly above ``rank_tol * scale``."""
-    return int(np.sum(np.asarray(s) > rank_tol * max(scale, 1e-300)))
+    cutoff = rank_tol * max(scale, 1e-300)
+    return int(s > cutoff) if isinstance(s, float) else int(np.sum(np.asarray(s) > cutoff))
 
 
 def _adjoint(h) -> np.ndarray:

@@ -29,6 +29,7 @@ from hclab import (
     weighted_shift,
 )
 import hclab.chains
+import hclab.classifier
 import hclab.commutation
 import hclab.linalg
 from hclab.chains import _moduli_on_block, analysis_block, krylov_closure
@@ -555,7 +556,7 @@ def _stacked_span_closure(model, cfg, seed_space):
         frame = grown.frame
         if grown.dim >= model.dim:
             return grown, "capped"
-    return Subspace(frame, cfg.rank_tol), "stable"
+    pytest.fail(f"the stacked closure still grew after {model.dim + 1} layers")
 
 
 class TestSpanClosureParity:
@@ -593,6 +594,62 @@ class TestSpanClosureParity:
                 assert gap <= 1e-12, name
 
 
+def _three_pass_closure(matrix, seed, scale, rank_tol, frame=None, limit=None):
+    """Reference closure: the Arnoldi loop with three passes on every step,
+    two on the residual and one on the kept block, whatever they remove, and
+    an SVD and a QR at every width."""
+    n = seed.shape[0]
+    limit = n if limit is None else min(limit, n)
+    frame = np.zeros((n, 0)) if frame is None else frame
+    d = frame.shape[1]
+    buf = np.empty((n, n), dtype=np.result_type(matrix, seed, frame))
+    buf[:, :d] = frame
+    block, cut, low, edge = seed, 1.0, 0.0, None
+    while True:
+        done = buf[:, :d]
+        resid = block - done @ (done.conj().T @ block)
+        resid -= done @ (done.conj().T @ resid)
+        u, s = np.linalg.svd(resid, full_matrices=False)[:2]
+        r = min(hclab.linalg.numerical_rank(s, rank_tol, cut), limit - d)
+        if r == 0:
+            break
+        edge = (edge or d) if s[0] <= 1e-3 * low else None
+        fresh = u[:, :r] - done @ (done.conj().T @ u[:, :r])
+        buf[:, d:d + r] = np.linalg.qr(fresh)[0]
+        d += r
+        if d >= limit:
+            break
+        low = s[r - 1] if block is not seed else 0.0
+        block, cut = matrix @ buf[:, d - r:d], scale
+    d = edge or d
+    return buf[:, :d], "capped" if d >= limit else "stable"
+
+
+def _counted_closure(monkeypatch, matrix, seed, scale, rank_tol):
+    """``krylov_closure`` with its Gram-Schmidt passes counted: the frame, the
+    status and, for each step, the widths of the blocks its passes projected
+    (a step begins where T is applied; the seed step comes first)."""
+    steps = [[]]
+    project = hclab.chains._project_out
+
+    def counting(done, done_h, x):
+        steps[-1].append(x.shape[1])
+        return project(done, done_h, x)
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            steps.append([])
+            return np.asarray(self) @ other
+
+    monkeypatch.setattr(hclab.chains, "_project_out", counting)
+    frame, status = krylov_closure(matrix.view(Counting), seed, scale, rank_tol)
+    return frame, status, steps
+
+
+def _projector_gap(a, b):
+    return np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2)
+
+
 class TestKrylovClosure:
     """The Arnoldi closure behind span_closure and the reconstruction basis."""
 
@@ -612,6 +669,107 @@ class TestKrylovClosure:
             assert widths and sum(widths) <= frame.shape[1]
             assert (sum(widths) == frame.shape[1]) == (status == "stable")
             assert np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[1])) <= 1e-12
+
+    @pytest.mark.parametrize("family, n", [("ws", 128), ("sro", 128), ("hardy", 128),
+                                           ("dual0.3", 24), ("dual0.3", 48),
+                                           ("dual0.5", 24), ("dual0.5", 48)])
+    def test_one_pass_per_step_without_cancellation(self, family, n, cfg, monkeypatch):
+        # the closures of ker T*: T maps each kept direction mostly outside
+        # the frame (the Cauchy dual's boundary step loses at most 26% of its
+        # norm), so no pass removes more than 1 - 1/sqrt(2) and none repeats
+        if family.startswith("dual"):
+            from hclab import cauchy_dual
+
+            model = cauchy_dual(shift_plus_rank_one([float(family[4:])] * (n - 1), 1.0, 0, n))
+        else:
+            model = family_model(family, n, np.random.default_rng(n))
+        frame, status, steps = _counted_closure(monkeypatch, model.matrix,
+                                                kernel_of_adjoint(model, cfg).frame,
+                                                np.linalg.norm(model.matrix, 2), cfg.rank_tol)
+        assert status == ("stable" if family.startswith("dual") else "capped")
+        assert all(widths == [1] for widths in steps)
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[1])) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["sro", "hardy", "aq0.5", "invariant"])
+    def test_cancelling_steps_repeat_the_pass(self, family, cfg, monkeypatch):
+        # classify's closures of M_E: T folds part of M_E back into it, so a
+        # wide step cancels; and a one-wide closure that ends on an invariant
+        # subspace, whose last image lies in the frame up to roundoff
+        rng = np.random.default_rng(128)
+        if family == "invariant":
+            blocks = np.zeros((32, 32), dtype=complex)
+            blocks[:8, :8] = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            blocks[8:, 8:] = rng.standard_normal((24, 24))
+            u = random_unitary(rng, 32)
+            matrix, seed = u @ blocks @ u.conj().T, u[:, :1]
+        else:
+            model = family_model(family, 128, rng)
+            matrix, seed = model.matrix, chain_decomposition(model, cfg).M_E.frame
+        frame, status, steps = _counted_closure(monkeypatch, matrix, seed,
+                                                np.linalg.norm(matrix, 2), cfg.rank_tol)
+        # a step's passes: one, its repeats, and a wide step's pass on its kept block
+        assert any(len(widths) > 1 + (widths[0] > 1) for widths in steps)
+        assert max(len(widths) for widths in steps) <= 3
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[1])) <= 1e-12
+        if family == "invariant":
+            assert (frame.shape[1], status) == (8, "stable")
+
+    @pytest.mark.parametrize("family", ["ws", "hardy"])
+    def test_never_more_than_three_passes(self, family, cfg, monkeypatch):
+        # a pass that always halves its input cancels every time: each step
+        # stops at three passes, a wide one's third being on its kept block
+        monkeypatch.setattr(hclab.chains, "_project_out", lambda done, done_h, x: x / 2)
+        model = family_model(family, 16, np.random.default_rng(16))
+        seed = chain_decomposition(model, cfg).M_E
+        _, status, steps = _counted_closure(monkeypatch, model.matrix, seed.frame,
+                                            np.linalg.norm(model.matrix, 2), cfg.rank_tol)
+        assert status == "capped" and {widths[0] for widths in steps} == {seed.dim}
+        assert all(len(widths) == 3 for widths in steps)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.3", "aq0.5", "aq0.7"])
+    def test_matches_three_pass_loop(self, family, n, conj, cfg):
+        rng = np.random.default_rng(n)
+        model = family_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        scale = np.linalg.norm(model.matrix, 2)
+        for seed in (kernel_of_adjoint(model, cfg), chain_decomposition(model, cfg).M_E):
+            got, status = krylov_closure(model.matrix, seed.frame, scale, cfg.rank_tol)
+            ref, ref_status = _three_pass_closure(model.matrix, seed.frame, scale, cfg.rank_tol)
+            assert (got.shape[1], status) == (ref.shape[1], ref_status)
+            if status == "capped":
+                # projectors, not frames: a wide step's SVD may flip a column's sign
+                assert _projector_gap(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    @pytest.mark.parametrize("family", ["sro", "hardy"])
+    def test_reconstruction_chains_match_three_pass_loop(self, family, n, conj, cfg,
+                                                         monkeypatch):
+        rng = np.random.default_rng(n)
+        model = family_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, krylov_closure(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(hclab.classifier, "krylov_closure", recording)
+        assert classify(model, cfg).reconstruction is not None
+        # the chain of w to depth m, then that of v after it
+        ((T, w, scale, tol), first, (X, x_status)), ((_, v, _, _), _, (Y, y_status)) = calls
+        X_ref, X_ref_status = _three_pass_closure(T, w, scale, tol, limit=first["limit"])
+        Y_ref, Y_ref_status = _three_pass_closure(T, v, scale, tol, frame=X_ref)
+        assert (X.shape[1], x_status) == (X_ref.shape[1], X_ref_status)
+        assert (X.shape[1], x_status) == (first["limit"], "capped")
+        assert (Y.shape[1], y_status) == (Y_ref.shape[1], Y_ref_status)
+        assert _projector_gap(X, X_ref) <= 1e-12
+        if y_status == "capped":
+            assert _projector_gap(Y, Y_ref) <= 1e-12
 
     @pytest.mark.parametrize("c, n", [(2, 128), (3, 64)])
     def test_scaled_weighted_shift_meets_condition_ii(self, c, n, cfg):
@@ -657,7 +815,7 @@ def _sweep_moduli_on_block(block, cfg):
         frame = sub.frame
         if sub.dim >= block.w:
             return sub, "capped"
-    return Subspace(frame, cfg.rank_tol), "stable"
+    pytest.fail(f"the sweep did not hold its dimension within {4 * block.w} sweeps")
 
 
 class TestModuliKrylovClosure:
