@@ -45,16 +45,17 @@ class Character:
 
 @dataclass
 class JointSpectrum:
+    """Characters in sorted order; row c of ``table`` is ``characters[c].values``."""
+
     characters: list
+    table: np.ndarray
 
     def value_table(self) -> np.ndarray:
-        return np.array([c.values for c in self.characters])
+        return self.table
 
     def zero_tol(self, cfg: ToleranceConfig) -> float:
         """Character values at most this far from zero count as zero."""
-        return cfg.rank_tol * max(
-            float(np.max(np.abs(self.value_table()))) if self.characters else 1.0, 1.0
-        )
+        return cfg.rank_tol * float(np.max(np.abs(self.table), initial=1.0))
 
 
 def _split_block(mats, frame, cfg, member, scale=None):
@@ -83,14 +84,36 @@ def _split_block(mats, frame, cfg, member, scale=None):
     return blocks
 
 
+def _merge_characters(table: np.ndarray, tol_vec: np.ndarray):
+    """Greedy merge of numerically identical characters.
+
+    Row i of ``table`` joins the first earlier survivor whose own values lie
+    within ``tol_vec`` of it in every column, and survives when there is
+    none.  Returns the survivors' indices and the owner of every row (a
+    survivor owns itself).
+    """
+    n = len(table)
+    close = np.all(np.abs(table[:, None] - table[None]) <= tol_vec, axis=-1)
+    owner, alive = np.arange(n), np.ones(n, dtype=bool)
+    # only a row close to an earlier one can join; rows are settled in order
+    for i in np.flatnonzero(np.tril(close, -1).any(axis=1)):
+        hits = np.flatnonzero(close[i, :i] & alive[:i])
+        if hits.size:
+            owner[i], alive[i] = hits[0], False
+    return np.flatnonzero(alive), owner
+
+
 def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
     """Simultaneous eigenstructure of a commuting Hermitian family.
 
     A seeded random real combination of the family is diagonalized first;
-    clusters are then refined against each member in turn.  Characters whose
-    value vectors coincide within the rank tolerance are merged, and the
-    surviving characters are sorted by value vector for deterministic
-    downstream reports.
+    clusters are then refined against each member in turn.  The blocks are
+    stacked into one unitary frame F, and each member M gives the values of
+    every block at once: the diagonal of F* M F from one product, summed per
+    block and divided by its width.  One table of closeness over all pairs
+    of blocks then merges characters whose value vectors coincide within the
+    rank tolerance (``_merge_characters``), and the surviving characters are
+    sorted by value vector for deterministic downstream reports.
     """
     mats = [np.asarray(m) for m in family]
     if not mats:
@@ -100,7 +123,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
         if m.shape != (d, d):
             raise ValueError("family members must share one square shape")
     if d == 0:
-        return JointSpectrum(characters=[])
+        return JointSpectrum(characters=[], table=np.zeros((0, len(mats))))
     views = [_hermitian_view(m) for m in mats]   # one symmetrization per member
     scales = [max(_split_norm(*v), 1e-300) for v in views]
     for i, a in enumerate(mats):
@@ -116,33 +139,23 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
     combo = sum(c * m for c, m in zip(coeffs, mats))
     blocks = _split_block([combo] + mats, np.eye(d, dtype=combo.dtype), cfg, 0)
 
-    raw = []
-    for frame in blocks:
-        vals = np.array([
-            float(np.real(np.trace(frame.conj().T @ m @ frame)) / frame.shape[1])
-            for m in mats
-        ])
-        raw.append((vals, frame))
+    F = np.hstack(blocks)
+    widths = np.array([b.shape[1] for b in blocks])
+    starts = np.concatenate([[0], np.cumsum(widths[:-1])])
+    diag = np.real(np.sum(F.conj() * (np.stack(mats) @ F), axis=1))  # diag(F* M F) per member
+    raw = (np.add.reduceat(diag, starts, axis=1) / widths).T  # rows: blocks, cols: members
 
-    # merge numerically identical characters
-    merged: list[list] = []
-    tol_vec = np.array([cfg.rank_tol * s for s in scales])
-    for vals, frame in raw:
-        for entry in merged:
-            if np.all(np.abs(entry[0] - vals) <= tol_vec):
-                entry[1].append(frame)
-                break
-        else:
-            merged.append([vals, [frame]])
-
+    survivors, owner = _merge_characters(raw, cfg.rank_tol * np.array(scales))
+    survivors = sorted(survivors.tolist(), key=raw.tolist().__getitem__)
+    table = raw[survivors]
     characters = []
-    for vals, frames in merged:
+    for values, s in zip(table, survivors):
+        frames = [blocks[i] for i in np.flatnonzero(owner == s).tolist()]
         # one eigh frame is orthonormal already; a merge of several is re-spanned
         frame = frames[0] if len(frames) == 1 else orthonormalize(
             frames, rank_tol=cfg.rank_tol).frame
-        characters.append(Character(values=vals, frame=frame))
-    characters.sort(key=lambda c: tuple(c.values))
-    return JointSpectrum(characters=characters)
+        characters.append(Character(values=values, frame=frame))
+    return JointSpectrum(characters=characters, table=table)
 
 
 @dataclass
@@ -166,8 +179,8 @@ class StructureData:
             "beta_normalized": self.beta_normalized.tolist(),
             "A_values": {str(k): v for k, v in self.A_values.items()},
             "C_values": {str(k): v for k, v in self.C_values.items()},
-            "characters": [c.values.tolist() for c in self.me_spectrum.characters],
-            "compressed_characters": [c.values.tolist() for c in self.compressed_spectrum.characters],
+            "characters": self.me_spectrum.value_table().tolist(),
+            "compressed_characters": self.compressed_spectrum.value_table().tolist(),
             "no_nonzero_beta": self.no_nonzero_beta,
             "residuals": dict(self.residuals),
         }
@@ -340,10 +353,10 @@ def enumerate_triples(chain: ChainDecomposition, structure: StructureData) -> li
     # residual[gamma, m - 1, lambda] for m = 1..K-1
     residual = _match_residual(gammas[:, None, None, :],
                                ratios[:, 1:].transpose(1, 0, 2)[None], axis=-1)
+    hits = np.argwhere(residual <= cfg.spectral_match_tol)
     return [
-        TripleRecord(lambda_char=int(li), gamma_char=int(gi), m=int(mi) + 1,
-                     match_residual=residual[gi, mi, li])
-        for gi, mi, li in np.argwhere(residual <= cfg.spectral_match_tol)
+        TripleRecord(lambda_char=li, gamma_char=gi, m=mi + 1, match_residual=r)
+        for (gi, mi, li), r in zip(hits.tolist(), residual[tuple(hits.T)].tolist())
     ]
 
 

@@ -596,8 +596,31 @@ def test_report_diff_tool(monkeypatch, capsys):
     monkeypatch.setattr(report_diff, "outputs", canned.__getitem__)
     capsys.readouterr()
     assert report_diff.main(["A", "B"]) == 0
-    assert capsys.readouterr().out.splitlines()[-2:] == [
-        "differ 2 of 360", "exit changed 1 of 360"]
+    first = " ".join(map(str, runs[0]))
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "differ 2 of 360", "exit changed 1 of 360",
+        f"max_abs 1.00e-17 at {first} pairs[].residual"]
+
+
+@pytest.mark.parametrize("b, line", [
+    # a moved float, and where it is
+    ({"dims": {"E": 1}, "tau": [1.0, 0.5 + 2e-15], "verdict": "both"},
+     "exit 0 fields=- numbers=1 max_abs=2.00e-15 max_rel=4.00e-15 at=tau[]"),
+    # a changed field that is not a float: an int pair is a field
+    ({"dims": {"E": 2}, "tau": [1.0, 0.5], "verdict": "both"},
+     "exit 0 fields=dims.E numbers=0 max_abs=0.00e+00 max_rel=0.00e+00 at=-"),
+    # a key on one side only, and a verdict that changed
+    ({"dims": {"E": 1}, "tau": [1.0, 0.5], "verdict": "none", "extra": None},
+     "exit 0 fields=extra,verdict numbers=0 max_abs=0.00e+00 max_rel=0.00e+00 at=-"),
+])
+def test_report_diff_describe(monkeypatch, b, line):
+    """report_diff.describe on hand-built report pairs, one kind of change at
+    a time, without running the grid."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import report_diff
+    a = json.dumps({"dims": {"E": 1}, "tau": [1.0, 0.5], "verdict": "both"})
+    assert report_diff.describe((0, a, "", ""), (0, json.dumps(b), "", "")) == line
+    assert report_diff.difference((0, a, "", ""), (0, a, "", "")) is None
 
 
 def test_cli_grid_edge_cases(capsys):

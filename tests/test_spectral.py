@@ -20,6 +20,7 @@ from hclab import (
     weighted_shift,
 )
 from hclab import spectral
+from hclab.linalg import _hermitian_view, _split_norm
 from hclab.errors import ModuliTooSmall, NotCommuting
 
 from conftest import random_weights
@@ -75,6 +76,93 @@ class TestJointDiagonalize:
     def test_rejects_non_commuting(self, cfg):
         with pytest.raises(NotCommuting):
             joint_diagonalize([np.diag([1.0, 2.0]), np.array([[0.0, 1], [1, 0.0]])], cfg)
+
+    def test_value_table_holds_the_character_values(self, cfg):
+        spec = joint_diagonalize([np.diag([2.0, 1.0, 1.0]), np.diag([3.0, 5.0, 5.0])], cfg)
+        table = spec.value_table()
+        assert table is spec.value_table()
+        assert table.tolist() == [[1.0, 5.0], [2.0, 3.0]]
+        for row, char in zip(table, spec.characters):
+            assert np.shares_memory(row, char.values)
+        assert joint_diagonalize([np.zeros((0, 0))], cfg).value_table().shape == (0, 1)
+
+    @pytest.mark.parametrize("table, owner", [
+        # a ~ b and b ~ c, but a !~ c: c is compared with the survivor a, not
+        # with b or with a running mean of a and b (0.3, which c is close to)
+        ([[0.0, 0.0], [0.6, 0.1], [1.2, 0.2]], [0, 0, 2]),
+        # c is close to both survivors and joins the first
+        ([[0.0, 0.0], [1.5, 0.0], [0.8, 0.0]], [0, 1, 0]),
+        # one column out of tolerance keeps a row apart
+        ([[0.0, 0.0], [0.5, 1.5], [0.5, 0.5]], [0, 1, 0]),
+    ])
+    def test_merge_joins_the_first_close_survivor(self, table, owner):
+        survivors, got = spectral._merge_characters(np.array(table), np.array([1.0, 1.0]))
+        assert got.tolist() == owner
+        assert survivors.tolist() == sorted(set(owner))
+
+
+def _per_block_spectrum(family, cfg):
+    """Oracle: the characters as (values, frame) from one trace per (block,
+    member) and a quadratic greedy merge, over the blocks of
+    ``spectral._split_block`` on the same seeded combination."""
+    mats = [np.asarray(m) for m in family]
+    scales = [max(_split_norm(*_hermitian_view(m)), 1e-300) for m in mats]
+    coeffs = np.random.default_rng(cfg.seed).standard_normal(len(mats))
+    combo = sum(c * m for c, m in zip(coeffs, mats))
+    blocks = spectral._split_block([combo] + mats, np.eye(len(combo), dtype=combo.dtype), cfg, 0)
+    merged = []
+    tol_vec = np.array([cfg.rank_tol * s for s in scales])
+    for frame in blocks:
+        vals = np.array([
+            float(np.real(np.trace(frame.conj().T @ m @ frame)) / frame.shape[1])
+            for m in mats
+        ])
+        for entry in merged:
+            if np.all(np.abs(entry[0] - vals) <= tol_vec):
+                entry[1].append(frame)
+                break
+        else:
+            merged.append([vals, [frame]])
+    merged.sort(key=lambda entry: tuple(entry[0]))
+    return [(vals, np.hstack(frames)) for vals, frames in merged]
+
+
+def _assert_matches_per_block_oracle(family, cfg):
+    # the batched values differ from the per-block traces by roundoff only,
+    # and the merge and the order are the same
+    spec = joint_diagonalize(family, cfg)
+    oracle = _per_block_spectrum(family, cfg)
+    assert [c.multiplicity for c in spec.characters] == [f.shape[1] for _, f in oracle]
+    scales = np.array([np.linalg.norm(m, 2) for m in family])
+    for char, (vals, frame) in zip(spec.characters, oracle):
+        assert np.all(np.abs(char.values - vals) <= 1e-13 * scales)
+        gap = char.frame @ char.frame.conj().T - frame @ frame.conj().T
+        assert np.linalg.norm(gap, 2) <= 1e-12
+    return spec
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7])
+@pytest.mark.parametrize("n", [32, 48])
+def test_joint_diagonalize_matches_the_per_block_oracle_on_aq(cfg, q, n):
+    # the moduli family and the family of M_E (-) E
+    chain = chain_decomposition(aq_operator(q, None, n), cfg)
+    _, me_mats, _ = spectral._moduli_spectrum(chain)
+    F = chain.M_E_block.frame[:, 1:]
+    _assert_matches_per_block_oracle(me_mats, cfg)
+    _assert_matches_per_block_oracle(
+        [F.conj().T @ g @ F for g in chain.block.grams[1:chain.depth + 1]], cfg)
+
+
+def test_joint_diagonalize_matches_the_per_block_oracle_where_blocks_merge(cfg):
+    # the default seed's coefficients nearly cancel on three equal members, so
+    # its gap passes the eigenvalues 1, 1 + 1.2e-10 and 1 + 2.4e-10 as one
+    # cluster that the first member splits into three blocks; with tolerance
+    # 2e-10 the first two merge, and the third stays apart
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))
+    m = q @ np.diag([1.0, 1.0 + 1.2e-10, 1.0 + 2.4e-10, 1.5, 1.5, 2.0]) @ q.T
+    m = (m + m.T) / 2
+    spec = _assert_matches_per_block_oracle([m, m, m], cfg)
+    assert [c.multiplicity for c in spec.characters] == [2, 1, 2, 1]
 
 
 class TestStructureExtract:

@@ -14,8 +14,11 @@ are written ``[]``), then ``numbers=K max_abs=X max_rel=Y`` over the floats
 that differ, then ``at=PATH``, the path of the float with the largest absolute
 change (the first on a tie; ``-`` when no float differs).  A run whose stdout
 is not a json report compares its stderr and warnings as the fields
-``stderr`` and ``warnings``.  Two summary lines close the output:
-``differ K of R`` and ``exit changed K of R``, the runs whose exit code differs.
+``stderr`` and ``warnings``.  Three summary lines close the output:
+``differ K of R``; ``exit changed K of R``, the runs whose exit code differs;
+and ``max_abs X at N FAMILY COMMAND PATH``, the largest absolute float change
+over all runs and where it is (``max_abs 0.00e+00 at -`` when no float
+differs), so a change can quote its bound from one line.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ class Difference:
         self.max_abs = 0.0
         self.max_rel = 0.0
         self.max_path = "-"
+        self.code = ""   # the exit code, or ``A->B`` when the two differ
+
+    def line(self) -> str:
+        return (f"exit {self.code} fields={','.join(sorted(self.fields)) or '-'} "
+                f"numbers={self.numbers} max_abs={self.max_abs:.2e} max_rel={self.max_rel:.2e} "
+                f"at={self.max_path}")
 
     def compare(self, a, b, path: str = "") -> None:
         if isinstance(a, dict) and isinstance(b, dict):
@@ -97,8 +106,9 @@ def _report(out: str):
         return None
 
 
-def describe(a: tuple, b: tuple) -> str | None:
-    """How run outputs ``a`` and ``b`` differ, or None when they are equal."""
+def difference(a: tuple, b: tuple) -> Difference | None:
+    """The Difference of run outputs ``a`` and ``b`` (exit, stdout, stderr,
+    warnings), or None when they are equal."""
     if a == b:
         return None
     diff = Difference()
@@ -110,10 +120,14 @@ def describe(a: tuple, b: tuple) -> str | None:
     for name, i in (("stderr", 2), ("warnings", 3)):
         if a[i] != b[i]:
             diff.fields.add(name)
-    code = f"{a[0]}" if a[0] == b[0] else f"{a[0]}->{b[0]}"
-    return (f"exit {code} fields={','.join(sorted(diff.fields)) or '-'} "
-            f"numbers={diff.numbers} max_abs={diff.max_abs:.2e} max_rel={diff.max_rel:.2e} "
-            f"at={diff.max_path}")
+    diff.code = f"{a[0]}" if a[0] == b[0] else f"{a[0]}->{b[0]}"
+    return diff
+
+
+def describe(a: tuple, b: tuple) -> str | None:
+    """How run outputs ``a`` and ``b`` differ, or None when they are equal."""
+    diff = difference(a, b)
+    return None if diff is None else diff.line()
 
 
 def main(argv=None) -> int:
@@ -123,14 +137,17 @@ def main(argv=None) -> int:
         return 2
     first = outputs(args[0])
     second = outputs(args[1])
-    differ = 0
+    differ, largest, where = 0, 0.0, "-"
     for (n, family, command), a, b in zip(runs(), first, second):
-        line = describe(a, b)
-        if line is not None:
+        diff = difference(a, b)
+        if diff is not None:
             differ += 1
-            print(n, family, command, line, flush=True)
+            print(n, family, command, diff.line(), flush=True)
+            if diff.max_abs > largest:
+                largest, where = diff.max_abs, f"{n} {family} {command} {diff.max_path}"
     print("differ", differ, "of", len(first))
     print("exit changed", sum(a[0] != b[0] for a, b in zip(first, second)), "of", len(first))
+    print(f"max_abs {largest:.2e} at {where}")
     return 0
 
 
