@@ -23,7 +23,7 @@ from .commutation import (_singular_pairs, _window_gram, _window_gram_norm, effe
 from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
 from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
-from .subspaces import Subspace, extend_frame, orthonormalize
+from .subspaces import Subspace, orthonormalize
 
 __all__ = [
     "AnalysisBlock",
@@ -109,26 +109,25 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
 def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspace, str]:
     if block.E.dim == 0:
         return block.E, "empty"
-    grams = block.grams[1:block.depth + 1]
-    frame = fresh = block.E.frame
-    while fresh.shape[1] and frame.shape[1] < block.w:
-        fresh = extend_frame(frame, np.hstack([g @ fresh for g in grams]), cfg.rank_tol)
-        frame = np.hstack([frame, fresh])
-    if frame.shape[1] >= block.w:
-        return Subspace(frame), "capped"
+    grams, E = np.stack(block.grams[1:]), block.E.frame
+    frame, status = krylov_closure(grams, np.hstack(grams @ E), max(block.scales[1:]),
+                                   cfg.rank_tol, frame=E)
+    if status == "capped":
+        return Subspace(frame), status
     # invariance certificate: max_j ||(I - P) G_j P||_2 / ||G_j||_2, P the frame's projector
-    images = [g @ frame for g in grams]
-    leak = max(np.linalg.svd(x - frame @ (frame.conj().T @ x), compute_uv=False)[0]
-               / max(s, 1e-300) for x, s in zip(images, block.scales[1:]))
+    images = grams @ frame
+    leaks = np.linalg.svd(images - frame @ (frame.conj().T @ images), compute_uv=False)[:, 0]
+    leak = np.max(leaks / np.maximum(block.scales[1:], 1e-300))
     status = "stable" if leak <= 100 * block.w * np.finfo(float).eps else "tolerance"
     return Subspace(frame), status
 
 
 def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
-    """Smallest gram-invariant subspace containing ker T*, by block Krylov steps.
+    """Smallest gram-invariant subspace containing ker T*: one ``krylov_closure``
+    of the stack G_1..G_K on the window block, after the kernel frame E.
 
-    Each step applies G_1..G_K on the window block to the directions the last
-    one added, cut by ``extend_frame``, until a step adds nothing.  Status:
+    Each step applies every gram to the directions the last one added, cut at
+    ``rank_tol * max_j ||G_j||_2``; E stays the frame's first column.  Status:
     ``"capped"`` (the frame fills the block), ``"stable"`` (max_j ||(I-P) G_j P||
     / ||G_j|| is at roundoff: certified invariant) or ``"tolerance"`` (the rank
     cut set the dimension).  The frame comes back in ambient coordinates.
@@ -159,7 +158,9 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     pass on its kept block and a QR.  Steps that fall 1e3 or more below the
     one before and end the closure come from the truncation's boundary and
     are dropped.  Status: ``"capped"`` at ``limit`` columns (default n), else
-    ``"stable"``.
+    ``"stable"``.  ``matrix`` may also be a (K, n, n) stack: a step then
+    applies every member and sets the K images side by side, cut at the
+    ``scale`` given (the members' largest norm).
     """
     n = seed.shape[0]
     limit = n if limit is None else min(limit, n)
@@ -193,7 +194,8 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
         if d >= limit:
             break
         low = bottom if block is not seed else 0.0
-        block, cut = matrix @ buf[:, d - r:d], scale
+        new = buf[:, d - r:d]
+        block, cut = matrix @ new if matrix.ndim == 2 else np.hstack(matrix @ new), scale
     d = edge or d
     return buf[:, :d], "capped" if d >= limit else "stable"
 

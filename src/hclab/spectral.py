@@ -163,8 +163,8 @@ class StructureData:
     tau: np.ndarray
     beta: np.ndarray
     beta_normalized: np.ndarray
-    A_values: dict
-    C_values: dict
+    A_values: np.ndarray        # the affine coordinate of each M_E character
+    C_values: np.ndarray        # and of each M_E (-) E character
     me_spectrum: JointSpectrum
     compressed_spectrum: JointSpectrum
     lambda_index: int
@@ -177,21 +177,13 @@ class StructureData:
             "tau": self.tau.tolist(),
             "beta": self.beta.tolist(),
             "beta_normalized": self.beta_normalized.tolist(),
-            "A_values": {str(k): v for k, v in self.A_values.items()},
-            "C_values": {str(k): v for k, v in self.C_values.items()},
+            "A_values": {str(k): v for k, v in enumerate(self.A_values.tolist())},
+            "C_values": {str(k): v for k, v in enumerate(self.C_values.tolist())},
             "characters": self.me_spectrum.value_table().tolist(),
             "compressed_characters": self.compressed_spectrum.value_table().tolist(),
             "no_nonzero_beta": self.no_nonzero_beta,
             "residuals": dict(self.residuals),
         }
-
-
-def _affine_fit(values: np.ndarray, tau: np.ndarray, beta: np.ndarray) -> float:
-    """Least-squares coefficient c with values ~= tau + c * beta."""
-    denom = float(beta @ beta)
-    if denom == 0:
-        return 0.0
-    return float(beta @ (values - tau)) / denom
 
 
 @_memoized
@@ -275,16 +267,11 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
         for k in range(K)
     )
 
-    A_values = {
-        i: _affine_fit(c.values, tau_vec, beta[1:]) for i, c in enumerate(me_spec.characters)
-    }
-    C_values = {
-        i: _affine_fit(c.values, tau_vec, beta[1:]) for i, c in enumerate(comp_spec.characters)
-    }
-    residuals["hemma1"] = max(
-        float(np.max(np.abs(c.values - tau_vec - A_values[i] * beta[1:])))
-        for i, c in enumerate(me_spec.characters)
-    )
+    # least-squares coefficients c with values ~= tau + c * beta, one per character
+    denom = float(beta[1:] @ beta[1:])
+    A_values, C_values = ((t - tau_vec) @ beta[1:] / denom if denom else np.zeros(len(t))
+                          for t in (table, comp_spec.value_table()))
+    residuals["hemma1"] = float(np.max(np.abs(devs - np.outer(A_values, beta[1:]))))
     return StructureData(
         tau=tau, beta=beta, beta_normalized=beta_normalized,
         A_values=A_values, C_values=C_values,

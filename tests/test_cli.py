@@ -405,7 +405,7 @@ def test_chain_leak_raises_not_contained(capsys):
     """T X_{k-1} leaving X_k beyond CONTAINMENT_TOL stays a precondition error
     of the structural suite: verify exits 2, decompose skips the structure."""
     flags = [*_aq("0.5", "--r", "5"), "--n", "64"]
-    leak = r"T X_1 leaks out of X_2 by \d\.\d{3}e-\d\d \(limit 6\.4e-08\)"
+    leak = r"T X_1 leaks out of X_2 by \d\.\d{3}e-\d\d \(limit 6\.5e-08\)"
     assert main(["verify", *flags]) == 2
     assert re.fullmatch(rf"error\[NotContained\]: {leak}\n", capsys.readouterr().err)
     assert main(["decompose", *flags]) == 0
@@ -448,17 +448,22 @@ class TestFrontEnd:
         assert run(capsys, *argv, "--out", str(target)) == (code, "")
         assert target.read_bytes() == printed.encode("utf-8")
 
-    # numpy's LinAlgError subclasses ValueError, the parse-error class.  On the
-    # aq input (condition number about 1e20) every analysis stops at the
-    # half-centered precondition (residual 1.3e-9 in real arithmetic); with
-    # the gate at 1e-8, spectral fails the Cholesky of extend_frame in the
-    # moduli closure.
-    @pytest.mark.parametrize("command, flags",
-                             [("spectral", [*_AQ_ILL_CONDITIONED, "--tol-comm", "1e-8"])],
-                             ids=lambda v: v if isinstance(v, str) else v[1])
-    def test_linalg_error_is_a_numerical_failure(self, capsys, command, flags):
-        assert main([command, *flags]) == 3
-        assert capsys.readouterr().err.startswith("error[LinAlgError]")
+    # numpy's LinAlgError subclasses ValueError, the parse-error class
+    def test_linalg_error_is_a_numerical_failure(self, capsys, monkeypatch):
+        def failing(model, cfg):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(hclab.cli, "cmd_spectral", failing)
+        assert main(["spectral", *_FLAGS["shift_plus_rank_one"], "--n", "16"]) == 3
+        assert capsys.readouterr().err == "error[LinAlgError]: Matrix is not positive definite\n"
+
+    # the aq input (condition number about 1e20) stops every analysis at the
+    # half-centered gate (residual 1.3e-9 in real arithmetic); with the gate
+    # at 1e-8 its moduli closure builds, and the joint spectrum of M_E finds
+    # grams that do not commute
+    def test_ill_conditioned_spectrum_is_not_commuting(self, capsys):
+        assert main(["spectral", *_AQ_ILL_CONDITIONED, "--tol-comm", "1e-8"]) == 2
+        assert capsys.readouterr().err.startswith("error[NotCommuting]: members ")
 
     # T^k of the scaled shift plus rank one grows like 5^k; its closure once
     # failed a Cholesky, and now fills the space
@@ -589,17 +594,20 @@ def test_report_diff_tool(monkeypatch, capsys):
         "exit 2 fields=stderr numbers=0 max_abs=0.00e+00 max_rel=0.00e+00 at=-")
     assert report_diff.main(["only-one"]) == 2
     # the summary lines, on canned outputs: one run changes its exit code, one
-    # its stderr only
-    rest = [(0, a, "", "")] * (len(runs) - 2)
-    canned = {"A": [(0, a, "", ""), (2, "", "error[X]: a", "")] + rest,
-              "B": [(4, b, "", ""), (2, "", "error[X]: b", "")] + rest}
+    # its stderr only, and one only floats
+    c = json.dumps({"verdict": "both", "dims": {"E": 1, "V": [2, 1]}, "pairs": [
+        {"residual": 0.0}, {"residual": 2.5e-17}], "status": "stable"})
+    rest = [(0, a, "", "")] * (len(runs) - 3)
+    canned = {"A": [(0, a, "", ""), (2, "", "error[X]: a", ""), (0, a, "", "")] + rest,
+              "B": [(4, b, "", ""), (2, "", "error[X]: b", ""), (0, c, "", "")] + rest}
     monkeypatch.setattr(report_diff, "outputs", canned.__getitem__)
     capsys.readouterr()
     assert report_diff.main(["A", "B"]) == 0
-    first = " ".join(map(str, runs[0]))
-    assert capsys.readouterr().out.splitlines()[-3:] == [
-        "differ 2 of 360", "exit changed 1 of 360",
-        f"max_abs 1.00e-17 at {first} pairs[].residual"]
+    first, third = (" ".join(map(str, run)) for run in (runs[0], runs[2]))
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "differ 3 of 360", "exit changed 1 of 360",
+        f"max_abs 1.00e-17 at {first} pairs[].residual", "fields changed 2 of 360",
+        f"max_abs floats-only 5.00e-18 at {third} pairs[].residual"]
 
 
 @pytest.mark.parametrize("b, line", [

@@ -103,20 +103,17 @@ class TestRequireHalfCentered:
     def tower_of_chain(model, cfg):
         return isometry_tower(chain_decomposition(model, cfg))
 
-    # the tower takes a chain, so it is checked only where one can be built:
-    # the chain of the ill-conditioned aq fails in extend_frame's Cholesky
-    @pytest.mark.parametrize("model, builds_chain", [
-        (from_matrix([[1.0, 1.0], [0.0, 1.0]]), True),
-        (aq_operator(0.5, 1.123915264854093, 32), False),  # residual 1.3e-9 against 1e-9
-        (from_matrix(np.random.default_rng(0).standard_normal((6, 6))), True),
+    # the tower takes a chain; each of these builds one, the ill-conditioned
+    # aq included
+    @pytest.mark.parametrize("model", [
+        from_matrix([[1.0, 1.0], [0.0, 1.0]]),
+        aq_operator(0.5, 1.123915264854093, 32),  # residual 1.3e-9 against 1e-9
+        from_matrix(np.random.default_rng(0).standard_normal((6, 6))),
     ], ids=["jordan", "aq_ill_conditioned", "gaussian6"])
-    def test_every_stage_raises_the_same_error(self, model, builds_chain, cfg):
+    def test_every_stage_raises_the_same_error(self, model, cfg):
         residual = half_centered_check(model, cfg).max_half_residual
         expected = f"half-centered residual {residual:.3e} exceeds tolerance"
-        stages = [require_half_centered, classify, cmd_verify]
-        if builds_chain:
-            stages.append(self.tower_of_chain)
-        for stage in stages:
+        for stage in (require_half_centered, classify, cmd_verify, self.tower_of_chain):
             with pytest.raises(NotHalfCentered) as caught:
                 stage(model, cfg)
             assert str(caught.value) == expected, stage.__name__

@@ -4,9 +4,7 @@ from numpy.testing import assert_allclose
 
 from hclab import Subspace, orthonormalize
 from hclab.errors import EmptyInput, SpecParseError
-from hclab.linalg import DEFAULT_RANK_TOL
 from hclab.matio import dumps_matrix, format_complex, loads_matrix, parse_complex
-from hclab.subspaces import extend_frame
 
 
 def e(i, n=4):
@@ -42,32 +40,6 @@ class TestOrthonormalize:
         assert orthonormalize([dust], scale=1.0).dim == 0
         # without the scale, dust would be normalized into directions
         assert orthonormalize([dust]).dim >= 1
-
-
-class TestExtendFrame:
-    def test_cuts_where_the_stacked_svd_cuts(self, rng):
-        # a block that leans along the frame with coefficients ~1e3 and whose
-        # new directions sit at 2x and 0.5x the cut: only the 2x pair
-        # survives in an SVD of [frame, block], although all four residual
-        # singular values are far above the cut
-        n, d, m = 40, 10, 4
-        z = rng.standard_normal((n, d + m)) + 1j * rng.standard_normal((n, d + m))
-        basis = np.linalg.qr(z)[0]
-        frame, away = basis[:, :d], basis[:, d:]
-        coef = 1e3 * (rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
-        tau = DEFAULT_RANK_TOL * float(np.max(np.linalg.norm(coef, axis=0)))
-        w = np.linalg.cholesky(np.eye(m) + coef.conj().T @ coef).conj().T
-        v = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
-        resid = away @ (tau * np.diag([2.0, 2.0, 0.5, 0.5])) @ v @ w
-        block = frame @ coef + resid
-
-        stacked = orthonormalize([frame, block]).dim - d
-        assert stacked == 2
-        assert int(np.sum(np.linalg.svd(resid, compute_uv=False) > tau)) == m
-        fresh = extend_frame(frame, block)
-        assert fresh.shape[1] == stacked
-        grown = np.hstack([frame, fresh])
-        assert_allclose(grown.conj().T @ grown, np.eye(d + stacked), atol=1e-13)
 
 
 class TestSumOminusProject:

@@ -14,11 +14,15 @@ are written ``[]``), then ``numbers=K max_abs=X max_rel=Y`` over the floats
 that differ, then ``at=PATH``, the path of the float with the largest absolute
 change (the first on a tie; ``-`` when no float differs).  A run whose stdout
 is not a json report compares its stderr and warnings as the fields
-``stderr`` and ``warnings``.  Three summary lines close the output:
+``stderr`` and ``warnings``.  Five summary lines close the output:
 ``differ K of R``; ``exit changed K of R``, the runs whose exit code differs;
-and ``max_abs X at N FAMILY COMMAND PATH``, the largest absolute float change
+``max_abs X at N FAMILY COMMAND PATH``, the largest absolute float change
 over all runs and where it is (``max_abs 0.00e+00 at -`` when no float
-differs), so a change can quote its bound from one line.
+differs); ``fields changed K of R``, the runs where a field other than a
+float differs; and ``max_abs floats-only X at N FAMILY COMMAND PATH``, the
+largest float change over the runs where only floats differ.  So a change
+can quote its bound from one line, even when some runs also move a
+dimension.
 """
 
 from __future__ import annotations
@@ -130,6 +134,16 @@ def describe(a: tuple, b: tuple) -> str | None:
     return None if diff is None else diff.line()
 
 
+def _largest(label: str, diffs: list) -> str:
+    """``LABEL X at N FAMILY COMMAND PATH``: the largest absolute float change
+    over ``diffs``, (run, Difference) pairs, and where it is."""
+    largest, where = 0.0, "-"
+    for run, diff in diffs:
+        if diff.max_abs > largest:
+            largest, where = diff.max_abs, f"{' '.join(map(str, run))} {diff.max_path}"
+    return f"{label} {largest:.2e} at {where}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -137,17 +151,19 @@ def main(argv=None) -> int:
         return 2
     first = outputs(args[0])
     second = outputs(args[1])
-    differ, largest, where = 0, 0.0, "-"
-    for (n, family, command), a, b in zip(runs(), first, second):
+    diffs, floats_only = [], []
+    for run, a, b in zip(runs(), first, second):
         diff = difference(a, b)
         if diff is not None:
-            differ += 1
-            print(n, family, command, diff.line(), flush=True)
-            if diff.max_abs > largest:
-                largest, where = diff.max_abs, f"{n} {family} {command} {diff.max_path}"
-    print("differ", differ, "of", len(first))
+            print(*run, diff.line(), flush=True)
+            diffs.append((run, diff))
+            if not diff.fields and a[0] == b[0]:
+                floats_only.append((run, diff))
+    print("differ", len(diffs), "of", len(first))
     print("exit changed", sum(a[0] != b[0] for a, b in zip(first, second)), "of", len(first))
-    print(f"max_abs {largest:.2e} at {where}")
+    print(_largest("max_abs", diffs))
+    print("fields changed", sum(bool(diff.fields) for _, diff in diffs), "of", len(first))
+    print(_largest("max_abs floats-only", floats_only))
     return 0
 
 
