@@ -361,7 +361,9 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
     """
     require_half_centered(chain.model, chain.cfg)
     block = chain.block
-    G1 = block.grams[1]
+    # G_1 on the block is B* B, so theta* G_1 theta is C* C with C = B theta:
+    # PSD by construction, where a product with G_1 cancels from ||G_1||
+    B = chain.model.window_restrict(chain.model.matrix, block.w)
     prev_theta = np.eye(block.w, dtype=block.matrix.dtype)
     product = np.eye(block.w, dtype=block.matrix.dtype)
     levels = []
@@ -369,7 +371,8 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
         Tn = block.powers[n]
         theta = polar(Tn, rank_tol=chain.cfg.rank_tol)
         r = positive_sqrt(block.grams[n])
-        product = positive_sqrt(prev_theta.conj().T @ G1 @ prev_theta) @ product
+        C = B @ prev_theta
+        product = positive_sqrt(C.conj().T @ C) @ product
         wn = block.window(n)
         residuals = {"reconstruct": _corner_residual(theta @ r - Tn, wn, Tn),
                      "r_two_routes": _corner_residual(product - r, wn, r)}

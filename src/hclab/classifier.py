@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, krylov_closure, span_closure
-from .commutation import (_singular_pairs, _window_gram, _window_gram_eigvals, _window_view,
-                          centered_check, effective_depth, kernel_of_adjoint,
-                          require_half_centered)
+from .commutation import (_singular_pairs, _window_gram, _window_view, centered_check,
+                          effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import (
     HclabError,
     InconclusiveError,
@@ -26,7 +25,7 @@ from .errors import (
     PreconditionError,
     PreconditionViolated,
 )
-from .linalg import numerical_rank
+from .linalg import _split_eigvals, numerical_rank
 from .operators import OperatorModel, ToleranceConfig
 from .spectral import StructureData, enumerate_triples, structure_extract
 
@@ -323,7 +322,7 @@ class ClassificationReport:
 
 def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
     # the gram is Hermitian PSD: its singular values are its |eigenvalues|
-    s = np.abs(_window_gram_eigvals(model, 1, False, model.window(1)))
+    s = np.abs(_split_eigvals(*_window_view(model, 1, False, model.window(1))))
     return numerical_rank(s, cfg.rank_tol, s.max()) == s.size
 
 

@@ -6,8 +6,8 @@ commutes as well.  On a truncation, the commutator of a pair (j, k) is only
 meaningful on the leading ``window(j + k)`` block, so every residual here is
 computed on that block and scaled by the product of the factors' norms.
 Grams are Hermitian PSD, so their norms and commutators go through the
-Hermitian kernels of ``linalg``, and every power T^k of one model comes from
-one shared power table.
+Hermitian kernels of ``linalg``, and every power T^k of one model is one
+running product T^(k-1) T, formed once and shared by its gram and co-gram.
 
 Each windowed gram has one view, built once per model and read by every pair
 and every norm: the window as an exactly Hermitian matrix and the mask of its
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
-from .linalg import (_hermitian_view, _split_commutator_norm, _split_eigvals, _split_norm,
-                     numerical_rank, power_table)
+from .linalg import _hermitian_view, _split_commutator_norm, _split_norm, numerical_rank
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
@@ -84,9 +83,12 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
 
 
 @_memoized
-def _power_products(model: OperatorModel) -> dict:
-    """The products of the model's power table, shared by grams and co-grams."""
-    return {}
+def _matrix_power(model: OperatorModel, k: int) -> np.ndarray:
+    """T^k as a running product, T^(k-1) T, shared by grams and co-grams;
+    T^1 is the model's matrix itself."""
+    if k == 1:
+        return model.matrix
+    return np.matmul(_matrix_power(model, k - 1), model.matrix)
 
 
 @_memoized
@@ -99,7 +101,7 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     if k == 0:
         return np.eye(model.dim, dtype=model.matrix.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = power_table(model.matrix, k, _power_products(model))[k]
+        p = _matrix_power(model, k)
         g = p @ p.conj().T if outer else p.conj().T @ p
         g = (g + g.conj().T) / 2.0
     if not np.all(np.isfinite(g)):
@@ -169,11 +171,6 @@ def _window_view(model: OperatorModel, k: int, outer: bool,
     if model.window_frame is None:
         return g, _first_coupling(model, k, outer)[:w] < w
     return _hermitian_view(g)
-
-
-def _window_gram_eigvals(model: OperatorModel, k: int, outer: bool, w: int) -> np.ndarray:
-    """The eigenvalues, unsorted, of ``_window_gram(model, k, outer, w)``."""
-    return _split_eigvals(*_window_view(model, k, outer, w))
 
 
 @_memoized

@@ -1,6 +1,6 @@
 """Dense matrix primitives: the dtype rule, Hermitian eigen, norms and
 commutators, positive square roots, the partial-isometry factor of a polar
-decomposition, and power tables.
+decomposition, and running powers.
 
 The dtype rule (``as_matrix``): a finite 2-D input with no imaginary part is
 float64, anything else complex128.  Operator models and subspace frames apply
@@ -10,15 +10,15 @@ complex one in complex arithmetic.  Routines treat their inputs as immutable
 and return freshly allocated arrays.  Every rank decision is the tolerance
 cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
 
-The gram layer runs on three kernels:
+The gram layer runs on two kernels and a running product:
 
 - ``hermitian_norm(h)``: the operator norm as the largest |eigenvalue|, from
   ``hermitian_eigvals`` (``eigvalsh`` on the coupled rows only) instead of a
   singular value decomposition;
 - ``hermitian_commutator_norm(a, b)``: ``||ab - ba||_F`` from the single
   product P = ab, as ``||P - P*||_F``, formed on the coupled rows only;
-- ``power_table(a, K)``: a^0..a^K, each bit for bit ``np.linalg.matrix_power``,
-  with the products that the powers have in common formed once.
+- ``power_table(a, K)``: a^0..a^K as the running product a^k = a^(k-1) a
+  (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3 and 18).
 
 The first two require Hermitian operands up to roundoff, such as the window
 compressions of gram powers in a rotated basis.  They act on the Hermitian
@@ -193,41 +193,13 @@ def hermitian_commutator_norm(a, b) -> float:
     return _split_commutator_norm(*_hermitian_view(a), *_hermitian_view(b))
 
 
-def power_table(a, K: int, products: dict | None = None) -> list:
-    """The powers a^0..a^K, each equal bit for bit to ``np.linalg.matrix_power(a, k)``.
-
-    ``matrix_power`` forms a^2 = a a and a^3 = (a a) a; above 3 it multiplies
-    the repeated squares a^(2^i) of the set bits of k into a running
-    product, lowest bit first.  The table forms each of those products once,
-    so the squares and the running products of shared low bits serve every
-    power: a^0..a^6 take 5 products, separate ``matrix_power`` calls 11.
-    ``products`` keeps them between calls, so a later call with a larger K
-    extends the same table.  As in ``matrix_power``, a^1 is ``a`` itself, and
-    the entries are shared with ``products``: treat them as read-only.
-    """
-    products = {} if products is None else products
-    return [_power(a, k, products) for k in range(K + 1)]
-
-
-def _power(a, k: int, products: dict) -> np.ndarray:
-    """a^k formed as ``matrix_power`` forms it, from the shared ``products``."""
-    if k not in products:
-        top = 1 << max(k.bit_length() - 1, 0)   # the highest set bit of k
-        if k <= 1:
-            p = a if k else np.eye(a.shape[0], dtype=a.dtype)
-        elif k == 3:  # the short-cut (a a) a
-            p = np.matmul(_power(a, 2, products), a)
-        elif k == top:  # a repeated square
-            half = _power(a, k // 2, products)
-            p = np.matmul(half, half)
-        else:  # the running product over the lower set bits, times the top square
-            low = k - top
-            if low == 3 and "a (a a)" not in products:  # not the short-cut for 3
-                products["a (a a)"] = np.matmul(a, _power(a, 2, products))
-            acc = products["a (a a)"] if low == 3 else _power(a, low, products)
-            p = np.matmul(acc, _power(a, top, products))
-        products[k] = p
-    return products[k]
+def power_table(a, K: int) -> list:
+    """The powers a^0..a^K as a running product, a^k = a^(k-1) a through
+    ``np.matmul``.  a^1 is ``a`` itself, so treat the entries as read-only."""
+    table = [np.eye(a.shape[0], dtype=a.dtype), a][:K + 1]
+    for _ in range(K - 1):
+        table.append(np.matmul(table[-1], a))
+    return table
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

@@ -50,9 +50,6 @@ class JointSpectrum:
     characters: list
     table: np.ndarray
 
-    def value_table(self) -> np.ndarray:
-        return self.table
-
     def zero_tol(self, cfg: ToleranceConfig) -> float:
         """Character values at most this far from zero count as zero."""
         return cfg.rank_tol * float(np.max(np.abs(self.table), initial=1.0))
@@ -179,8 +176,8 @@ class StructureData:
             "beta_normalized": self.beta_normalized.tolist(),
             "A_values": {str(k): v for k, v in enumerate(self.A_values.tolist())},
             "C_values": {str(k): v for k, v in enumerate(self.C_values.tolist())},
-            "characters": self.me_spectrum.value_table().tolist(),
-            "compressed_characters": self.compressed_spectrum.value_table().tolist(),
+            "characters": self.me_spectrum.table.tolist(),
+            "compressed_characters": self.compressed_spectrum.table.tolist(),
             "no_nonzero_beta": self.no_nonzero_beta,
             "residuals": dict(self.residuals),
         }
@@ -224,7 +221,7 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
     comp_mats = [F.conj().T @ g @ F for g in chain.block.grams[1:K + 1]]
     comp_spec = joint_diagonalize(comp_mats, cfg)
 
-    table = me_spec.value_table()  # rows: characters, cols: k = 1..K
+    table = me_spec.table  # rows: characters, cols: k = 1..K
     tau_vec = tau[1:]
     # affine coordinates along the character line
     devs = table - tau_vec
@@ -270,7 +267,7 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
     # least-squares coefficients c with values ~= tau + c * beta, one per character
     denom = float(beta[1:] @ beta[1:])
     A_values, C_values = ((t - tau_vec) @ beta[1:] / denom if denom else np.zeros(len(t))
-                          for t in (table, comp_spec.value_table()))
+                          for t in (table, comp_spec.table))
     residuals["hemma1"] = float(np.max(np.abs(devs - np.outer(A_values, beta[1:]))))
     return StructureData(
         tau=tau, beta=beta, beta_normalized=beta_normalized,
@@ -306,7 +303,7 @@ def _ratio_table(spectrum: JointSpectrum, tau: np.ndarray, zero_tol: float,
     ``zero_tol``; a zero there forces the tau ratio tau_{m+k} / tau_m.
     Cells with m + k > K lie outside the window and are NaN.
     """
-    values = np.hstack([np.ones((len(spectrum.characters), 1)), spectrum.value_table()])
+    values = np.hstack([np.ones((len(spectrum.characters), 1)), spectrum.table])
     m = np.arange(K)[:, None]
     top = m + np.arange(1, K + 1)  # m + k
     inside = top <= K
@@ -336,7 +333,7 @@ def enumerate_triples(chain: ChainDecomposition, structure: StructureData) -> li
     """
     me, cfg = structure.me_spectrum, chain.cfg
     ratios = _ratio_table(me, structure.tau, me.zero_tol(cfg), chain.depth)
-    gammas = structure.compressed_spectrum.value_table()
+    gammas = structure.compressed_spectrum.table
     # residual[gamma, m - 1, lambda] for m = 1..K-1
     residual = _match_residual(gammas[:, None, None, :],
                                ratios[:, 1:].transpose(1, 0, 2)[None], axis=-1)

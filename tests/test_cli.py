@@ -11,7 +11,7 @@ from hclab import (ToleranceConfig, centered_check, centered_criterion, classify
                    shift_plus_rank_one, weighted_shift)
 import hclab.cli
 from hclab.cli import main
-from hclab.matio import loads_matrix
+from hclab.matio import dumps_matrix, loads_matrix
 from hclab.operators import _jsonable
 
 
@@ -327,8 +327,20 @@ _FLAGS = {
     "composition_without_xi": ["--family", "composition", "--psi", ",".join(_PSI)],
     "aq_without_q": ["--family", "aq", "--r", "5"],
 }
-# r lies 1e-9 above -lambda_min(A_q): T is ill-conditioned and not half-centered
+# r lies 1e-9 above -lambda_min(A_q): T has condition number about 1e20
 _AQ_ILL_CONDITIONED = ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"]
+_AQ_ILL_OUTCOMES = [  # tolerance flags, command, exit code, start of stderr
+    ([], "check", 0, ""),
+    ([], "decompose", 0, ""),
+    ([], "spectral", 2, "error[NotCommuting]: family member 3 is not Hermitian\n"),
+    ([], "classify", 2, "error[NotCommuting]: family member 3 is not Hermitian\n"),
+    ([], "verify", 2, "error[NotContained]: T X_1 leaks out of X_2 by "),
+    (["--tol-comm", "1e-8"], "check", 0, ""),
+    (["--tol-comm", "1e-8"], "decompose", 0, ""),
+    (["--tol-comm", "1e-8"], "spectral", 0, ""),
+    (["--tol-comm", "1e-8"], "classify", 0, ""),
+    (["--tol-comm", "1e-8"], "verify", 2, "error[NotContained]: T X_1 leaks out of X_2 by "),
+]
 
 
 @pytest.mark.parametrize("cmd", ["classify", "zoo"])
@@ -457,13 +469,19 @@ class TestFrontEnd:
         assert main(["spectral", *_FLAGS["shift_plus_rank_one"], "--n", "16"]) == 3
         assert capsys.readouterr().err == "error[LinAlgError]: Matrix is not positive definite\n"
 
-    # the aq input (condition number about 1e20) stops every analysis at the
-    # half-centered gate (residual 1.3e-9 in real arithmetic); with the gate
-    # at 1e-8 its moduli closure builds, and the joint spectrum of M_E finds
-    # grams that do not commute
-    def test_ill_conditioned_spectrum_is_not_commuting(self, capsys):
-        assert main(["spectral", *_AQ_ILL_CONDITIONED, "--tol-comm", "1e-8"]) == 2
-        assert capsys.readouterr().err.startswith("error[NotCommuting]: members ")
+    # the aq input (condition number about 1e20) passes the half-centered gate
+    # (residual 1.4e-12); at the default tolerance the joint spectrum reads a
+    # compressed gram of its M_E family as not Hermitian, and at either its
+    # chain leaks out of X_2; no command ends in a numerical failure (exit 3)
+    @pytest.mark.parametrize("tol, command, code, error", _AQ_ILL_OUTCOMES)
+    def test_ill_conditioned_aq_outcomes(self, capsys, tol, command, code, error):
+        assert main([command, *_AQ_ILL_CONDITIONED, *tol]) == code != 3
+        out, err = capsys.readouterr()
+        assert err.startswith(error) if error else err == ""
+        if command == "check":
+            assert json.loads(out)["verdict"]["half_centered"] is True
+        if command == "classify" and code == 0:
+            assert json.loads(out)["verdict"] == "four_term_relation"
 
     # T^k of the scaled shift plus rank one grows like 5^k; its closure once
     # failed a Cholesky, and now fills the space
@@ -483,9 +501,11 @@ class TestFrontEnd:
         closures = []
         monkeypatch.setattr(hclab.chains, "_moduli_on_block",
                             lambda *args: closures.append(args))
-        assert main(["verify", *_AQ_ILL_CONDITIONED]) == 2
+        gaussian = np.random.default_rng(0).standard_normal((6, 6))
+        spec = json.dumps({"family": "matrix", "matrix": dumps_matrix(gaussian)})
+        assert main(["verify", "--file", spec]) == 2
         assert capsys.readouterr().err == (
-            "error[NotHalfCentered]: half-centered residual 1.315e-09 exceeds tolerance\n")
+            "error[NotHalfCentered]: half-centered residual 5.335e-01 exceeds tolerance\n")
         assert closures == []
 
     # the 1e200 weight overflows T*T; no NaN may reach an SVD
@@ -509,8 +529,9 @@ class TestFrontEnd:
 
 
 def test_cli_grid_tool(capsys):
-    """tools/cli_grid.py covers 684 runs, passes negative weights as
-    ``--weights=...`` and hashes a run's output reproducibly."""
+    """tools/cli_grid.py covers 684 runs and 10 runs of the ill-conditioned aq
+    input, passes negative weights as ``--weights=...`` and hashes a run's
+    output reproducibly."""
     import importlib.util
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
     spec = importlib.util.spec_from_file_location("cli_grid", path)
@@ -523,6 +544,10 @@ def test_cli_grid_tool(capsys):
     first = grid.run(main, argv)
     assert first == grid.run(main, argv)
     assert first[0] == 0 and re.fullmatch(r"[0-9a-f]{64}", first[1])
+    # the ill block runs the commands whose outcomes test_ill_conditioned_aq_outcomes pins
+    assert [argv for _, argv in grid.ILL_CASES] == [
+        [command, *_AQ_ILL_CONDITIONED, *tol] for tol, command, _, _ in _AQ_ILL_OUTCOMES]
+    assert len({name for name, _ in grid.ILL_CASES}) == 10
 
 
 def test_invariance_grid_tool(monkeypatch):

@@ -103,13 +103,11 @@ class TestRequireHalfCentered:
     def tower_of_chain(model, cfg):
         return isometry_tower(chain_decomposition(model, cfg))
 
-    # the tower takes a chain; each of these builds one, the ill-conditioned
-    # aq included
+    # the tower takes a chain; each of these builds one
     @pytest.mark.parametrize("model", [
         from_matrix([[1.0, 1.0], [0.0, 1.0]]),
-        aq_operator(0.5, 1.123915264854093, 32),  # residual 1.3e-9 against 1e-9
         from_matrix(np.random.default_rng(0).standard_normal((6, 6))),
-    ], ids=["jordan", "aq_ill_conditioned", "gaussian6"])
+    ], ids=["jordan", "gaussian6"])
     def test_every_stage_raises_the_same_error(self, model, cfg):
         residual = half_centered_check(model, cfg).max_half_residual
         expected = f"half-centered residual {residual:.3e} exceeds tolerance"
@@ -126,13 +124,45 @@ class TestRequireHalfCentered:
         assert issubclass(error, PreconditionViolated)
 
 
+# r lies 1e-9 above -lambda_min(A_q): T has condition number about 1e20
+AQ_ILL_CONDITIONED = (0.5, 1.123915264854093, 32)
+
+
+class TestIllConditionedAq:
+    """T^k as a running product keeps the grams of the ill-conditioned aq
+    input within roundoff of their extended-precision values, so its gram
+    powers commute to roundoff, as aq's grams do in exact arithmetic."""
+
+    def test_ill_conditioned_aq_is_half_centered(self, cfg):
+        report = half_centered_check(aq_operator(*AQ_ILL_CONDITIONED), cfg)
+        assert report.half_centered
+        assert report.max_half_residual <= 1e-11
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_powers_match_an_extended_precision_product(self):
+        from hclab.commutation import _matrix_power
+        t = aq_operator(*AQ_ILL_CONDITIONED)
+        exact = np.eye(t.dim, dtype=np.longdouble)
+        for k in range(1, 7):
+            exact = exact @ t.matrix.astype(np.longdouble)
+            g = gram_power(t, k)
+            p = _matrix_power(t, k)  # the T^k that gram_power(t, k) read
+            q = p.conj().T @ p
+            assert np.array_equal(g, (q + q.conj().T) / 2.0), k
+            error = np.max(np.abs(p - exact)) / np.max(np.abs(exact))
+            assert error <= 1e-7, (k, float(error))
+
+
 class TestPowerTableGrams:
-    """Grams and co-grams read T^k from one power table per model, and are
-    the grams the separate matrix_power construction gives, bit for bit."""
+    """Grams and co-grams read T^k from one running product per model, and
+    are the grams a separate running product gives, bit for bit."""
 
     @staticmethod
     def separate_construction(t, k, outer):
-        p = np.linalg.matrix_power(t, k)
+        p = t
+        for _ in range(k - 1):
+            p = np.matmul(p, t)
         g = p @ p.conj().T if outer else p.conj().T @ p
         return (g + g.conj().T) / 2.0
 

@@ -191,34 +191,41 @@ def matmul_calls(monkeypatch):
     return calls
 
 
+def running_powers(a, K):
+    """a^0..a^K from a plain np.matmul loop."""
+    powers = [np.eye(a.shape[0], dtype=a.dtype), a]
+    for _ in range(K - 1):
+        powers.append(np.matmul(powers[-1], a))
+    return powers
+
+
 class TestPowerTable:
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_bit_for_bit_matrix_power(self, rng, dtype):
+    def test_bit_for_bit_running_product(self, rng, dtype):
         a = random_matrix(rng, 9, dtype)
         table = power_table(a, 12)
         assert len(table) == 13
-        for k, p in enumerate(table):
+        for k, (p, q) in enumerate(zip(table, running_powers(a, 12))):
             assert p.dtype == a.dtype
-            assert np.array_equal(p, np.linalg.matrix_power(a, k)), k
+            assert np.array_equal(p, q), k
 
     def test_bit_for_bit_on_a_view(self, rng):
         # the analysis block takes the powers of a leading-block view
         a = random_matrix(rng, 12, complex)[:9, :9]
-        for k, p in enumerate(power_table(a, 12)):
-            assert np.array_equal(p, np.linalg.matrix_power(a, k)), k
+        for k, (p, q) in enumerate(zip(power_table(a, 12), running_powers(a, 12))):
+            assert p.dtype == a.dtype
+            assert np.array_equal(p, q), k
+
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_no_product_below_two(self, rng, matmul_calls, K):
+        a = random_matrix(rng, 6, float)
+        table = power_table(a, K)
+        assert len(table) == K + 1 and not matmul_calls
+        assert np.array_equal(table[0], np.eye(6)) and (K == 0 or table[1] is a)
 
     def test_depth_six_takes_five_products(self, rng, matmul_calls):
         power_table(random_matrix(rng, 6, float), 6)
         assert len(matmul_calls) == 5
-
-    def test_shared_products_extend_the_table(self, rng, matmul_calls):
-        a = random_matrix(rng, 6, complex)
-        products = {}
-        first = power_table(a, 3, products)
-        assert len(matmul_calls) == 2
-        longer = power_table(a, 6, products)
-        assert len(matmul_calls) == 5
-        assert all(p is q for p, q in zip(first, longer))
 
 
 class TestHermitianKernels:

@@ -79,12 +79,11 @@ class TestJointDiagonalize:
 
     def test_value_table_holds_the_character_values(self, cfg):
         spec = joint_diagonalize([np.diag([2.0, 1.0, 1.0]), np.diag([3.0, 5.0, 5.0])], cfg)
-        table = spec.value_table()
-        assert table is spec.value_table()
+        table = spec.table
         assert table.tolist() == [[1.0, 5.0], [2.0, 3.0]]
         for row, char in zip(table, spec.characters):
             assert np.shares_memory(row, char.values)
-        assert joint_diagonalize([np.zeros((0, 0))], cfg).value_table().shape == (0, 1)
+        assert joint_diagonalize([np.zeros((0, 0))], cfg).table.shape == (0, 1)
 
     @pytest.mark.parametrize("table, owner", [
         # a ~ b and b ~ c, but a !~ c: c is compared with the survivor a, not
@@ -205,7 +204,7 @@ class TestStructureExtract:
         t = aq_operator(0.5, 5.0, 24)
         chain = chain_decomposition(t, cfg)
         st = structure_extract(chain)
-        table = st.me_spectrum.value_table()
+        table = st.me_spectrum.table
         tau = st.tau[1:]
         base = st.beta[1:]
         rng = np.random.default_rng(0)

@@ -13,12 +13,14 @@ The grid: ws, sro (a = 0.3+0.4i, index 2), hardy (c = 0.5) and aq at
 q = 0.3, 0.5 (r = 5) and 0.7, times the six commands, times
 N in {4, 6, 8, 12, 16, 24, 32, 48, 64} in json and text, plus json at N = 128.
 After the grid come the argv edge cases of ``EDGE_CASES``, one line each,
-``edge name exit sha256``, and the six commands of the README's "Command
-line" block, ``readme name exit sha256``: 684 + 6 + 6 runs.  The README's
-``check --file pq.json`` is run on the JSON text of that projection-product
-spec, which ``--file`` accepts, so no file is needed.  ``main`` returns 1 for
-a usage error and 0 for help; older checkouts raise argparse's
-``SystemExit`` instead, so it is caught.
+``edge name exit sha256``; the ill-conditioned aq input of ``ILL_CASES``
+(q = 0.5, r = 1.123915264854093, N = 32), five commands at the default
+tolerances and at ``--tol-comm 1e-8``, ``ill name exit sha256``; and the six
+commands of the README's "Command line" block, ``readme name exit sha256``:
+684 + 6 + 10 + 6 runs.  The README's ``check --file pq.json`` is run on the
+JSON text of that projection-product spec, which ``--file`` accepts, so no
+file is needed.  ``main`` returns 1 for a usage error and 0 for help; older
+checkouts raise argparse's ``SystemExit`` instead, so it is caught.
 ``COLUMNS`` is fixed at 80 so argparse's line wrapping is reproducible.
 """
 
@@ -44,6 +46,11 @@ EDGE_CASES = (
     ("help", ["-h"]),
     ("command-help", ["classify", "-h"]),
 )
+# aq with r 1e-9 above -lambda_min(A_q), condition number about 1e20
+_AQ_ILL = ["--family", "aq", "--q", "0.5", "--r", "1.123915264854093", "--n", "32"]
+ILL_CASES = tuple((command + suffix, [command, *_AQ_ILL, *tol])
+                  for suffix, tol in (("", []), ("@tol-comm-1e-8", ["--tol-comm", "1e-8"]))
+                  for command in ("check", "decompose", "spectral", "classify", "verify"))
 PQ_SPEC = ('{"family": "projection_product", "P": [[0.5, -0.5], [-0.5, 0.5]], '
            '"Q": [[1, 0], [0, 0]]}')
 _AQ = ["--family", "aq", "--q", "0.5", "--r", "5"]
@@ -129,7 +136,7 @@ def main(argv=None) -> int:
         argv = [command, *family_args(family, n), "--n", str(n), "--format", fmt]
         code, digest = run(hclab_main, argv)
         print(n, family, command, fmt, code, digest, flush=True)
-    for tag, cases in (("edge", EDGE_CASES), ("readme", README_COMMANDS)):
+    for tag, cases in (("edge", EDGE_CASES), ("ill", ILL_CASES), ("readme", README_COMMANDS)):
         for name, argv in cases:
             code, digest = run(hclab_main, argv)
             print(tag, name, code, digest, flush=True)
