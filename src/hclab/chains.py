@@ -18,8 +18,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .commutation import (_singular_pairs, _window_gram, _window_gram_norm, effective_depth,
-                          kernel_of_adjoint, require_half_centered)
+from .commutation import (_gram_on, _singular_pairs, _window_gram, _window_gram_norm,
+                          effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
 from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
@@ -361,9 +361,6 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
     """
     require_half_centered(chain.model, chain.cfg)
     block = chain.block
-    # G_1 on the block is B* B, so theta* G_1 theta is C* C with C = B theta:
-    # PSD by construction, where a product with G_1 cancels from ||G_1||
-    B = chain.model.window_restrict(chain.model.matrix, block.w)
     prev_theta = np.eye(block.w, dtype=block.matrix.dtype)
     product = np.eye(block.w, dtype=block.matrix.dtype)
     levels = []
@@ -371,8 +368,7 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
         Tn = block.powers[n]
         theta = polar(Tn, rank_tol=chain.cfg.rank_tol)
         r = positive_sqrt(block.grams[n])
-        C = B @ prev_theta
-        product = positive_sqrt(C.conj().T @ C) @ product
+        product = positive_sqrt(_gram_on(chain.model, 1, block.w, prev_theta)) @ product
         wn = block.window(n)
         residuals = {"reconstruct": _corner_residual(theta @ r - Tn, wn, Tn),
                      "r_two_routes": _corner_residual(product - r, wn, r)}

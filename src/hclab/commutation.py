@@ -8,6 +8,9 @@ computed on that block and scaled by the product of the factors' norms.
 Grams are Hermitian PSD, so their norms and commutators go through the
 Hermitian kernels of ``linalg``, and every power T^k of one model is one
 running product T^(k-1) T, formed once and shared by its gram and co-gram.
+A gram compressed to a subspace of a window (the tower's theta* G_1 theta,
+the families on M_E and on each V_n) has one rule, ``_gram_on``: C* C with C
+the window columns of T^k times the subspace's frame.
 
 Each windowed gram has one view, built once per model and read by every pair
 and every norm: the window as an exactly Hermitian matrix and the mask of its
@@ -108,6 +111,14 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
         name = f"T^{k} T*^{k}" if outer else f"T*^{k} T^{k}"
         raise NonFinite(f"{name} overflows: an entry is not finite")
     return g
+
+
+def _gram_on(model: OperatorModel, k: int, w: int, frame: np.ndarray) -> np.ndarray:
+    """frame* G_k frame for the window-w gram G_k, as C* C with C the window
+    columns of T^k times ``frame``: PSD by construction, exactly symmetric in
+    real arithmetic, with an error on the scale of ||C||^2, not of ||G_k||."""
+    C = model.window_restrict(_matrix_power(model, k), w) @ frame
+    return C.conj().T @ C
 
 
 def gram_power(model: OperatorModel, k: int) -> np.ndarray:

@@ -2,6 +2,9 @@
 carry: the tau and beta sequences, the affine structure operator on the
 moduli subspace, and the triple set linking moduli characters to characters
 of the range-compressed family.
+
+Each family holds grams compressed by ``commutation._gram_on`` (to M_E, to
+each V_n); tau and the family on M_E (-) E are slices of M_E's.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainDecomposition
+from .commutation import _gram_on
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
 from .linalg import _hermitian_view, _split_commutator_norm, _split_norm
 from .operators import ToleranceConfig, _memoized
@@ -185,16 +189,13 @@ class StructureData:
 
 @_memoized
 def _moduli_spectrum(chain: ChainDecomposition):
-    """tau (None without a kernel vector), the windowed grams 1..K compressed
-    to M_E and their joint spectrum, read on the chain's block, kept on it."""
+    """tau (None without a kernel vector), the grams 1..K on M_E by ``_gram_on``
+    and their joint spectrum, kept on the chain; M_E's frame starts with E's
+    column e, so tau_k = e* G_k e is the corner [0, 0] of the k-th gram."""
     block = chain.block
-    grams = block.grams[1:chain.depth + 1]
-    tau = None
-    if block.E.dim:
-        e = block.E.frame[:, 0]
-        tau = np.array([1.0] + [float(np.real(e.conj() @ g @ e)) for g in grams])
-    ME = chain.M_E_block.frame
-    me_mats = [ME.conj().T @ g @ ME for g in grams]
+    me_mats = [_gram_on(chain.model, k, block.w, chain.M_E_block.frame)
+               for k in range(1, chain.depth + 1)]
+    tau = np.array([1.0] + [float(np.real(m[0, 0])) for m in me_mats]) if block.E.dim else None
     return tau, me_mats, joint_diagonalize(me_mats, chain.cfg)
 
 
@@ -202,12 +203,15 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
     """Extract tau, beta, and the affine structure of the grams on M_E of the
     chain, at its depth and tolerances.
 
-    tau_k is the diagonal matrix element of the k-th gram at the unit kernel
-    vector.  beta is the difference of the two extreme characters, the
+    tau_k = e* G_k e is the corner M_k[0, 0] of the M_E family M_1..M_K of
+    ``_moduli_spectrum``, and the family on M_E (-) E its trailing blocks
+    M_k[1:, 1:].  beta is the difference of the two extreme characters, the
     canonical choice of the pair that the theory fixes only up to a
     constant.  The structure operator A is solved from the first power with
-    a significant beta and residual-checked against all the others, so the
-    affine law is an independent check rather than a fit artifact.
+    a significant beta and residual-checked against all the others (``bt1``:
+    the largest norm of R_k = M_k - tau_k I - beta_k A; ``wwraw``: of its
+    trailing block, with A[1:, 1:]), so the affine law is an independent
+    check rather than a fit artifact.
     """
     E, M_E = chain.block.E, chain.M_E_block
     if E.dim != 1:
@@ -216,10 +220,7 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
         raise ModuliTooSmall(f"dim M_E = {M_E.dim} < 2: beta is undefined")
     K, cfg = chain.depth, chain.cfg
     tau, me_mats, me_spec = _moduli_spectrum(chain)
-
-    F = M_E.frame[:, E.dim:]  # M_E (-) E: the moduli closure's frame starts with E's
-    comp_mats = [F.conj().T @ g @ F for g in chain.block.grams[1:K + 1]]
-    comp_spec = joint_diagonalize(comp_mats, cfg)
+    comp_spec = joint_diagonalize([m[E.dim:, E.dim:] for m in me_mats], cfg)
 
     table = me_spec.table  # rows: characters, cols: k = 1..K
     tau_vec = tau[1:]
@@ -242,27 +243,15 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
         beta_normalized = beta / beta[first]
 
     d = M_E.dim
-    residuals = {}
     if no_nonzero_beta:
         A = np.zeros((d, d), dtype=me_mats[0].dtype)
     else:
         k0 = int(np.argmax(sig))  # me_mats[k0] is the depth-(k0+1) gram
         A = (me_mats[k0] - tau[k0 + 1] * np.eye(d)) / beta[k0 + 1]
         A = (A + A.conj().T) / 2.0
-    residuals["bt1"] = max(
-        float(np.linalg.norm(me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A) / scale)
-        for k in range(K)
-    )
-
-    # compression of A to M_E (-) E, in the coordinates of that subspace
-    coords_F = M_E.frame.conj().T @ F
-    C = coords_F.conj().T @ A @ coords_F
-    C = (C + C.conj().T) / 2.0
-    dC = F.shape[1]
-    residuals["wwraw"] = max(
-        float(np.linalg.norm(comp_mats[k] - tau[k + 1] * np.eye(dC) - beta[k + 1] * C) / scale)
-        for k in range(K)
-    )
+    R = [me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A for k in range(K)]
+    residuals = {"bt1": max(float(np.linalg.norm(r)) for r in R) / scale,
+                 "wwraw": max(float(np.linalg.norm(r[E.dim:, E.dim:])) for r in R) / scale}
 
     # least-squares coefficients c with values ~= tau + c * beta, one per character
     denom = float(beta[1:] @ beta[1:])
@@ -356,7 +345,6 @@ def spectral_correspondence_check(chain: ChainDecomposition) -> dict:
         return {"per_layer": {}, "worst": 0.0}
     K, cfg = chain.depth, chain.cfg
     tau, _, me_spec = _moduli_spectrum(chain)
-    grams = chain.block.grams[1:K + 1]
     zero_tol = me_spec.zero_tol(cfg)
     lam_ratios = _ratio_table(me_spec, tau, zero_tol, K)
 
@@ -366,7 +354,8 @@ def spectral_correspondence_check(chain: ChainDecomposition) -> dict:
             continue
         # V_0 is M_E, whose spectrum and ratios are already at hand
         gam_ratios = lam_ratios if n == 0 else _ratio_table(
-            joint_diagonalize([Vn.frame.conj().T @ g @ Vn.frame for g in grams], cfg),
+            joint_diagonalize([_gram_on(chain.model, k, chain.block.w, Vn.frame)
+                               for k in range(1, K + 1)], cfg),
             tau, zero_tol, K)
         # residual[gamma, lambda] over depths k = 0..K-1-n and powers j
         residual = _match_residual(gam_ratios[:, None, :K - n],

@@ -34,7 +34,7 @@ import hclab.commutation
 import hclab.linalg
 from hclab.chains import _moduli_on_block, analysis_block, krylov_closure
 from hclab.cli import cmd_classify, main
-from hclab.commutation import analysis_depth, effective_depth
+from hclab.commutation import _gram_on, analysis_depth, effective_depth
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import hermitian_norm
 from hclab.spectral import _moduli_spectrum
@@ -972,7 +972,7 @@ class TestOneCoordinateSystem:
             assert abs(tau[k] - np.real(e.conj() @ G @ e)) <= tol
             for Vb in chain.V_block:
                 Vn = block.lift(Vb)
-                comp = Vb.frame.conj().T @ block.grams[k] @ Vb.frame
+                comp = _gram_on(model, k, block.w, Vb.frame)
                 assert np.linalg.norm(comp - Vn.frame.conj().T @ G @ Vn.frame, 2) <= tol
 
 

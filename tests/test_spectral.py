@@ -20,10 +20,11 @@ from hclab import (
     weighted_shift,
 )
 from hclab import spectral
+from hclab.commutation import _matrix_power
 from hclab.linalg import _hermitian_view, _split_norm
 from hclab.errors import ModuliTooSmall, NotCommuting
 
-from conftest import random_weights
+from conftest import family_model, random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -146,10 +147,8 @@ def test_joint_diagonalize_matches_the_per_block_oracle_on_aq(cfg, q, n):
     # the moduli family and the family of M_E (-) E
     chain = chain_decomposition(aq_operator(q, None, n), cfg)
     _, me_mats, _ = spectral._moduli_spectrum(chain)
-    F = chain.M_E_block.frame[:, 1:]
     _assert_matches_per_block_oracle(me_mats, cfg)
-    _assert_matches_per_block_oracle(
-        [F.conj().T @ g @ F for g in chain.block.grams[1:chain.depth + 1]], cfg)
+    _assert_matches_per_block_oracle([m[1:, 1:] for m in me_mats], cfg)
 
 
 def test_joint_diagonalize_matches_the_per_block_oracle_where_blocks_merge(cfg):
@@ -224,6 +223,49 @@ class TestStructureExtract:
         sig = np.abs(st.beta_normalized) > 1e-9
         first = np.argmax(sig)
         assert st.beta_normalized[first] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("family", ["sro", "hardy", "aq0.3"])
+    def test_tau_and_the_compressed_family_are_slices_of_the_moduli_family(
+            self, family, conj, cfg):
+        # M_E's frame is [e, F]: tau_k = e* G_k e and the family on M_E (-) E,
+        # F* G_k F, are the corner and the trailing block of M_E's k-th member
+        rng = np.random.default_rng(11)
+        model = family_model(family, 32, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, 32))
+        chain = chain_decomposition(model, cfg)
+        block = chain.block
+        st = structure_extract(chain)
+        _, me_mats, _ = spectral._moduli_spectrum(chain)
+        e, F = block.E.frame[:, 0], chain.M_E_block.frame[:, 1:]
+        for k in range(1, chain.depth + 1):
+            G = block.grams[k]
+            bound = 8 * block.w * np.finfo(float).eps * block.scales[k]
+            assert abs(st.tau[k] - np.real(e.conj() @ G @ e)) <= bound
+            assert np.linalg.norm(me_mats[k - 1][1:, 1:] - F.conj().T @ G @ F, 2) <= bound
+        # wwraw is the trailing block of the residuals whose whole is bt1
+        assert st.residuals["wwraw"] <= st.residuals["bt1"]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_ill_conditioned_moduli_family_is_psd_to_roundoff(self, cfg):
+        # G_k reaches 1e9 on this input (condition number about 1e20) while the
+        # family on M_E (-) E stays near 2; a compression F* G_k F carried an
+        # error of 4e-8 of that norm, C* C with C = T^k F one below 1e-12
+        model = aq_operator(0.5, 1.123915264854093, 32)
+        chain = chain_decomposition(model, cfg)
+        w = chain.block.w
+        F = chain.M_E_block.frame[:, 1:].astype(np.longdouble)
+        _, me_mats, _ = spectral._moduli_spectrum(chain)
+        for k, m in enumerate(me_mats, start=1):
+            norm = np.linalg.norm(m, 2)
+            assert np.array_equal(m, m.T)
+            assert np.linalg.eigvalsh(m)[0] >= -1e-14 * norm
+            C = model.window_restrict(_matrix_power(model, k), w).astype(np.longdouble) @ F
+            tail = m[1:, 1:]
+            gap = (tail - C.T @ C).astype(float)
+            assert np.linalg.norm(gap, 2) <= 1e-11 * np.linalg.norm(tail, 2)
 
 
 class TestEnumerateTriples:
