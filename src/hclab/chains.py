@@ -18,7 +18,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .commutation import (_gram_on, _singular_pairs, _window_gram, _window_gram_norm,
+from .commutation import (_gram_on, _singular_pairs, _window_gram_norm, _window_view,
                           effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
 from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
@@ -90,7 +90,7 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
         raise WindowExhausted(f"window({K}) < 1")
     embed = model.window_cols(w)
     Tb = model.window_compress(model.matrix, w)
-    grams = tuple(_window_gram(model, k, False, w) for k in range(K + 1))
+    grams = tuple(_window_view(model, k, False, w)[0] for k in range(K + 1))
     scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
 
     E_full = kernel_of_adjoint(model, cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, krylov_closure, span_closure
-from .commutation import (_singular_pairs, _window_gram, _window_view, centered_check,
+from .commutation import (_singular_pairs, _window_view, centered_check,
                           effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import (
     HclabError,
@@ -144,16 +144,14 @@ def _relation_columns(model: OperatorModel, powers: tuple, w: int) -> list:
     can hold: the diagonal of the rows none of them couples, then the block
     of the rows some of them couple (the union of their masks).
 
-    In the model's own basis every other entry is exactly zero: each window
-    is a slice of an exactly Hermitian gram, and a row no gram couples has
-    no nonzero off the diagonal, in its row or (by symmetry) its column.  So
-    the stack has the singular values and right singular vectors of the full
-    one.  A rotated window is dense at roundoff and is stacked whole.
+    Every other entry is exactly zero, in every basis: each window is a
+    leading block of an exactly Hermitian table, and a row no gram couples
+    has no nonzero off the diagonal, in its row or (by symmetry) its column.
+    So the stack has the singular values and right singular vectors of the
+    full one.
     """
-    grams = [_window_gram(model, k, False, w) for k in powers]
-    if model.window_frame is not None:
-        return [g.ravel() for g in grams]
-    rows = np.logical_or.reduce([_window_view(model, k, False, w)[1] for k in powers])
+    grams, masks = zip(*(_window_view(model, k, False, w) for k in powers))
+    rows = np.logical_or.reduce(masks)
     lone, block = ~rows, np.ix_(rows, rows)
     return [np.concatenate([np.diagonal(g)[lone], g[block].ravel()]) for g in grams]
 

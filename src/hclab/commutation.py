@@ -12,16 +12,15 @@ A gram compressed to a subspace of a window (the tower's theta* G_1 theta,
 the families on M_E and on each V_n) has one rule, ``_gram_on``: C* C with C
 the window columns of T^k times the subspace's frame.
 
-Each windowed gram has one view, built once per model and read by every pair
-and every norm: the window as an exactly Hermitian matrix and the mask of its
-coupled rows (those with a nonzero off the diagonal).  A pair's commutator is
-formed on the union of its two masks, which is exact (see ``linalg``): the
-gram-gram pairs of weighted shifts and of a shift plus rank one take no
-product, their co-gram pairs a product on a few rows, aq's a product on the
-rows its windows couple.  In the model's own basis a window is a slice of an
-exactly Hermitian gram and its mask comes from one pass over the full gram;
-in a rotated basis (``window_frame`` set) the window is dense at roundoff and
-is symmetrized once.
+Each gram (co-gram) has one table per model, ``_window_table``: the gram on
+all N window columns, exactly Hermitian.  In the model's own basis it is the
+gram itself; in a rotated basis (``window_frame`` set) it is compressed and
+symmetrized once.  Every window gram is a leading block of that table, read
+with the mask of its coupled rows (those with a nonzero off the diagonal) by
+every pair, norm and stage.  A pair's commutator is formed on the union of
+its two masks, which is exact (see ``linalg``): the gram-gram pairs of
+weighted shifts and of a shift plus rank one take no product, their co-gram
+pairs a product on a few rows, aq's a product on the rows its windows couple.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
-from .linalg import _hermitian_view, _split_commutator_norm, _split_norm, numerical_rank
+from .linalg import _hermitian_part, _split_commutator_norm, _split_norm, numerical_rank
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
@@ -151,18 +150,22 @@ class CommutationReport:
 
 
 @_memoized
-def _window_gram(model: OperatorModel, k: int, outer: bool, w: int) -> np.ndarray:
-    """The leading-w window compression of T*^k T^k (of T^k T*^k when
-    ``outer``)."""
-    return model.window_compress(_power_product(model, k, outer), w)
+def _window_table(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
+    """T*^k T^k (T^k T*^k when ``outer``) on all N window columns, exactly
+    Hermitian: the gram itself in the model's own basis, compressed and
+    symmetrized once in a rotated one.  Every window gram is a leading block."""
+    g = _power_product(model, k, outer)
+    if model.window_frame is None:
+        return g
+    return _hermitian_part(model.window_compress(g, model.dim))
 
 
 @_memoized
 def _first_coupling(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
-    """For each row of the full gram (co-gram when ``outer``), the first
-    column off the diagonal that holds a nonzero; ``dim`` when there is none.
-    Row i of the window-w gram is coupled exactly when its entry is < w."""
-    nonzero = _power_product(model, k, outer) != 0
+    """For each row of ``_window_table(model, k, outer)``, the first column off
+    the diagonal that holds a nonzero; ``dim`` when there is none.  Row i of
+    the window-w gram is coupled exactly when its entry is < w."""
+    nonzero = _window_table(model, k, outer) != 0
     nonzero.flat[::model.dim + 1] = False
     return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), model.dim)
 
@@ -170,23 +173,15 @@ def _first_coupling(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
 @_memoized
 def _window_view(model: OperatorModel, k: int, outer: bool,
                  w: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_window_gram(model, k, outer, w)`` as an exactly Hermitian matrix,
-    and the mask of its coupled rows (those with a nonzero off the diagonal).
-
-    In the model's own basis the window is a slice of an exactly Hermitian
-    gram, and the mask comes from ``_first_coupling``; in a rotated basis
-    the window is symmetrized here, once for every pair and norm that reads
-    it.
-    """
-    g = _window_gram(model, k, outer, w)
-    if model.window_frame is None:
-        return g, _first_coupling(model, k, outer)[:w] < w
-    return _hermitian_view(g)
+    """The leading-w window gram (co-gram when ``outer``), the leading block
+    of ``_window_table`` and so exactly Hermitian in every basis, and the
+    exact mask of its coupled rows (those with a nonzero off the diagonal)."""
+    return _window_table(model, k, outer)[:w, :w], _first_coupling(model, k, outer)[:w] < w
 
 
 @_memoized
 def _window_gram_norm(model: OperatorModel, k: int, outer: bool, w: int) -> float:
-    """The operator norm of ``_window_gram(model, k, outer, w)``."""
+    """The operator norm of the window gram ``_window_view(model, k, outer, w)``."""
     return _split_norm(*_window_view(model, k, outer, w))
 
 
@@ -198,12 +193,12 @@ def _gram_frobenius(model: OperatorModel, k: int, outer: bool) -> float:
 
 @_memoized
 def _window_gram_is_zero(model: OperatorModel, k: int, outer: bool, w: int) -> bool:
-    """Whether ``_window_gram(model, k, outer, w)`` is zero up to the roundoff
-    of compressing the full gram: Frobenius norm at most w * eps times the
-    full gram's.  A co-gram T^k T*^k vanishes on the indices T*^k kills,
-    exactly in the model's own basis and to roundoff in a rotated one."""
+    """Whether the window gram ``_window_view(model, k, outer, w)`` is zero up to
+    the roundoff of compressing the full gram: Frobenius norm at most w * eps
+    times the full gram's.  A co-gram T^k T*^k vanishes on the indices T*^k
+    kills, exactly in the model's own basis and to roundoff in a rotated one."""
     cut = w * np.finfo(float).eps * _gram_frobenius(model, k, outer)
-    return bool(np.linalg.norm(_window_gram(model, k, outer, w)) <= cut)
+    return bool(np.linalg.norm(_window_view(model, k, outer, w)[0]) <= cut)
 
 
 def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool) -> list:

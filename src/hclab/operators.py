@@ -346,26 +346,25 @@ def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
 def cauchy_dual(model: OperatorModel) -> OperatorModel:
     """Dual ``T' = T (T*T)^{-1}``, computed on the effective window.
 
-    The gram matrix of a truncation is singular in its trailing corrupted
-    block, so the inverse is taken on the leading ``window(1)`` block and the
-    remaining columns of the dual are left zero, mirroring how a fresh
-    truncation of the infinite dual would look.
+    The gram of a truncation is singular in its trailing corrupted block, so
+    it is inverted on the leading ``window(1)`` window, as C*C with C the
+    window columns of T, and the dual is zero off it, as a fresh truncation
+    of the infinite dual would be.  It keeps the model's ``window_frame``.
     """
-    T = model.matrix
-    N = model.dim
     w = model.window(1)
     if w < 1:
         raise NotLeftInvertible("window exhausted")
-    G = (T.conj().T @ T)[:w, :w]
+    B = model.window_restrict(model.matrix, w)
+    G = B.conj().T @ B
     s = np.linalg.svd(G, compute_uv=False)
     if numerical_rank(s, DEFAULT_RANK_TOL, max(1.0, s[0])) < w:
         raise NotLeftInvertible(f"T*T has sigma_min {s[-1]:.3e} on the window")
-    dual = np.zeros((N, N), dtype=T.dtype)
-    dual[:, :w] = T[:, :w] @ np.linalg.inv(G)
     return OperatorModel(
-        matrix=dual, family=f"cauchy_dual({model.family})",
+        matrix=B @ np.linalg.inv(G) @ model.window_cols(w).conj().T,
+        family=f"cauchy_dual({model.family})",
         params={"of": model.describe()},
         bandwidth=None, window_step=max(model.window_step, 1),
+        window_frame=model.window_frame,
     )
 
 

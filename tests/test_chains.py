@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hclab import (
+    OperatorModel,
     Subspace,
     ToleranceConfig,
     aq_operator,
@@ -349,6 +350,7 @@ class TestOneDerivationPerBlock:
             return part(h)
 
         monkeypatch.setattr(hclab.linalg, "_hermitian_part", counting)
+        monkeypatch.setattr(hclab.commutation, "_hermitian_part", counting)
         return calls
 
     @pytest.fixture
@@ -420,14 +422,22 @@ class TestOneDerivationPerBlock:
         centered_check(model, cfg)
         assert not hermitian_parts
 
-    def test_rotated_centered_check_symmetrizes_each_windowed_gram_once(self, sro32, rng, cfg,
-                                                                       hermitian_parts):
+    def test_rotated_centered_check_symmetrizes_each_gram_once(self, sro32, rng, cfg,
+                                                               hermitian_parts, monkeypatch):
+        # every windowed gram is a leading block of one table per power and
+        # family: 72 windows, 12 compressions and 12 symmetrizations
         model = sro32.conjugated(random_unitary(rng, 32))
+        compressions = []
+        compress = OperatorModel.window_compress
+
+        def counting(self, m, w):
+            compressions.append(w)
+            return compress(self, m, w)
+        monkeypatch.setattr(OperatorModel, "window_compress", counting)
         report = centered_check(model, cfg)
-        distinct = self.windowed_grams(model, report)
-        assert len(distinct) == 72
-        assert len(hermitian_parts) == len(distinct)
-        assert set(hermitian_parts) == {(w, w) for _, _, w in distinct}
+        assert len(self.windowed_grams(model, report)) == 72
+        assert compressions == [32] * 12
+        assert hermitian_parts == [(32, 32)] * 12
 
     def test_exactly_commuting_pairs_take_no_norm(self, shift32, cfg, norm_calls):
         # the grams and co-grams of a weighted shift are diagonal: every pair

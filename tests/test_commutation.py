@@ -23,7 +23,8 @@ from hclab import (
 )
 from hclab.chains import analysis_block
 from hclab.cli import cmd_verify
-from hclab.commutation import _window_view, require_half_centered
+from hclab.commutation import (_power_product, _window_table, _window_view,
+                               require_half_centered)
 from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
                           WindowExhausted)
 from hclab.linalg import _coupled_rows
@@ -244,22 +245,26 @@ class TestCoupledPairTables:
                 assert p["residual"] == 0.0
 
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq"])
-    def test_window_views_and_masks(self, family, rng):
-        # plain: the view is the window itself, and the mask read off the
-        # full gram's first coupling marks exactly the window's coupled rows;
-        # rotated: the view is exactly Hermitian
+    def test_window_views_and_masks(self, family, rng, cfg):
+        # every view, the analysis block's grams included, is an exactly
+        # Hermitian leading block of one table per power and family (the
+        # gram itself in the model's own basis), and its mask, read off the
+        # table's first coupling, marks exactly the window's coupled rows
         model = _pair_model(family, 24)
         rotated = model.conjugated(random_unitary(rng, 24))
         for k in range(1, 7):
             for outer in (False, True):
-                for w in range(1, model.window(k) + 1):
-                    h, mask = _window_view(model, k, outer, w)
-                    window = (co_gram_power if outer else gram_power)(model, k)[:w, :w]
-                    assert np.shares_memory(h, window) and np.array_equal(h, window)
-                    assert np.array_equal(mask, _coupled_rows(window))
-                    h, mask = _window_view(rotated, k, outer, w)
-                    assert np.array_equal(h, h.conj().T)
-                    assert np.array_equal(mask, _coupled_rows(h))
+                assert _window_table(model, k, outer) is _power_product(model, k, outer)
+                for m in (model, rotated):
+                    table = _window_table(m, k, outer)
+                    for w in range(1, model.window(k) + 1):
+                        h, mask = _window_view(m, k, outer, w)
+                        assert np.shares_memory(h, table) and np.array_equal(h, table[:w, :w])
+                        assert np.array_equal(h, h.conj().T)
+                        assert np.array_equal(mask, _coupled_rows(h))
+        for k, g in enumerate(analysis_block(rotated, cfg).grams):
+            assert np.shares_memory(g, _window_table(rotated, k, False))
+            assert np.array_equal(g, g.conj().T)
 
     def test_shift_like_co_grams_couple_a_few_rows(self, sro32):
         # the co-grams of a shift plus rank one are diagonal but for a few rows

@@ -28,7 +28,7 @@ from hclab.errors import (
 from hclab.matio import dumps_matrix
 from hclab.operators import _jsonable, aq_matrix
 
-from conftest import random_weights
+from conftest import family_model, random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -241,6 +241,15 @@ class TestCauchyDual:
         t = projection_product(PQ_P, PQ_Q)
         with pytest.raises(NotLeftInvertible):
             cauchy_dual(t)
+
+    @pytest.mark.parametrize("family", ["ws", "hardy", "aq0.5r5"])
+    def test_conjugated_dual_is_the_dual_conjugated(self, family):
+        rng = np.random.default_rng(16)
+        t = family_model(family, 16, rng)
+        u = random_unitary(rng, 16)
+        rotated, expect = cauchy_dual(t.conjugated(u)), cauchy_dual(t).conjugated(u)
+        assert np.linalg.norm(rotated.matrix - expect.matrix) <= 1e-13 * np.linalg.norm(expect.matrix)
+        assert np.array_equal(rotated.window_frame, expect.window_frame)
 
 
 class TestZooHalfCentered:
