@@ -5,6 +5,8 @@ Each certificate has one route.  The relation comes from a
 smallest-singular-value scan over stacked gram powers, and
 ``recurrence_residual`` checks it as a recurrence on the tau and beta
 sequences.  The normal form is rebuilt from the single triple's chain basis.
+Condition II is read off that basis when it fills the space, and is built
+by ``span_closure`` otherwise.
 """
 
 from __future__ import annotations
@@ -324,6 +326,25 @@ def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
     return numerical_rank(s, cfg.rank_tol, s.max()) == s.size
 
 
+def _condition_II(chain: ChainDecomposition, reconstruction: ShiftRankOneCertificate | None,
+                  diagnostics: dict) -> bool:
+    """Condition II: the closure of T^k M_E fills the space.  A normal-form
+    basis of N columns is a frame of that closure (w and v lie in M_E, and
+    ``krylov_closure`` on T builds every column), so it is read as a capped
+    closure; otherwise ``span_closure`` builds the closure of M_E."""
+    model = chain.model
+    status, span_defect = "capped", 0.0  # a capped closure: nothing lies outside it
+    if reconstruction is None or reconstruction.basis.shape[1] < model.dim:
+        closure, status = span_closure(model, chain.cfg, chain.M_E)
+        if status != "capped":
+            probe = model.window_cols(model.window(chain.depth))
+            leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
+            span_defect = float(np.linalg.norm(leak, 2))
+    diagnostics["span_defect"] = span_defect
+    diagnostics["span_status"] = status
+    return span_defect <= 1e-8
+
+
 def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport:
     """Main dichotomy: weighted shift, shift plus rank one, four-term
     relation, both, or inconclusive with diagnostics.
@@ -332,7 +353,9 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     of T*, and a chain on the window; a failed one raises the
     PreconditionViolated subtype that names it (NotHalfCentered,
     WindowExhausted, NotInjectiveOnWindow).  The span condition (the chain
-    must exhaust the ambient window) is reported but does not abort the run.
+    must exhaust the ambient window) is reported but does not abort the run;
+    it is read off the normal-form basis when that fills the space, and is
+    built by ``span_closure`` otherwise.
     """
     diagnostics: dict = {"half_residual": require_half_centered(model, cfg).max_half_residual}
 
@@ -341,20 +364,10 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
         raise PreconditionViolated(f"dim ker T* = {E.dim}, the analysis needs 1")
 
     chain = chain_decomposition(model, cfg)
-
-    closure, closure_status = span_closure(model, cfg, chain.M_E)
-    span_defect = 0.0  # a capped closure fills the space: nothing lies outside it
-    if closure_status != "capped":
-        probe = model.window_cols(model.window(chain.depth))
-        leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
-        span_defect = float(np.linalg.norm(leak, 2))
-    condition_II_ok = span_defect <= 1e-8
-    diagnostics["span_defect"] = span_defect
-    diagnostics["span_status"] = closure_status
-
     closed_range = _closed_range_flag(model, cfg)
 
     if chain.M_E.dim == 1:
+        condition_II_ok = _condition_II(chain, None, diagnostics)
         centered = centered_check(model, cfg)
         diagnostics["centered_residual"] = centered.max_full_residual
         return ClassificationReport(
@@ -381,6 +394,7 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
             reconstruction = shift_rank_one_reconstruct(chain, structure, triples)
         except (PreconditionError, InconclusiveError) as exc:
             diagnostics["reconstruction"] = str(exc)
+    condition_II_ok = _condition_II(chain, reconstruction, diagnostics)
 
     if chain.M_E.dim >= 3 and relation is not None:
         a = relation.coefficients[0]

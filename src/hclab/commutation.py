@@ -112,11 +112,18 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     return g
 
 
+@_memoized
+def _window_power(model: OperatorModel, k: int, w: int) -> np.ndarray:
+    """The window-w columns of T^k: a slice in the model's own basis, one
+    N x N x w product in a rotated one, formed once for every frame."""
+    return model.window_restrict(_matrix_power(model, k), w)
+
+
 def _gram_on(model: OperatorModel, k: int, w: int, frame: np.ndarray) -> np.ndarray:
     """frame* G_k frame for the window-w gram G_k, as C* C with C the window
     columns of T^k times ``frame``: PSD by construction, exactly symmetric in
     real arithmetic, with an error on the scale of ||C||^2, not of ||G_k||."""
-    C = model.window_restrict(_matrix_power(model, k), w) @ frame
+    C = _window_power(model, k, w) @ frame
     return C.conj().T @ C
 
 

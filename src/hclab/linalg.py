@@ -247,7 +247,11 @@ def positive_sqrt(h) -> np.ndarray:
     -------
     (n, n) ndarray, Hermitian PSD, whose square reproduces ``h``.
     """
-    w, v = hermitian_eig(h)
+    return _eig_sqrt(*hermitian_eig(h))
+
+
+def _eig_sqrt(w, v) -> np.ndarray:
+    """``positive_sqrt`` of the matrix whose ``hermitian_eig`` is ``(w, v)``."""
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] < -HERMITIAN_TOL * scale:
         raise NotPSD(f"eigenvalue {w[0]:.3e} is materially negative")

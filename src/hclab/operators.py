@@ -25,7 +25,8 @@ from .errors import (
     SpecParseError,
     ZeroWeight,
 )
-from .linalg import DEFAULT_RANK_TOL, PROJECTION_TOL, as_matrix, numerical_rank, positive_sqrt
+from .linalg import (DEFAULT_RANK_TOL, PROJECTION_TOL, _eig_sqrt, as_matrix, hermitian_eig,
+                     numerical_rank)
 from .matio import loads_matrix, parse_complex
 
 __all__ = [
@@ -320,19 +321,17 @@ def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
     if not np.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     A = aq_matrix(q, N)
-    evals = np.linalg.eigvalsh(A)
-    if evals[0] + r <= DEFAULT_RANK_TOL:
-        raise NotPositive(f"A_q + rI has eigenvalue {evals[0] + r:.3e} <= tolerance")
-    shifted = A + r * np.eye(N)
-    half = positive_sqrt(shifted)
+    evals, vecs = hermitian_eig(A + r * np.eye(N))
+    if evals[0] <= DEFAULT_RANK_TOL:
+        raise NotPositive(f"A_q + rI has eigenvalue {evals[0]:.3e} <= tolerance")
+    half = _eig_sqrt(evals, vecs)
     inv_half = np.linalg.inv(half)
-    S = np.zeros((N, N))
-    S[np.arange(1, N), np.arange(N - 1)] = 1.0
-    T = half @ S @ inv_half
+    # X S is X's columns shifted left by one and S* A S is A's trailing
+    # block: what the products with the shift S give, exactly
+    T = np.hstack([half[:, 1:], np.zeros((N, 1))]) @ inv_half
     # certify the window: the q-intertwining relation must hold exactly on
     # the interior of the truncated A_q
-    w = N - 1
-    certify = (S.T @ A @ S - q * A)[:w, :w]
+    certify = A[1:, 1:] - q * A[:-1, :-1]
     resid = float(np.linalg.norm(certify))
     if resid > 1e-12 * max(1.0, np.linalg.norm(A)):
         raise NotPositive(f"truncated A_q violates the shift intertwining: {resid:.3e}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hclab.classifier
 from hclab import (
     OperatorModel,
     RelationCertificate,
@@ -16,6 +17,7 @@ from hclab import (
     relation_detect,
     shift_plus_rank_one,
     shift_rank_one_reconstruct,
+    span_closure,
     structure_extract,
     weighted_shift,
 )
@@ -26,11 +28,12 @@ from hclab.errors import (
     HclabError,
     NoRelationFound,
     NotSingleTriple,
+    PatternResidualTooLarge,
     PreconditionViolated,
 )
 from hclab.linalg import hermitian_norm
 
-from conftest import random_unitary, random_weights
+from conftest import family_model, random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -445,6 +448,76 @@ class TestClassify:
     def test_rejects_non_injective(self, cfg):
         with pytest.raises(PreconditionViolated):
             classify(projection_product(PQ_P, PQ_Q), cfg)
+
+
+class TestConditionII:
+    """classify reads condition II off a normal-form basis of N columns, and
+    builds the closure of M_E with span_closure only when there is none."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+
+        def counting(model, cfg, seed_space):
+            calls.append(seed_space.dim)
+            return span_closure(model, cfg, seed_space)
+
+        monkeypatch.setattr(hclab.classifier, "span_closure", counting)
+        return calls
+
+    @staticmethod
+    def direct(model, cfg):
+        """(span_status, span_defect, condition_II_ok) of span_closure on M_E."""
+        chain = chain_decomposition(model, cfg)
+        closure, status = span_closure(model, cfg, chain.M_E)
+        defect = 0.0
+        if status != "capped":
+            probe = model.window_cols(model.window(chain.depth))
+            leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
+            defect = float(np.linalg.norm(leak, 2))
+        return status, defect, defect <= 1e-8
+
+    @staticmethod
+    def reported(rep):
+        return rep.diagnostics["span_status"], rep.diagnostics["span_defect"], rep.condition_II_ok
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("N", [16, 64, 128])
+    @pytest.mark.parametrize("family", ["sro", "hardy"])
+    def test_normal_form_basis_is_the_closure(self, family, N, conj, rng, cfg, closures):
+        model = family_model(family, N, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, N))
+        rep = classify(model, cfg)
+        assert rep.reconstruction.basis.shape == (N, N)
+        assert closures == []
+        assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
+
+    @pytest.mark.parametrize("family, N", [("ws", 32), ("aq0.5r5", 48)])
+    def test_other_families_build_the_closure_once(self, family, N, rng, cfg, closures):
+        model = family_model(family, N, rng)
+        rep = classify(model, cfg)
+        assert rep.reconstruction is None
+        assert len(closures) == 1
+        assert self.reported(rep) == self.direct(model, cfg)
+
+    @pytest.mark.parametrize("outcome", ["raises", "narrow"])
+    def test_falls_back_without_a_full_basis(self, outcome, rng, cfg, closures, monkeypatch):
+        reconstruct = hclab.classifier.shift_rank_one_reconstruct
+
+        def patched(*args):
+            if outcome == "raises":
+                raise PatternResidualTooLarge("off-pattern mass 1.000e+00")
+            cert = reconstruct(*args)
+            cert.basis = cert.basis[:, :-1]
+            return cert
+
+        monkeypatch.setattr(hclab.classifier, "shift_rank_one_reconstruct", patched)
+        model = family_model("sro", 32, rng)
+        rep = classify(model, cfg)
+        assert (rep.reconstruction is None) == (outcome == "raises")
+        assert len(closures) == 1
+        assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
 
 
 class TestCertificateInvariants:

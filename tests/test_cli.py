@@ -697,3 +697,47 @@ def test_cli_grid_readme_commands(capsys, pq_spec):
     assert [argv for _, argv in grid.README_COMMANDS] == inline
     assert [name for name, _ in grid.README_COMMANDS] == [argv[0] for argv in inline]
     assert [grid.run(main, argv)[0] for _, argv in grid.README_COMMANDS] == [0] * 6
+
+
+def test_bench_pairs_tool(monkeypatch, capsys):
+    """tools/bench_pairs.py alternates which checkout runs first in each pair
+    and summarizes the runs' result lines: quartiles per side, the pairs the
+    change wins in each metric's declared direction, ties, and the
+    attempted/failed counts; here on canned perfbench output."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import bench_pairs
+    ops = {"P": [20.0, 21.0, 22.0, 23.0], "C": [22.0, 21.0, 25.0, 22.0]}
+    p50 = {"P": [10.0] * 4, "C": [9.0, 11.0, 9.0, 9.0]}
+    calls = []
+
+    def canned(root, workload, seed, trace):
+        calls.append((root, workload, seed, trace))
+        i = seed - 101
+        result = {"correct": True, "attempted": 24, "failed": i % 2 if root == "C" else 0,
+                  "metrics": {"ops_per_s": {"value": ops[root][i], "unit": "1/s"},
+                              "latency_p50_ms": {"value": p50[root][i], "unit": "ms"},
+                              "undeclared": {"value": 1.0, "unit": "count"}}}
+        record = {"workload": workload, "seed": seed, "src_sha256": root * 64}
+        return (f"run record: {json.dumps(record)}\nops_per_s = {ops[root][i]} 1/s\n"
+                f"{json.dumps(result)}\n")
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", canned)
+    assert bench_pairs.main(["P", "C", "--workload", "classify_large", "--seeds", "101-104"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [root for root, *_ in calls] == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert {call[1:] for call in calls} == {("classify_large", s, 0) for s in range(101, 105)}
+    runs = out["runs"]
+    assert [run["order"] for run in runs] == list(range(8))
+    assert [(run["seed"], run["side"], run["src_sha256"][:2]) for run in runs[:3]] == [
+        (101, "parent", "PP"), (101, "change", "CC"), (102, "change", "CC")]
+    assert out["summary"] == {"classify_large": {
+        "pairs": 4, "seeds": [101, 102, 103, 104],
+        "ops_per_s": {"unit": "1/s", "parent_q1_median_q3": [20.75, 21.5, 22.25],
+                      "change_q1_median_q3": [21.75, 22.0, 22.75],
+                      "change_wins": 2, "ties": 1},
+        "latency_p50_ms": {"unit": "ms", "parent_q1_median_q3": [10.0, 10.0, 10.0],
+                           "change_q1_median_q3": [9.0, 9.0, 9.5],
+                           "change_wins": 3, "ties": 0},
+        "attempted_failed": {"parent": [[24, 0]], "change": [[24, 0], [24, 1]]},
+    }}
+    assert bench_pairs.seed_range("7") == [7]

@@ -25,6 +25,7 @@ from hclab.errors import (
     SpecParseError,
     ZeroWeight,
 )
+from hclab.linalg import positive_sqrt
 from hclab.matio import dumps_matrix
 from hclab.operators import _jsonable, aq_matrix
 
@@ -186,6 +187,23 @@ class TestAqOperator:
     def test_default_margin(self):
         model = aq_operator(0.5, None, 8)
         assert model.params["r"] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("q, r, N", [(q, None, N) for q in (0.3, 0.5, 0.7)
+                                         for N in (8, 64, 160)]
+                             + [(0.5, 1.123915264854093, 32)])  # the ill-conditioned input
+    def test_matrix_is_the_dense_formula_bit_for_bit(self, q, r, N):
+        # the construction with S as a matrix: products with S, one
+        # positive_sqrt and one inverse
+        model = aq_operator(q, r, N)
+        A, r = aq_matrix(q, N), model.params["r"]
+        half = positive_sqrt(A + r * np.eye(N))
+        S = np.zeros((N, N))
+        S[np.arange(1, N), np.arange(N - 1)] = 1.0
+        expect = half @ S @ np.linalg.inv(half)
+        assert model.matrix.dtype == expect.dtype
+        assert model.matrix.tobytes() == expect.tobytes()
+        certify = (S.T @ A @ S - q * A)[:N - 1, :N - 1]
+        assert model.params["intertwining_residual"] == float(np.linalg.norm(certify))
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):

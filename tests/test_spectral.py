@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hclab import (
+    OperatorModel,
     ToleranceConfig,
     aq_operator,
     chain_decomposition,
@@ -246,6 +247,24 @@ class TestStructureExtract:
             assert np.linalg.norm(me_mats[k - 1][1:, 1:] - F.conj().T @ G @ F, 2) <= bound
         # wwraw is the trailing block of the residuals whose whole is bt1
         assert st.residuals["wwraw"] <= st.residuals["bt1"]
+
+    def test_rotated_window_columns_of_each_power_form_once(self, cfg, monkeypatch):
+        # the families on M_E and on each V_n read the window columns of T^k
+        # from one memo per (k, w): in a rotated basis each is an N x N x w product
+        rng = np.random.default_rng(11)
+        model = family_model("sro", 32, rng).conjugated(random_unitary(rng, 32))
+        chain = chain_decomposition(model, cfg)
+        assert sum(V.dim > 0 for V in chain.V_block) > 1
+        restricted = []
+        restrict = OperatorModel.window_restrict
+
+        def counting(self, m, w):
+            restricted.append(w)
+            return restrict(self, m, w)
+        monkeypatch.setattr(OperatorModel, "window_restrict", counting)
+        structure_extract(chain)
+        spectral_correspondence_check(chain)
+        assert restricted == [chain.block.w] * chain.depth
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than float64 here")
