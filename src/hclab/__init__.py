@@ -12,7 +12,6 @@ from .chains import (
     chain_decomposition,
     isometry_tower,
     moduli_subspace,
-    span_closure,
     verify_chain_structure,
     wandering_span,
 )

@@ -32,7 +32,6 @@ __all__ = [
     "analysis_block",
     "moduli_subspace",
     "krylov_closure",
-    "span_closure",
     "wandering_span",
     "chain_decomposition",
     "isometry_tower",
@@ -200,26 +199,18 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     return buf[:, :d], "capped" if d >= limit else "stable"
 
 
-def span_closure(model: OperatorModel, cfg: ToleranceConfig,
-                 seed_space: Subspace) -> tuple[Subspace, str]:
-    """Closure of an ambient subspace under T: one ``krylov_closure`` at
-    ``cfg.rank_tol * ||T||_2``: T once on each kept direction, a second pass
-    only after cancellation (O(N^3) for a seed of bounded dimension).
-    ``"capped"``: the frame fills the space; ``"stable"``: it ended below."""
-    frame, status = krylov_closure(model.matrix, seed_space.frame,
-                                   _singular_pairs(model)[1][0], cfg.rank_tol)
-    return Subspace(frame), status
-
-
 def wandering_span(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
-    """Finite-window wandering check: the closure of ker T* under T.
+    """Finite-window wandering check: the closure of ker T* under T, cut at
+    ``cfg.rank_tol * ||T||_2``.
 
-    When the spans of T^k(ker T*) exhaust the space the kernel line is a
-    wandering subspace for T; a closure that stalls below the ambient
-    dimension exhibits the failure (the missing directions are vectors
+    When the spans of T^k(ker T*) exhaust the space (``"capped"``) the kernel
+    line is a wandering subspace for T; a closure that stalls below
+    (``"stable"``) exhibits the failure (the missing directions are vectors
     lying in every range T^k H, e.g. eigenvectors of T).
     """
-    return span_closure(model, cfg, kernel_of_adjoint(model, cfg))
+    frame, status = krylov_closure(model.matrix, kernel_of_adjoint(model, cfg).frame,
+                                   _singular_pairs(model)[1][0], cfg.rank_tol)
+    return Subspace(frame), status
 
 
 def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace:
@@ -245,8 +236,7 @@ class ChainDecomposition:
     ``V_block``, ``layers_block``, ``notes``), the ranges ``H`` and ``dims``
     on first read, once per chain.
     ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
-    ``M_E``, the closure seed of ``classify``, is the one ambient lift, built
-    once, on first read; any other block subspace lifts by ``block.lift``.
+    Nothing here is ambient: a block subspace lifts by ``block.lift``.
     Every later stage takes the chain alone and reads ``model`` and ``cfg`` off it.
     """
 
@@ -295,8 +285,6 @@ class ChainDecomposition:
     def H(self) -> list:
         """Ranges H_0..H_depth, in the coordinates of block."""
         return [_range_space(self.block, n, self.cfg) for n in range(self.depth + 1)]
-
-    M_E = cached_property(lambda self: self.block.lift(self.M_E_block))
 
     @cached_property
     def dims(self) -> dict:

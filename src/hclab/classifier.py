@@ -5,8 +5,9 @@ Each certificate has one route.  The relation comes from a
 smallest-singular-value scan over stacked gram powers, and
 ``recurrence_residual`` checks it as a recurrence on the tau and beta
 sequences.  The normal form is rebuilt from the single triple's chain basis.
-Condition II is read off that basis when it fills the space, and is built
-by ``span_closure`` otherwise.
+Condition II is read off that basis when it fills the space, and is the
+closure of M_E under the analysis block's matrix otherwise.  Only the
+normal form, which rebuilds the user's T, works in ambient coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ChainDecomposition, chain_decomposition, krylov_closure, span_closure
+from .chains import ChainDecomposition, chain_decomposition, krylov_closure
 from .commutation import (_singular_pairs, _window_view, centered_check,
                           effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import (
@@ -242,14 +243,16 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
     """
     if len(triples) != 1:
         raise NotSingleTriple(f"expected exactly one triple, found {len(triples)}")
-    if chain.M_E.dim != 2:
-        raise PreconditionViolated(f"dim M_E = {chain.M_E.dim}, reconstruction needs 2")
+    M_E = chain.M_E_block
+    if M_E.dim != 2:
+        raise PreconditionViolated(f"dim M_E = {M_E.dim}, reconstruction needs 2")
     triple = triples[0]
     m = triple.m
     chars = structure.me_spectrum.characters
     if len(chars) != 2:
         raise PreconditionViolated("moduli characters are degenerate")
-    w, v = (chain.M_E.frame @ chars[j].frame[:, :1]
+    # T is ambient: lift M_E first, as (embed @ M_E) @ c (the other order moves bits)
+    w, v = ((chain.block.embed @ M_E.frame) @ chars[j].frame[:, :1]
             for j in (triple.lambda_char, 1 - triple.lambda_char))
 
     model, cfg = chain.model, chain.cfg
@@ -331,14 +334,15 @@ def _condition_II(chain: ChainDecomposition, reconstruction: ShiftRankOneCertifi
     """Condition II: the closure of T^k M_E fills the space.  A normal-form
     basis of N columns is a frame of that closure (w and v lie in M_E, and
     ``krylov_closure`` on T builds every column), so it is read as a capped
-    closure; otherwise ``span_closure`` builds the closure of M_E."""
-    model = chain.model
+    closure; otherwise M_E is closed under the block's T_b, and a closure F
+    below the block width leaves ||I - F F*||_2 of the block outside it."""
+    model, block = chain.model, chain.block
     status, span_defect = "capped", 0.0  # a capped closure: nothing lies outside it
     if reconstruction is None or reconstruction.basis.shape[1] < model.dim:
-        closure, status = span_closure(model, chain.cfg, chain.M_E)
+        frame, status = krylov_closure(block.matrix, chain.M_E_block.frame,
+                                       _singular_pairs(model)[1][0], chain.cfg.rank_tol)
         if status != "capped":
-            probe = model.window_cols(model.window(chain.depth))
-            leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
+            leak = np.eye(block.w) - frame @ frame.conj().T
             span_defect = float(np.linalg.norm(leak, 2))
     diagnostics["span_defect"] = span_defect
     diagnostics["span_status"] = status
@@ -353,9 +357,9 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     of T*, and a chain on the window; a failed one raises the
     PreconditionViolated subtype that names it (NotHalfCentered,
     WindowExhausted, NotInjectiveOnWindow).  The span condition (the chain
-    must exhaust the ambient window) is reported but does not abort the run;
+    must exhaust the analysis block) is reported but does not abort the run;
     it is read off the normal-form basis when that fills the space, and is
-    built by ``span_closure`` otherwise.
+    the closure of M_E on the block otherwise (``_condition_II``).
     """
     diagnostics: dict = {"half_residual": require_half_centered(model, cfg).max_half_residual}
 
@@ -366,13 +370,13 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     chain = chain_decomposition(model, cfg)
     closed_range = _closed_range_flag(model, cfg)
 
-    if chain.M_E.dim == 1:
+    if chain.M_E_block.dim == 1:
         condition_II_ok = _condition_II(chain, None, diagnostics)
         centered = centered_check(model, cfg)
         diagnostics["centered_residual"] = centered.max_full_residual
         return ClassificationReport(
             verdict="centered_weighted_shift",
-            dim_E=E.dim, dim_M_E=chain.M_E.dim, triple_count=None,
+            dim_E=E.dim, dim_M_E=chain.M_E_block.dim, triple_count=None,
             closed_range_flag=closed_range, condition_II_ok=condition_II_ok,
             moduli_status=chain.moduli_status, diagnostics=diagnostics,
         )
@@ -396,7 +400,7 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
             diagnostics["reconstruction"] = str(exc)
     condition_II_ok = _condition_II(chain, reconstruction, diagnostics)
 
-    if chain.M_E.dim >= 3 and relation is not None:
+    if chain.M_E_block.dim >= 3 and relation is not None:
         a = relation.coefficients[0]
         if abs(a) <= 1e3 * cfg.relation_tol:
             diagnostics["constant_term"] = a
@@ -420,7 +424,7 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
         verdict = "inconclusive"
 
     return ClassificationReport(
-        verdict=verdict, dim_E=E.dim, dim_M_E=chain.M_E.dim,
+        verdict=verdict, dim_E=E.dim, dim_M_E=chain.M_E_block.dim,
         triple_count=len(triples), closed_range_flag=closed_range,
         condition_II_ok=condition_II_ok, moduli_status=chain.moduli_status,
         relation=relation, reconstruction=reconstruction, diagnostics=diagnostics,

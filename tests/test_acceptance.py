@@ -91,8 +91,8 @@ def test_criterion_04_aq_joint_eigenvalues():
     q, r, big_n = 0.5, 5.0, 48
     t = aq_operator(q, r, big_n)
     chain = chain_decomposition(t, cfg)
-    mats = [chain.M_E.frame.conj().T @ gram_power(t, k) @ chain.M_E.frame
-            for k in range(1, cfg.depth + 1)]
+    M_E = chain.block.lift(chain.M_E_block).frame
+    mats = [M_E.conj().T @ gram_power(t, k) @ M_E for k in range(1, cfg.depth + 1)]
     spec = joint_diagonalize(mats, cfg)
     values = np.concatenate([[c.values[0]] * c.multiplicity for c in spec.characters])
     lam = np.linalg.eigvalsh(t.companion.real)
@@ -108,7 +108,7 @@ def test_criterion_05_weighted_shift():
     w = random_weights(rng, big_n - 1)
     t = weighted_shift(w, big_n)
     chain = chain_decomposition(t, cfg)
-    assert chain.M_E.dim == 1
+    assert chain.block.lift(chain.M_E_block).dim == 1
     worst_proj = 0.0
     for k, v in enumerate(chain.V_block):
         v = chain.block.lift(v)
@@ -139,7 +139,7 @@ def test_criterion_06_shift_plus_rank_one():
     w = random_weights(rng, big_n - 1)
     t = shift_plus_rank_one(w, a, n, big_n)
     chain = chain_decomposition(t, cfg)
-    assert chain.M_E.dim == 2
+    assert chain.block.lift(chain.M_E_block).dim == 2
     st = structure_extract(chain)
     triples = enumerate_triples(chain, st)
     assert len(triples) == 1

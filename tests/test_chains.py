@@ -23,10 +23,10 @@ from hclab import (
     orthonormalize,
     projection_product,
     shift_plus_rank_one,
-    span_closure,
     spectral_correspondence_check,
     structure_extract,
     verify_chain_structure,
+    wandering_span,
     weighted_shift,
 )
 import hclab.chains
@@ -557,24 +557,47 @@ def _assert_dual_misses_geometric_direction(a, n, cfg):
     assert np.linalg.norm((img - ratio * geo)[:w]) <= 1e-12
 
 
-def _stacked_span_closure(model, cfg, seed_space):
-    """Reference closure: re-factor the whole stack [frame, T^k seed] each step."""
-    frame = seed_space.frame
-    layer = frame
-    for _ in range(model.dim + 1):
-        layer = model.matrix @ layer
-        grown = orthonormalize([frame, layer], rank_tol=cfg.rank_tol)
+def _stacked_closure(matrix, seed_space, rank_tol):
+    """Reference closure: re-factor the whole stack [frame, T^k seed] each step
+    (a seed that fills the space, as aq's M_E fills the block, is capped)."""
+    n = matrix.shape[0]
+    grown, layer = seed_space, seed_space.frame
+    for _ in range(n + 1):
+        if grown.dim >= n:
+            return grown, "capped"
+        frame, layer = grown.frame, matrix @ layer
+        grown = orthonormalize([frame, layer], rank_tol=rank_tol)
         if grown.dim == frame.shape[1]:
             return grown, "stable"
-        frame = grown.frame
-        if grown.dim >= model.dim:
-            return grown, "capped"
-    pytest.fail(f"the stacked closure still grew after {model.dim + 1} layers")
+    pytest.fail(f"the stacked closure still grew after {n + 1} layers")
+
+
+def _block_closure(chain):
+    """The closure of M_E under T_b that condition II builds, and its status:
+    ``_condition_II`` run without a normal form, its one ``krylov_closure``
+    call recorded."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(krylov_closure(*args, **kwargs))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hclab.classifier, "krylov_closure", recording)
+        hclab.classifier._condition_II(chain, None, {})
+    [(frame, status)] = calls
+    return Subspace(frame), status
+
+
+def _ambient_M_E(model, cfg):
+    chain = chain_decomposition(model, cfg)
+    return chain.block.lift(chain.M_E_block)
 
 
 class TestSpanClosureParity:
     """The closure decides every rank as the stacked SVD does, or fills the
-    space where the stacked cut stopped on a decaying layer."""
+    space where the stacked cut stopped on a decaying layer: ker T* under T
+    (``wandering_span``), and M_E under T_b (condition II)."""
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -584,18 +607,19 @@ class TestSpanClosureParity:
         model = family_model(family, n, rng)
         if conj:
             model = model.conjugated(random_unitary(rng, n))
-        seeds = {
-            "ker T*": kernel_of_adjoint(model, cfg),
-            "M_E": chain_decomposition(model, cfg).M_E,
+        chain = chain_decomposition(model, cfg)
+        runs = {  # (matrix, seed, closure and status, the columns it must fill)
+            "ker T*": (model.matrix, kernel_of_adjoint(model, cfg), wandering_span(model, cfg),
+                       model.window_cols(model.window(effective_depth(model, cfg)))),
+            "M_E": (chain.block.matrix, chain.M_E_block, _block_closure(chain),
+                    np.eye(chain.block.w)),
         }
-        for name, seed in seeds.items():
-            ref, ref_status = _stacked_span_closure(model, cfg, seed)
-            got, status = span_closure(model, cfg, seed)
+        for name, (matrix, seed, (got, status), probe) in runs.items():
+            ref, ref_status = _stacked_closure(matrix, seed, cfg.rank_tol)
             if got.dim != ref.dim:
                 # the stacked cut stops where T^k(seed) decays past it (hardy
                 # at N = 64 stops at 35); the closure must then fill the space
                 assert status == "capped", name
-                probe = model.window_cols(model.window(effective_depth(model, cfg)))
                 leak = probe - got.frame @ (got.frame.conj().T @ probe)
                 assert np.linalg.norm(leak, 2) <= 1e-14, name
                 continue
@@ -664,7 +688,8 @@ def _projector_gap(a, b):
 
 
 class TestKrylovClosure:
-    """The Arnoldi closure behind span_closure and the reconstruction basis."""
+    """The Arnoldi closure behind every closure: M_E, condition II, ``wandering_span``
+    and the reconstruction basis."""
 
     def test_applies_t_to_each_kept_direction_once(self, cfg):
         widths = []
@@ -676,7 +701,7 @@ class TestKrylovClosure:
 
         for model in (aq_operator(0.5, None, 64), shift_plus_rank_one([0.5] * 47, 1.0, 0, 48)):
             widths.clear()
-            seed = chain_decomposition(model, cfg).M_E
+            seed = _ambient_M_E(model, cfg)
             frame, status = krylov_closure(model.matrix.view(Counting), seed.frame,
                                            np.linalg.norm(model.matrix, 2), cfg.rank_tol)
             assert widths and sum(widths) <= frame.shape[1]
@@ -717,7 +742,7 @@ class TestKrylovClosure:
             matrix, seed = u @ blocks @ u.conj().T, u[:, :1]
         else:
             model = family_model(family, 128, rng)
-            matrix, seed = model.matrix, chain_decomposition(model, cfg).M_E.frame
+            matrix, seed = model.matrix, _ambient_M_E(model, cfg).frame
         frame, status, steps = _counted_closure(monkeypatch, matrix, seed,
                                                 np.linalg.norm(matrix, 2), cfg.rank_tol)
         # a step's passes: one, its repeats, and a wide step's pass on its kept block
@@ -733,7 +758,7 @@ class TestKrylovClosure:
         # stops at three passes, a wide one's third being on its kept block
         # (the seed comes first: M_E's own closure runs the same passes)
         model = family_model(family, 16, np.random.default_rng(16))
-        seed = chain_decomposition(model, cfg).M_E
+        seed = _ambient_M_E(model, cfg)
         monkeypatch.setattr(hclab.chains, "_project_out", lambda done, done_h, x: x / 2)
         _, status, steps = _counted_closure(monkeypatch, model.matrix, seed.frame,
                                             np.linalg.norm(model.matrix, 2), cfg.rank_tol)
@@ -749,7 +774,7 @@ class TestKrylovClosure:
         if conj:
             model = model.conjugated(random_unitary(rng, 64))
         scale = np.linalg.norm(model.matrix, 2)
-        for seed in (kernel_of_adjoint(model, cfg), chain_decomposition(model, cfg).M_E):
+        for seed in (kernel_of_adjoint(model, cfg), _ambient_M_E(model, cfg)):
             got, status = krylov_closure(model.matrix[None], seed.frame, scale, cfg.rank_tol)
             ref, ref_status = krylov_closure(model.matrix, seed.frame, scale, cfg.rank_tol)
             assert status == ref_status and np.array_equal(got, ref)
@@ -763,7 +788,7 @@ class TestKrylovClosure:
         if conj:
             model = model.conjugated(random_unitary(rng, n))
         scale = np.linalg.norm(model.matrix, 2)
-        for seed in (kernel_of_adjoint(model, cfg), chain_decomposition(model, cfg).M_E):
+        for seed in (kernel_of_adjoint(model, cfg), _ambient_M_E(model, cfg)):
             got, status = krylov_closure(model.matrix, seed.frame, scale, cfg.rank_tol)
             ref, ref_status = _three_pass_closure(model.matrix, seed.frame, scale, cfg.rank_tol)
             assert (got.shape[1], status) == (ref.shape[1], ref_status)
@@ -896,7 +921,8 @@ class TestModuliKrylovClosure:
 
 class TestOneCoordinateSystem:
     """Every stage after the analysis block reads the chain in block
-    coordinates; ambient frames are lifts, built once, at the public edge."""
+    coordinates, condition II included; ambient frames are lifts, built by
+    the caller at the public edge."""
 
     @pytest.fixture
     def lifts(self, monkeypatch):
@@ -930,9 +956,9 @@ class TestOneCoordinateSystem:
         assert lifts == []
 
     @pytest.mark.parametrize("family", ["sro", "aq"])
-    def test_classify_lifts_once(self, family, cfg, lifts):
+    def test_classify_lifts_nothing(self, family, cfg, lifts):
         cmd_classify(self._model(family, 32, False), cfg)
-        assert len(lifts) == 1
+        assert lifts == []
 
     def test_verify_subspace_budget(self, capsys, monkeypatch):
         built, svds = [], []
@@ -958,12 +984,10 @@ class TestOneCoordinateSystem:
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("family", ["sro", "aq"])
-    def test_ambient_names_are_lifts_of_block_ones(self, family, conj, cfg, lifts):
+    def test_chain_has_no_ambient_names(self, family, conj, cfg, lifts):
         chain = chain_decomposition(self._model(family, 32, conj), cfg)
-        assert np.array_equal(chain.M_E.frame, chain.block.embed @ chain.M_E_block.frame)
-        assert chain.M_E is chain.M_E
-        assert not [name for name in ("E", "X", "V", "layers") if hasattr(chain, name)]
-        assert len(lifts) == 1
+        assert not [name for name in ("E", "M_E", "X", "V", "layers") if hasattr(chain, name)]
+        assert lifts == []
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("n", [24, 48])
@@ -973,7 +997,7 @@ class TestOneCoordinateSystem:
         chain = chain_decomposition(model, cfg)
         block, eps = chain.block, np.finfo(float).eps
         tau, me_mats, _ = _moduli_spectrum(chain)
-        e, ME = block.lift(block.E).frame[:, 0], chain.M_E.frame
+        e, ME = block.lift(block.E).frame[:, 0], block.lift(chain.M_E_block).frame
         for k in range(1, chain.depth + 1):
             # the ambient formula: the full N x N gram on lifted frames
             G = gram_power(model, k)

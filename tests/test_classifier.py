@@ -17,11 +17,11 @@ from hclab import (
     relation_detect,
     shift_plus_rank_one,
     shift_rank_one_reconstruct,
-    span_closure,
     structure_extract,
     weighted_shift,
 )
-from hclab.commutation import _window_view, effective_depth
+from hclab.chains import analysis_block, krylov_closure
+from hclab.commutation import _singular_pairs, _window_view, effective_depth
 from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
                               _closed_range_flag, _relation_columns)
 from hclab.errors import (
@@ -450,32 +450,64 @@ class TestClassify:
             classify(projection_product(PQ_P, PQ_Q), cfg)
 
 
+def _scalar_plus_shift(conj):
+    """0.9 I_2 (+) a weighted shift with weights linspace(0.8, 1.2, 21), N = 24,
+    not exact: ker T* is the shift's first index, M_E is that line, and its
+    closure under T never reaches the eigenvectors of the scalar part."""
+    T = np.zeros((24, 24))
+    T[0, 0] = T[1, 1] = 0.9
+    T[np.arange(3, 24), np.arange(2, 23)] = np.linspace(0.8, 1.2, 21)
+    model = from_matrix(T, exact=False)
+    return model.conjugated(random_unitary(np.random.default_rng(24), 24)) if conj else model
+
+
 class TestConditionII:
     """classify reads condition II off a normal-form basis of N columns, and
-    builds the closure of M_E with span_closure only when there is none."""
+    closes M_E under the analysis block's matrix only when there is none."""
 
     @pytest.fixture
     def closures(self, monkeypatch):
+        """The matrices classify's ``krylov_closure`` calls close under."""
         calls = []
 
-        def counting(model, cfg, seed_space):
-            calls.append(seed_space.dim)
-            return span_closure(model, cfg, seed_space)
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix)
+            return krylov_closure(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(hclab.classifier, "span_closure", counting)
+        monkeypatch.setattr(hclab.classifier, "krylov_closure", counting)
         return calls
 
     @staticmethod
+    def block_closures(closures, model, cfg):
+        """The closures under the analysis block's matrix."""
+        block = analysis_block(model, cfg)
+        return [matrix for matrix in closures if matrix is block.matrix]
+
+    @staticmethod
     def direct(model, cfg):
-        """(span_status, span_defect, condition_II_ok) of span_closure on M_E."""
+        """(span_status, span_defect, condition_II_ok) of the closure of M_E
+        under T_b, whose probe, the block's columns, is the identity."""
         chain = chain_decomposition(model, cfg)
-        closure, status = span_closure(model, cfg, chain.M_E)
+        frame, status = krylov_closure(chain.block.matrix, chain.M_E_block.frame,
+                                       _singular_pairs(model)[1][0], cfg.rank_tol)
         defect = 0.0
         if status != "capped":
-            probe = model.window_cols(model.window(chain.depth))
-            leak = probe - closure.frame @ (closure.frame.conj().T @ probe)
-            defect = float(np.linalg.norm(leak, 2))
+            defect = float(np.linalg.norm(np.eye(chain.block.w) - frame @ frame.conj().T, 2))
         return status, defect, defect <= 1e-8
+
+    @staticmethod
+    def ambient(model, cfg):
+        """(span_status, condition_II_ok) of the closure of M_E, lifted, under
+        the N x N matrix, probed on the window columns of the chain's depth."""
+        chain = chain_decomposition(model, cfg)
+        seed = chain.block.embed @ chain.M_E_block.frame
+        frame, status = krylov_closure(model.matrix, seed, _singular_pairs(model)[1][0],
+                                       cfg.rank_tol)
+        if status == "capped":
+            return status, True
+        probe = model.window_cols(model.window(chain.depth))
+        leak = probe - frame @ (frame.conj().T @ probe)
+        return status, float(np.linalg.norm(leak, 2)) <= 1e-8
 
     @staticmethod
     def reported(rep):
@@ -490,7 +522,7 @@ class TestConditionII:
             model = model.conjugated(random_unitary(rng, N))
         rep = classify(model, cfg)
         assert rep.reconstruction.basis.shape == (N, N)
-        assert closures == []
+        assert self.block_closures(closures, model, cfg) == []
         assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
 
     @pytest.mark.parametrize("family, N", [("ws", 32), ("aq0.5r5", 48)])
@@ -498,7 +530,7 @@ class TestConditionII:
         model = family_model(family, N, rng)
         rep = classify(model, cfg)
         assert rep.reconstruction is None
-        assert len(closures) == 1
+        assert len(self.block_closures(closures, model, cfg)) == len(closures) == 1
         assert self.reported(rep) == self.direct(model, cfg)
 
     @pytest.mark.parametrize("outcome", ["raises", "narrow"])
@@ -516,8 +548,30 @@ class TestConditionII:
         model = family_model("sro", 32, rng)
         rep = classify(model, cfg)
         assert (rep.reconstruction is None) == (outcome == "raises")
-        assert len(closures) == 1
+        assert len(self.block_closures(closures, model, cfg)) == 1
         assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    def test_fails_when_an_eigenspace_lies_outside_the_shift(self, conj, cfg, closures):
+        model = _scalar_plus_shift(conj)
+        rep = classify(model, cfg)
+        assert rep.verdict == "centered_weighted_shift"
+        assert len(self.block_closures(closures, model, cfg)) == 1
+        assert self.reported(rep) == ("stable", pytest.approx(1.0, abs=1e-12), False)
+        assert self.reported(rep) == self.direct(model, cfg)
+        assert self.ambient(model, cfg) == ("stable", False)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.3", "aq0.5r5", "aq0.7"])
+    def test_block_closure_matches_ambient_oracle(self, family, n, conj, cfg):
+        rng = np.random.default_rng(n)
+        model = family_model(family, n, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, n))
+        diagnostics = {}
+        ok = hclab.classifier._condition_II(chain_decomposition(model, cfg), None, diagnostics)
+        assert (diagnostics["span_status"], ok) == self.ambient(model, cfg)
 
 
 class TestCertificateInvariants:

@@ -5,7 +5,7 @@ import pkgutil
 import hclab
 
 REMOVED = ("polynomial_machinery", "PolynomialData", "DegenerateTriples", "project",
-           "subspace_sum", "PolarPair", "IsometryTower")
+           "subspace_sum", "PolarPair", "IsometryTower", "span_closure")
 
 
 def test_exports_resolve_and_removed_names_are_gone():

@@ -436,7 +436,7 @@ class TestSpectralSideConditions:
         t = aq_operator(0.5, 5.0, 24)
         chain = chain_decomposition(t, cfg)
         st = structure_extract(chain)
-        assert chain.M_E.dim >= 3
+        assert chain.block.lift(chain.M_E_block).dim >= 3
         assert len(st.compressed_spectrum.characters) >= 2
 
     def test_affine_coefficients_differ_when_moduli_is_a_plane(self, rng, cfg):
@@ -448,7 +448,7 @@ class TestSpectralSideConditions:
         ]:
             chain = chain_decomposition(t, cfg)
             st = structure_extract(chain)
-            assert chain.M_E.dim == 2
+            assert chain.block.lift(chain.M_E_block).dim == 2
             triples = enumerate_triples(chain, st)
             assert triples
             for tr in triples:

@@ -15,9 +15,10 @@ N in {4, 6, 8, 12, 16, 24, 32, 48, 64} in json and text, plus json at N = 128.
 After the grid come the argv edge cases of ``EDGE_CASES``, one line each,
 ``edge name exit sha256``; the ill-conditioned aq input of ``ILL_CASES``
 (q = 0.5, r = 1.123915264854093, N = 32), five commands at the default
-tolerances and at ``--tol-comm 1e-8``, ``ill name exit sha256``; and the six
-commands of the README's "Command line" block, ``readme name exit sha256``:
-684 + 6 + 10 + 6 runs.  The README's ``check --file pq.json`` is run on the
+tolerances and at ``--tol-comm 1e-8``, ``ill name exit sha256``; the six
+commands of the README's "Command line" block, ``readme name exit sha256``;
+and five commands on ``SPAN_SPEC``, the one input whose condition II fails,
+``span name exit sha256``: 684 + 6 + 10 + 6 + 5 runs.  The README's ``check --file pq.json`` is run on the
 JSON text of that projection-product spec, which ``--file`` accepts, so no
 file is needed.  ``main`` returns 1 for a usage error and 0 for help; older
 checkouts raise argparse's ``SystemExit`` instead, so it is caught.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import warnings
@@ -64,6 +66,24 @@ README_COMMANDS = (
     ("classify", ["classify", *_AQ, "--n", "48"]),
     ("verify", ["verify", *_AQ, "--n", "32"]),
 )
+
+
+def _scalar_plus_shift() -> str:
+    """0.9 I_2 (+) a weighted shift with weights linspace(0.8, 1.2, 21), N = 24,
+    in the plain-text matrix format: M_E is the shift's first index, and its
+    closure under T never reaches the scalar part, so condition II fails."""
+    step = (1.2 - 0.8) / 20  # numpy's linspace, bit for bit
+    weights = [k * step + 0.8 for k in range(20)] + [1.2]
+    rows = [[0.0] * 24 for _ in range(24)]
+    rows[0][0] = rows[1][1] = 0.9
+    for k, w in enumerate(weights):
+        rows[k + 3][k + 2] = w
+    return "24 24\n" + "\n".join(" ".join(repr(x) for x in row) for row in rows) + "\n"
+
+
+SPAN_SPEC = json.dumps({"family": "matrix", "matrix": _scalar_plus_shift(), "exact": False})
+SPAN_CASES = tuple((command, [command, "--file", SPAN_SPEC])
+                   for command in ("check", "decompose", "spectral", "classify", "verify"))
 
 
 def _weights(n: int) -> str:
@@ -136,7 +156,8 @@ def main(argv=None) -> int:
         argv = [command, *family_args(family, n), "--n", str(n), "--format", fmt]
         code, digest = run(hclab_main, argv)
         print(n, family, command, fmt, code, digest, flush=True)
-    for tag, cases in (("edge", EDGE_CASES), ("ill", ILL_CASES), ("readme", README_COMMANDS)):
+    for tag, cases in (("edge", EDGE_CASES), ("ill", ILL_CASES), ("readme", README_COMMANDS),
+                       ("span", SPAN_CASES)):
         for name, argv in cases:
             code, digest = run(hclab_main, argv)
             print(tag, name, code, digest, flush=True)
