@@ -35,11 +35,7 @@ from .commutation import (
     half_centered_check,
     kernel_of_adjoint,
 )
-from .linalg import (
-    hermitian_eig,
-    polar,
-    positive_sqrt,
-)
+from .linalg import hermitian_eig, polar, positive_sqrt
 from .matio import dumps_matrix, loads_matrix
 from .operators import (
     OperatorModel,

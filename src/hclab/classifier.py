@@ -331,14 +331,15 @@ def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
 
 def _condition_II(chain: ChainDecomposition, reconstruction: ShiftRankOneCertificate | None,
                   diagnostics: dict) -> bool:
-    """Condition II: the closure of T^k M_E fills the space.  A normal-form
-    basis of N columns is a frame of that closure (w and v lie in M_E, and
-    ``krylov_closure`` on T builds every column), so it is read as a capped
-    closure; otherwise M_E is closed under the block's T_b, and a closure F
-    below the block width leaves ||I - F F*||_2 of the block outside it."""
+    """Condition II: the closure of T^k M_E fills the space.  An M_E that fills
+    the block, and a normal-form basis of N columns (w and v lie in M_E, and
+    ``krylov_closure`` on T builds every column), are frames of that closure,
+    read as capped; otherwise M_E is closed under the block's T_b, and a
+    closure F below the block width leaves ||I - F F*||_2 of the block outside."""
     model, block = chain.model, chain.block
     status, span_defect = "capped", 0.0  # a capped closure: nothing lies outside it
-    if reconstruction is None or reconstruction.basis.shape[1] < model.dim:
+    if chain.M_E_block.dim < block.w and (reconstruction is None
+                                          or reconstruction.basis.shape[1] < model.dim):
         frame, status = krylov_closure(block.matrix, chain.M_E_block.frame,
                                        _singular_pairs(model)[1][0], chain.cfg.rank_tol)
         if status != "capped":

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 import numpy as np
 
@@ -91,12 +92,70 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_report(report: dict, args) -> None:
-    report = _jsonable(report)
-    if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
-    else:
-        lines = _render_text(report)
-        _emit("\n".join(lines), args.out)
+    text = (_json_text(report) if args.format == "json"
+            else "\n".join(_render_text(_jsonable(report))))
+    _emit(text, args.out)
+
+
+_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+# json's text of each scalar type; bool precedes int, its base, for subclass lookups
+_LEAF = {bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+         str: _quote, int: int.__repr__,
+         float: lambda x: _WORDS.get(text := float.__repr__(x), text)}
+
+
+def _leaves(values) -> list[str] | None:
+    """``json``'s text of each value when all are None, bools, str, ints or
+    floats, by one ``map`` when they share a type; else None."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, values))
+        return list(map(_WORDS.get, text, text))
+    if not kinds <= _LEAF.keys():
+        return None
+    if len(kinds) == 1:
+        return list(map(_LEAF[kinds.pop()], values))
+    return [_LEAF[type(val)](val) for val in values]
+
+
+def _records(rows, indent: str) -> list[str] | None:
+    """The items of a list of dicts with one set of str keys and scalar
+    values, column by column through one template per record."""
+    keysets = set(map(frozenset, rows)) if set(map(type, rows)) == {dict} else ()
+    keys = sorted(*keysets) if len(keysets) == 1 else []
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    columns = [_leaves(list(map(itemgetter(key), rows))) for key in keys]
+    if None in columns:
+        return None
+    pad = f"\n{indent}  "
+    template = ",".join(f"{pad}{_quote(key).replace('%', '%%')}: %s" for key in keys)
+    return list(map(f"{{{template}\n{indent}}}".__mod__, zip(*columns)))
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(_jsonable(obj), sort_keys=True, indent=2)``, byte for byte,
+    in one walk that converts as ``_jsonable`` does and writes json's layout."""
+    leaf = _LEAF.get(type(obj)) or next((_LEAF[t] for t in _LEAF if isinstance(obj, t)), None)
+    if leaf:  # a subclass of a scalar type is written as its base
+        return leaf(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = sorted({str(key): val for key, val in obj.items()}.items())
+        body, ends = [f"{_quote(key)}: {_json_text(val, inner)}" for key, val in items], "{}"
+    elif isinstance(obj, (list, tuple)):
+        body = obj and (_leaves(obj) or _records(obj, inner)
+                        or [_json_text(val, inner) for val in obj])
+        ends = "[]"
+    elif isinstance(obj, (complex, np.ndarray)):
+        return _json_text({"re": obj.real, "im": obj.imag} if isinstance(obj, complex)
+                          else obj.tolist(), indent)
+    elif isinstance(obj, np.generic) and not isinstance(obj := obj.item(), complex):
+        return _json_text(obj, indent)
+    else:  # _jsonable leaves item()'s complex to json, which rejects it
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    pad = "\n" + inner
+    return ends[0] + pad + f",{pad}".join(body) + f"\n{indent}{ends[1]}" if body else ends
 
 
 def _render_text(obj, prefix: str = "") -> list[str]:

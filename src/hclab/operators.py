@@ -12,7 +12,7 @@ a full window at every depth, and so are ``exact``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial, wraps
 
 import numpy as np
@@ -67,14 +67,7 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be at least {low}")
 
     def as_dict(self) -> dict:
-        return {
-            "rank_tol": self.rank_tol,
-            "commutator_tol": self.commutator_tol,
-            "relation_tol": self.relation_tol,
-            "spectral_match_tol": self.spectral_match_tol,
-            "depth": self.depth,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -331,13 +331,13 @@ class TestOneDerivationPerBlock:
     @pytest.fixture
     def eigval_calls(self, monkeypatch):
         calls = []
-        eigvals = hclab.linalg._split_eigvals
+        eigvalsh = np.linalg.eigvalsh
 
-        def counting(h, coupled):
+        def counting(h, *args, **kwargs):
             calls.append(np.shape(h))
-            return eigvals(h, coupled)
+            return eigvalsh(h, *args, **kwargs)
 
-        monkeypatch.setattr(hclab.linalg, "_split_eigvals", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         return calls
 
     @pytest.fixture
@@ -404,13 +404,17 @@ class TestOneDerivationPerBlock:
 
     def test_pair_tables_take_one_norm_per_windowed_gram(self, sro32, cfg, norm_calls,
                                                          eigval_calls, hermitian_parts):
-        # one eigenvalue split per windowed gram, on the view the pairs read:
-        # the norms symmetrize nothing and take no singular values
+        # one factorization per coupled block of the views the pairs read
+        # (windows with the same coupled rows share it, diagonal ones take
+        # none): the norms symmetrize nothing and take no singular values
         report = centered_check(sro32, cfg)
         distinct = self.windowed_grams(sro32, report)
         assert report.depth == 6 and len(distinct) == 72
-        assert len(eigval_calls) == len(distinct)
-        assert set(eigval_calls) == {(w, w) for _, _, w in distinct}
+        blocks = {(k, outer, tuple(np.flatnonzero(coupled)))
+                  for k, outer, w in distinct
+                  for coupled in [hclab.commutation._window_view(sro32, k, outer, w)[1]]
+                  if coupled.any()}
+        assert sorted(eigval_calls) == sorted((len(rows),) * 2 for _, _, rows in blocks)
         assert not hermitian_parts
         assert not norm_calls
 
@@ -575,7 +579,8 @@ def _stacked_closure(matrix, seed_space, rank_tol):
 def _block_closure(chain):
     """The closure of M_E under T_b that condition II builds, and its status:
     ``_condition_II`` run without a normal form, its one ``krylov_closure``
-    call recorded."""
+    call recorded; an M_E that fills the block is its own capped closure,
+    and condition II builds none."""
     calls = []
 
     def recording(*args, **kwargs):
@@ -585,6 +590,9 @@ def _block_closure(chain):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hclab.classifier, "krylov_closure", recording)
         hclab.classifier._condition_II(chain, None, {})
+    if chain.M_E_block.dim == chain.block.w:
+        assert calls == []
+        return chain.M_E_block, "capped"
     [(frame, status)] = calls
     return Subspace(frame), status
 

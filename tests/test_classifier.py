@@ -525,6 +525,18 @@ class TestConditionII:
         assert self.block_closures(closures, model, cfg) == []
         assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
 
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_M_E_filling_the_block_is_its_own_closure(self, N, conj, rng, cfg, closures):
+        model = family_model("aq0.7", N, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, N))
+        rep = classify(model, cfg)
+        chain = chain_decomposition(model, cfg)
+        assert rep.reconstruction is None and chain.M_E_block.dim == chain.block.w
+        assert self.block_closures(closures, model, cfg) == []
+        assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
+
     @pytest.mark.parametrize("family, N", [("ws", 32), ("aq0.5r5", 48)])
     def test_other_families_build_the_closure_once(self, family, N, rng, cfg, closures):
         model = family_model(family, N, rng)

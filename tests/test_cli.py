@@ -1,4 +1,5 @@
 import argparse
+import enum
 import json
 import re
 import shlex
@@ -540,15 +541,134 @@ class TestFrontEnd:
         assert "cutoff 1.000e+140 (rank_tol * ||T||_2)" in err
 
 
-def test_cli_grid_tool(capsys):
-    """tools/cli_grid.py covers 684 runs and 10 runs of the ill-conditioned aq
-    input, passes negative weights as ``--weights=...`` and hashes a run's
-    output reproducibly."""
+def _old_writer(obj) -> str:
+    """The expression the report writer replaces, and whose bytes it must give."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+
+
+def _load_cli_grid():
+    """The module of ``tools/cli_grid.py``."""
     import importlib.util
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
     spec = importlib.util.spec_from_file_location("cli_grid", path)
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
+    return grid
+
+
+class _Opaque:
+    pass
+
+
+class _Int(enum.IntEnum):
+    THREE = 3
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]
+_WRITER_EDGES = {
+    **{f"float {x!r}": x for x in _FLOATS},
+    "mixed floats": [1.5, *_FLOATS, 2.0, 0.1],
+    "floats and ints": [1, 2.0, float("nan"), -3],
+    "scalars": [True, False, None, 0, 1, 1.0, "s"],
+    "bool": True, "None": None, "int": 12, "str": "plain",
+    "np.bool_": np.bool_(True), "np.int64": np.int64(-5), "np.float32": np.float32(0.1),
+    "np.float64": np.float64(0.1), "np scalars in a list": [np.int64(1), np.float64(0.5)],
+    "0-d array": np.array(2.5), "1-d array": np.array([1.0, -0.0, np.inf]),
+    "2-d array": np.array([[1, 2], [3, 4]]), "complex array": np.array([1 + 2j, -0.0j]),
+    "tuple": (1, (2.0, "x")), "complex": complex(0.5, -1e-300),
+    "np.complex128": np.complex128(1 - 1j), "complex list": [1j, 2 + 0j],
+    "empty dict": {}, "empty list": [], "empty tuple": (),
+    "nested empties": {"a": {}, "b": [[], {}, [{}]], "c": [[[]]]},
+    "records": [{"m": 1, "x": 0.5, "s": "a", "b": True}, {"m": 2, "x": float("nan"),
+                                                          "s": "é", "b": None}],
+    "records with differing keys": [{"a": 1, "b": 2}, {"a": 1}, {"c": 3.0}],
+    "records holding lists": [{"a": [1.0]}, {"a": [2.0, 3.0]}],
+    "records of empties": [{}, {}],
+    "records of np scalars": [{"a": np.float64(1.5)}, {"a": np.int64(2)}],
+    "records with % and brace keys": [{"%s": 1.0, "%%": 2, "{x}": 0},
+                                      {"%s": 3.0, "%%": 4, "{x}": 1}],
+    "int key colliding with str key": {1: "int first", "1": "str last", 2.5: 0},
+    "str key colliding with int key": {"1": "str first", 1: "int last"},
+    "None and bool keys": {None: 1, True: 2, False: [3]},
+    "int keys in records": [{1: 1.0}, {1: 2.0}],
+    "strings": ["é ü 漢 \U0001f600", 'quote " backslash \\ slash /', "ctl \x00\x1f\t\n\r"],
+    "odd keys": {"é": 1, '"': 2, "\n": 3, "": 4},
+    "deep": {"a": [{"b": [{"c": {"d": [1, [2, [3.0, {"e": None}]]]}}]}]},
+    "subclasses": [_Int.THREE, _Str("é"), _Float("nan"), np.str_("s"), {_Str("k"): _Int.THREE}],
+    "subclasses in records": [{"a": _Float(0.5), "b": _Int.THREE}, {"a": 1.0, "b": 4}],
+}
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes ``json.dumps(_jsonable(x), sort_keys=True,
+    indent=2)`` byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(_WRITER_EDGES))
+    def test_edge_corpus(self, name):
+        obj = _WRITER_EDGES[name]
+        assert hclab.cli._json_text(obj) == _old_writer(obj)
+
+    @pytest.mark.parametrize("obj", [_Opaque(), [1.0, _Opaque()], {"a": {"b": b"bytes"}},
+                                     [{"a": 1j}, {"a": {1, 2}}], np.complex64(1 + 1j),
+                                     np.datetime64("2020-01-01")],
+                             ids=["object", "in a list", "bytes", "set in records",
+                                  "np.complex64", "np.datetime64"])
+    def test_unsupported_object_raises_as_json_does(self, obj):
+        with pytest.raises(TypeError) as expected:
+            _old_writer(obj)
+        with pytest.raises(TypeError) as got:
+            hclab.cli._json_text(obj)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("command", ["zoo", "check", "decompose", "spectral", "classify",
+                                         "verify"])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.3", "aq0.5r5", "aq0.7"])
+    def test_reports_of_the_cli_grid(self, capsys, monkeypatch, family, command):
+        self.assert_printed_as_before(capsys, monkeypatch, [
+            command, *_load_cli_grid().family_args(family, 16), "--n", "16"])
+
+    def test_largest_aq_spectral_report(self, capsys, monkeypatch, tmp_path):
+        argv = ["spectral", "--family", "aq", "--q", "0.7", "--n", "64"]
+        printed = self.assert_printed_as_before(capsys, monkeypatch, argv)
+        assert printed.count('"lambda"') > 1000
+        target = tmp_path / "report.json"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "")
+        assert target.read_bytes() == printed.encode("utf-8")
+
+    @staticmethod
+    def assert_printed_as_before(capsys, monkeypatch, argv) -> str:
+        """Run ``main(argv)``; the JSON it prints is the old writer's text of
+        the report it emitted."""
+        emitted = []
+        emit_report = hclab.cli._emit_report
+
+        def recording(report, args):
+            emitted.append(report)
+            emit_report(report, args)
+
+        monkeypatch.setattr(hclab.cli, "_emit_report", recording)
+        code, out = run(capsys, *argv)
+        if not emitted:  # a failed precondition (ws has no spectral): no report
+            assert (code, out) == (2, "")
+            return out
+        [report] = emitted
+        assert out == _old_writer(report) + "\n"
+        return out
+
+
+def test_cli_grid_tool(capsys):
+    """tools/cli_grid.py covers 684 runs and 10 runs of the ill-conditioned aq
+    input, passes negative weights as ``--weights=...`` and hashes a run's
+    output reproducibly."""
+    grid = _load_cli_grid()
     runs = list(grid.grid())
     assert len(runs) == len(set(runs)) == 684
     argv = ["check", *grid.family_args("ws", 6), "--n", "6", "--format", "json"]
@@ -670,11 +790,7 @@ def test_report_diff_describe(monkeypatch, b, line):
 
 def test_cli_grid_edge_cases(capsys):
     """tools/cli_grid.py turns argparse's exits into exit codes it can hash."""
-    import importlib.util
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
-    spec = importlib.util.spec_from_file_location("cli_grid", path)
-    grid = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grid)
+    grid = _load_cli_grid()
     codes = {name: grid.run(main, argv)[0] for name, argv in grid.EDGE_CASES}
     assert codes == {"no-command": 1, "unknown-command": 1, "unknown-flag": 1,
                      "format-xml": 1, "help": 0, "command-help": 0}
@@ -686,11 +802,7 @@ def test_cli_grid_edge_cases(capsys):
 def test_cli_grid_readme_commands(capsys, pq_spec):
     """tools/cli_grid.py runs the README's commands, with pq.json given as
     the JSON text of the same spec; each exits 0."""
-    import importlib.util
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
-    spec = importlib.util.spec_from_file_location("cli_grid", path)
-    grid = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grid)
+    grid = _load_cli_grid()
     assert json.loads(grid.PQ_SPEC) == json.loads(Path(pq_spec).read_text())
     inline = [[grid.PQ_SPEC if arg == "pq.json" else arg for arg in argv]
               for argv in _readme_commands()]

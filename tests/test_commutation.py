@@ -23,11 +23,11 @@ from hclab import (
 )
 from hclab.chains import analysis_block
 from hclab.cli import cmd_verify
-from hclab.commutation import (_power_product, _window_table, _window_view,
-                               require_half_centered)
+from hclab.commutation import (_power_product, _window_gram_norm, _window_table,
+                               _window_view, require_half_centered)
 from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
                           WindowExhausted)
-from hclab.linalg import _coupled_rows
+from hclab.linalg import _coupled_rows, _split_norm
 
 from conftest import random_unitary, random_weights
 
@@ -265,6 +265,40 @@ class TestCoupledPairTables:
         for k, g in enumerate(analysis_block(rotated, cfg).grams):
             assert np.shares_memory(g, _window_table(rotated, k, False))
             assert np.array_equal(g, g.conj().T)
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        """The shapes of the ``eigvalsh`` calls."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "UTU*"])
+    @pytest.mark.parametrize("n", [64, 160])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_window_norms_share_the_coupled_block(self, q, n, conj, cfg, factorizations):
+        # windows with one set of coupled rows share one factorization of
+        # their block, and every norm the pair tables and the analysis block
+        # read is still _split_norm of its window view, bit for bit
+        model = aq_operator(q, None, n)
+        if conj:
+            model = model.conjugated(random_unitary(np.random.default_rng(n), n))
+        half_centered_check(model, cfg)
+        if n == 160 and not conj:   # aq couples only its leading rows there
+            assert len(factorizations) == 6
+        centered_check(model, cfg)
+        block = analysis_block(model, cfg)
+        norm = _window_gram_norm.__wrapped__
+        read = {key[1]: value for key, value in model._memo.items() if key[0] is norm}
+        assert {(k, False, block.w) for k in range(block.depth + 1)} <= set(read)
+        for (k, outer, w), value in read.items():
+            assert value == _split_norm(*_window_view(model, k, outer, w)), (k, outer, w)
 
     def test_shift_like_co_grams_couple_a_few_rows(self, sro32):
         # the co-grams of a shift plus rank one are diagonal but for a few rows
