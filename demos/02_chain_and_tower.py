@@ -14,14 +14,15 @@ import numpy as np
 
 from hclab import (
     ToleranceConfig,
-    cauchy_dual,
     chain_decomposition,
+    from_matrix,
     isometry_tower,
+    kernel_of_adjoint,
     shift_plus_rank_one,
     spectral_correspondence_check,
     verify_chain_structure,
-    wandering_span,
 )
+from hclab.chains import krylov_closure
 
 cfg = ToleranceConfig(depth=5)
 rng = np.random.default_rng(7)
@@ -68,13 +69,32 @@ print("the space, but the spans for its Cauchy dual stall one dimension")
 print("short -- the missing direction is the geometric eigenvector of T,")
 print("which lies in every range T^k H.")
 
+
+
+def cauchy_dual(model):
+    """T (T*T)^{-1}, formed on the window(1) columns B as B (B*B)^{-1} and
+    zero off them, as a fresh truncation of the infinite dual would be."""
+    w = model.window(1)
+    B = model.matrix[:, :w]
+    dual = np.zeros_like(model.matrix)
+    dual[:, :w] = B @ np.linalg.inv(B.conj().T @ B)
+    return from_matrix(dual, exact=False)
+
+
+def wandering_span(model):
+    """The closure of ker T* under T, cut at rank_tol * ||T||_2, and its
+    status: "capped" when it fills the space, "stable" when it stalls."""
+    return krylov_closure(model.matrix, kernel_of_adjoint(model, cfg).frame,
+                          np.linalg.norm(model.matrix, 2), cfg.rank_tol)
+
+
 a = 0.5
 Th = shift_plus_rank_one([a] * (N - 1), 1.0, 0, N)
-span_t, status_t = wandering_span(Th, cfg)
-span_d, status_d = wandering_span(cauchy_dual(Th), cfg)
-print(f"  corner shift:  span dim {span_t.dim} of {N}  ({status_t})")
-print(f"  its dual:      span dim {span_d.dim} of {N}  ({status_d})")
+span_t, status_t = wandering_span(Th)
+span_d, status_d = wandering_span(cauchy_dual(Th))
+print(f"  corner shift:  span dim {span_t.shape[1]} of {N}  ({status_t})")
+print(f"  its dual:      span dim {span_d.shape[1]} of {N}  ({status_d})")
 geo = np.array([a ** j for j in range(N)], dtype=complex)
 geo /= np.linalg.norm(geo)
-gap = np.linalg.norm(geo - span_d.frame @ (span_d.frame.conj().T @ geo))
+gap = np.linalg.norm(geo - span_d @ (span_d.conj().T @ geo))
 print(f"  geometric direction orthogonal to the dual span: {gap:.6f}")

@@ -13,7 +13,6 @@ from .chains import (
     isometry_tower,
     moduli_subspace,
     verify_chain_structure,
-    wandering_span,
 )
 from .classifier import (
     ClassificationReport,
@@ -29,7 +28,6 @@ from .commutation import (
     analysis_depth,
     centered_check,
     centered_criterion,
-    co_gram_power,
     effective_depth,
     gram_power,
     half_centered_check,
@@ -41,7 +39,6 @@ from .operators import (
     OperatorModel,
     ToleranceConfig,
     aq_operator,
-    cauchy_dual,
     composition_operator,
     from_matrix,
     load_operator_spec,

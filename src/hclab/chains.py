@@ -32,7 +32,6 @@ __all__ = [
     "analysis_block",
     "moduli_subspace",
     "krylov_closure",
-    "wandering_span",
     "chain_decomposition",
     "isometry_tower",
     "verify_chain_structure",
@@ -197,20 +196,6 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
         block, cut = matrix @ new if matrix.ndim == 2 else np.hstack(matrix @ new), scale
     d = edge or d
     return buf[:, :d], "capped" if d >= limit else "stable"
-
-
-def wandering_span(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
-    """Finite-window wandering check: the closure of ker T* under T, cut at
-    ``cfg.rank_tol * ||T||_2``.
-
-    When the spans of T^k(ker T*) exhaust the space (``"capped"``) the kernel
-    line is a wandering subspace for T; a closure that stalls below
-    (``"stable"``) exhibits the failure (the missing directions are vectors
-    lying in every range T^k H, e.g. eigenvectors of T).
-    """
-    frame, status = krylov_closure(model.matrix, kernel_of_adjoint(model, cfg).frame,
-                                   _singular_pairs(model)[1][0], cfg.rank_tol)
-    return Subspace(frame), status
 
 
 def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace:

@@ -80,8 +80,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
+    try:  # the target's mode, else what a new file gets under the umask
+        mode = os.stat(out_path).st_mode & 0o777
+    except FileNotFoundError:
+        os.umask(mask := os.umask(0o22))
+        mode = 0o666 & ~mask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hclab-")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out_path)

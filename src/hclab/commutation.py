@@ -6,8 +6,8 @@ commutes as well.  On a truncation, the commutator of a pair (j, k) is only
 meaningful on the leading ``window(j + k)`` block, so every residual here is
 computed on that block and scaled by the product of the factors' norms.
 Grams are Hermitian PSD, so their norms and commutators go through the
-Hermitian kernels of ``linalg``, and every power T^k of one model is one
-running product T^(k-1) T, formed once and shared by its gram and co-gram.
+``_split_*`` kernels of ``linalg``, and every power T^k of one model is one
+running product T^(k-1) T (``_matrix_power``), shared by its gram and co-gram.
 A gram compressed to a subspace of a window (the tower's theta* G_1 theta,
 the families on M_E and on each V_n) has one rule, ``_gram_on``: C* C with C
 the window columns of T^k times the subspace's frame.
@@ -41,7 +41,6 @@ __all__ = [
     "analysis_depth",
     "effective_depth",
     "gram_power",
-    "co_gram_power",
     "half_centered_check",
     "require_half_centered",
     "centered_check",
@@ -130,11 +129,6 @@ def _gram_on(model: OperatorModel, k: int, w: int, frame: np.ndarray) -> np.ndar
 def gram_power(model: OperatorModel, k: int) -> np.ndarray:
     """The positive matrix T*^k T^k; the identity for k = 0."""
     return _power_product(model, k, False)
-
-
-def co_gram_power(model: OperatorModel, k: int) -> np.ndarray:
-    """The positive matrix T^k T*^k."""
-    return _power_product(model, k, True)
 
 
 @dataclass

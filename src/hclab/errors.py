@@ -74,10 +74,6 @@ class NotPositive(PreconditionError):
     pass
 
 
-class NotLeftInvertible(PreconditionError):
-    pass
-
-
 # -- commutation / chain analysis -------------------------------------------
 
 class PreconditionViolated(PreconditionError):

@@ -12,17 +12,18 @@ cut ``numerical_rank``, by default at ``DEFAULT_RANK_TOL``.
 
 The gram layer runs on two kernels and a running product:
 
-- ``hermitian_norm(h)``: the operator norm as the largest |eigenvalue|, from
-  ``hermitian_eigvals`` (``eigvalsh`` on the coupled rows only) instead of a
+- ``_split_norm``: the operator norm as the largest |eigenvalue|, from
+  ``_split_eigvals`` (``eigvalsh`` on the coupled rows only) instead of a
   singular value decomposition;
-- ``hermitian_commutator_norm(a, b)``: ``||ab - ba||_F`` from the single
-  product P = ab, as ``||P - P*||_F``, formed on the coupled rows only;
+- ``_split_commutator_norm``: ``||ab - ba||_F`` from the single product
+  P = ab, as ``||P - P*||_F``, formed on the coupled rows only;
 - ``power_table(a, K)``: a^0..a^K as the running product a^k = a^(k-1) a
   (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3 and 18).
 
-The first two require Hermitian operands up to roundoff, such as the window
-compressions of gram powers in a rotated basis.  They act on the Hermitian
-parts (h + h*)/2, which equal exactly Hermitian operands bit for bit.
+The two kernels take each operand h as ``_hermitian_view(h)``: its Hermitian
+part (h + h*)/2, equal to an exactly Hermitian h bit for bit, and the mask of
+its coupled rows.  So h need be Hermitian only up to roundoff, as the window
+compressions of gram powers in a rotated basis are.
 
 The coupled split.  A row of a Hermitian matrix is coupled when it holds a
 nonzero off the diagonal.  An uncoupled index i is an eigenvector with
@@ -34,10 +35,8 @@ same norm of the blocks on the union of the two coupled sets: an empty union
 is 0 with no product, a full one the dense product.  The grams of weighted
 shifts are diagonal, and those of a shift plus a rank-one term couple a few
 rows, so most of their norms and commutators take no factorization and no
-product.  ``_hermitian_view`` returns the Hermitian part with its mask, and
-the ``_split_*`` kernels take that pair, so a caller that reads one matrix in
-several pairs (the pair tables of ``commutation``, ``joint_diagonalize``)
-symmetrizes it and finds its coupled rows once.
+product.  A caller that reads one matrix in several pairs (the pair tables
+of ``commutation``, ``joint_diagonalize``) takes its view once.
 """
 
 from __future__ import annotations
@@ -54,10 +53,7 @@ CONTAINMENT_TOL = 1e-8   # how far T X_{k-1} may stick out of X_k in the structu
 __all__ = [
     "DEFAULT_RANK_TOL",
     "as_matrix",
-    "hermitian_commutator_norm",
     "hermitian_eig",
-    "hermitian_eigvals",
-    "hermitian_norm",
     "numerical_rank",
     "positive_sqrt",
     "polar",
@@ -156,41 +152,6 @@ def _split_commutator_norm(a, a_coupled, b, b_coupled) -> float:
         a, b = a[rows[:, None], rows], b[rows[:, None], rows]
     p = np.matmul(a, b)
     return float(np.linalg.norm(p - _adjoint(p)))
-
-
-def hermitian_eigvals(h) -> np.ndarray:
-    """The eigenvalues, unsorted, of the Hermitian part of ``h``.
-
-    An index whose row is zero off the diagonal isolates its diagonal entry
-    as an eigenvalue, exactly (as balancing does for general matrices), and
-    ``eigvalsh`` factors only the block of the other indices.  The grams of
-    shift-like operators are diagonal but for a few rows, so there this
-    skips most of the O(n^3) reduction; a dense matrix goes to ``eigvalsh``
-    whole.
-    """
-    return _split_eigvals(*_hermitian_view(h))
-
-
-def hermitian_norm(h) -> float:
-    """Operator norm of a Hermitian matrix: its largest |eigenvalue|.
-
-    ``h`` must be Hermitian up to roundoff; the norm is that of its Hermitian
-    part, within a few ``eps * ||h||`` of the largest singular value of ``h``.
-    On a dense real matrix ``eigvalsh`` costs about half the singular values.
-    """
-    return _split_norm(*_hermitian_view(h))
-
-
-def hermitian_commutator_norm(a, b) -> float:
-    """``||ab - ba||_F`` for Hermitian ``a`` and ``b``, from one product.
-
-    For Hermitian operands ba = (ab)*, so the commutator is P - P* with
-    P = ab, formed on the rows where ``a`` or ``b`` has a nonzero off the
-    diagonal (the other rows and columns of the commutator are zero).  Both
-    must be Hermitian up to roundoff; the value is the commutator of their
-    Hermitian parts.  A pair of diagonal matrices gives exactly 0.
-    """
-    return _split_commutator_norm(*_hermitian_view(a), *_hermitian_view(b))
 
 
 def power_table(a, K: int) -> list:

@@ -19,14 +19,12 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
-    NotLeftInvertible,
     NotPositive,
     NotProjection,
     SpecParseError,
     ZeroWeight,
 )
-from .linalg import (DEFAULT_RANK_TOL, PROJECTION_TOL, _eig_sqrt, as_matrix, hermitian_eig,
-                     numerical_rank)
+from .linalg import DEFAULT_RANK_TOL, PROJECTION_TOL, _eig_sqrt, as_matrix, hermitian_eig
 from .matio import loads_matrix, parse_complex
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "projection_product",
     "composition_operator",
     "aq_operator",
-    "cauchy_dual",
     "from_matrix",
     "real_gauge",
     "load_operator_spec",
@@ -332,31 +329,6 @@ def aq_operator(q: float, r: float | None = None, N: int = 32) -> OperatorModel:
         matrix=T, family="aq",
         params={"q": q, "r": r, "intertwining_residual": resid},
         bandwidth=None, window_step=1, companion=A,
-    )
-
-
-def cauchy_dual(model: OperatorModel) -> OperatorModel:
-    """Dual ``T' = T (T*T)^{-1}``, computed on the effective window.
-
-    The gram of a truncation is singular in its trailing corrupted block, so
-    it is inverted on the leading ``window(1)`` window, as C*C with C the
-    window columns of T, and the dual is zero off it, as a fresh truncation
-    of the infinite dual would be.  It keeps the model's ``window_frame``.
-    """
-    w = model.window(1)
-    if w < 1:
-        raise NotLeftInvertible("window exhausted")
-    B = model.window_restrict(model.matrix, w)
-    G = B.conj().T @ B
-    s = np.linalg.svd(G, compute_uv=False)
-    if numerical_rank(s, DEFAULT_RANK_TOL, max(1.0, s[0])) < w:
-        raise NotLeftInvertible(f"T*T has sigma_min {s[-1]:.3e} on the window")
-    return OperatorModel(
-        matrix=B @ np.linalg.inv(G) @ model.window_cols(w).conj().T,
-        family=f"cauchy_dual({model.family})",
-        params={"of": model.describe()},
-        bandwidth=None, window_step=max(model.window_step, 1),
-        window_frame=model.window_frame,
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hclab import ToleranceConfig, aq_operator, shift_plus_rank_one, weighted_shift
+from hclab import ToleranceConfig, aq_operator, from_matrix, shift_plus_rank_one, weighted_shift
 
 
 @pytest.fixture
@@ -23,6 +23,17 @@ def random_unitary(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def cauchy_dual(model):
+    """The Cauchy dual T (T*T)^{-1} of a model in its own basis: B (B*B)^{-1}
+    with B the window(1) columns of T, zero off them, as a fresh truncation
+    of the infinite dual would be."""
+    w = model.window(1)
+    B = model.matrix[:, :w]
+    dual = np.zeros_like(model.matrix)
+    dual[:, :w] = B @ np.linalg.inv(B.conj().T @ B)
+    return from_matrix(dual, exact=False)
 
 
 def family_model(family, n, rng):

@@ -12,7 +12,6 @@ from hclab import (
     centered_check,
     chain_decomposition,
     classify,
-    co_gram_power,
     composition_operator,
     enumerate_triples,
     gram_power,
@@ -26,7 +25,6 @@ from hclab import (
     spectral_correspondence_check,
     structure_extract,
     verify_chain_structure,
-    wandering_span,
     weighted_shift,
 )
 import hclab.chains
@@ -35,12 +33,13 @@ import hclab.commutation
 import hclab.linalg
 from hclab.chains import _moduli_on_block, analysis_block, krylov_closure
 from hclab.cli import cmd_classify, main
-from hclab.commutation import _gram_on, analysis_depth, effective_depth
+from hclab.commutation import (_gram_on, _power_product, _singular_pairs, analysis_depth,
+                               effective_depth)
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
-from hclab.linalg import hermitian_norm
+from hclab.linalg import _hermitian_view, _split_norm
 from hclab.spectral import _moduli_spectrum
 
-from conftest import family_model, random_unitary, random_weights
+from conftest import cauchy_dual, family_model, random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -376,7 +375,7 @@ class TestOneDerivationPerBlock:
             for k in range(block.depth + 1):
                 assert np.array_equal(block.powers[k], power)
                 power = np.matmul(power, block.matrix)
-                assert block.scales[k] == hermitian_norm(block.grams[k])
+                assert block.scales[k] == _split_norm(*_hermitian_view(block.grams[k]))
                 svd_norm = np.linalg.norm(block.grams[k], 2)
                 assert abs(block.scales[k] - svd_norm) <= 4 * block.w * eps * block.scales[k]
 
@@ -449,9 +448,10 @@ class TestOneDerivationPerBlock:
         report = centered_check(shift32, cfg)
         assert not norm_calls
         assert report.depth == 6 and len(report.pairs) == 66
+        co_gram = lambda t, k: _power_product(t, k, True)
         families = {"gram-gram": (gram_power, gram_power),
-                    "cogram-cogram": (co_gram_power, co_gram_power),
-                    "gram-cogram": (gram_power, co_gram_power)}
+                    "cogram-cogram": (co_gram, co_gram),
+                    "gram-cogram": (gram_power, co_gram)}
         for p in report.pairs:
             w = shift32.window(p["j"] + p["k"])
             left, right = families[p["kind"]]
@@ -516,12 +516,18 @@ class TestLazyChain:
         assert chain.dims["defects"] == [a.dim - b.dim for a, b in zip(H, H[1:])]
 
 
+def _wandering_span(model, cfg):
+    """The closure of ker T* under T, cut at ``cfg.rank_tol * ||T||_2``, and
+    its status: ``"capped"`` when the spans of T^k(ker T*) fill the space."""
+    frame, status = krylov_closure(model.matrix, kernel_of_adjoint(model, cfg).frame,
+                                   _singular_pairs(model)[1][0], cfg.rank_tol)
+    return Subspace(frame), status
+
+
 class TestWanderingSpan:
     def test_shift_kernel_is_wandering(self, rng, cfg):
-        from hclab import wandering_span
-
         t = weighted_shift(random_weights(rng, 23), 24)
-        span, status = wandering_span(t, cfg)
+        span, status = _wandering_span(t, cfg)
         assert status == "capped" and span.dim == 24
 
     def test_dual_of_corner_shift_is_not(self, cfg):
@@ -544,11 +550,8 @@ class TestWanderingSpan:
 def _assert_dual_misses_geometric_direction(a, n, cfg):
     # the dual misses exactly the geometric direction, which is an
     # eigenvector of the original operator and hence lies in every range
-    from hclab import cauchy_dual, wandering_span
-
     t = shift_plus_rank_one([a] * (n - 1), 1.0, 0, n)
-    dual = cauchy_dual(t)
-    span, status = wandering_span(dual, cfg)
+    span, status = _wandering_span(cauchy_dual(t), cfg)
     assert status == "stable"
     assert span.dim == n - 1
     geo = np.array([a ** j for j in range(n)], dtype=complex)
@@ -605,7 +608,7 @@ def _ambient_M_E(model, cfg):
 class TestSpanClosureParity:
     """The closure decides every rank as the stacked SVD does, or fills the
     space where the stacked cut stopped on a decaying layer: ker T* under T
-    (``wandering_span``), and M_E under T_b (condition II)."""
+    (``_wandering_span``), and M_E under T_b (condition II)."""
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -617,7 +620,7 @@ class TestSpanClosureParity:
             model = model.conjugated(random_unitary(rng, n))
         chain = chain_decomposition(model, cfg)
         runs = {  # (matrix, seed, closure and status, the columns it must fill)
-            "ker T*": (model.matrix, kernel_of_adjoint(model, cfg), wandering_span(model, cfg),
+            "ker T*": (model.matrix, kernel_of_adjoint(model, cfg), _wandering_span(model, cfg),
                        model.window_cols(model.window(effective_depth(model, cfg)))),
             "M_E": (chain.block.matrix, chain.M_E_block, _block_closure(chain),
                     np.eye(chain.block.w)),
@@ -696,8 +699,8 @@ def _projector_gap(a, b):
 
 
 class TestKrylovClosure:
-    """The Arnoldi closure behind every closure: M_E, condition II, ``wandering_span``
-    and the reconstruction basis."""
+    """The Arnoldi closure behind every closure: M_E, condition II and the
+    reconstruction basis, and the closure of ker T* under T."""
 
     def test_applies_t_to_each_kept_direction_once(self, cfg):
         widths = []
@@ -724,8 +727,6 @@ class TestKrylovClosure:
         # the frame (the Cauchy dual's boundary step loses at most 26% of its
         # norm), so no pass removes more than 1 - 1/sqrt(2) and none repeats
         if family.startswith("dual"):
-            from hclab import cauchy_dual
-
             model = cauchy_dual(shift_plus_rank_one([float(family[4:])] * (n - 1), 1.0, 0, n))
         else:
             model = family_model(family, n, np.random.default_rng(n))
@@ -1009,7 +1010,7 @@ class TestOneCoordinateSystem:
         for k in range(1, chain.depth + 1):
             # the ambient formula: the full N x N gram on lifted frames
             G = gram_power(model, k)
-            tol = 8 * block.w * eps * hermitian_norm(G)
+            tol = 8 * block.w * eps * _split_norm(*_hermitian_view(G))
             assert np.linalg.norm(me_mats[k - 1] - ME.conj().T @ G @ ME, 2) <= tol
             assert abs(tau[k] - np.real(e.conj() @ G @ e)) <= tol
             for Vb in chain.V_block:

@@ -1,6 +1,7 @@
 import argparse
 import enum
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -159,6 +160,26 @@ class TestContracts:
         assert doc["verdict"]["half_centered"] is True
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".hclab-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, existing, mode", [(0o022, None, 0o644),
+                                                       (0o077, None, 0o600),
+                                                       (0o022, 0o640, 0o640),
+                                                       (0o077, 0o644, 0o644)],
+                             ids=["new-022", "new-077", "0640-022", "0644-077"])
+    def test_out_file_mode(self, capsys, tmp_path, umask, existing, mode):
+        # a new report file gets 0o666 under the umask; an existing one keeps its mode
+        target = tmp_path / "report.json"
+        if existing is not None:
+            target.write_text("old\n")
+            target.chmod(existing)
+        previous = os.umask(umask)
+        try:
+            code, _ = run(capsys, "check", "--family", "weighted_shift",
+                          "--weights", "1,1,1", "--n", "4", "--out", str(target))
+        finally:
+            os.umask(previous)
+        assert code == 0 and json.loads(target.read_text())["verdict"]["half_centered"]
+        assert target.stat().st_mode & 0o777 == mode
 
     def test_depth_capped_and_echoed(self, capsys):
         _, out = run(capsys, "classify", "--family", "weighted_shift",

@@ -10,7 +10,6 @@ from hclab import (
     centered_criterion,
     chain_decomposition,
     classify,
-    co_gram_power,
     composition_operator,
     from_matrix,
     gram_power,
@@ -175,7 +174,8 @@ class TestPowerTableGrams:
         t = make()
         for k in range(1, 7):
             assert np.array_equal(gram_power(t, k), self.separate_construction(t.matrix, k, False))
-            assert np.array_equal(co_gram_power(t, k), self.separate_construction(t.matrix, k, True))
+            assert np.array_equal(_power_product(t, k, True),
+                                  self.separate_construction(t.matrix, k, True))
 
     def test_depth_six_takes_five_power_products(self, monkeypatch):
         t = aq_operator(0.5, 5.0, 40)
@@ -189,7 +189,7 @@ class TestPowerTableGrams:
         monkeypatch.setattr(np, "matmul", counting)
         for k in range(1, 7):
             gram_power(t, k)
-            co_gram_power(t, k)
+            _power_product(t, k, True)
         assert len(calls) == 5
 
 
@@ -210,8 +210,8 @@ class TestCoupledPairTables:
 
     eps = np.finfo(float).eps
     KINDS = {"gram-gram": (gram_power, gram_power),
-             "cogram-cogram": (co_gram_power, co_gram_power),
-             "gram-cogram": (gram_power, co_gram_power)}
+             "cogram-cogram": (lambda t, k: _power_product(t, k, True),) * 2,
+             "gram-cogram": (gram_power, lambda t, k: _power_product(t, k, True))}
 
     def dense_residual(self, a, b, w, full_a, full_b):
         """The residual as the dense formula gives it: one product of the
@@ -341,7 +341,7 @@ class TestCenteredCheck:
 
     def test_cogram_of_shift(self):
         t = weighted_shift([1, 2, 3], 4)
-        assert_allclose(co_gram_power(t, 1), np.diag([0.0, 1.0, 4.0, 9.0]), atol=1e-14)
+        assert_allclose(_power_product(t, 1, True), np.diag([0.0, 1.0, 4.0, 9.0]), atol=1e-14)
 
 
 class TestCenteredCriterion:

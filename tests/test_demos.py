@@ -1,4 +1,5 @@
-"""The demo scripts run to completion against the package in src/."""
+"""The demo scripts run to completion against the package in src/ and print
+what they compute themselves."""
 
 import os
 import subprocess
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# lines a demo must print, for what it computes beyond the package's stages
+PRINTS = {"02_chain_and_tower.py": ("span dim 24 of 24  (capped)", "span dim 23 of 24  (stable)",
+                                    "orthogonal to the dual span: 1.000000")}
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
@@ -16,3 +20,5 @@ def test_demo_exits_cleanly(script):
     proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    for line in PRINTS.get(script.name, ()):
+        assert line in proc.stdout, line

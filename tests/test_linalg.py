@@ -5,10 +5,18 @@ from numpy.testing import assert_allclose
 from hclab import ToleranceConfig, hermitian_eig, polar, positive_sqrt
 from hclab.chains import analysis_block
 from hclab.errors import NonFinite, NotHermitian, NotPSD
-from hclab.linalg import (_coupled_rows, _split_commutator_norm, hermitian_commutator_norm,
-                          hermitian_eigvals, hermitian_norm, numerical_rank, power_table)
+from hclab.linalg import (_coupled_rows, _hermitian_view, _split_commutator_norm, _split_eigvals,
+                          _split_norm, numerical_rank, power_table)
 
 from conftest import family_model, random_unitary
+
+
+def _norm(h):
+    return _split_norm(*_hermitian_view(h))
+
+
+def _commutator_norm(a, b):
+    return _split_commutator_norm(*_hermitian_view(a), *_hermitian_view(b))
 
 
 def random_hermitian(rng, n):
@@ -235,8 +243,7 @@ class TestHermitianKernels:
     def test_norm_is_the_largest_singular_value(self, rng, dtype):
         for h in (random_psd(rng, 12), random_hermitian(rng, 12), np.diag([0.5, -3.0, 1.0])):
             h = h.real if dtype is float else h
-            assert hermitian_norm(h) == pytest.approx(np.linalg.norm(h, 2),
-                                                      rel=4 * h.shape[0] * self.eps)
+            assert _norm(h) == pytest.approx(np.linalg.norm(h, 2), rel=4 * h.shape[0] * self.eps)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_isolated_rows_split_off_exactly(self, rng, dtype, monkeypatch):
@@ -249,29 +256,29 @@ class TestHermitianKernels:
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-        w = hermitian_eigvals(h)
+        w = _split_eigvals(*_hermitian_view(h))
         assert shapes == [(5, 5)]
         assert_allclose(np.sort(w), eigvalsh(h), rtol=0, atol=8 * self.eps * 15.0)
-        assert hermitian_norm(h) == 15.0
+        assert _norm(h) == 15.0
         shapes.clear()
-        assert hermitian_norm(np.diag([1.0, -4.0, 2.0]) + 0j) == 4.0
+        assert _norm(np.diag([1.0, -4.0, 2.0]) + 0j) == 4.0
         assert not shapes
 
     def test_norm_of_empty_and_zero(self):
-        assert hermitian_norm(np.zeros((0, 0))) == 0.0
-        assert hermitian_norm(np.zeros((3, 3))) == 0.0
+        assert _norm(np.zeros((0, 0))) == 0.0
+        assert _norm(np.zeros((3, 3))) == 0.0
 
     def test_norm_takes_the_hermitian_part(self, rng):
         u = np.linalg.qr(random_matrix(rng, 10, complex))[0]
         h = u @ np.diag(np.arange(1.0, 11.0)) @ u.conj().T   # Hermitian to roundoff only
         assert not np.array_equal(h, h.conj().T)
-        assert abs(hermitian_norm(h) - 10.0) <= 4 * 10 * self.eps * 10.0
+        assert abs(_norm(h) - 10.0) <= 4 * 10 * self.eps * 10.0
 
     def _assert_commutator(self, a, b):
         n = a.shape[0]
         expect = np.linalg.norm(a @ b - b @ a)
         bound = n * self.eps * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
-        assert abs(hermitian_commutator_norm(a, b) - expect) <= bound
+        assert abs(_commutator_norm(a, b) - expect) <= bound
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_commutator_agrees_with_two_products(self, rng, dtype):
@@ -289,11 +296,11 @@ class TestHermitianKernels:
         b = u.conj().T @ np.diag(d2) @ u
         assert not np.array_equal(a, a.conj().T)
         self._assert_commutator(a, b)
-        assert hermitian_commutator_norm(a, b) <= 20 * self.eps * 4.0
+        assert _commutator_norm(a, b) <= 20 * self.eps * 4.0
 
     def test_commutator_of_diagonal_pair_is_exactly_zero(self, rng):
         a, b = np.diag(rng.uniform(size=8)), np.diag(rng.uniform(size=8) + 0j)
-        assert hermitian_commutator_norm(a, b) == 0.0
+        assert _commutator_norm(a, b) == 0.0
 
 
 def _plant_uncoupled(h, rows, rng):
@@ -343,14 +350,14 @@ class TestCoupledSplit:
             if dtype is float:
                 a, b = a.real, b.real
             products.clear()
-            self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+            self._assert_dense(a, b, _commutator_norm(a, b))
             assert products == [(13, 13)]
             value = _split_commutator_norm(a, _coupled_rows(a), b, _coupled_rows(b))
             self._assert_dense(a, b, value)
 
     def test_fully_coupled_pair_takes_the_dense_product(self, rng, products):
         a, b = random_hermitian(rng, 12), random_psd(rng, 12)
-        self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+        self._assert_dense(a, b, _commutator_norm(a, b))
         assert products == [(12, 12)]
 
     def test_rotated_blocks_hermitian_to_roundoff(self, rng):
@@ -362,13 +369,13 @@ class TestCoupledSplit:
         a[10:, 10:] = np.diag(rng.uniform(0.1, 2.0, 4))
         b[10:, 10:] = np.diag(rng.uniform(0.1, 2.0, 4))
         assert not np.array_equal(a, a.conj().T)
-        self._assert_dense(a, b, hermitian_commutator_norm(a, b))
-        assert hermitian_commutator_norm(a, b) <= 14 * self.eps * 4.0
+        self._assert_dense(a, b, _commutator_norm(a, b))
+        assert _commutator_norm(a, b) <= 14 * self.eps * 4.0
         b[:10, :10] = random_psd(rng, 10)   # no longer commuting
-        self._assert_dense(a, b, hermitian_commutator_norm(a, b))
+        self._assert_dense(a, b, _commutator_norm(a, b))
 
     def test_diagonal_pair_takes_no_product(self, rng, products):
         a, b = np.diag(rng.uniform(size=8)), np.diag(rng.uniform(size=8) + 0j)
-        assert hermitian_commutator_norm(a, b) == 0.0
+        assert _commutator_norm(a, b) == 0.0
         assert _split_commutator_norm(a, _coupled_rows(a), b, _coupled_rows(b)) == 0.0
         assert products == []

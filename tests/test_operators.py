@@ -8,7 +8,6 @@ from hclab import (
     OperatorModel,
     ToleranceConfig,
     aq_operator,
-    cauchy_dual,
     composition_operator,
     gram_power,
     half_centered_check,
@@ -19,7 +18,6 @@ from hclab import (
 )
 from hclab.errors import (
     IndexOutOfRange,
-    NotLeftInvertible,
     NotPositive,
     NotProjection,
     SpecParseError,
@@ -224,50 +222,6 @@ class TestIsometryFamily:
         combo = np.eye(16) - 2 * gram_power(t, 1) + gram_power(t, 2)
         w = t.window(2)
         assert np.linalg.norm(combo[:w, :w]) == 0.0
-
-
-class TestCauchyDual:
-    def test_isometry_is_self_dual(self):
-        t = weighted_shift([1.0] * 7, 8)
-        d = cauchy_dual(t)
-        w = t.window(1)
-        assert_allclose(d.matrix[:, :w], t.matrix[:, :w], atol=1e-14)
-
-    def test_hardy_dual_entries(self):
-        a = 0.5
-        t = shift_plus_rank_one([a] * 7, 1.0, 0, 8)
-        d = cauchy_dual(t).matrix
-        assert d[0, 0] == pytest.approx(1 / (1 + a * a))
-        assert d[1, 0] == pytest.approx(a / (1 + a * a))
-        for j in range(1, 6):
-            assert d[j + 1, j] == pytest.approx(a / a ** 2)
-
-    def test_double_dual_roundtrip(self, rng):
-        t = shift_plus_rank_one(random_weights(rng, 11), 0.25 - 0.1j, 1, 12)
-        dd = cauchy_dual(cauchy_dual(t))
-        w = t.window(2)
-        assert np.linalg.norm(dd.matrix[:w, :w] - t.matrix[:w, :w]) <= 1e-10
-
-    def test_left_inverse_property(self, rng):
-        t = weighted_shift(random_weights(rng, 9), 10)
-        d = cauchy_dual(t)
-        w = t.window(1)
-        prod = (t.matrix.conj().T @ d.matrix)[:w, :w]
-        assert_allclose(prod, np.eye(w), atol=1e-12)
-
-    def test_non_invertible_rejected(self):
-        t = projection_product(PQ_P, PQ_Q)
-        with pytest.raises(NotLeftInvertible):
-            cauchy_dual(t)
-
-    @pytest.mark.parametrize("family", ["ws", "hardy", "aq0.5r5"])
-    def test_conjugated_dual_is_the_dual_conjugated(self, family):
-        rng = np.random.default_rng(16)
-        t = family_model(family, 16, rng)
-        u = random_unitary(rng, 16)
-        rotated, expect = cauchy_dual(t.conjugated(u)), cauchy_dual(t).conjugated(u)
-        assert np.linalg.norm(rotated.matrix - expect.matrix) <= 1e-13 * np.linalg.norm(expect.matrix)
-        assert np.array_equal(rotated.window_frame, expect.window_frame)
 
 
 class TestZooHalfCentered:
