@@ -70,7 +70,6 @@ print("short -- the missing direction is the geometric eigenvector of T,")
 print("which lies in every range T^k H.")
 
 
-
 def cauchy_dual(model):
     """T (T*T)^{-1}, formed on the window(1) columns B as B (B*B)^{-1} and
     zero off them, as a fresh truncation of the infinite dual would be."""

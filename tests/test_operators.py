@@ -27,7 +27,7 @@ from hclab.linalg import positive_sqrt
 from hclab.matio import dumps_matrix
 from hclab.operators import _jsonable, aq_matrix
 
-from conftest import family_model, random_unitary, random_weights
+from conftest import cauchy_dual, family_model, random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -222,6 +222,39 @@ class TestIsometryFamily:
         combo = np.eye(16) - 2 * gram_power(t, 1) + gram_power(t, 2)
         w = t.window(2)
         assert np.linalg.norm(combo[:w, :w]) == 0.0
+
+
+class TestCauchyDual:
+    """The Krylov tests take conftest's ``cauchy_dual`` as the dual T (T*T)^{-1}
+    of their input; these pin that it is one."""
+
+    def test_isometry_is_self_dual(self):
+        t = weighted_shift([1.0] * 7, 8)
+        d = cauchy_dual(t)
+        w = t.window(1)
+        assert_allclose(d.matrix[:, :w], t.matrix[:, :w], atol=1e-14)
+
+    def test_hardy_dual_entries(self):
+        a = 0.5
+        t = shift_plus_rank_one([a] * 7, 1.0, 0, 8)
+        d = cauchy_dual(t).matrix
+        assert d[0, 0] == pytest.approx(1 / (1 + a * a))
+        assert d[1, 0] == pytest.approx(a / (1 + a * a))
+        for j in range(1, 6):
+            assert d[j + 1, j] == pytest.approx(a / a ** 2)
+
+    def test_double_dual_roundtrip(self, rng):
+        t = shift_plus_rank_one(random_weights(rng, 11), 0.25 - 0.1j, 1, 12)
+        dd = cauchy_dual(cauchy_dual(t))
+        w = t.window(2)
+        assert np.linalg.norm(dd.matrix[:w, :w] - t.matrix[:w, :w]) <= 1e-10
+
+    def test_left_inverse_property(self, rng):
+        t = weighted_shift(random_weights(rng, 9), 10)
+        d = cauchy_dual(t)
+        w = t.window(1)
+        prod = (t.matrix.conj().T @ d.matrix)[:w, :w]
+        assert_allclose(prod, np.eye(w), atol=1e-12)
 
 
 class TestZooHalfCentered:
