@@ -37,11 +37,10 @@ def show(title, report):
               f"residual {c.reconstruction_residual:.1e}")
     if report.relation is not None:
         r = report.relation
-        if r.degenerate:
-            a, b, d = r.three_term
-            terms = f"{a:+.4f} I {b:+.4f} T_{r.n} {d:+.4f} T_{2 * r.n}"
+        a, b, c_, d = r.coefficients
+        if r.degenerate:  # n = m: the terms of T_n and T_m are one
+            terms = f"{a:+.4f} I {b + c_:+.4f} T_{r.n} {d:+.4f} T_{2 * r.n}"
         else:
-            a, b, c_, d = r.coefficients
             terms = (f"{a:+.4f} I {b:+.4f} T_{r.n} {c_:+.4f} T_{r.m} "
                      f"{d:+.4f} T_{r.n + r.m}")
         print(f"  relation: {terms} = 0   (residual {r.operator_residual:.1e})")

@@ -11,7 +11,6 @@ from .chains import (
     ChainDecomposition,
     chain_decomposition,
     isometry_tower,
-    moduli_subspace,
     verify_chain_structure,
 )
 from .classifier import (
@@ -50,7 +49,6 @@ from .operators import (
 from .spectral import (
     JointSpectrum,
     StructureData,
-    TripleRecord,
     enumerate_triples,
     joint_diagonalize,
     spectral_correspondence_check,

@@ -30,7 +30,6 @@ __all__ = [
     "ChainDecomposition",
     "TowerLevel",
     "analysis_block",
-    "moduli_subspace",
     "krylov_closure",
     "chain_decomposition",
     "isometry_tower",
@@ -72,10 +71,6 @@ class AnalysisBlock:
     def window(self, k: int) -> int:
         return max(self.w - k * self.step, 0)
 
-    def lift(self, sub: Subspace) -> Subspace:
-        """Express a block subspace in ambient coordinates."""
-        return Subspace(self.embed @ sub.frame)
-
 
 @_memoized
 def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
@@ -105,6 +100,11 @@ def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
 
 
 def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspace, str]:
+    """M_E in block coordinates, the smallest gram-invariant subspace containing
+    E: one ``krylov_closure`` of the stack G_1..G_K after E's frame, which stays
+    its first column.  Status: ``"capped"`` (the frame fills the block),
+    ``"stable"`` (max_j ||(I-P) G_j P|| / ||G_j|| is at roundoff: certified
+    invariant), ``"tolerance"`` (the rank cut set the dimension) or ``"empty"``."""
     if block.E.dim == 0:
         return block.E, "empty"
     grams, E = np.stack(block.grams[1:]), block.E.frame
@@ -118,21 +118,6 @@ def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspa
     leak = np.max(leaks / np.maximum(block.scales[1:], 1e-300))
     status = "stable" if leak <= 100 * block.w * np.finfo(float).eps else "tolerance"
     return Subspace(frame), status
-
-
-def moduli_subspace(model: OperatorModel, cfg: ToleranceConfig) -> tuple[Subspace, str]:
-    """Smallest gram-invariant subspace containing ker T*: one ``krylov_closure``
-    of the stack G_1..G_K on the window block, after the kernel frame E.
-
-    Each step applies every gram to the directions the last one added, cut at
-    ``rank_tol * max_j ||G_j||_2``; E stays the frame's first column.  Status:
-    ``"capped"`` (the frame fills the block), ``"stable"`` (max_j ||(I-P) G_j P||
-    / ||G_j|| is at roundoff: certified invariant) or ``"tolerance"`` (the rank
-    cut set the dimension).  The frame comes back in ambient coordinates.
-    """
-    block = analysis_block(model, cfg)
-    sub, status = _moduli_on_block(block, cfg)
-    return block.lift(sub), status
 
 
 def _project_out(done: np.ndarray, done_h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -221,7 +206,7 @@ class ChainDecomposition:
     ``V_block``, ``layers_block``, ``notes``), the ranges ``H`` and ``dims``
     on first read, once per chain.
     ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
-    Nothing here is ambient: a block subspace lifts by ``block.lift``.
+    Nothing here is ambient: a block frame F lifts to ``block.embed @ F``.
     Every later stage takes the chain alone and reads ``model`` and ``cfg`` off it.
     """
 
@@ -304,7 +289,6 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
 class TowerLevel:
     n: int
     theta: np.ndarray
-    r: np.ndarray
     residuals: dict
 
 
@@ -345,7 +329,7 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
         wn = block.window(n)
         residuals = {"reconstruct": _corner_residual(theta @ r - Tn, wn, Tn),
                      "r_two_routes": _corner_residual(product - r, wn, r)}
-        levels.append(TowerLevel(n=n, theta=theta, r=r, residuals=residuals))
+        levels.append(TowerLevel(n=n, theta=theta, residuals=residuals))
         prev_theta = theta
     return levels
 

@@ -60,11 +60,6 @@ class RelationCertificate:
     tau_residual: float | None = None
     beta_residual: float | None = None
 
-    @property
-    def three_term(self) -> tuple:
-        a, b, c, d = self.coefficients
-        return (a, b + c, d)
-
     def as_dict(self) -> dict:
         a, b, c, d = self.coefficients
         return {
@@ -159,8 +154,7 @@ def _relation_columns(model: OperatorModel, powers: tuple, w: int) -> list:
     return [np.concatenate([np.diagonal(g)[lone], g[block].ravel()]) for g in grams]
 
 
-def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
-                    structure: StructureData | None = None) -> RelationCertificate:
+def relation_detect(model: OperatorModel, cfg: ToleranceConfig) -> RelationCertificate:
     """Smallest-degree four-term relation a I + b T_n + c T_m + d T_{n+m} = 0.
 
     Stacks the window grams of the four powers as vectors of the entries
@@ -194,20 +188,10 @@ def relation_detect(model: OperatorModel, cfg: ToleranceConfig,
         raise NoRelationFound(f"best residual {best[0]:.3e} at (n, m) = ({best[1]}, {best[2]}) "
                               f"exceeds {cfg.relation_tol:.1e}")
     stored = (coeffs[0], coeffs[1], 0.0, coeffs[2]) if n == m else tuple(coeffs)
-    cert = RelationCertificate(
+    return RelationCertificate(
         coefficients=tuple(float(x) for x in stored), n=n, m=m,
         operator_residual=residual, degenerate=(n == m),
     )
-    if structure is not None:
-        cert.tau_residual = recurrence_residual(cert.coefficients, n, m, structure.tau)
-        if not structure.no_nonzero_beta:
-            cert.beta_residual = recurrence_residual(
-                cert.coefficients, n, m,
-                structure.beta / max(np.max(np.abs(structure.beta)), 1e-300),
-            )
-        else:
-            cert.beta_residual = 0.0
-    return cert
 
 
 @dataclass
@@ -246,14 +230,13 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
     M_E = chain.M_E_block
     if M_E.dim != 2:
         raise PreconditionViolated(f"dim M_E = {M_E.dim}, reconstruction needs 2")
-    triple = triples[0]
-    m = triple.m
-    chars = structure.me_spectrum.characters
-    if len(chars) != 2:
+    m, lam = triples[0]["m"], triples[0]["lambda"]
+    frames = structure.me_spectrum.frames
+    if len(frames) != 2:
         raise PreconditionViolated("moduli characters are degenerate")
     # T is ambient: lift M_E first, as (embed @ M_E) @ c (the other order moves bits)
-    w, v = ((chain.block.embed @ M_E.frame) @ chars[j].frame[:, :1]
-            for j in (triple.lambda_char, 1 - triple.lambda_char))
+    lifted = chain.block.embed @ M_E.frame
+    w, v = (lifted @ frames[j][:, :1] for j in (lam, 1 - lam))
 
     model, cfg = chain.model, chain.cfg
     T, N, scale = model.matrix, model.dim, _singular_pairs(model)[1][0]
@@ -389,9 +372,14 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
 
     relation = None
     try:
-        relation = relation_detect(model, cfg, structure=structure)
+        relation = relation_detect(model, cfg)
     except NoRelationFound as exc:
         diagnostics["relation"] = str(exc)
+    else:
+        coeffs, n, m = relation.coefficients, relation.n, relation.m
+        relation.tau_residual = recurrence_residual(coeffs, n, m, structure.tau)
+        relation.beta_residual = 0.0 if structure.no_nonzero_beta else recurrence_residual(
+            coeffs, n, m, structure.beta / max(np.max(np.abs(structure.beta)), 1e-300))
 
     reconstruction = None
     if len(triples) == 1:

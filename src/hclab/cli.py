@@ -9,6 +9,7 @@ spec and seed, JSON output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -79,6 +80,8 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
+    if os.path.isdir(out_path) and not os.path.islink(out_path):  # os.replace would refuse it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
     directory = os.path.dirname(os.path.abspath(out_path))
     try:  # the target's mode, else what a new file gets under the umask
         mode = os.stat(out_path).st_mode & 0o777
@@ -212,12 +215,10 @@ def cmd_spectral(model, cfg) -> tuple[dict, int]:
     require_half_centered(model, cfg)
     chain = chain_decomposition(model, cfg)
     structure = structure_extract(chain)
-    triples = enumerate_triples(chain, structure)
-    correspondence = spectral_correspondence_check(chain)
     return {
         **structure.as_dict(),
-        "triples": [t.as_dict() for t in triples],
-        "correspondence": correspondence,
+        "triples": enumerate_triples(chain, structure),
+        "correspondence": spectral_correspondence_check(chain),
     }, 0
 
 

@@ -21,10 +21,8 @@ from .operators import ToleranceConfig, _memoized
 from .subspaces import orthonormalize
 
 __all__ = [
-    "Character",
     "JointSpectrum",
     "StructureData",
-    "TripleRecord",
     "joint_diagonalize",
     "structure_extract",
     "enumerate_triples",
@@ -33,26 +31,12 @@ __all__ = [
 
 
 @dataclass
-class Character:
-    """A joint eigenvalue functional: one value per family member."""
-
-    values: np.ndarray
-    frame: np.ndarray
-    multiplicity = property(lambda self: self.frame.shape[1])
-
-    def value(self, k: int) -> float:
-        """Value on the k-th member, with k = 0 meaning the identity."""
-        if k == 0:
-            return 1.0
-        return float(self.values[k - 1])
-
-
-@dataclass
 class JointSpectrum:
-    """Characters in sorted order; row c of ``table`` is ``characters[c].values``."""
+    """Characters in sorted order: row c of ``table`` holds character c's value
+    on each member, and ``frames[c]`` spans its joint eigenspace."""
 
-    characters: list
     table: np.ndarray
+    frames: list
 
     def zero_tol(self, cfg: ToleranceConfig) -> float:
         """Character values at most this far from zero count as zero."""
@@ -124,7 +108,7 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
         if m.shape != (d, d):
             raise ValueError("family members must share one square shape")
     if d == 0:
-        return JointSpectrum(characters=[], table=np.zeros((0, len(mats))))
+        return JointSpectrum(table=np.zeros((0, len(mats))), frames=[])
     views = [_hermitian_view(m) for m in mats]   # one symmetrization per member
     scales = [max(_split_norm(*v), 1e-300) for v in views]
     for i, a in enumerate(mats):
@@ -148,15 +132,13 @@ def joint_diagonalize(family, cfg: ToleranceConfig) -> JointSpectrum:
 
     survivors, owner = _merge_characters(raw, cfg.rank_tol * np.array(scales))
     survivors = sorted(survivors.tolist(), key=raw.tolist().__getitem__)
-    table = raw[survivors]
-    characters = []
-    for values, s in zip(table, survivors):
-        frames = [blocks[i] for i in np.flatnonzero(owner == s).tolist()]
+    frames = []
+    for s in survivors:
+        owned = [blocks[i] for i in np.flatnonzero(owner == s).tolist()]
         # one eigh frame is orthonormal already; a merge of several is re-spanned
-        frame = frames[0] if len(frames) == 1 else orthonormalize(
-            frames, rank_tol=cfg.rank_tol).frame
-        characters.append(Character(values=values, frame=frame))
-    return JointSpectrum(characters=characters, table=table)
+        frames.append(owned[0] if len(owned) == 1 else orthonormalize(
+            owned, rank_tol=cfg.rank_tol).frame)
+    return JointSpectrum(table=raw[survivors], frames=frames)
 
 
 @dataclass
@@ -168,8 +150,6 @@ class StructureData:
     C_values: np.ndarray        # and of each M_E (-) E character
     me_spectrum: JointSpectrum
     compressed_spectrum: JointSpectrum
-    lambda_index: int
-    mu_index: int
     no_nonzero_beta: bool
     residuals: dict = field(default_factory=dict)
 
@@ -262,25 +242,8 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
         tau=tau, beta=beta, beta_normalized=beta_normalized,
         A_values=A_values, C_values=C_values,
         me_spectrum=me_spec, compressed_spectrum=comp_spec,
-        lambda_index=lam_idx, mu_index=mu_idx,
         no_nonzero_beta=no_nonzero_beta, residuals=residuals,
     )
-
-
-@dataclass
-class TripleRecord:
-    lambda_char: int
-    gamma_char: int
-    m: int
-    match_residual: float
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_char,
-            "gamma": self.gamma_char,
-            "m": self.m,
-            "residual": self.match_residual,
-        }
 
 
 def _ratio_table(spectrum: JointSpectrum, tau: np.ndarray, zero_tol: float,
@@ -292,7 +255,7 @@ def _ratio_table(spectrum: JointSpectrum, tau: np.ndarray, zero_tol: float,
     ``zero_tol``; a zero there forces the tau ratio tau_{m+k} / tau_m.
     Cells with m + k > K lie outside the window and are NaN.
     """
-    values = np.hstack([np.ones((len(spectrum.characters), 1)), spectrum.table])
+    values = np.hstack([np.ones((len(spectrum.table), 1)), spectrum.table])
     m = np.arange(K)[:, None]
     top = m + np.arange(1, K + 1)  # m + k
     inside = top <= K
@@ -313,7 +276,8 @@ def _match_residual(lhs: np.ndarray, rhs: np.ndarray, axis) -> np.ndarray:
 
 def enumerate_triples(chain: ChainDecomposition, structure: StructureData) -> list:
     """All triples (lambda, gamma, m) of ``structure_extract(chain)`` certified
-    within the chain's match tolerance, in (gamma, m, lambda) order.
+    within the chain's match tolerance, in (gamma, m, lambda) order, each as
+    its report row {"lambda", "gamma", "m", "residual"}.
 
     For each character gamma of the compressed family and each tower depth
     m, a moduli character lambda qualifies when the compressed values agree
@@ -327,10 +291,8 @@ def enumerate_triples(chain: ChainDecomposition, structure: StructureData) -> li
     residual = _match_residual(gammas[:, None, None, :],
                                ratios[:, 1:].transpose(1, 0, 2)[None], axis=-1)
     hits = np.argwhere(residual <= cfg.spectral_match_tol)
-    return [
-        TripleRecord(lambda_char=li, gamma_char=gi, m=mi + 1, match_residual=r)
-        for (gi, mi, li), r in zip(hits.tolist(), residual[tuple(hits.T)].tolist())
-    ]
+    return [{"lambda": li, "gamma": gi, "m": mi + 1, "residual": r}
+            for (gi, mi, li), r in zip(hits.tolist(), residual[tuple(hits.T)].tolist())]
 
 
 def spectral_correspondence_check(chain: ChainDecomposition) -> dict:

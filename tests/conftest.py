@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hclab import ToleranceConfig, aq_operator, from_matrix, shift_plus_rank_one, weighted_shift
+from hclab import (Subspace, ToleranceConfig, aq_operator, from_matrix, shift_plus_rank_one,
+                   weighted_shift)
+from hclab.chains import _moduli_on_block, analysis_block
 
 
 @pytest.fixture
@@ -34,6 +36,32 @@ def cauchy_dual(model):
     dual = np.zeros_like(model.matrix)
     dual[:, :w] = B @ np.linalg.inv(B.conj().T @ B)
     return from_matrix(dual, exact=False)
+
+
+def lift(block, sub):
+    """A subspace of the analysis block in ambient coordinates."""
+    return Subspace(block.embed @ sub.frame)
+
+
+def moduli_subspace(model, cfg):
+    """M_E and its status, lifted to ambient coordinates: the closure the chain
+    starts from, also on inputs that ``chain_decomposition`` rejects (T not
+    injective on its window)."""
+    block = analysis_block(model, cfg)
+    sub, status = _moduli_on_block(block, cfg)
+    return lift(block, sub), status
+
+
+def three_term(cert):
+    """The (a, b + c, d) view of a relation certificate's coefficients, the
+    three terms of a degenerate (n = m) relation."""
+    a, b, c, d = cert.coefficients
+    return (a, b + c, d)
+
+
+def character_value(spectrum, c, k):
+    """Character c's value on the k-th family member, k = 0 meaning the identity."""
+    return 1.0 if k == 0 else float(spectrum.table[c, k - 1])
 
 
 def family_model(family, n, rng):

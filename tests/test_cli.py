@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hclab import (ToleranceConfig, centered_check, centered_criterion, classify,
-                   shift_plus_rank_one, weighted_shift)
+from hclab import (ToleranceConfig, centered_check, centered_criterion, chain_decomposition,
+                   classify, enumerate_triples, real_gauge, shift_plus_rank_one,
+                   structure_extract, weighted_shift)
 import hclab.cli
 from hclab.cli import main
 from hclab.matio import dumps_matrix, loads_matrix
@@ -160,6 +161,19 @@ class TestContracts:
         assert doc["verdict"]["half_centered"] is True
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".hclab-")]
         assert leftovers == []
+
+    def test_out_directory_is_refused_before_any_temporary_file(self, capsys, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        before = sorted(tmp_path.iterdir())
+        code = main(["zoo", "--family", "weighted_shift", "--weights", "1,1,1", "--n", "4",
+                     "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[IsADirectoryError]: [Errno ")
+        assert err.endswith(f"] Is a directory: {str(target)!r}\n")
+        assert ".hclab-" not in err
+        assert sorted(tmp_path.iterdir()) == before and not any(target.iterdir())
 
     @pytest.mark.parametrize("umask, existing, mode", [(0o022, None, 0o644),
                                                        (0o077, None, 0o600),
@@ -683,6 +697,23 @@ class TestJsonWriter:
         [report] = emitted
         assert out == _old_writer(report) + "\n"
         return out
+
+
+@pytest.mark.parametrize("family", ["sro", "aq0.5r5"])
+def test_spectral_triples_are_the_enumerated_rows(capsys, family):
+    # the report writes enumerate_triples' rows of the gauged model as they are
+    argv = ["spectral", *_load_cli_grid().family_args(family, 32), "--n", "32"]
+    code, out = run(capsys, *argv)
+    args = hclab.cli._parser().parse_args(argv)
+    chain = chain_decomposition(real_gauge(hclab.cli.build_model(args)),
+                                hclab.cli.build_config(args))
+    rows = enumerate_triples(chain, structure_extract(chain))
+    reported = json.loads(out)["triples"]
+    assert code == 0
+    assert len(reported) == len(rows) and (len(rows) == 1 if family == "sro" else len(rows) > 1)
+    for got, row in zip(reported, rows):
+        assert set(got) == set(row) == {"gamma", "lambda", "m", "residual"}
+        assert got == row
 
 
 def test_cli_grid_tool(capsys):

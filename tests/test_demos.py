@@ -11,7 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 # lines a demo must print, for what it computes beyond the package's stages
 PRINTS = {"02_chain_and_tower.py": ("span dim 24 of 24  (capped)", "span dim 23 of 24  (stable)",
-                                    "orthogonal to the dual span: 1.000000")}
+                                    "orthogonal to the dual span: 1.000000"),
+          "03_classification.py": ("relation: +0.1543 I -0.7715 T_1 +0.6172 T_2 = 0",
+                                   "relation: +0.2673 I -0.8018 T_1 +0.5345 T_2 = 0")}
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

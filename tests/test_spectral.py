@@ -1,4 +1,4 @@
-from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from hclab import (
     from_matrix,
     gram_power,
     joint_diagonalize,
-    moduli_subspace,
     projection_product,
     shift_plus_rank_one,
     spectral_correspondence_check,
@@ -25,7 +24,8 @@ from hclab.commutation import _matrix_power
 from hclab.linalg import _hermitian_view, _split_norm
 from hclab.errors import ModuliTooSmall, NotCommuting
 
-from conftest import family_model, random_unitary, random_weights
+from conftest import (character_value, family_model, lift, moduli_subspace, random_unitary,
+                      random_weights)
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -34,12 +34,12 @@ PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
 class TestJointDiagonalize:
     def test_two_diagonal_matrices(self, cfg):
         spec = joint_diagonalize([np.diag([1.0, 2.0]), np.diag([3.0, 3.0])], cfg)
-        assert [tuple(c.values) for c in spec.characters] == [(1.0, 3.0), (2.0, 3.0)]
+        assert [tuple(row) for row in spec.table] == [(1.0, 3.0), (2.0, 3.0)]
 
     def test_identity_has_one_fat_character(self, cfg):
         spec = joint_diagonalize([np.eye(5)], cfg)
-        assert len(spec.characters) == 1
-        assert spec.characters[0].multiplicity == 5
+        assert len(spec.table) == 1
+        assert spec.frames[0].shape[1] == 5
 
     def test_hardy_moduli_family(self, cfg):
         # oracle: restrict the first gram to span{e0, e1} and diagonalize
@@ -49,31 +49,24 @@ class TestJointDiagonalize:
         mats = [sub.frame.conj().T @ gram_power(t, k) @ sub.frame for k in (1, 2)]
         spec = joint_diagonalize(mats, cfg)
         direct = np.sort(np.linalg.eigvalsh(mats[0]))
-        values = np.sort([c.values[0] for c in spec.characters])
+        values = np.sort(spec.table[:, 0])
         assert_allclose(values, direct, atol=1e-12)
-        assert len(spec.characters) == 2
+        assert len(spec.table) == 2
 
     def test_eigenvector_property(self, rng, cfg):
         d = np.diag(rng.uniform(0, 1, 8))
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         fam = [q @ np.diag(rng.uniform(0, 1, 8)) @ q.conj().T for _ in range(3)]
         spec = joint_diagonalize(fam, cfg)
-        for char in spec.characters:
+        for values, v in zip(spec.table, spec.frames):
             for k, m in enumerate(fam):
-                v = char.frame
-                resid = np.linalg.norm(m @ v - char.values[k] * v)
+                resid = np.linalg.norm(m @ v - values[k] * v)
                 assert resid <= 1e-7 * max(1, np.linalg.norm(m, 2))
 
     def test_merges_identical_blocks(self, cfg):
         fam = [np.diag([1.0, 1.0, 2.0]), np.diag([5.0, 5.0, 6.0])]
         spec = joint_diagonalize(fam, cfg)
-        assert sorted(c.multiplicity for c in spec.characters) == [1, 2]
-
-    def test_multiplicity_is_the_frame_width(self, cfg):
-        # read off the frame, not stored beside it where the two could differ
-        char = joint_diagonalize([np.diag([1.0, 1.0, 2.0])], cfg).characters[0]
-        assert "multiplicity" not in {f.name for f in fields(char)}
-        assert char.multiplicity == char.frame.shape[1] == 2
+        assert sorted(f.shape[1] for f in spec.frames) == [1, 2]
 
     def test_rejects_non_commuting(self, cfg):
         with pytest.raises(NotCommuting):
@@ -83,9 +76,9 @@ class TestJointDiagonalize:
         spec = joint_diagonalize([np.diag([2.0, 1.0, 1.0]), np.diag([3.0, 5.0, 5.0])], cfg)
         table = spec.table
         assert table.tolist() == [[1.0, 5.0], [2.0, 3.0]]
-        for row, char in zip(table, spec.characters):
-            assert np.shares_memory(row, char.values)
-        assert joint_diagonalize([np.zeros((0, 0))], cfg).table.shape == (0, 1)
+        assert [f.shape[1] for f in spec.frames] == [2, 1]
+        empty = joint_diagonalize([np.zeros((0, 0))], cfg)
+        assert empty.table.shape == (0, 1) and empty.frames == []
 
     @pytest.mark.parametrize("table, owner", [
         # a ~ b and b ~ c, but a !~ c: c is compared with the survivor a, not
@@ -133,11 +126,11 @@ def _assert_matches_per_block_oracle(family, cfg):
     # and the merge and the order are the same
     spec = joint_diagonalize(family, cfg)
     oracle = _per_block_spectrum(family, cfg)
-    assert [c.multiplicity for c in spec.characters] == [f.shape[1] for _, f in oracle]
+    assert [f.shape[1] for f in spec.frames] == [f.shape[1] for _, f in oracle]
     scales = np.array([np.linalg.norm(m, 2) for m in family])
-    for char, (vals, frame) in zip(spec.characters, oracle):
-        assert np.all(np.abs(char.values - vals) <= 1e-13 * scales)
-        gap = char.frame @ char.frame.conj().T - frame @ frame.conj().T
+    for values, got, (vals, frame) in zip(spec.table, spec.frames, oracle):
+        assert np.all(np.abs(values - vals) <= 1e-13 * scales)
+        gap = got @ got.conj().T - frame @ frame.conj().T
         assert np.linalg.norm(gap, 2) <= 1e-12
     return spec
 
@@ -161,7 +154,7 @@ def test_joint_diagonalize_matches_the_per_block_oracle_where_blocks_merge(cfg):
     m = q @ np.diag([1.0, 1.0 + 1.2e-10, 1.0 + 2.4e-10, 1.5, 1.5, 2.0]) @ q.T
     m = (m + m.T) / 2
     spec = _assert_matches_per_block_oracle([m, m, m], cfg)
-    assert [c.multiplicity for c in spec.characters] == [2, 1, 2, 1]
+    assert [f.shape[1] for f in spec.frames] == [2, 1, 2, 1]
 
 
 class TestStructureExtract:
@@ -296,8 +289,8 @@ class TestEnumerateTriples:
         st = structure_extract(chain)
         triples = enumerate_triples(chain, st)
         assert len(triples) == 1
-        assert triples[0].m == 3
-        assert triples[0].match_residual <= 1e-10
+        assert triples[0]["m"] == 3
+        assert triples[0]["residual"] <= 1e-10
 
     def test_hardy_triple_at_depth_one(self, cfg):
         t = shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)
@@ -305,7 +298,7 @@ class TestEnumerateTriples:
         st = structure_extract(chain)
         triples = enumerate_triples(chain, st)
         assert len(triples) == 1
-        assert triples[0].m == 1
+        assert triples[0]["m"] == 1
 
     def test_aq_has_many_triples(self, cfg):
         t = aq_operator(0.5, 5.0, 32)
@@ -313,9 +306,9 @@ class TestEnumerateTriples:
         st = structure_extract(chain)
         triples = enumerate_triples(chain, st)
         assert len(triples) >= 2
-        keys = [(tr.gamma_char, tr.m, tr.lambda_char) for tr in triples]
+        keys = [(tr["gamma"], tr["m"], tr["lambda"]) for tr in triples]
         assert keys == sorted(keys)
-        assert all(tr.match_residual <= cfg.spectral_match_tol for tr in triples)
+        assert all(tr["residual"] <= cfg.spectral_match_tol for tr in triples)
 
     def test_product_identity_on_triples(self, rng):
         # lambda(T_m) gamma(P T_k P) = lambda(T_{m+k}) for every match; the
@@ -332,11 +325,12 @@ class TestEnumerateTriples:
             triples = enumerate_triples(chain, st)
             assert triples
             for tr in triples:
-                lam = st.me_spectrum.characters[tr.lambda_char]
-                gam = st.compressed_spectrum.characters[tr.gamma_char]
-                for k in range(1, chain.depth - tr.m + 1):
-                    lhs = lam.value(tr.m) * gam.value(k)
-                    rhs = lam.value(tr.m + k)
+                m = tr["m"]
+                lam = partial(character_value, st.me_spectrum, tr["lambda"])
+                gam = partial(character_value, st.compressed_spectrum, tr["gamma"])
+                for k in range(1, chain.depth - m + 1):
+                    lhs = lam(m) * gam(k)
+                    rhs = lam(m + k)
                     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -393,7 +387,7 @@ class TestSpectralCorrespondence:
         chain = chain_decomposition(t, cfg)
         lam = np.concatenate([[1.0], np.cumprod(w ** 2)])
         for m in range(1, chain.depth):
-            vm = chain.block.lift(chain.V_block[m]).frame[:, 0]
+            vm = lift(chain.block, chain.V_block[m]).frame[:, 0]
             for j in range(1, chain.depth - m):
                 g = gram_power(t, j)
                 val = np.real(vm.conj() @ g @ vm)
@@ -407,12 +401,13 @@ class TestSpectralSideConditions:
         t = shift_plus_rank_one(random_weights(rng, 23), 0.3 + 0.4j, 2, 24)
         chain = chain_decomposition(t, cfg)
         st = structure_extract(chain)
-        lam = st.me_spectrum.characters[st.lambda_index]
-        mu = st.me_spectrum.characters[st.mu_index]
-        e = chain.block.lift(chain.block.E).frame[:, 0]
-        scale = max(np.abs(lam.values).max(), 1.0)
+        # the extreme characters sit at the ends of the affine coordinate
+        lam, mu = (partial(character_value, st.me_spectrum, int(c))
+                   for c in (np.argmax(st.A_values), np.argmin(st.A_values)))
+        e = lift(chain.block, chain.block.E).frame[:, 0]
+        scale = max(np.abs(st.me_spectrum.table[np.argmax(st.A_values)]).max(), 1.0)
         for m in range(1, chain.depth + 1):
-            if abs(lam.value(m) - mu.value(m)) <= 1e-9 * scale:
+            if abs(lam(m) - mu(m)) <= 1e-9 * scale:
                 g = gram_power(t, m)
                 resid = np.linalg.norm(g @ e - st.tau[m] * e)
                 assert resid <= 1e-8 * max(1.0, np.linalg.norm(g, 2))
@@ -425,19 +420,19 @@ class TestSpectralSideConditions:
                 for k in range(1, cfg.depth + 1)]
         spec = joint_diagonalize(mats, cfg)
         scale = max(np.linalg.norm(m, 2) for m in mats)
-        for char in spec.characters:
-            hit = np.abs(char.values) <= 1e-12 * scale
+        for values in spec.table:
+            hit = np.abs(values) <= 1e-12 * scale
             if hit.any():
                 first = int(np.argmax(hit))
-                assert np.all(np.abs(char.values[first:]) <= 1e-10 * scale)
+                assert np.all(np.abs(values[first:]) <= 1e-10 * scale)
 
     def test_compressed_family_has_two_characters_when_moduli_big(self, cfg):
         # dim M_E >= 3 forces at least two characters downstairs
         t = aq_operator(0.5, 5.0, 24)
         chain = chain_decomposition(t, cfg)
         st = structure_extract(chain)
-        assert chain.block.lift(chain.M_E_block).dim >= 3
-        assert len(st.compressed_spectrum.characters) >= 2
+        assert lift(chain.block, chain.M_E_block).dim >= 3
+        assert len(st.compressed_spectrum.table) >= 2
 
     def test_affine_coefficients_differ_when_moduli_is_a_plane(self, rng, cfg):
         # dim M_E = 2: the affine coefficient of a triple's moduli character
@@ -448,9 +443,9 @@ class TestSpectralSideConditions:
         ]:
             chain = chain_decomposition(t, cfg)
             st = structure_extract(chain)
-            assert chain.block.lift(chain.M_E_block).dim == 2
+            assert lift(chain.block, chain.M_E_block).dim == 2
             triples = enumerate_triples(chain, st)
             assert triples
             for tr in triples:
-                gap = abs(st.A_values[tr.lambda_char] - st.C_values[tr.gamma_char])
+                gap = abs(st.A_values[tr["lambda"]] - st.C_values[tr["gamma"]])
                 assert gap > 1e-6, (t.family, tr)
