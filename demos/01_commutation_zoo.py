@@ -64,10 +64,11 @@ zoo["jordan block"] = from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
 for name, model in zoo.items():
     rep = centered_check(model, cfg)
     crit = centered_criterion(model, cfg)
-    print(f"{name:22s} half-centered: {str(rep.half_centered):5s} "
-          f"(residual {rep.max_half_residual:.1e})   "
-          f"centered: {str(rep.centered):5s} "
-          f"criterion: {crit.verdict}{' (vacuous)' if crit.vacuous else ''}")
+    verdict = rep["verdict"]
+    print(f"{name:22s} half-centered: {str(verdict['half_centered']):5s} "
+          f"(residual {rep['half_residual']:.1e})   "
+          f"centered: {str(verdict['centered']):5s} "
+          f"criterion: {crit['verdict']}{' (vacuous)' if crit['vacuous'] else ''}")
 
 print()
 print("For half-centered operators the invariance criterion (grams map")

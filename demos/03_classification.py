@@ -29,23 +29,22 @@ rng = np.random.default_rng(7)
 def show(title, report):
     print("-" * 72)
     print(title)
-    print(f"  verdict: {report.verdict}   dim M_E = {report.dim_M_E}   "
-          f"triples: {report.triple_count}   closed range: {report.closed_range_flag}")
-    if report.reconstruction is not None:
-        c = report.reconstruction
-        print(f"  normal form: rank-one column {c.n}, |a| = {abs(c.a):.6f}, "
-              f"residual {c.reconstruction_residual:.1e}")
-    if report.relation is not None:
-        r = report.relation
-        a, b, c_, d = r.coefficients
-        if r.degenerate:  # n = m: the terms of T_n and T_m are one
-            terms = f"{a:+.4f} I {b + c_:+.4f} T_{r.n} {d:+.4f} T_{2 * r.n}"
+    print(f"  verdict: {report['verdict']}   dim M_E = {report['dim_M_E']}   "
+          f"triples: {report['triples']}   closed range: {report['closed_range']}")
+    if report["reconstruction"] is not None:
+        c = report["reconstruction"]
+        print(f"  normal form: rank-one column {c['n']}, |a| = {c['a_abs']:.6f}, "
+              f"residual {c['residual']:.1e}")
+    if report["relation"] is not None:
+        r = report["relation"]
+        a, b, c_, d, n, m = (r[key] for key in "abcdnm")
+        if r["degenerate"]:  # n = m: the terms of T_n and T_m are one
+            terms = f"{a:+.4f} I {b + c_:+.4f} T_{n} {d:+.4f} T_{2 * n}"
         else:
-            terms = (f"{a:+.4f} I {b:+.4f} T_{r.n} {c_:+.4f} T_{r.m} "
-                     f"{d:+.4f} T_{r.n + r.m}")
-        print(f"  relation: {terms} = 0   (residual {r.operator_residual:.1e})")
-        print(f"  recurrence residuals: tau {r.tau_residual:.1e}, beta {r.beta_residual:.1e}")
-
+            terms = f"{a:+.4f} I {b:+.4f} T_{n} {c_:+.4f} T_{m} {d:+.4f} T_{n + m}"
+        print(f"  relation: {terms} = 0   (residual {r['residual']:.1e})")
+        print(f"  recurrence residuals: tau {r['tau_residual']:.1e}, "
+              f"beta {r['beta_residual']:.1e}")
 
 N = 32
 

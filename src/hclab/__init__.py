@@ -14,16 +14,12 @@ from .chains import (
     verify_chain_structure,
 )
 from .classifier import (
-    ClassificationReport,
-    RelationCertificate,
-    ShiftRankOneCertificate,
     classify,
     recurrence_residual,
     relation_detect,
     shift_rank_one_reconstruct,
 )
 from .commutation import (
-    CommutationReport,
     analysis_depth,
     centered_check,
     centered_criterion,

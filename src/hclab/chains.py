@@ -131,9 +131,9 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
 
     Arnoldi on fresh directions (Saad, Numerical Methods for Large Eigenvalue
     Problems, 2nd ed., ch. 6), after the orthonormal ``frame``.  Step 0 adds
-    the seed's directions outside it, cut at ``rank_tol``; step k applies
-    ``matrix`` only to the directions step k - 1 added, cut at ``rank_tol *
-    scale`` (``scale`` = ||matrix||_2).  A step projects the frame out once,
+    the seed's directions outside it; step k applies ``matrix`` only to the
+    directions step k - 1 added.  Every step cuts at ``rank_tol * scale``
+    (``scale`` = ||matrix||_2).  A step projects the frame out once,
     and again while a pass removed more than 1 - 1/sqrt(2) of a column's norm
     (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976; Giraud, Langou &
     Rozloznik, Comput. Math. Appl. 50, 2005), three passes at most.  A
@@ -152,7 +152,7 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     buf = np.empty((n, n), dtype=np.result_type(matrix, seed, frame), order="F")
     buf_h = np.empty((n, n), dtype=buf.dtype)  # buf's adjoint, kept row by row
     buf[:, :d], buf_h[:d] = frame, frame.conj().T
-    block, cut, low, edge = seed, 1.0, 0.0, None  # the seed is on its own (unit) scale
+    block, low, edge = seed, 0.0, None
     while True:
         done, done_h = buf[:, :d], buf_h[:d]
         wide = block.shape[1] > 1
@@ -165,7 +165,7 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
                 break
         if wide:
             u, s = np.linalg.svd(resid, full_matrices=False)[:2]
-        r = min(numerical_rank(s, rank_tol, cut), limit - d)
+        r = min(numerical_rank(s, rank_tol, scale), limit - d)
         if r == 0:
             break
         top, bottom = (s[0], s[r - 1]) if wide else (s, s)
@@ -178,7 +178,7 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
             break
         low = bottom if block is not seed else 0.0
         new = buf[:, d - r:d]
-        block, cut = matrix @ new if matrix.ndim == 2 else np.hstack(matrix @ new), scale
+        block = matrix @ new if matrix.ndim == 2 else np.hstack(matrix @ new)
     d = edge or d
     return buf[:, :d], "capped" if d >= limit else "stable"
 

@@ -12,8 +12,6 @@ normal form, which rebuilds the user's T, works in ambient coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, krylov_closure
@@ -33,9 +31,6 @@ from .operators import OperatorModel, ToleranceConfig
 from .spectral import StructureData, enumerate_triples, structure_extract
 
 __all__ = [
-    "RelationCertificate",
-    "ShiftRankOneCertificate",
-    "ClassificationReport",
     "relation_detect",
     "recurrence_residual",
     "shift_rank_one_reconstruct",
@@ -46,30 +41,6 @@ __all__ = [
 # it is the pattern (1 - z^n)(1 - z^m), the relation every isometry satisfies
 _REFERENCE_4 = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
 _REFERENCE_3 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
-
-
-@dataclass
-class RelationCertificate:
-    """Coefficients (a, b, c, d) with a I + b T_n + c T_m + d T_{n+m} ~= 0."""
-
-    coefficients: tuple
-    n: int
-    m: int
-    operator_residual: float
-    degenerate: bool
-    tau_residual: float | None = None
-    beta_residual: float | None = None
-
-    def as_dict(self) -> dict:
-        a, b, c, d = self.coefficients
-        return {
-            "a": a, "b": b, "c": c, "d": d,
-            "n": self.n, "m": self.m,
-            "residual": self.operator_residual,
-            "degenerate": self.degenerate,
-            "tau_residual": self.tau_residual,
-            "beta_residual": self.beta_residual,
-        }
 
 
 def _canonical_null_vector(stack: np.ndarray, reference: np.ndarray,
@@ -154,7 +125,7 @@ def _relation_columns(model: OperatorModel, powers: tuple, w: int) -> list:
     return [np.concatenate([np.diagonal(g)[lone], g[block].ravel()]) for g in grams]
 
 
-def relation_detect(model: OperatorModel, cfg: ToleranceConfig) -> RelationCertificate:
+def relation_detect(model: OperatorModel, cfg: ToleranceConfig) -> dict:
     """Smallest-degree four-term relation a I + b T_n + c T_m + d T_{n+m} = 0.
 
     Stacks the window grams of the four powers as vectors of the entries
@@ -163,6 +134,8 @@ def relation_detect(model: OperatorModel, cfg: ToleranceConfig) -> RelationCerti
     canonical order of (n + m, n), and the first whose residual clears the
     tolerance is the relation.  The coincidence n = m collapses the system
     to three terms, stored as (a, b+c, 0, d) with the degenerate flag set.
+    The report row holds a, b, c, d, n, m, ``residual``, ``degenerate``, and
+    ``tau_residual`` and ``beta_residual``, None until ``classify`` fills them.
     """
     K = effective_depth(model, cfg)
     best = None  # (residual, n, m) of the smallest residual tried
@@ -188,35 +161,16 @@ def relation_detect(model: OperatorModel, cfg: ToleranceConfig) -> RelationCerti
         raise NoRelationFound(f"best residual {best[0]:.3e} at (n, m) = ({best[1]}, {best[2]}) "
                               f"exceeds {cfg.relation_tol:.1e}")
     stored = (coeffs[0], coeffs[1], 0.0, coeffs[2]) if n == m else tuple(coeffs)
-    return RelationCertificate(
-        coefficients=tuple(float(x) for x in stored), n=n, m=m,
-        operator_residual=residual, degenerate=(n == m),
-    )
-
-
-@dataclass
-class ShiftRankOneCertificate:
-    basis: np.ndarray
-    weights: np.ndarray
-    a: complex
-    n: int
-    reconstruction_residual: float
-    joint_eigenvector_residual: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a_abs": abs(self.a),
-            "weights_abs": np.abs(self.weights).tolist(),
-            "residual": self.reconstruction_residual,
-            "joint_eigenvector_residual": self.joint_eigenvector_residual,
-        }
+    return {**dict(zip("abcd", map(float, stored))), "n": n, "m": m, "residual": residual,
+            "degenerate": n == m, "tau_residual": None, "beta_residual": None}
 
 
 def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureData,
-                               triples: list) -> ShiftRankOneCertificate:
+                               triples: list) -> tuple[dict, np.ndarray]:
     """Recover the basis in which the chain's T is a weighted shift plus one
-    rank-one term, from ``structure_extract(chain)`` and its triples.
+    rank-one term, from ``structure_extract(chain)`` and its triples: the
+    report row (n, ``a_abs``, ``weights_abs``, ``residual`` and
+    ``joint_eigenvector_residual``) and the basis, ambient columns.
 
     With a single triple (lambda, gamma, m) and a two-dimensional moduli
     subspace, the basis is the Krylov basis of w under T up to the triple
@@ -256,9 +210,6 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
     if residual > cfg.relation_tol:
         raise PatternResidualTooLarge(f"off-pattern mass {residual:.3e}")
 
-    weights = np.diagonal(Tt, -1).copy()
-    a = complex(Tt[0, m - 1])
-
     # ||G_k X - X diag(X* G_k X)||_F / max|diag|, G_k in window coordinates: a row
     # G_k does not couple is its diagonal entry, a coupled one stays on the coupled block
     Xw = X if model.window_frame is None else model.window_cols(N).conj().T @ X
@@ -271,39 +222,9 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
         joint_res = max(joint_res, float(np.linalg.norm(gx - Xw * diag)
                                          / max(np.max(np.abs(diag)), 1e-300)))
 
-    return ShiftRankOneCertificate(
-        basis=X, weights=weights, a=a, n=m - 1,
-        reconstruction_residual=residual,
-        joint_eigenvector_residual=joint_res,
-    )
-
-
-@dataclass
-class ClassificationReport:
-    verdict: str
-    dim_E: int
-    dim_M_E: int
-    triple_count: int | None
-    closed_range_flag: bool
-    condition_II_ok: bool
-    moduli_status: str
-    relation: RelationCertificate | None = None
-    reconstruction: ShiftRankOneCertificate | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "dim_E": self.dim_E,
-            "dim_M_E": self.dim_M_E,
-            "triples": self.triple_count,
-            "closed_range": self.closed_range_flag,
-            "condition_II_ok": self.condition_II_ok,
-            "moduli_status": self.moduli_status,
-            "relation": None if self.relation is None else self.relation.as_dict(),
-            "reconstruction": None if self.reconstruction is None else self.reconstruction.as_dict(),
-            "diagnostics": dict(self.diagnostics),
-        }
+    return {"n": m - 1, "a_abs": abs(complex(Tt[0, m - 1])),
+            "weights_abs": np.abs(np.diagonal(Tt, -1)).tolist(), "residual": residual,
+            "joint_eigenvector_residual": joint_res}, X
 
 
 def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
@@ -312,17 +233,16 @@ def _closed_range_flag(model: OperatorModel, cfg: ToleranceConfig) -> bool:
     return numerical_rank(s, cfg.rank_tol, s.max()) == s.size
 
 
-def _condition_II(chain: ChainDecomposition, reconstruction: ShiftRankOneCertificate | None,
-                  diagnostics: dict) -> bool:
+def _condition_II(chain: ChainDecomposition, basis_width: int, diagnostics: dict) -> bool:
     """Condition II: the closure of T^k M_E fills the space.  An M_E that fills
     the block, and a normal-form basis of N columns (w and v lie in M_E, and
     ``krylov_closure`` on T builds every column), are frames of that closure,
     read as capped; otherwise M_E is closed under the block's T_b, and a
-    closure F below the block width leaves ||I - F F*||_2 of the block outside."""
+    closure F below the block width leaves ||I - F F*||_2 of the block outside.
+    ``basis_width`` is the normal-form basis's column count, 0 without one."""
     model, block = chain.model, chain.block
     status, span_defect = "capped", 0.0  # a capped closure: nothing lies outside it
-    if chain.M_E_block.dim < block.w and (reconstruction is None
-                                          or reconstruction.basis.shape[1] < model.dim):
+    if chain.M_E_block.dim < block.w and basis_width < model.dim:
         frame, status = krylov_closure(block.matrix, chain.M_E_block.frame,
                                        _singular_pairs(model)[1][0], chain.cfg.rank_tol)
         if status != "capped":
@@ -333,9 +253,12 @@ def _condition_II(chain: ChainDecomposition, reconstruction: ShiftRankOneCertifi
     return span_defect <= 1e-8
 
 
-def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport:
+def classify(model: OperatorModel, cfg: ToleranceConfig) -> dict:
     """Main dichotomy: weighted shift, shift plus rank one, four-term
-    relation, both, or inconclusive with diagnostics.
+    relation, both, or inconclusive with diagnostics.  Returns the report row:
+    ``verdict``, ``dim_E``, ``dim_M_E``, ``triples`` (a count, None for a
+    weighted shift), ``closed_range``, ``condition_II_ok``, ``moduli_status``,
+    the ``relation`` and ``reconstruction`` rows (or None) and ``diagnostics``.
 
     Preconditions: half-centered within tolerance, a one-dimensional kernel
     of T*, and a chain on the window; a failed one raises the
@@ -345,25 +268,22 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     it is read off the normal-form basis when that fills the space, and is
     the closure of M_E on the block otherwise (``_condition_II``).
     """
-    diagnostics: dict = {"half_residual": require_half_centered(model, cfg).max_half_residual}
+    diagnostics: dict = {"half_residual": require_half_centered(model, cfg)["half_residual"]}
 
     E = kernel_of_adjoint(model, cfg)
     if E.dim != 1:
         raise PreconditionViolated(f"dim ker T* = {E.dim}, the analysis needs 1")
 
     chain = chain_decomposition(model, cfg)
-    closed_range = _closed_range_flag(model, cfg)
+    report = {"dim_E": E.dim, "dim_M_E": chain.M_E_block.dim,
+              "closed_range": _closed_range_flag(model, cfg),
+              "moduli_status": chain.moduli_status, "diagnostics": diagnostics}
 
     if chain.M_E_block.dim == 1:
-        condition_II_ok = _condition_II(chain, None, diagnostics)
-        centered = centered_check(model, cfg)
-        diagnostics["centered_residual"] = centered.max_full_residual
-        return ClassificationReport(
-            verdict="centered_weighted_shift",
-            dim_E=E.dim, dim_M_E=chain.M_E_block.dim, triple_count=None,
-            closed_range_flag=closed_range, condition_II_ok=condition_II_ok,
-            moduli_status=chain.moduli_status, diagnostics=diagnostics,
-        )
+        condition_II_ok = _condition_II(chain, 0, diagnostics)
+        diagnostics["centered_residual"] = centered_check(model, cfg)["full_residual"]
+        return {**report, "verdict": "centered_weighted_shift", "triples": None,
+                "condition_II_ok": condition_II_ok, "relation": None, "reconstruction": None}
 
     structure = structure_extract(chain)
     triples = enumerate_triples(chain, structure)
@@ -376,26 +296,26 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     except NoRelationFound as exc:
         diagnostics["relation"] = str(exc)
     else:
-        coeffs, n, m = relation.coefficients, relation.n, relation.m
-        relation.tau_residual = recurrence_residual(coeffs, n, m, structure.tau)
-        relation.beta_residual = 0.0 if structure.no_nonzero_beta else recurrence_residual(
+        coeffs, n, m = [relation[key] for key in "abcd"], relation["n"], relation["m"]
+        relation["tau_residual"] = recurrence_residual(coeffs, n, m, structure.tau)
+        relation["beta_residual"] = 0.0 if structure.no_nonzero_beta else recurrence_residual(
             coeffs, n, m, structure.beta / max(np.max(np.abs(structure.beta)), 1e-300))
 
-    reconstruction = None
+    reconstruction, basis_width = None, 0
     if len(triples) == 1:
         try:
-            reconstruction = shift_rank_one_reconstruct(chain, structure, triples)
+            reconstruction, basis = shift_rank_one_reconstruct(chain, structure, triples)
+            basis_width = basis.shape[1]
         except (PreconditionError, InconclusiveError) as exc:
             diagnostics["reconstruction"] = str(exc)
-    condition_II_ok = _condition_II(chain, reconstruction, diagnostics)
+    condition_II_ok = _condition_II(chain, basis_width, diagnostics)
 
     if chain.M_E_block.dim >= 3 and relation is not None:
-        a = relation.coefficients[0]
-        if abs(a) <= 1e3 * cfg.relation_tol:
-            diagnostics["constant_term"] = a
+        if abs(relation["a"]) <= 1e3 * cfg.relation_tol:
+            diagnostics["constant_term"] = relation["a"]
             relation = None
             diagnostics["relation"] = "constant term vanishes although dim M_E >= 3"
-        elif not closed_range:
+        elif not report["closed_range"]:
             diagnostics["relation"] = "relation found but the range is not closed"
             relation = None
 
@@ -412,9 +332,6 @@ def classify(model: OperatorModel, cfg: ToleranceConfig) -> ClassificationReport
     else:
         verdict = "inconclusive"
 
-    return ClassificationReport(
-        verdict=verdict, dim_E=E.dim, dim_M_E=chain.M_E_block.dim,
-        triple_count=len(triples), closed_range_flag=closed_range,
-        condition_II_ok=condition_II_ok, moduli_status=chain.moduli_status,
-        relation=relation, reconstruction=reconstruction, diagnostics=diagnostics,
-    )
+    return {**report, "verdict": verdict, "triples": len(triples),
+            "condition_II_ok": condition_II_ok, "relation": relation,
+            "reconstruction": reconstruction}

@@ -80,11 +80,12 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    if os.path.isdir(out_path) and not os.path.islink(out_path):  # os.replace would refuse it
+    target = os.path.realpath(out_path)  # a symlink is written through, not replaced
+    if os.path.isdir(target):  # os.replace would refuse it
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
-    directory = os.path.dirname(os.path.abspath(out_path))
+    directory = os.path.dirname(target)
     try:  # the target's mode, else what a new file gets under the umask
-        mode = os.stat(out_path).st_mode & 0o777
+        mode = os.stat(target).st_mode & 0o777
     except FileNotFoundError:
         os.umask(mask := os.umask(0o22))
         mode = 0o666 & ~mask
@@ -93,7 +94,7 @@ def _emit(text: str, out_path: str | None) -> None:
         os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, out_path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -196,8 +197,7 @@ def cmd_zoo(model, cfg) -> tuple[dict, int]:
 
 
 def cmd_check(model, cfg) -> tuple[dict, int]:
-    report = centered_check(model, cfg).as_dict()
-    return {**report, "criterion": centered_criterion(model, cfg).as_dict()}, 0
+    return {**centered_check(model, cfg), "criterion": centered_criterion(model, cfg)}, 0
 
 
 def cmd_decompose(model, cfg) -> tuple[dict, int]:
@@ -224,7 +224,7 @@ def cmd_spectral(model, cfg) -> tuple[dict, int]:
 
 def cmd_classify(model, cfg) -> tuple[dict, int]:
     report = classify(model, cfg)
-    return report.as_dict(), 4 if report.verdict == "inconclusive" else 0
+    return report, 4 if report["verdict"] == "inconclusive" else 0
 
 
 def cmd_verify(model, cfg) -> tuple[dict, int]:
@@ -238,7 +238,7 @@ def cmd_verify(model, cfg) -> tuple[dict, int]:
     if not table.get("v_dims_weakly_decreasing", True):
         failures["v_dims_weakly_decreasing"] = {"residual": "violated", "tolerance": None}
     return {
-        "half_residual": half.max_half_residual,
+        "half_residual": half["half_residual"],
         "structure": table,
         "failures": failures,
         "verdict": not failures,

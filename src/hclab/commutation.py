@@ -25,8 +25,6 @@ pairs a product on a few rows, aq's a product on the rows its windows couple.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
@@ -35,8 +33,6 @@ from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
 __all__ = [
-    "CommutationReport",
-    "CriterionReport",
     "MIN_WINDOW",
     "analysis_depth",
     "effective_depth",
@@ -104,7 +100,7 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         p = _matrix_power(model, k)
         g = p @ p.conj().T if outer else p.conj().T @ p
-        g = (g + g.conj().T) / 2.0
+        g = _hermitian_part(g)
     if not np.all(np.isfinite(g)):
         name = f"T^{k} T*^{k}" if outer else f"T*^{k} T^{k}"
         raise NonFinite(f"{name} overflows: an entry is not finite")
@@ -129,25 +125,6 @@ def _gram_on(model: OperatorModel, k: int, w: int, frame: np.ndarray) -> np.ndar
 def gram_power(model: OperatorModel, k: int) -> np.ndarray:
     """The positive matrix T*^k T^k; the identity for k = 0."""
     return _power_product(model, k, False)
-
-
-@dataclass
-class CommutationReport:
-    depth: int
-    max_half_residual: float
-    max_full_residual: float | None
-    half_centered: bool
-    centered: bool | None
-    pairs: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "half_residual": self.max_half_residual,
-            "full_residual": self.max_full_residual,
-            "verdict": {"half_centered": self.half_centered, "centered": self.centered},
-            "pairs": list(self.pairs),
-        }
 
 
 @_memoized
@@ -241,43 +218,41 @@ def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool
 
 
 @_memoized
-def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
-    """Pairwise commutation of the gram powers up to ``analysis_depth``."""
+def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> dict:
+    """Pairwise commutation of the gram powers up to ``analysis_depth``: the
+    report row, with ``full_residual`` and the ``centered`` verdict None."""
     K = analysis_depth(model, cfg)
     if model.window(2 * K) < 1:
         raise WindowExhausted(f"window(2K) = {model.window(2 * K)} < 1 at depth {K}")
     pairs = _pair_table(model, K, "gram-gram", False, False)
     worst = max([0.0] + [p["residual"] for p in pairs])
-    return CommutationReport(
-        depth=K, max_half_residual=worst, max_full_residual=None,
-        half_centered=bool(worst <= cfg.commutator_tol), centered=None, pairs=pairs,
-    )
+    return {"depth": K, "half_residual": worst, "full_residual": None,
+            "verdict": {"half_centered": bool(worst <= cfg.commutator_tol), "centered": None},
+            "pairs": pairs}
 
 
-def require_half_centered(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
+def require_half_centered(model: OperatorModel, cfg: ToleranceConfig) -> dict:
     """``half_centered_check``, raising NotHalfCentered when the verdict is
     false: the one gate of every stage whose theory needs a half-centered T."""
     report = half_centered_check(model, cfg)
-    if not report.half_centered:
+    if not report["verdict"]["half_centered"]:
         raise NotHalfCentered(
-            f"half-centered residual {report.max_half_residual:.3e} exceeds tolerance"
+            f"half-centered residual {report['half_residual']:.3e} exceeds tolerance"
         )
     return report
 
 
-def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> CommutationReport:
-    """Commutation of the full family {T^j T*^j} u {T*^k T^k}."""
+def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> dict:
+    """Commutation of the full family {T^j T*^j} u {T*^k T^k}: the report row
+    of ``half_centered_check`` with every pair and both verdicts."""
     half = half_centered_check(model, cfg)
-    K = half.depth
-    pairs = (half.pairs
+    K = half["depth"]
+    pairs = (half["pairs"]
              + _pair_table(model, K, "cogram-cogram", True, True)
              + _pair_table(model, K, "gram-cogram", False, True))
     worst = max([0.0] + [p["residual"] for p in pairs])
-    return CommutationReport(
-        depth=K, max_half_residual=half.max_half_residual, max_full_residual=worst,
-        half_centered=half.half_centered, centered=bool(worst <= cfg.commutator_tol),
-        pairs=pairs,
-    )
+    return {**half, "full_residual": worst, "pairs": pairs,
+            "verdict": {**half["verdict"], "centered": bool(worst <= cfg.commutator_tol)}}
 
 
 @_memoized
@@ -295,20 +270,10 @@ def kernel_of_adjoint(model: OperatorModel, cfg: ToleranceConfig) -> Subspace:
     return orthonormalize([u[:, rank:]], rank_tol=cfg.rank_tol)
 
 
-@dataclass
-class CriterionReport:
-    verdict: bool
-    residual: float
-    vacuous: bool
-    per_power: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def centered_criterion(model: OperatorModel, cfg: ToleranceConfig) -> CriterionReport:
+def centered_criterion(model: OperatorModel, cfg: ToleranceConfig) -> dict:
     """Invariance criterion: T is centered iff every gram power maps the
-    kernel line of T* into itself.
+    kernel line of T* into itself.  Returns the report row ``verdict``,
+    ``residual``, ``vacuous`` and ``per_power``.
 
     An empty kernel makes the criterion vacuously true (reported, not
     failed): an injective adjoint means dense range, and dense range already
@@ -316,7 +281,7 @@ def centered_criterion(model: OperatorModel, cfg: ToleranceConfig) -> CriterionR
     """
     E = kernel_of_adjoint(model, cfg)
     if E.dim == 0:
-        return CriterionReport(verdict=True, residual=0.0, vacuous=True)
+        return {"verdict": True, "residual": 0.0, "vacuous": True, "per_power": []}
     per_power = []
     worst = 0.0
     for k in range(1, analysis_depth(model, cfg) + 1):
@@ -326,7 +291,5 @@ def centered_criterion(model: OperatorModel, cfg: ToleranceConfig) -> CriterionR
         res = float(np.linalg.norm(leak) / max(scale, 1e-300))
         per_power.append({"k": k, "residual": res})
         worst = max(worst, res)
-    return CriterionReport(
-        verdict=bool(worst <= cfg.commutator_tol), residual=worst,
-        vacuous=False, per_power=per_power,
-    )
+    return {"verdict": bool(worst <= cfg.commutator_tol), "residual": worst,
+            "vacuous": False, "per_power": per_power}

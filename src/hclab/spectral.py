@@ -16,7 +16,7 @@ import numpy as np
 from .chains import ChainDecomposition
 from .commutation import _gram_on
 from .errors import ModuliTooSmall, NotCommuting, PreconditionViolated
-from .linalg import _hermitian_view, _split_commutator_norm, _split_norm
+from .linalg import _hermitian_part, _hermitian_view, _split_commutator_norm, _split_norm
 from .operators import ToleranceConfig, _memoized
 from .subspaces import orthonormalize
 
@@ -53,7 +53,7 @@ def _split_block(mats, frame, cfg, member, scale=None):
     if member >= len(mats) or frame.shape[1] <= 1:
         return [frame]
     comp = frame.conj().T @ mats[member] @ frame
-    w, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(comp))
     if scale is None:
         scale = max(np.abs(w[0]), np.abs(w[-1]), 1e-300)
     refined = frame @ v
@@ -228,7 +228,7 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
     else:
         k0 = int(np.argmax(sig))  # me_mats[k0] is the depth-(k0+1) gram
         A = (me_mats[k0] - tau[k0 + 1] * np.eye(d)) / beta[k0 + 1]
-        A = (A + A.conj().T) / 2.0
+        A = _hermitian_part(A)
     R = [me_mats[k] - tau[k + 1] * np.eye(d) - beta[k + 1] * A for k in range(K)]
     residuals = {"bt1": max(float(np.linalg.norm(r)) for r in R) / scale,
                  "wwraw": max(float(np.linalg.norm(r[E.dim:, E.dim:])) for r in R) / scale}

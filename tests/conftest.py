@@ -52,10 +52,15 @@ def moduli_subspace(model, cfg):
     return lift(block, sub), status
 
 
-def three_term(cert):
-    """The (a, b + c, d) view of a relation certificate's coefficients, the
-    three terms of a degenerate (n = m) relation."""
-    a, b, c, d = cert.coefficients
+def coefficients(relation):
+    """The (a, b, c, d) of a relation row."""
+    return tuple(relation[key] for key in "abcd")
+
+
+def three_term(relation):
+    """The (a, b + c, d) view of a relation row's coefficients, the three
+    terms of a degenerate (n = m) relation."""
+    a, b, c, d = coefficients(relation)
     return (a, b + c, d)
 
 

@@ -43,13 +43,13 @@ def test_criterion_01_projection_product_example():
     cfg = ToleranceConfig()
     t = projection_product(PQ_P, PQ_Q)
     half = half_centered_check(t, cfg)
-    assert half.half_centered and half.max_half_residual <= 1e-14
+    assert half["verdict"]["half_centered"] and half["half_residual"] <= 1e-14
     full = centered_check(t, cfg)
-    assert full.centered is False
+    assert full["verdict"]["centered"] is False
     t3 = np.linalg.matrix_power(t.matrix, 3)
     gap = np.linalg.norm(t3 - t3.conj().T)
     assert abs(gap - np.sqrt(2) / 8) <= 1e-14
-    report(1, f"projection product: half residual {half.max_half_residual:.1e}, "
+    report(1, f"projection product: half residual {half['half_residual']:.1e}, "
               f"not centered, ||T^3 - T*^3|| = sqrt(2)/8 +- {abs(gap - np.sqrt(2)/8):.1e}")
 
 
@@ -58,8 +58,8 @@ def test_criterion_02_isometry_relation():
     cert = relation_detect(weighted_shift([1.0] * 31, 32), cfg)
     expect = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
     assert_allclose(three_term(cert), expect, atol=1e-14)
-    assert cert.operator_residual <= 1e-14
-    report(2, f"isometry relation (1,-2,1)/sqrt(6), residual {cert.operator_residual:.1e}")
+    assert cert["residual"] <= 1e-14
+    report(2, f"isometry relation (1,-2,1)/sqrt(6), residual {cert['residual']:.1e}")
 
 
 def test_criterion_03_aq_operator():
@@ -78,11 +78,11 @@ def test_criterion_03_aq_operator():
     cert = relation_detect(t, cfg)
     assert_allclose(three_term(cert), np.array([1.0, -3.0, 2.0]) / np.sqrt(14), atol=1e-6)
     rep = classify(t, cfg)
-    assert rep.verdict == "four_term_relation"
-    assert abs(rep.relation.coefficients[0]) > 1e-5
-    assert rep.closed_range_flag
+    assert rep["verdict"] == "four_term_relation"
+    assert abs(rep["relation"]["a"]) > 1e-5
+    assert rep["closed_range"]
     report(3, f"aq operator: gram formula residual {worst:.1e}, coefficients "
-              f"(1,-3,2)/sqrt(14), verdict {rep.verdict} with nonzero constant "
+              f"(1,-3,2)/sqrt(14), verdict {rep['verdict']} with nonzero constant "
               f"term and closed range")
 
 
@@ -117,7 +117,7 @@ def test_criterion_05_weighted_shift():
         worst_proj = max(worst_proj, np.linalg.norm(v.projector() - np.outer(ek, ek)))
     assert worst_proj <= 1e-10
     rep = classify(t, cfg)
-    assert rep.verdict == "centered_weighted_shift"
+    assert rep["verdict"] == "centered_weighted_shift"
     cor = spectral_correspondence_check(chain)
     assert cor["worst"] <= 1e-10
     # the layer character values are exactly the weight-product ratios
@@ -128,7 +128,7 @@ def test_criterion_05_weighted_shift():
             val = np.real(vm.conj() @ gram_power(t, j) @ vm)
             assert abs(val - lam[m + j] / lam[m]) <= 1e-10 * max(1.0, lam[m + j] / lam[m])
     report(5, f"weighted shift: dim M_E = 1, layer projectors within {worst_proj:.1e}, "
-              f"verdict {rep.verdict}, layer correspondence {cor['worst']:.1e} "
+              f"verdict {rep['verdict']}, layer correspondence {cor['worst']:.1e} "
               f"(ratio formula exact)")
 
 
@@ -147,14 +147,14 @@ def test_criterion_06_shift_plus_rank_one():
     # depth sits one above the rank-one column index, and the normal form
     # reads the rank-one entry back off at column m - 1
     assert triples[0]["m"] == n + 1
-    cert = shift_rank_one_reconstruct(chain, st, triples)
-    assert cert.reconstruction_residual <= 1e-8
-    assert cert.n == n
-    assert abs(cert.a) == pytest.approx(abs(a), abs=1e-8)
-    assert_allclose(np.abs(cert.weights), np.abs(w)[: len(cert.weights)], atol=1e-8)
+    cert = shift_rank_one_reconstruct(chain, st, triples)[0]
+    assert cert["residual"] <= 1e-8
+    assert cert["n"] == n
+    assert cert["a_abs"] == pytest.approx(abs(a), abs=1e-8)
+    assert_allclose(cert["weights_abs"], np.abs(w)[: len(cert["weights_abs"])], atol=1e-8)
     report(6, f"rank-one family: one triple (depth {triples[0]['m']}), reconstruction "
-              f"residual {cert.reconstruction_residual:.1e}, recovered "
-              f"(n, |a|) = ({cert.n}, {abs(cert.a):.6f})")
+              f"residual {cert['residual']:.1e}, recovered "
+              f"(n, |a|) = ({cert['n']}, {cert['a_abs']:.6f})")
 
 
 def test_criterion_07_hardy_example():
@@ -211,12 +211,12 @@ def test_criterion_09_recurrence_property():
     accepted = []
     for t in [aq_operator(0.5, 5.0, 48),
               shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)]:
-        rep = classify(t, cfg)
-        assert rep.relation is not None
-        assert rep.relation.tau_residual is not None
-        assert rep.relation.tau_residual <= 1e-8
-        assert rep.relation.beta_residual <= 1e-8
-        accepted.append((t.family, rep.relation.tau_residual, rep.relation.beta_residual))
+        rel = classify(t, cfg)["relation"]
+        assert rel is not None
+        assert rel["tau_residual"] is not None
+        assert rel["tau_residual"] <= 1e-8
+        assert rel["beta_residual"] <= 1e-8
+        accepted.append((t.family, rel["tau_residual"], rel["beta_residual"]))
     report(9, "recurrence residuals " + ", ".join(
         f"{f}: tau {tr:.1e} beta {br:.1e}" for f, tr, br in accepted))
 
@@ -268,10 +268,10 @@ def test_criterion_10_property_suite():
         for _ in range(10):
             u = random_unitary(rng, big_n)
             rot = classify(t.conjugated(u), cfg)
-            assert rot.verdict == base.verdict
-            if base.relation is not None:
-                assert abs(rot.relation.operator_residual) <= \
-                    10 * max(base.relation.operator_residual, cfg.relation_tol)
+            assert rot["verdict"] == base["verdict"]
+            if base["relation"] is not None:
+                assert abs(rot["relation"]["residual"]) <= \
+                    10 * max(base["relation"]["residual"], cfg.relation_tol)
             stable += 1
     report(10, f"tau > 0, beta_0 = 0, zero propagation, eigenvector implication, "
                f"{stable} conjugated verdicts stable")

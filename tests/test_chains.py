@@ -277,7 +277,7 @@ def _verify_pipeline(t, cfg):
     half = half_centered_check(t, cfg)
     chain = chain_decomposition(t, cfg)
     tower = isometry_tower(chain)
-    return {"half": half.as_dict(), "tower": [lvl.residuals for lvl in tower],
+    return {"half": half, "tower": [lvl.residuals for lvl in tower],
             "structure": verify_chain_structure(chain)}
 
 
@@ -292,7 +292,7 @@ class TestSharedDerivations:
         assert block is analysis_block(t, cfg)
         assert all(lvl.theta.shape == (block.w, block.w) for lvl in isometry_tower(chain))
         assert half_centered_check(t, cfg) is half_centered_check(t, cfg)
-        assert half_centered_check(t, replace(cfg, depth=3)).depth == 3
+        assert half_centered_check(t, replace(cfg, depth=3))["depth"] == 3
 
     @pytest.mark.parametrize("family", ["aq", "rank_one"])
     def test_results_do_not_depend_on_call_order(self, rng, cfg, family):
@@ -304,8 +304,8 @@ class TestSharedDerivations:
             return shift_plus_rank_one(weights, 0.3 + 0.4j, 2, 32)
 
         stages = {
-            "classify": lambda t: classify(t, cfg).as_dict(),
-            "centered": lambda t: centered_check(t, cfg).as_dict(),
+            "classify": lambda t: classify(t, cfg),
+            "centered": lambda t: centered_check(t, cfg),
             "verify": lambda t: _verify_pipeline(t, cfg),
         }
         fresh = {name: stage(build()) for name, stage in stages.items()}
@@ -320,8 +320,9 @@ class TestSharedDerivations:
         assert replace(t, family="copy")._memo == {}
         u = t.conjugated(random_unitary(rng, 32))
         assert u._memo == {}
-        assert classify(u, cfg).verdict == report.verdict
-        assert centered_check(u, cfg).centered == centered_check(t, cfg).centered
+        assert classify(u, cfg)["verdict"] == report["verdict"]
+        assert (centered_check(u, cfg)["verdict"]["centered"]
+                == centered_check(t, cfg)["verdict"]["centered"])
 
 
 class TestOneDerivationPerBlock:
@@ -352,6 +353,18 @@ class TestOneDerivationPerBlock:
         monkeypatch.setattr(hclab.linalg, "_hermitian_part", counting)
         monkeypatch.setattr(hclab.commutation, "_hermitian_part", counting)
         return calls
+
+    @staticmethod
+    def form_grams(model, cfg, hermitian_parts):
+        """Form the grams and co-grams the pair tables read, each symmetrized
+        once by ``_power_product``, and start the count over after them."""
+        K = analysis_depth(model, cfg)
+        hermitian_parts.clear()
+        for k in range(1, K + 1):
+            for outer in (False, True):
+                _power_product(model, k, outer)
+        assert hermitian_parts == [(model.dim, model.dim)] * (2 * K)
+        hermitian_parts.clear()
 
     @pytest.fixture
     def norm_calls(self, monkeypatch):
@@ -396,7 +409,7 @@ class TestOneDerivationPerBlock:
         outer = {"gram-gram": (False, False), "cogram-cogram": (True, True),
                  "gram-cogram": (False, True)}
         distinct = set()
-        for p in report.pairs:
+        for p in report["pairs"]:
             left, right = outer[p["kind"]]
             w = model.window(p["j"] + p["k"])
             distinct |= {(p["j"], left, w), (p["k"], right, w)}
@@ -407,9 +420,10 @@ class TestOneDerivationPerBlock:
         # one factorization per coupled block of the views the pairs read
         # (windows with the same coupled rows share it, diagonal ones take
         # none): the norms symmetrize nothing and take no singular values
+        self.form_grams(sro32, cfg, hermitian_parts)
         report = centered_check(sro32, cfg)
         distinct = self.windowed_grams(sro32, report)
-        assert report.depth == 6 and len(distinct) == 72
+        assert report["depth"] == 6 and len(distinct) == 72
         blocks = {(k, outer, tuple(np.flatnonzero(coupled)))
                   for k, outer, w in distinct
                   for coupled in [hclab.commutation._window_view(sro32, k, outer, w)[1]]
@@ -422,7 +436,7 @@ class TestOneDerivationPerBlock:
     def test_unrotated_centered_check_forms_no_hermitian_part(self, name, request, cfg,
                                                               hermitian_parts):
         model = request.getfixturevalue(name)
-        hermitian_parts.clear()   # aq's construction takes a positive square root
+        self.form_grams(model, cfg, hermitian_parts)   # after aq's positive square root
         centered_check(model, cfg)
         assert not hermitian_parts
 
@@ -438,6 +452,7 @@ class TestOneDerivationPerBlock:
             compressions.append(w)
             return compress(self, m, w)
         monkeypatch.setattr(OperatorModel, "window_compress", counting)
+        self.form_grams(model, cfg, hermitian_parts)
         report = centered_check(model, cfg)
         assert len(self.windowed_grams(model, report)) == 72
         assert compressions == [32] * 12
@@ -448,12 +463,12 @@ class TestOneDerivationPerBlock:
         # commutes exactly, and its residual is 0 without the two norms
         report = centered_check(shift32, cfg)
         assert not norm_calls
-        assert report.depth == 6 and len(report.pairs) == 66
+        assert report["depth"] == 6 and len(report["pairs"]) == 66
         co_gram = lambda t, k: _power_product(t, k, True)
         families = {"gram-gram": (gram_power, gram_power),
                     "cogram-cogram": (co_gram, co_gram),
                     "gram-cogram": (gram_power, co_gram)}
-        for p in report.pairs:
+        for p in report["pairs"]:
             w = shift32.window(p["j"] + p["k"])
             left, right = families[p["kind"]]
             a = left(shift32, p["j"])[:w, :w]
@@ -593,7 +608,7 @@ def _block_closure(chain):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hclab.classifier, "krylov_closure", recording)
-        hclab.classifier._condition_II(chain, None, {})
+        hclab.classifier._condition_II(chain, 0, {})
     if chain.M_E_block.dim == chain.block.w:
         assert calls == []
         return chain.M_E_block, "capped"
@@ -822,7 +837,7 @@ class TestKrylovClosure:
             return calls[-1][2]
 
         monkeypatch.setattr(hclab.classifier, "krylov_closure", recording)
-        assert classify(model, cfg).reconstruction is not None
+        assert classify(model, cfg)["reconstruction"] is not None
         # the chain of w to depth m, then that of v after it
         ((T, w, scale, tol), first, (X, x_status)), ((_, v, _, _), _, (Y, y_status)) = calls
         X_ref, X_ref_status = _three_pass_closure(T, w, scale, tol, limit=first["limit"])
@@ -840,8 +855,8 @@ class TestKrylovClosure:
         # new directions, and the closure stopped at span e_0
         weights = c * np.random.default_rng(0).uniform(0.9, 1.1, n - 1)
         rep = classify(weighted_shift(weights, n), cfg)
-        assert rep.condition_II_ok and rep.diagnostics["span_status"] == "capped"
-        assert rep.diagnostics["span_defect"] <= 1e-14
+        assert rep["condition_II_ok"] and rep["diagnostics"]["span_status"] == "capped"
+        assert rep["diagnostics"]["span_defect"] <= 1e-14
 
     @pytest.mark.parametrize("small", [1e-3, 1e-6])
     def test_small_weight_inside_the_chain_is_kept(self, small, cfg):
@@ -850,13 +865,13 @@ class TestKrylovClosure:
         weights = np.ones(31)
         weights[10] = small
         rep = classify(weighted_shift(weights, 32), cfg)
-        assert rep.condition_II_ok and rep.diagnostics["span_status"] == "capped"
+        assert rep["condition_II_ok"] and rep["diagnostics"]["span_status"] == "capped"
 
     @pytest.mark.parametrize("n", [48, 128])
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
     def test_grid_models_meet_condition_ii(self, family, n, cfg):
         rep = classify(family_model(family, n, np.random.default_rng(n)), cfg)
-        assert rep.condition_II_ok and rep.diagnostics["span_status"] == "capped"
+        assert rep["condition_II_ok"] and rep["diagnostics"]["span_status"] == "capped"
 
 
 def _sweep_moduli_on_block(block, cfg):

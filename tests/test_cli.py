@@ -123,16 +123,7 @@ class TestContracts:
     def test_inconclusive_exit_code(self, capsys, monkeypatch):
         # exit 4 is reserved for inconclusive verdicts; no zoo instance
         # produces one naturally, so drive the mapping directly
-        class Stub:
-            verdict = "inconclusive"
-            relation = None
-            reconstruction = None
-
-            @staticmethod
-            def as_dict():
-                return {"verdict": "inconclusive"}
-
-        monkeypatch.setattr("hclab.cli.classify", lambda model, cfg: Stub)
+        monkeypatch.setattr("hclab.cli.classify", lambda model, cfg: {"verdict": "inconclusive"})
         code, _ = run(capsys, "classify", "--family", "weighted_shift",
                       "--weights", "1,1,1", "--n", "4")
         assert code == 4
@@ -175,6 +166,17 @@ class TestContracts:
         assert ".hclab-" not in err
         assert sorted(tmp_path.iterdir()) == before and not any(target.iterdir())
 
+    def test_symlinked_out_target_is_written_through(self, capsys, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("old\n")
+        link.symlink_to(real.name)
+        code, _ = run(capsys, "zoo", "--family", "weighted_shift", "--weights", "1,1,1",
+                      "--n", "4", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert "matrix" in json.loads(real.read_text())
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".hclab-")]
+
     @pytest.mark.parametrize("umask, existing, mode", [(0o022, None, 0o644),
                                                        (0o077, None, 0o600),
                                                        (0o022, 0o640, 0o640),
@@ -203,9 +205,9 @@ class TestContracts:
         assert doc["config"]["tolerances"]["depth"] == 1
 
     @pytest.mark.parametrize("command, library", [
-        ("classify", lambda t, cfg: classify(t, cfg).as_dict()),
-        ("check", lambda t, cfg: {**centered_check(t, cfg).as_dict(),
-                                  "criterion": centered_criterion(t, cfg).as_dict()}),
+        ("classify", classify),
+        ("check", lambda t, cfg: {**centered_check(t, cfg),
+                                  "criterion": centered_criterion(t, cfg)}),
     ])
     def test_capped_depth_runs_the_parsed_config(self, capsys, command, library):
         """The stages cap the depth themselves, so the report is the library's
@@ -308,8 +310,8 @@ class TestContracts:
         # hardy c = 0.5 at N = 12 supports depth (12 - 1) // 2 = 5, not the default 6
         model = shift_plus_rank_one([0.5] * 11, 1.0, 0, 12)
         cfg = ToleranceConfig()
-        assert classify(model, cfg).verdict == "both"
-        depth = centered_check(model, cfg).depth
+        assert classify(model, cfg)["verdict"] == "both"
+        depth = centered_check(model, cfg)["depth"]
         assert depth == 5
         code, out = run(capsys, "classify", "--family", "shift_plus_rank_one",
                         "--weights", ",".join(["0.5"] * 11), "--a", "1", "--n", "12")
@@ -542,6 +544,30 @@ class TestFrontEnd:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "shift_plus_rank_one" and doc["condition_II_ok"]
 
+    # a weighted shift whose gram images reach 4e37 at N = 15: a seed cut on
+    # the unit scale kept the roundoff of E off e_0 as spurious directions of
+    # M_E, and the frame failed its orthonormality check (a ValueError, exit 1)
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0])
+    def test_large_weighted_shift_has_the_kernel_line_as_moduli(self, capsys, c):
+        weights = (-1021.31, -735.229, 2586.97, -210.095, 1415.61, 1950.04, 611.848,
+                   -1399.54, 1058.82, 2594.01, 199.076, 229.262, 1437.86, -2138.27)
+        argv = ["--family", "weighted_shift", "--n", "15",
+                "--weights=" + ",".join(repr(c * w) for w in weights)]
+        codes, reports = {}, {}
+        for command in ("decompose", "spectral", "classify", "verify"):
+            codes[command] = main([command, *argv])
+            out, err = capsys.readouterr()
+            if command == "spectral":
+                assert err.startswith("error[ModuliTooSmall]: ")
+            elif command != "verify":
+                reports[command] = json.loads(out)
+        assert codes["decompose"] == codes["classify"] == 0 and codes["spectral"] == 2
+        assert 1 not in codes.values()
+        chain, verdict = reports["decompose"], reports["classify"]
+        assert (chain["dims"]["M_E"], chain["moduli_status"]) == (1, "stable")
+        assert (verdict["verdict"], verdict["dim_M_E"], verdict["moduli_status"]) == (
+            "centered_weighted_shift", 1, "stable")
+
     # verify gates on half-centeredness before it builds anything of the chain
     def test_verify_stops_at_the_half_centered_gate(self, capsys, monkeypatch):
         import hclab.chains
@@ -714,6 +740,23 @@ def test_spectral_triples_are_the_enumerated_rows(capsys, family):
     for got, row in zip(reported, rows):
         assert set(got) == set(row) == {"gamma", "lambda", "m", "residual"}
         assert got == row
+
+
+@pytest.mark.parametrize("family", ["sro", "aq0.5r5"])
+@pytest.mark.parametrize("command, stage", [
+    ("check", lambda t, cfg: {**centered_check(t, cfg), "criterion": centered_criterion(t, cfg)}),
+    ("classify", classify),
+], ids=["check", "classify"])
+def test_reports_are_the_stage_rows(capsys, family, command, stage):
+    # the report is the stage's row of the gauged model, written as it is
+    argv = [command, *_load_cli_grid().family_args(family, 32), "--n", "32"]
+    code, out = run(capsys, *argv)
+    args = hclab.cli._parser().parse_args(argv)
+    row = stage(real_gauge(hclab.cli.build_model(args)), hclab.cli.build_config(args))
+    report = json.loads(out)
+    del report["config"]
+    assert code == 0
+    assert report == json.loads(hclab.cli._json_text(row))
 
 
 def test_cli_grid_tool(capsys):

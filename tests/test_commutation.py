@@ -78,22 +78,22 @@ class TestGramPower:
 class TestHalfCenteredCheck:
     def test_pq_true_and_tight(self, pq, cfg):
         report = half_centered_check(pq, cfg)
-        assert report.half_centered
-        assert report.max_half_residual <= 1e-14
+        assert report["verdict"]["half_centered"]
+        assert report["half_residual"] <= 1e-14
 
     def test_composition_true(self, rng, cfg):
         t = composition_operator([2, 0, 1, 2, 3, 4, 5, 6], random_weights(rng, 8), 8)
-        assert half_centered_check(t, cfg).half_centered
+        assert half_centered_check(t, cfg)["verdict"]["half_centered"]
 
     def test_jordan_block_false(self, cfg):
         t = from_matrix([[1.0, 1.0], [0.0, 1.0]])
         report = half_centered_check(t, cfg)
-        assert not report.half_centered
-        assert report.max_half_residual > 1e-3
+        assert not report["verdict"]["half_centered"]
+        assert report["half_residual"] > 1e-3
 
     def test_residual_ordering(self, pq, cfg):
         report = centered_check(pq, cfg)
-        assert report.max_half_residual <= report.max_full_residual + 1e-15
+        assert report["half_residual"] <= report["full_residual"] + 1e-15
 
 
 class TestRequireHalfCentered:
@@ -109,7 +109,7 @@ class TestRequireHalfCentered:
         from_matrix(np.random.default_rng(0).standard_normal((6, 6))),
     ], ids=["jordan", "gaussian6"])
     def test_every_stage_raises_the_same_error(self, model, cfg):
-        residual = half_centered_check(model, cfg).max_half_residual
+        residual = half_centered_check(model, cfg)["half_residual"]
         expected = f"half-centered residual {residual:.3e} exceeds tolerance"
         for stage in (require_half_centered, classify, cmd_verify, self.tower_of_chain):
             with pytest.raises(NotHalfCentered) as caught:
@@ -135,8 +135,8 @@ class TestIllConditionedAq:
 
     def test_ill_conditioned_aq_is_half_centered(self, cfg):
         report = half_centered_check(aq_operator(*AQ_ILL_CONDITIONED), cfg)
-        assert report.half_centered
-        assert report.max_half_residual <= 1e-11
+        assert report["verdict"]["half_centered"]
+        assert report["half_residual"] <= 1e-11
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than float64 here")
@@ -233,8 +233,8 @@ class TestCoupledPairTables:
         if conj:
             model = model.conjugated(random_unitary(np.random.default_rng(n + 1), n))
         report = centered_check(model, cfg)
-        assert report.depth == 6 and len(report.pairs) == 66
-        for p in report.pairs:
+        assert report["depth"] == 6 and len(report["pairs"]) == 66
+        for p in report["pairs"]:
             w = model.window(p["j"] + p["k"])
             left, right = self.KINDS[p["kind"]]
             full_a, full_b = left(model, p["j"]), right(model, p["k"])
@@ -312,12 +312,12 @@ class TestCenteredCheck:
     def test_isometry_is_centered(self, cfg):
         t = weighted_shift([1.0] * 19, 20)
         report = centered_check(t, cfg)
-        assert report.centered
+        assert report["verdict"]["centered"]
 
     def test_pq_not_centered(self, pq, cfg):
         # (TT*)(T*T) = T^3 while (T*T)(TT*) = T*^3, and those differ
         report = centered_check(pq, cfg)
-        assert report.half_centered and not report.centered
+        assert report["verdict"]["half_centered"] and not report["verdict"]["centered"]
         t = pq.matrix
         lhs = (t @ t.conj().T) @ (t.conj().T @ t)
         rhs = (t.conj().T @ t) @ (t @ t.conj().T)
@@ -326,7 +326,7 @@ class TestCenteredCheck:
 
     def test_weighted_shift_centered_on_window(self, rng, cfg):
         t = weighted_shift(random_weights(rng, 23), 24)
-        assert centered_check(t, cfg).centered
+        assert centered_check(t, cfg)["verdict"]["centered"]
 
     @pytest.mark.parametrize("n", [6, 8, 12, 16])
     def test_weighted_shift_centered_under_dense_unitary(self, n, cfg):
@@ -336,8 +336,8 @@ class TestCenteredCheck:
         t = weighted_shift(w, n)
         rot = t.conjugated(random_unitary(np.random.default_rng(n), n))
         plain, rotated = centered_check(t, cfg), centered_check(rot, cfg)
-        assert plain.centered and rotated.centered
-        assert rotated.max_full_residual <= 1e3 * np.finfo(float).eps
+        assert plain["verdict"]["centered"] and rotated["verdict"]["centered"]
+        assert rotated["full_residual"] <= 1e3 * np.finfo(float).eps
 
     def test_cogram_of_shift(self):
         t = weighted_shift([1, 2, 3], 4)
@@ -348,21 +348,21 @@ class TestCenteredCriterion:
     def test_weighted_shift_true(self, rng, cfg):
         t = weighted_shift(random_weights(rng, 23), 24)
         report = centered_criterion(t, cfg)
-        assert report.verdict and not report.vacuous
+        assert report["verdict"] and not report["vacuous"]
 
     def test_pq_false(self, pq, cfg):
-        assert not centered_criterion(pq, cfg).verdict
+        assert not centered_criterion(pq, cfg)["verdict"]
 
     def test_hardy_false(self, cfg):
         # the first gram moves the kernel line into the constants
         t = shift_plus_rank_one([0.5] * 23, 1.0, 0, 24)
-        assert not centered_criterion(t, cfg).verdict
+        assert not centered_criterion(t, cfg)["verdict"]
 
     def test_vacuous_when_adjoint_injective(self, rng, cfg):
         t = composition_operator([(k + 1) % 6 for k in range(6)],
                                  random_weights(rng, 6), 6)
         report = centered_criterion(t, cfg)
-        assert report.vacuous and report.verdict
+        assert report["vacuous"] and report["verdict"]
 
     def test_agrees_with_centered_check(self, rng, cfg):
         # the invariance criterion must reproduce the definition-based verdict
@@ -373,19 +373,19 @@ class TestCenteredCriterion:
             projection_product(PQ_P, PQ_Q),
         ]
         for model in instances:
-            direct = centered_check(model, cfg).centered
-            criterion = centered_criterion(model, cfg).verdict
+            direct = centered_check(model, cfg)["verdict"]["centered"]
+            criterion = centered_criterion(model, cfg)["verdict"]
             assert direct == criterion, model.family
 
     def test_full_range_implies_centered(self, rng, cfg):
         # half-centered with (numerically) full range must come out centered
         t = composition_operator([(k + 3) % 10 for k in range(10)],
                                  random_weights(rng, 10), 10)
-        assert half_centered_check(t, cfg).half_centered
+        assert half_centered_check(t, cfg)["verdict"]["half_centered"]
         smin = np.linalg.svd(t.matrix, compute_uv=False)[-1]
         assert smin > cfg.rank_tol
-        assert centered_check(t, cfg).centered
-        assert centered_criterion(t, cfg).verdict
+        assert centered_check(t, cfg)["verdict"]["centered"]
+        assert centered_criterion(t, cfg)["verdict"]
 
 
 class TestKernelOfAdjoint:
@@ -425,4 +425,4 @@ class TestRestrictionStability:
             compressed = basis @ (basis.conj().T @ block.matrix @ basis) @ basis.conj().T
             sub = from_matrix(compressed, exact=False)
             report = half_centered_check(sub, replace(cfg, depth=3))
-            assert report.half_centered, model.family
+            assert report["verdict"]["half_centered"], model.family

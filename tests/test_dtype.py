@@ -81,8 +81,8 @@ def _summary(model, cfg):
         code = cmd_verify(model, cfg)[1]
     except HclabError as exc:
         code = exc.exit_code
-    return (report.verdict, report.dim_E, report.dim_M_E, report.moduli_status,
-            report.triple_count, report.condition_II_ok, code)
+    return (report["verdict"], report["dim_E"], report["dim_M_E"], report["moduli_status"],
+            report["triples"], report["condition_II_ok"], code)
 
 
 @pytest.mark.parametrize("n", [24, 48])

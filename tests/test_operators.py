@@ -79,7 +79,7 @@ class TestShiftPlusRankOne:
 
     def test_half_centered(self, rng, cfg):
         t = shift_plus_rank_one(random_weights(rng, 15), 0.7 - 0.2j, 3, 16)
-        assert half_centered_check(t, cfg).half_centered
+        assert half_centered_check(t, cfg)["verdict"]["half_centered"]
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -134,7 +134,7 @@ class TestCompositionOperator:
         psi = [3, 0, 0, 1, 2, 4, 5, 5]
         xi = random_weights(rng, 8)
         t = composition_operator(psi, xi, 8)
-        assert half_centered_check(t, cfg).half_centered
+        assert half_centered_check(t, cfg)["verdict"]["half_centered"]
         for k in range(1, 5):
             g = gram_power(t, k)
             assert np.linalg.norm(g - np.diag(np.diag(g))) <= 1e-14 * max(1, np.linalg.norm(g))
@@ -275,7 +275,7 @@ class TestZooHalfCentered:
         ]
         for model in instances:
             report = half_centered_check(model, cfg)
-            assert report.half_centered, (model.family, report.max_half_residual)
+            assert report["verdict"]["half_centered"], (model.family, report["half_residual"])
 
 
 class TestModelMetadata:

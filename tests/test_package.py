@@ -10,7 +10,9 @@ import hclab
 REMOVED = ("polynomial_machinery", "PolynomialData", "DegenerateTriples", "project",
            "subspace_sum", "PolarPair", "IsometryTower", "span_closure", "hermitian_eigvals",
            "hermitian_norm", "hermitian_commutator_norm", "co_gram_power", "wandering_span",
-           "cauchy_dual", "NotLeftInvertible", "TripleRecord", "Character", "moduli_subspace")
+           "cauchy_dual", "NotLeftInvertible", "TripleRecord", "Character", "moduli_subspace",
+           "CommutationReport", "CriterionReport", "RelationCertificate",
+           "ShiftRankOneCertificate", "ClassificationReport")
 # OperatorModel.conjugated is read by tests and tools alone: it is the
 # rotated-basis oracle that the invariance tests and tools/invariance_grid.py
 # check every answer against, so it stays beside the model it rotates
