@@ -18,7 +18,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .commutation import (_gram_on, _singular_pairs, _window_gram_norm, _window_view,
+from .commutation import (_gram_on, _singular_pairs, _svd, _window_gram_norm, _window_view,
                           effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
 from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
@@ -42,7 +42,7 @@ def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> N
     if w < 1:
         raise WindowExhausted("window(1) < 1")
     top = _singular_pairs(model)[1][0]
-    s = np.linalg.svd(model.window_restrict(model.matrix, w), compute_uv=False)
+    s = _svd(model, model.window_restrict(model.matrix, w), compute_uv=False)
     if numerical_rank(s, cfg.rank_tol, top) < s.size:
         raise NotInjectiveOnWindow(f"sigma_min {s[-1]:.3e} on the effective window is not above "
                                    f"the cutoff {cfg.rank_tol * max(top, 1e-300):.3e} "

@@ -8,6 +8,10 @@ computed on that block and scaled by the product of the factors' norms.
 Grams are Hermitian PSD, so their norms and commutators go through the
 ``_split_*`` kernels of ``linalg``, and every power T^k of one model is one
 running product T^(k-1) T (``_matrix_power``), shared by its gram and co-gram.
+A real banded model (``_banded``) forms them through T's band: a column of T
+with one nonzero T_ij makes column j of T^k column i of T^(k-1) times T_ij, a
+gram column with one nonzero in a row no other column uses is its square on
+the diagonal, and the other columns take one product; T's SVD is ``_lone_svd``.
 A gram compressed to a subspace of a window (the tower's theta* G_1 theta,
 the families on M_E and on each V_n) has one rule, ``_gram_on``: C* C with C
 the window columns of T^k times the subspace's frame.
@@ -28,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
-from .linalg import _hermitian_part, _split_commutator_norm, _split_norm, numerical_rank
+from .linalg import (_hermitian_part, _lone_svd, _split_commutator_norm, _split_norm,
+                     numerical_rank)
 from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
@@ -79,13 +84,61 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
     raise WindowExhausted(f"dimension {model.dim} leaves no usable window")
 
 
+# Weighted shifts, best of 5, one BLAS thread, dense -> band: the power and the
+# gram win at 96 rows (31 -> 23 us, 55 -> 46 us) and 128 (86 -> 33, 146 -> 65) and
+# lose at 64 (12 -> 15, 26 -> 33); the lone-entry SVD wins from 48 (109 -> 69 us).
+BAND_MIN_DIM = 96
+
+
+def _banded(model: OperatorModel) -> bool:
+    """The band route: a declared ``bandwidth`` (no ``conjugated`` model has one), at least
+    ``BAND_MIN_DIM`` rows, float64.  Not keyed on zeros: aq has some; a split moves its dims."""
+    return (model.bandwidth is not None and model.dim >= BAND_MIN_DIM
+            and model.matrix.dtype == np.float64)
+
+
+def _svd(model: OperatorModel, a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd(a)`` of T or its window columns, by ``_lone_svd`` if banded."""
+    return (_lone_svd if _banded(model) else np.linalg.svd)(a, compute_uv=compute_uv)
+
+
+@_memoized
+def _band_columns(model: OperatorModel) -> tuple:
+    """Per column of T its first nonzero's row and, if alone, value (else 0); columns with more."""
+    nz = model.matrix != 0
+    src, count = nz.argmax(axis=0), nz.sum(axis=0)
+    vals = np.where(count == 1, model.matrix[src, np.arange(model.dim)], 0.0)
+    return src, vals, np.flatnonzero(count > 1)
+
+
 @_memoized
 def _matrix_power(model: OperatorModel, k: int) -> np.ndarray:
-    """T^k as a running product, T^(k-1) T, shared by grams and co-grams;
-    T^1 is the model's matrix itself."""
+    """T^k as a running product, T^(k-1) T, shared by grams and co-grams; T^1
+    is the model's matrix itself.  The band route gives the same bits."""
     if k == 1:
         return model.matrix
-    return np.matmul(_matrix_power(model, k - 1), model.matrix)
+    prev = _matrix_power(model, k - 1)
+    if not _banded(model):
+        return np.matmul(prev, model.matrix)
+    src, vals, multi = _band_columns(model)
+    p = np.take(prev, src, axis=1)
+    p *= vals
+    p[:, multi] = np.matmul(prev, model.matrix[:, multi])
+    return p
+
+
+def _band_gram(p: np.ndarray) -> np.ndarray:
+    """p.T p of a real p, exactly symmetric: a column with at most one nonzero,
+    in a row no other column uses, gives its square on the diagonal; the rest
+    take one product, symmetrized."""
+    nz = p != 0
+    count, first = nz.sum(axis=0), nz.argmax(axis=0)
+    alone = (count == 0) | ((count == 1) & (nz.sum(axis=1)[first] == 1))
+    g, lone, rest = np.zeros((p.shape[1],) * 2), np.flatnonzero(alone), np.flatnonzero(~alone)
+    g[lone, lone] = np.square(p[first[lone], lone])
+    c = p[:, rest]
+    g[rest[:, None], rest] = _hermitian_part(c.T @ c)
+    return g
 
 
 @_memoized
@@ -99,8 +152,10 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
         return np.eye(model.dim, dtype=model.matrix.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         p = _matrix_power(model, k)
-        g = p @ p.conj().T if outer else p.conj().T @ p
-        g = _hermitian_part(g)
+        if _banded(model):
+            g = _band_gram(p.T if outer else p)
+        else:
+            g = _hermitian_part(p @ p.conj().T if outer else p.conj().T @ p)
     if not np.all(np.isfinite(g)):
         name = f"T^{k} T*^{k}" if outer else f"T*^{k} T^{k}"
         raise NonFinite(f"{name} overflows: an entry is not finite")
@@ -193,9 +248,10 @@ def _window_gram_is_zero(model: OperatorModel, k: int, outer: bool, w: int) -> b
     return bool(np.linalg.norm(_window_view(model, k, outer, w)[0]) <= cut)
 
 
-def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool) -> list:
-    """Residuals of the family ``left`` at power j against ``right`` at power k
-    (True: co-grams, False: grams) for 1 <= j, k <= K, each on the
+@_memoized
+def _pair_residuals(model: OperatorModel, K: int, left: bool, right: bool) -> np.ndarray:
+    """Rows (j, k, residual) of the family ``left`` at power j against ``right``
+    at power k (True: co-grams, False: grams) for 1 <= j, k <= K, each on the
     window(j + k) block; j < k when both sides are the same family.
 
     A pair that commutes exactly, or has a numerically zero member, has
@@ -213,14 +269,20 @@ def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool
                              or _window_gram_is_zero(model, k, right, w)):
                 res = comm / (_window_gram_norm(model, j, left, w)
                               * _window_gram_norm(model, k, right, w))
-            pairs.append({"j": j, "k": k, "kind": kind, "residual": res})
-    return pairs
+            pairs.append((j, k, res))
+    return np.array(pairs)
 
 
-@_memoized
+def _pair_table(model: OperatorModel, K: int, kind: str, left: bool, right: bool) -> list:
+    """The report rows of ``_pair_residuals``, fresh on every call."""
+    return [{"j": int(j), "k": int(k), "kind": kind, "residual": res}
+            for j, k, res in _pair_residuals(model, K, left, right).tolist()]
+
+
 def half_centered_check(model: OperatorModel, cfg: ToleranceConfig) -> dict:
     """Pairwise commutation of the gram powers up to ``analysis_depth``: the
-    report row, with ``full_residual`` and the ``centered`` verdict None."""
+    report row, with ``full_residual`` and the ``centered`` verdict None,
+    built afresh on each call from the residuals memoized on the model."""
     K = analysis_depth(model, cfg)
     if model.window(2 * K) < 1:
         raise WindowExhausted(f"window(2K) = {model.window(2 * K)} < 1 at depth {K}")
@@ -258,7 +320,7 @@ def centered_check(model: OperatorModel, cfg: ToleranceConfig) -> dict:
 @_memoized
 def _singular_pairs(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
     """The left singular vectors and the singular values of T, from one SVD."""
-    u, s, _ = np.linalg.svd(model.matrix)
+    u, s, _ = _svd(model, model.matrix)
     return u, s
 
 

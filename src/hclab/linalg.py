@@ -37,6 +37,11 @@ shifts are diagonal, and those of a shift plus a rank-one term couple a few
 rows, so most of their norms and commutators take no factorization and no
 product.  A caller that reads one matrix in several pairs (the pair tables
 of ``commutation``, ``joint_diagonalize``) takes its view once.
+
+The lone-entry split (``_lone_svd``).  A nonzero alone in its row and its
+column is a singular triple with unit vectors, exactly; the rest, the core,
+takes one SVD.  A weighted shift's core is one zero and a shift plus a
+rank-one term's two rows, so their SVD of T factors a few rows, not N.
 """
 
 from __future__ import annotations
@@ -152,6 +157,36 @@ def _split_commutator_norm(a, a_coupled, b, b_coupled) -> float:
         a, b = a[rows[:, None], rows], b[rows[:, None], rows]
     p = np.matmul(a, b)
     return float(np.linalg.norm(p - _adjoint(p)))
+
+
+def _lone_svd(a, compute_uv: bool = True):
+    """``np.linalg.svd(a)`` (full u and vh; s alone unless ``compute_uv``) from
+    the lone entries a_ij of ``a``, each s = |a_ij|, u = e_i, vh = e_j a_ij / |a_ij|,
+    and the SVD of its core in the core's rows and columns.  s descends (ties:
+    the lone entries in row order, then the core's); vectors past min(m, n)
+    are the core's."""
+    nz = a != 0
+    lone = nz & (nz.sum(axis=1) == 1)[:, None] & (nz.sum(axis=0) == 1)
+    rows, cols = np.nonzero(lone)
+    core_rows, core_cols = np.flatnonzero(~lone.any(axis=1)), np.flatnonzero(~lone.any(axis=0))
+    core, vals = a[core_rows[:, None], core_cols], a[rows, cols]
+    zero = not core.any()  # a zero core, or none, is singular on any basis: no factorization
+    if not compute_uv:
+        sc = np.zeros(min(core.shape)) if zero else np.linalg.svd(core, compute_uv=False)
+        return np.sort(np.concatenate([np.abs(vals), sc]))[::-1]
+    uc, sc, vhc = ((np.eye(core.shape[0]), np.zeros(min(core.shape)), np.eye(core.shape[1]))
+                   if zero else np.linalg.svd(core))
+    s = np.concatenate([np.abs(vals), sc])
+    (m, n), lead = a.shape, rows.size
+    u = np.zeros((m, m), dtype=a.dtype)
+    u[rows, np.arange(lead)] = 1.0
+    u[core_rows[:, None], np.arange(lead, m)] = uc
+    vh = np.zeros((n, n), dtype=a.dtype)
+    vh[np.arange(lead), cols] = vals / np.abs(vals)
+    vh[np.arange(lead, n)[:, None], core_cols] = vhc
+    order = np.argsort(-s, kind="stable")
+    return (u[:, np.concatenate([order, np.arange(s.size, m)])], s[order],
+            vh[np.concatenate([order, np.arange(s.size, n)])])
 
 
 def power_table(a, K: int) -> list:

@@ -180,16 +180,29 @@ class OperatorModel:
 def _memoized(fn):
     """``fn(model, *args)``, computed once per model and argument tuple (a call
     that raises stores nothing).  The model is immutable, so the value never
-    goes stale; every caller shares it, and an array value is made read-only."""
+    goes stale; every caller shares it, and every array it holds is made
+    read-only (``_freeze``)."""
     @wraps(fn)
-    def derived(model, *args, **kwargs):
-        key = (fn, args, tuple(kwargs.items()))
+    def derived(model, *args):
+        key = (fn, args)
         if key not in model._memo:
-            value = model._memo[key] = fn(model, *args, **kwargs)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            model._memo[key] = _freeze(fn(model, *args))
         return model._memo[key]
     return derived
+
+
+def _freeze(value):
+    """``value``, with every array in it, through tuples, lists and dataclasses, read-only."""
+    if isinstance(value, np.ndarray):
+        if value.flags.writeable:  # views of frozen tables are already read-only
+            value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+    elif hasattr(value, "__dataclass_fields__"):  # is_dataclass, at a fraction of its cost
+        for item in vars(value).values():
+            _freeze(item)
+    return value
 
 
 def _jsonable(obj):

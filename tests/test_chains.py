@@ -291,7 +291,7 @@ class TestSharedDerivations:
         block = chain.block
         assert block is analysis_block(t, cfg)
         assert all(lvl.theta.shape == (block.w, block.w) for lvl in isometry_tower(chain))
-        assert half_centered_check(t, cfg) is half_centered_check(t, cfg)
+        assert half_centered_check(t, cfg) == half_centered_check(t, cfg)
         assert half_centered_check(t, replace(cfg, depth=3))["depth"] == 3
 
     @pytest.mark.parametrize("family", ["aq", "rank_one"])
@@ -1011,6 +1011,22 @@ class TestOneCoordinateSystem:
         # an ambient round trip of the chain's frames takes 57 more
         assert len(built) <= 33
         assert len(svds) <= 80
+
+    def test_routed_classify_factors_no_full_size_matrix(self, capsys, monkeypatch):
+        # the SVDs of T (ker T*, ||T||_2) and of its window(1) columns (the
+        # injectivity test) split off the lone entries of a weighted shift
+        svds, svd = [], np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        weights = ",".join(["0.9", "-1.1"] * 63 + ["0.9"])
+        assert main(["classify", "--family", "weighted_shift", f"--weights={weights}",
+                     "--n", "128"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "centered_weighted_shift"
+        assert svds and not {(128, 128), (128, 127)} & set(svds)
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("family", ["sro", "aq"])

@@ -948,3 +948,28 @@ def test_bench_pairs_tool(monkeypatch, capsys):
         "attempted_failed": {"parent": [[24, 0]], "change": [[24, 0], [24, 1]]},
     }}
     assert bench_pairs.seed_range("7") == [7]
+
+
+def test_ab_ops_tool(monkeypatch, capsys):
+    """tools/ab_ops.py imports two hclab packages into one process and times
+    each operation of a workload on both, alternating which side runs first;
+    here one round of classify_small with one package on both sides."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    import ab_ops
+    order = []
+    call = ab_ops.call
+
+    def recording(cli, op):
+        order.append(cli.__name__)
+        return call(cli, op)
+
+    monkeypatch.setattr(ab_ops, "call", recording)
+    src = str(root / "src")
+    assert ab_ops.main([src, src, "--workload", "classify_small", "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 17 and lines[-1] == "identical 16 of 16"
+    assert re.fullmatch(r"classify weighted_shift N=16  A \d+\.\d{3}  B \d+\.\d{3}  "
+                        r"B/A \d+\.\d{3}  \(1\)", lines[0])
+    timed = order[-32:]   # after the warm-up
+    assert timed[:4] == ["hclab_a.cli", "hclab_b.cli", "hclab_b.cli", "hclab_a.cli"]

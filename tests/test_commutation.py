@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hclab.commutation
 from hclab import (
     aq_operator,
     centered_check,
@@ -22,13 +23,16 @@ from hclab import (
 )
 from hclab.chains import analysis_block
 from hclab.cli import cmd_verify
-from hclab.commutation import (_power_product, _window_gram_norm, _window_table,
-                               _window_view, require_half_centered)
+from hclab.commutation import (_matrix_power, _power_product, _singular_pairs,
+                               _window_gram_norm, _window_table, _window_view,
+                               require_half_centered)
 from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
                           WindowExhausted)
 from hclab.linalg import _coupled_rows, _split_norm
 
-from conftest import random_unitary, random_weights
+from hclab.operators import real_gauge
+
+from conftest import family_model, random_unitary, random_weights
 
 PQ_P = np.array([[0.5, -0.5], [-0.5, 0.5]])
 PQ_Q = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -117,7 +121,7 @@ class TestRequireHalfCentered:
             assert str(caught.value) == expected, stage.__name__
 
     def test_passes_the_report_through(self, pq, cfg):
-        assert require_half_centered(pq, cfg) is half_centered_check(pq, cfg)
+        assert require_half_centered(pq, cfg) == half_centered_check(pq, cfg)
 
     @pytest.mark.parametrize("error", [WindowExhausted, NotHalfCentered, NotInjectiveOnWindow])
     def test_chain_preconditions_are_violations(self, error):
@@ -426,3 +430,98 @@ class TestRestrictionStability:
             sub = from_matrix(compressed, exact=False)
             report = half_centered_check(sub, replace(cfg, depth=3))
             assert report["verdict"]["half_centered"], model.family
+
+
+class TestBandRoute:
+    """A real banded model of at least ``BAND_MIN_DIM`` rows forms its powers
+    and grams through T's nonzeros and factors T by its lone entries; every
+    other model takes the dense route."""
+
+    eps = np.finfo(float).eps
+
+    @pytest.fixture
+    def band_calls(self, monkeypatch):
+        calls = []
+        for name in ("_lone_svd", "_band_gram", "_band_columns"):
+            original = getattr(hclab.commutation, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hclab.commutation, name, counting)
+        return calls
+
+    @staticmethod
+    def gauged(family, n):
+        return real_gauge(family_model(family, n, np.random.default_rng(n)))
+
+    def test_routed_shift_reaches_every_kernel(self, band_calls, cfg):
+        classify(self.gauged("ws", 128), cfg)
+        assert {"_lone_svd", "_band_gram", "_band_columns"} <= set(band_calls)
+
+    @pytest.mark.parametrize("case", ["aq", "conjugated", "complex", "n64"])
+    def test_other_models_never_reach_the_band_kernels(self, band_calls, cfg, case):
+        rng = np.random.default_rng(5)
+        model = {"aq": lambda: aq_operator(0.5, 5.0, 128),
+                 "conjugated": lambda: self.gauged("sro", 96).conjugated(
+                     random_unitary(rng, 96)),
+                 "complex": lambda: family_model("sro", 128, rng),
+                 "n64": lambda: self.gauged("ws", 64)}[case]()
+        classify(model, cfg)
+        assert band_calls == []
+
+    def test_routed_shift_kernel_is_exactly_e0(self, cfg):
+        frame = kernel_of_adjoint(self.gauged("ws", 128), cfg).frame
+        e0 = np.zeros(128)
+        e0[0] = 1.0
+        assert frame.shape == (128, 1) and np.array_equal(np.abs(frame[:, 0]), e0)
+
+    @pytest.mark.parametrize("n", [96, 128, 160, 256])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_powers_and_grams_match_the_dense_products(self, family, n):
+        model = self.gauged(family, n)
+        t = model.matrix
+        p = t
+        for k in range(1, 7):
+            if k > 1:
+                p = np.matmul(p, t)
+            assert np.array_equal(_matrix_power(model, k), p)
+            for outer in (False, True):
+                dense = TestPowerTableGrams.separate_construction(t, k, outer)
+                g = _power_product(model, k, outer)
+                if family == "ws":
+                    assert np.array_equal(g, dense)
+                else:
+                    # one product per coupled block sums its terms in another
+                    # order: measured up to 0.93 eps ||G||_2
+                    bound = 2 * self.eps * np.linalg.norm(dense, 2)
+                    assert np.max(np.abs(g - dense)) <= bound, (k, outer)
+
+
+class TestMemoizedValuesAreShielded:
+    """A caller that writes into what a stage returned changes nothing a later
+    stage reads: memoized arrays are read-only, report rows are fresh."""
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_memoized_arrays_are_read_only(self, cfg, n):
+        model = real_gauge(weighted_shift([1.0] * (n - 1), n))
+        u, s = _singular_pairs(model)
+        gram, mask = _window_view(model, 1, False, model.window(2))
+        for array in (u, s, gram, mask, kernel_of_adjoint(model, cfg).frame):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_an_edited_pair_row_does_not_reach_the_half_check(self, cfg):
+        model = weighted_shift([1.0] * 7, 8)
+        row = centered_check(model, cfg)
+        row["pairs"][0]["residual"] = 5.0
+        assert half_centered_check(model, cfg)["pairs"][0]["residual"] == 0.0
+        assert centered_check(model, cfg)["pairs"][0]["residual"] == 0.0
+
+    @pytest.mark.parametrize("stage", [half_centered_check, centered_check])
+    def test_an_edited_verdict_does_not_reach_the_gate(self, cfg, stage):
+        model = weighted_shift([1.0] * 7, 8)
+        stage(model, cfg)["verdict"]["half_centered"] = False
+        stage(model, cfg)["half_residual"] = 5.0
+        assert require_half_centered(model, cfg)["verdict"]["half_centered"]

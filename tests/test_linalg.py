@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from hclab import ToleranceConfig, hermitian_eig, polar, positive_sqrt
 from hclab.chains import analysis_block
 from hclab.errors import NonFinite, NotHermitian, NotPSD
-from hclab.linalg import (_coupled_rows, _hermitian_view, _split_commutator_norm, _split_eigvals,
-                          _split_norm, numerical_rank, power_table)
+from hclab.linalg import (_coupled_rows, _hermitian_view, _lone_svd, _split_commutator_norm,
+                          _split_eigvals, _split_norm, numerical_rank, power_table)
+from hclab.operators import real_gauge
 
 from conftest import family_model, random_unitary
 
@@ -379,3 +380,53 @@ class TestCoupledSplit:
         assert _commutator_norm(a, b) == 0.0
         assert _split_commutator_norm(a, _coupled_rows(a), b, _coupled_rows(b)) == 0.0
         assert products == []
+
+
+class TestLoneSvd:
+    """``_lone_svd`` keeps ``np.linalg.svd``'s contract: u s vh rebuilds the
+    input, u and vh are orthogonal, s descends; on the shift families its s
+    is numpy's bit for bit."""
+
+    eps = np.finfo(float).eps
+
+    def check_factors(self, a):
+        u, s, vh = _lone_svd(a)
+        m, n = a.shape
+        assert u.shape == (m, m) and s.shape == (min(m, n),) and vh.shape == (n, n)
+        assert np.all(np.diff(s) <= 0)
+        scale = max(float(s[0]), 1.0)
+        assert np.linalg.norm(u[:, :s.size] * s @ vh[:s.size] - a) <= 4 * self.eps * scale
+        assert np.linalg.norm(u.T @ u - np.eye(m)) <= 4 * self.eps * np.sqrt(m)
+        assert np.linalg.norm(vh @ vh.T - np.eye(n)) <= 4 * self.eps * np.sqrt(n)
+        assert_allclose(_lone_svd(a, compute_uv=False), s, rtol=0, atol=4 * self.eps * scale)
+        return s
+
+    @pytest.mark.parametrize("n", [96, 128, 160])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_shift_families_match_numpy_bit_for_bit(self, family, n):
+        t = real_gauge(family_model(family, n, np.random.default_rng(n))).matrix
+        for a in (t, t[:, :n - 1]):  # T, and its window(1) columns
+            dense = np.linalg.svd(a, compute_uv=False)
+            assert np.array_equal(self.check_factors(a), dense)
+            assert np.array_equal(_lone_svd(a, compute_uv=False), dense)
+
+    def test_zero_row_and_zero_column(self):
+        a = np.zeros((6, 6))
+        a[1, 0], a[3, 2], a[5, 4] = -2.0, 0.5, 3.0   # lone entries
+        a[4, 1], a[4, 3] = 1.0, 1.0                  # a row of two: the core
+        # row 0, row 2 and column 5 are zero
+        s = self.check_factors(a)
+        assert_allclose(s, np.linalg.svd(a, compute_uv=False), atol=4 * self.eps * s[0])
+
+    def test_core_with_its_own_null_direction(self):
+        a = np.zeros((5, 4))
+        a[1, 0], a[4, 3] = 0.7, -1.1                 # lone entries
+        a[0, 1], a[2, 1], a[0, 2], a[2, 2] = 1.0, 2.0, 2.0, 4.0   # rank-one core
+        s = self.check_factors(a)
+        assert_allclose(s, np.linalg.svd(a, compute_uv=False), atol=4 * self.eps * s[0])
+        u = _lone_svd(a)[0]
+        # the core's null direction of a* lies in the core's rows 0 and 2
+        assert s[-1] < 4 * self.eps * s[0]
+        null = u[:, 3]
+        assert_allclose(np.abs(null[[0, 2]]), [2, 1] / np.sqrt(5), atol=4 * self.eps)
+        assert_allclose(null[[1, 3, 4]], 0.0, atol=0)
