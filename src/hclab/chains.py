@@ -13,13 +13,15 @@ invariant under basis rotations of the model; ambient frames are lifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .commutation import (_gram_on, _singular_pairs, _svd, _window_gram_norm, _window_view,
-                          effective_depth, kernel_of_adjoint, require_half_centered)
+from .commutation import (RowMap, _gram_on, _singular_pairs, _svd, _window_gram_norm,
+                          _window_view, effective_depth, kernel_of_adjoint,
+                          require_half_centered)
 from .errors import NotContained, NotInjectiveOnWindow, WindowExhausted
 from .linalg import CONTAINMENT_TOL, numerical_rank, polar, positive_sqrt, power_table
 from .operators import OperatorModel, ToleranceConfig, _memoized
@@ -124,9 +126,48 @@ def _project_out(done: np.ndarray, done_h: np.ndarray, x: np.ndarray) -> np.ndar
     return x - done @ (done_h @ x)  # one Gram-Schmidt pass
 
 
+_KEEP = math.sqrt(0.5)  # a pass that leaves less of a column's norm cancelled
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector, bit for bit."""
+    return math.sqrt(x @ x) if x.dtype.kind == "f" else float(np.linalg.norm(x))
+
+
+def _walk(rows: RowMap, i: int, x: float, scale: float, rank_tol: float,
+          limit: int) -> tuple[np.ndarray, str]:
+    """``krylov_closure`` from an empty frame of the seed x e_i, x = +-1, under a
+    weighted partial permutation (``rows`` with its ``inv``): Arnoldi's scalar
+    arithmetic along the path i -> inv[i] -> ..., the frame assembled once.
+
+    Step k's image is one entry at the path's k-th index, so every projection
+    is exactly 0 (the frame holds nothing there) until the path meets an empty
+    column (the image is 0) or returns to i (the image is a multiple of e_i,
+    which the seed's +-1 removes exactly): either step adds nothing.  The rank
+    cut and the edge drop are those of the loop."""
+    val, inv = rows.val.tolist(), rows.inv.tolist()  # Python floats: the same IEEE arithmetic
+    path, entries, low, edge, d = [], [], 0.0, None, 0
+    while True:
+        s = math.sqrt(x * x)
+        if min(numerical_rank(s, rank_tol, scale), limit - d) == 0:
+            break
+        edge = (edge or d) if s <= 1e-3 * low else None
+        path.append(i)
+        entries.append(x / s)
+        low, d = s if d else 0.0, d + 1  # the seed step sets no floor
+        i = inv[i]
+        if d >= limit or i < 0 or i == path[0]:
+            break
+        x = val[i] * entries[-1]
+    d = edge or d
+    frame = np.zeros((len(val), d), order="F")
+    frame[path[:d], np.arange(d)] = entries[:d]
+    return frame, "capped" if d >= limit else "stable"
+
+
 def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol: float,
-                   frame: np.ndarray | None = None,
-                   limit: int | None = None) -> tuple[np.ndarray, str]:
+                   frame: np.ndarray | None = None, limit: int | None = None,
+                   rows: RowMap | None = None) -> tuple[np.ndarray, str]:
     """Orthonormal frame of the closure of span(frame, seed) under ``matrix``.
 
     Arnoldi on fresh directions (Saad, Numerical Methods for Large Eigenvalue
@@ -137,48 +178,68 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     and again while a pass removed more than 1 - 1/sqrt(2) of a column's norm
     (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976; Giraud, Langou &
     Rozloznik, Comput. Math. Appl. 50, 2005), three passes at most.  A
-    one-wide step divides by the norm it has; a wider one takes one SVD, a
-    pass on its kept block and a QR.  Steps that fall 1e3 or more below the
-    one before and end the closure come from the truncation's boundary and
-    are dropped.  Status: ``"capped"`` at ``limit`` columns (default n), else
-    ``"stable"``.  ``matrix`` may also be a (K, n, n) stack: a step then
-    applies every member and sets the K images side by side, cut at the
-    ``scale`` given (the members' largest norm).
+    one-wide step runs on a vector and divides by the norm it has; a wider
+    one takes one SVD, a pass on its kept block and a QR.  Steps that fall
+    1e3 or more below the one before and end the closure come from the
+    truncation's boundary and are dropped.  Status: ``"capped"`` at ``limit``
+    columns (default n), else ``"stable"``.  ``matrix`` may also be a (K, n, n)
+    stack: a step then applies every member and sets the K images side by
+    side, cut at the ``scale`` given (the members' largest norm).
+
+    ``rows``, a 2-D ``matrix`` as its ``RowMap`` (``commutation._band_rows``),
+    applies it by its one nonzero per row; an empty frame and a seed +-e_i
+    under a partial permutation then walk its path (``_walk``).
     """
     n = seed.shape[0]
     limit = n if limit is None else min(limit, n)
     frame = np.zeros((n, 0)) if frame is None else frame
     d = frame.shape[1]
+    x = np.ascontiguousarray(seed[:, 0]) if seed.shape[1] == 1 else seed  # one wide: a vector
+    if rows is not None and rows.inv is not None and d == 0 and x.ndim == 1 and x.dtype.kind == "f":
+        at = np.flatnonzero(x)
+        if at.size == 1 and abs(x[at[0]]) == 1.0:  # the seed is +-e_i
+            return _walk(rows, int(at[0]), float(x[at[0]]), scale, rank_tol, limit)
     buf = np.empty((n, n), dtype=np.result_type(matrix, seed, frame), order="F")
     buf_h = np.empty((n, n), dtype=buf.dtype)  # buf's adjoint, kept row by row
     buf[:, :d], buf_h[:d] = frame, frame.conj().T
-    block, low, edge = seed, 0.0, None
+    low, edge = 0.0, None
     while True:
-        done, done_h = buf[:, :d], buf_h[:d]
-        wide = block.shape[1] > 1
-        norms = partial(np.linalg.norm, axis=0) if wide else np.linalg.norm  # one wide: a float
-        resid, s = block, norms(block)
-        for _ in range(3 - wide):  # a wide step's third pass is on its kept block
-            resid, before = _project_out(done, done_h, resid), s
-            s = norms(resid)
-            if (s >= np.sqrt(0.5) * before).all():  # nothing cancelled: no repeat
-                break
-        if wide:
+        done, done_h, vector = buf[:, :d], buf_h[:d], x.ndim == 1
+        if vector:
+            resid, s = x, _norm(x)
+            for _ in range(3):
+                resid, before = _project_out(done, done_h, resid), s
+                s = _norm(resid)
+                if s >= _KEEP * before:  # nothing cancelled: no repeat
+                    break
+            r, top, bottom = min(numerical_rank(s, rank_tol, scale), limit - d), s, s
+        else:
+            resid, s = x, np.linalg.norm(x, axis=0)
+            for _ in range(2):  # the third pass is on the kept block
+                resid, before = _project_out(done, done_h, resid), s
+                s = np.linalg.norm(resid, axis=0)
+                if (s >= _KEEP * before).all():
+                    break
             u, s = np.linalg.svd(resid, full_matrices=False)[:2]
-        r = min(numerical_rank(s, rank_tol, scale), limit - d)
+            r = min(numerical_rank(s, rank_tol, scale), limit - d)
+            top, bottom = s[0], s[r - 1]
         if r == 0:
             break
-        top, bottom = (s[0], s[r - 1]) if wide else (s, s)
         edge = (edge or d) if top <= 1e-3 * low else None  # the width before the drops
-        buf[:, d:d + r] = (np.linalg.qr(_project_out(done, done_h, u[:, :r]))[0] if wide
-                           else resid / s)
+        buf[:, d:d + r] = (resid[:, None] / s if vector
+                           else np.linalg.qr(_project_out(done, done_h, u[:, :r]))[0])
         buf_h[d:d + r] = buf[:, d:d + r].conj().T
+        low = bottom if d > frame.shape[1] else 0.0  # the seed step sets no floor
         d += r
         if d >= limit:
             break
-        low = bottom if block is not seed else 0.0
         new = buf[:, d - r:d]
-        block = matrix @ new if matrix.ndim == 2 else np.hstack(matrix @ new)
+        if matrix.ndim == 3:
+            x = np.hstack(matrix @ new)
+            x = x[:, 0] if x.shape[1] == 1 else x
+        else:
+            new = new[:, 0] if r == 1 else new
+            x = matrix @ new if rows is None else rows.apply(new)
     d = edge or d
     return buf[:, :d], "capped" if d >= limit else "stable"
 

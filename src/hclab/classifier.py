@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, krylov_closure
-from .commutation import (_singular_pairs, _window_view, centered_check,
+from .commutation import (_band_rows, _banded, _singular_pairs, _window_view, centered_check,
                           effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import (
     HclabError,
@@ -194,13 +194,14 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
 
     model, cfg = chain.model, chain.cfg
     T, N, scale = model.matrix, model.dim, _singular_pairs(model)[1][0]
-    X = krylov_closure(T, w, scale, cfg.rank_tol, limit=m)[0]
+    rows = _band_rows(model, N) if _banded(model) else None
+    X = krylov_closure(T, w, scale, cfg.rank_tol, limit=m, rows=rows)[0]
     if X.shape[1] < min(m, N):
         raise PatternResidualTooLarge("lambda chain collapsed before depth m")
-    X = krylov_closure(T, v, scale, cfg.rank_tol, frame=X)[0]
+    X = krylov_closure(T, v, scale, cfg.rank_tol, frame=X, rows=rows)[0]
     B = X.shape[1]
 
-    Tt = X.conj().T @ (T @ X)
+    Tt = X.conj().T @ (T @ X if rows is None else rows.apply(X))
     pattern = np.zeros((B, B), dtype=bool)
     pattern[np.arange(1, B), np.arange(B - 1)] = True
     pattern[0, m - 1] = True
@@ -244,7 +245,8 @@ def _condition_II(chain: ChainDecomposition, basis_width: int, diagnostics: dict
     status, span_defect = "capped", 0.0  # a capped closure: nothing lies outside it
     if chain.M_E_block.dim < block.w and basis_width < model.dim:
         frame, status = krylov_closure(block.matrix, chain.M_E_block.frame,
-                                       _singular_pairs(model)[1][0], chain.cfg.rank_tol)
+                                       _singular_pairs(model)[1][0], chain.cfg.rank_tol,
+                                       rows=_band_rows(model, block.w) if _banded(model) else None)
         if status != "capped":
             leak = np.eye(block.w) - frame @ frame.conj().T
             span_defect = float(np.linalg.norm(leak, 2))

@@ -11,7 +11,8 @@ running product T^(k-1) T (``_matrix_power``), shared by its gram and co-gram.
 A real banded model (``_banded``) forms them through T's band: a column of T
 with one nonzero T_ij makes column j of T^k column i of T^(k-1) times T_ij, a
 gram column with one nonzero in a row no other column uses is its square on
-the diagonal, and the other columns take one product; T's SVD is ``_lone_svd``.
+the diagonal (the pattern read off T's row map, ``_band_rows``), and the
+other columns take one product; T's SVD is ``_lone_svd``.
 A gram compressed to a subspace of a window (the tower's theta* G_1 theta,
 the families on M_E and on each V_n) has one rule, ``_gram_on``: C* C with C
 the window columns of T^k times the subspace's frame.
@@ -29,12 +30,14 @@ pairs a product on a few rows, aq's a product on the rows its windows couple.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import NonFinite, NotHalfCentered, WindowExhausted
 from .linalg import (_hermitian_part, _lone_svd, _split_commutator_norm, _split_norm,
                      numerical_rank)
-from .operators import OperatorModel, ToleranceConfig, _memoized
+from .operators import OperatorModel, ToleranceConfig, _memoized, _nonzeros
 from .subspaces import Subspace, orthonormalize
 
 __all__ = [
@@ -104,10 +107,13 @@ def _svd(model: OperatorModel, a: np.ndarray, compute_uv: bool = True):
 
 @_memoized
 def _band_columns(model: OperatorModel) -> tuple:
-    """Per column of T its first nonzero's row and, if alone, value (else 0); columns with more."""
-    nz = model.matrix != 0
-    src, count = nz.argmax(axis=0), nz.sum(axis=0)
-    vals = np.where(count == 1, model.matrix[src, np.arange(model.dim)], 0.0)
+    """Per column of T with one nonzero its row and value (0 and 0.0 for the
+    others); the columns with more."""
+    rows, cols = _nonzeros(model)
+    count = np.bincount(cols, minlength=model.dim)
+    one = count[cols] == 1
+    src, vals = np.zeros(model.dim, dtype=np.intp), np.zeros(model.dim)
+    src[cols[one]], vals[cols[one]] = rows[one], model.matrix[rows[one], cols[one]]
     return src, vals, np.flatnonzero(count > 1)
 
 
@@ -127,13 +133,66 @@ def _matrix_power(model: OperatorModel, k: int) -> np.ndarray:
     return p
 
 
-def _band_gram(p: np.ndarray) -> np.ndarray:
-    """p.T p of a real p, exactly symmetric: a column with at most one nonzero,
-    in a row no other column uses, gives its square on the diagonal; the rest
-    take one product, symmetrized."""
-    nz = p != 0
-    count, first = nz.sum(axis=0), nz.argmax(axis=0)
-    alone = (count == 0) | ((count == 1) & (nz.sum(axis=1)[first] == 1))
+class RowMap(NamedTuple):
+    """A matrix with at most one nonzero per row: row i holds ``val[i]`` in
+    column ``col[i]`` (0.0 in column 0 when the row is empty), and ``inv[j]``
+    is the row of column j's nonzero (-1 when empty) when every column also
+    holds at most one (a weighted partial permutation), else None."""
+
+    col: np.ndarray
+    val: np.ndarray
+    inv: np.ndarray | None
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times ``x``: one term per row, so the bits of the dense product."""
+        return x[self.col] * (self.val if x.ndim == 1 else self.val[:, None])
+
+
+@_memoized
+def _band_rows(model: OperatorModel, w: int) -> RowMap | None:
+    """T's leading w x w block as a ``RowMap``; None when a row holds more
+    than one nonzero.  Stages take it on the band route only."""
+    rows, cols = _nonzeros(model)
+    inside = (rows < w) & (cols < w)
+    rows, cols = rows[inside], cols[inside]
+    if np.any(np.diff(rows) == 0):
+        return None
+    col, val = np.zeros(w, dtype=np.intp), np.zeros(w)
+    col[rows], val[rows] = cols, model.matrix[rows, cols]
+    inv = None
+    if np.all(np.bincount(cols, minlength=w) <= 1):
+        inv = np.full(w, -1, dtype=np.intp)
+        inv[cols] = rows
+    return RowMap(col, val, inv)
+
+
+def _lone_columns(model: OperatorModel, k: int, outer: bool) -> tuple:
+    """For each column of T^k (of its transpose when ``outer``): whether it is
+    alone (at most one nonzero, in a row no other column uses) and its first
+    nonzero's row (0 when it has none).  Read off the row map, where row i of
+    T^k holds its one nonzero in column ``col`` applied k times; a scan of T^k's
+    pattern when T has none."""
+    p, rows = _matrix_power(model, k), _band_rows(model, model.dim)
+    if rows is None:
+        nz = (p.T if outer else p) != 0
+        count, first = nz.sum(axis=0), nz.argmax(axis=0)
+        return (count == 0) | ((count == 1) & (nz.sum(axis=1)[first] == 1)), first
+    at = col = rows.col
+    for _ in range(k - 1):
+        at = col[at]
+    live = p[np.arange(model.dim), at] != 0
+    count = np.bincount(at[live], minlength=model.dim)  # nonzeros per column of T^k
+    if outer:  # column i of the transpose is row i of T^k
+        return ~live | (count[at] == 1), np.where(live, at, 0)
+    first = np.zeros(model.dim, dtype=np.intp)
+    first[at[live]] = np.flatnonzero(live)
+    return count <= 1, first
+
+
+def _band_gram(p: np.ndarray, alone: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """p.T p of a real p, exactly symmetric: a column ``alone`` gives its square
+    (its entry in row ``first``) on the diagonal; the rest take one product,
+    symmetrized."""
     g, lone, rest = np.zeros((p.shape[1],) * 2), np.flatnonzero(alone), np.flatnonzero(~alone)
     g[lone, lone] = np.square(p[first[lone], lone])
     c = p[:, rest]
@@ -153,7 +212,7 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         p = _matrix_power(model, k)
         if _banded(model):
-            g = _band_gram(p.T if outer else p)
+            g = _band_gram(p.T if outer else p, *_lone_columns(model, k, outer))
         else:
             g = _hermitian_part(p @ p.conj().T if outer else p.conj().T @ p)
     if not np.all(np.isfinite(g)):

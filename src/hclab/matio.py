@@ -7,6 +7,8 @@ Layout: first line ``rows cols``, then the entries in row-major order as
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonFinite, SpecParseError
@@ -23,7 +25,7 @@ def parse_complex(token: str) -> complex:
         z = complex(token.replace(" ", ""))
     except ValueError as exc:
         raise SpecParseError(f"bad complex token {token!r}") from exc
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFinite(f"non-finite entry {token!r}")
     return z
 

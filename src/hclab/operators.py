@@ -103,11 +103,11 @@ class OperatorModel:
             self._check_band()
 
     def _check_band(self):
-        n = self.dim
-        mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > self.bandwidth
+        rows, cols = _nonzeros(self)
+        off = np.abs(rows - cols) > self.bandwidth
         for (i, j) in self.exceptions:
-            mask[i, j] = False
-        stray = np.max(np.abs(self.matrix[mask])) if mask.any() else 0.0
+            off &= (rows != i) | (cols != j)
+        stray = np.max(np.abs(self.matrix[rows[off], cols[off]])) if off.any() else 0.0
         if stray > 0:
             raise ValueError(
                 f"declared bandwidth {self.bandwidth} inconsistent with entries "
@@ -191,6 +191,12 @@ def _memoized(fn):
     return derived
 
 
+@_memoized
+def _nonzeros(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of T's nonzero entries, in row-major order."""
+    return np.nonzero(model.matrix)
+
+
 def _freeze(value):
     """``value``, with every array in it, through tuples, lists and dataclasses, read-only."""
     if isinstance(value, np.ndarray):
@@ -228,6 +234,15 @@ def weighted_shift(weights, N: int) -> OperatorModel:
     is not exact: each power loses one trailing index.  The matrix is real
     when every weight is.
     """
+    m, w = _shift_matrix(weights, N)
+    return OperatorModel(
+        matrix=m, family="weighted_shift", params={"weights": w.tolist()},
+        bandwidth=1, window_step=1,
+    )
+
+
+def _shift_matrix(weights, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complex N x N matrix of ``J e_k = w_k e_{k+1}``, and the weights."""
     w = np.asarray(list(weights), dtype=complex)
     if w.shape != (N - 1,):
         raise ValueError(f"need exactly N-1={N - 1} weights, got {w.shape}")
@@ -235,10 +250,7 @@ def weighted_shift(weights, N: int) -> OperatorModel:
         raise ZeroWeight("shift weights must be nonzero")
     m = np.zeros((N, N), dtype=complex)
     m[np.arange(1, N), np.arange(N - 1)] = w
-    return OperatorModel(
-        matrix=m, family="weighted_shift", params={"weights": w.tolist()},
-        bandwidth=1, window_step=1,
-    )
+    return m, w
 
 
 def shift_plus_rank_one(weights, a: complex, n: int, N: int) -> OperatorModel:
@@ -249,12 +261,11 @@ def shift_plus_rank_one(weights, a: complex, n: int, N: int) -> OperatorModel:
     """
     if not 0 <= n < N:
         raise IndexOutOfRange(f"rank-one index {n} outside 0..{N - 1}")
-    base = weighted_shift(weights, N)
-    m = base.matrix.astype(complex)
+    m, w = _shift_matrix(weights, N)
     m[0, n] += a
     return OperatorModel(
         matrix=m, family="shift_plus_rank_one",
-        params={"weights": list(base.params["weights"]), "a": complex(a), "n": n},
+        params={"weights": w.tolist(), "a": complex(a), "n": n},
         bandwidth=1, exceptions=((0, n),), window_step=1,
     )
 
@@ -368,7 +379,7 @@ def real_gauge(model: OperatorModel) -> OperatorModel:
     T = model.matrix
     if not np.iscomplexobj(T) or model.window_frame is not None:
         return model
-    rows, cols = np.nonzero(T)
+    rows, cols = _nonzeros(model)
     if len(rows) > model.dim:  # at most one cycle needs edges <= vertices
         return model
     edges = [[] for _ in range(model.dim)]

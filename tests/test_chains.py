@@ -15,12 +15,14 @@ from hclab import (
     classify,
     composition_operator,
     enumerate_triples,
+    from_matrix,
     gram_power,
     half_centered_check,
     isometry_tower,
     kernel_of_adjoint,
     orthonormalize,
     projection_product,
+    real_gauge,
     shift_plus_rank_one,
     spectral_correspondence_check,
     structure_extract,
@@ -31,10 +33,10 @@ import hclab.chains
 import hclab.classifier
 import hclab.commutation
 import hclab.linalg
-from hclab.chains import _moduli_on_block, analysis_block, krylov_closure
+from hclab.chains import _moduli_on_block, _walk as walk, analysis_block, krylov_closure
 from hclab.cli import cmd_classify, main
-from hclab.commutation import (_gram_on, _power_product, _singular_pairs, analysis_depth,
-                               effective_depth)
+from hclab.commutation import (_band_rows, _gram_on, _power_product, _singular_pairs,
+                               analysis_depth, effective_depth)
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import _hermitian_view, _split_norm, positive_sqrt
 from hclab.spectral import _moduli_spectrum
@@ -697,7 +699,7 @@ def _counted_closure(monkeypatch, matrix, seed, scale, rank_tol):
     project = hclab.chains._project_out
 
     def counting(done, done_h, x):
-        steps[-1].append(x.shape[1])
+        steps[-1].append(x.shape[1] if x.ndim == 2 else 1)  # a one-wide step is a vector
         return project(done, done_h, x)
 
     class Counting(np.ndarray):
@@ -723,7 +725,7 @@ class TestKrylovClosure:
 
         class Counting(np.ndarray):
             def __matmul__(self, other):
-                widths.append(other.shape[1])
+                widths.append(other.shape[1] if other.ndim == 2 else 1)  # a vector is one wide
                 return np.asarray(self) @ other
 
         for model in (aq_operator(0.5, None, 64), shift_plus_rank_one([0.5] * 47, 1.0, 0, 48)):
@@ -872,6 +874,69 @@ class TestKrylovClosure:
     def test_grid_models_meet_condition_ii(self, family, n, cfg):
         rep = classify(family_model(family, n, np.random.default_rng(n)), cfg)
         assert rep["condition_II_ok"] and rep["diagnostics"]["span_status"] == "capped"
+
+
+class TestRowMapClosure:
+    """A closure given T's row map (``commutation._band_rows``) applies T by its
+    one nonzero per row and walks a unit seed along a weighted partial
+    permutation; either way its frame is the dense route's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [96, 128, 160])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_classify_closures_match_the_dense_route(self, family, n, cfg, monkeypatch):
+        # condition II (ws) and the reconstruction's two closures (sro, hardy),
+        # each with the limit and frame classify passes
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, krylov_closure(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(hclab.classifier, "krylov_closure", recording)
+        classify(real_gauge(family_model(family, n, np.random.default_rng(n))), cfg)
+        assert calls
+        for args, kwargs, (frame, status) in calls:
+            assert kwargs.pop("rows") is not None
+            ref, ref_status = krylov_closure(*args, **kwargs)
+            assert status == ref_status and np.array_equal(frame, ref)
+
+    @staticmethod
+    def walk_case(case):
+        """(T, the closure's width, its status): weighted shifts on 24 indices
+        with one weight edited, or a weighted 8-cycle inside 12 indices."""
+        if case == "cycle":  # e_0 -> .. -> e_7 -> e_0: the image returns to e_0
+            t = np.zeros((12, 12))
+            t[(np.arange(8) + 1) % 8, np.arange(8)] = np.linspace(-1.5, 0.8, 8)
+            return t, 8, "stable"
+        weights = np.linspace(0.7, 1.3, 23)
+        width, status = {"zero_weight": (10, "stable"), "under_the_cut": (10, "stable"),
+                         "edge_drop": (23, "stable"), "unit_weights": (24, "capped")}[case]
+        if case == "zero_weight":
+            weights[9] = 0.0  # an empty column
+        elif case == "under_the_cut":
+            weights[9] = 1e-12  # under rank_tol * ||T||_2 = 1.3e-10
+        elif case == "edge_drop":
+            weights[-1] = 1e-4 * weights[-2]  # the boundary step, and nothing after
+        else:
+            weights[:] = -1.0
+        t = np.zeros((24, 24))
+        t[np.arange(1, 24), np.arange(23)] = weights
+        return t, width, status
+
+    @pytest.mark.parametrize("case", ["cycle", "zero_weight", "under_the_cut", "edge_drop",
+                                      "unit_weights"])
+    def test_walk_matches_the_dense_route(self, case, cfg, monkeypatch):
+        t, width, status = self.walk_case(case)
+        rows = _band_rows(from_matrix(t), t.shape[0])
+        assert rows.inv is not None  # a weighted partial permutation
+        seed, scale = np.eye(t.shape[0])[:, :1], np.linalg.norm(t, 2)
+        walks = []
+        monkeypatch.setattr(hclab.chains, "_walk",
+                            lambda *args: walks.append(args) or walk(*args))
+        got, got_status = krylov_closure(t, seed, scale, cfg.rank_tol, rows=rows)
+        ref, ref_status = krylov_closure(t, seed, scale, cfg.rank_tol)
+        assert len(walks) == 1 and (got.shape[1], got_status) == (width, status)
+        assert got_status == ref_status and np.array_equal(got, ref)
 
 
 def _sweep_moduli_on_block(block, cfg):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hclab.classifier
 import hclab.commutation
 from hclab import (
+    OperatorModel,
     aq_operator,
     centered_check,
     centered_criterion,
@@ -23,8 +25,8 @@ from hclab import (
 )
 from hclab.chains import analysis_block
 from hclab.cli import cmd_verify
-from hclab.commutation import (_matrix_power, _power_product, _singular_pairs,
-                               _window_gram_norm, _window_table, _window_view,
+from hclab.commutation import (_band_rows, _lone_columns, _matrix_power, _power_product,
+                               _singular_pairs, _window_gram_norm, _window_table, _window_view,
                                require_half_centered)
 from hclab.errors import (NotHalfCentered, NotInjectiveOnWindow, PreconditionViolated,
                           WindowExhausted)
@@ -441,15 +443,21 @@ class TestBandRoute:
 
     @pytest.fixture
     def band_calls(self, monkeypatch):
+        """The band kernels called, by name; ``_band_rows`` also where the
+        classifier reaches it (``classifier._band_rows``)."""
         calls = []
-        for name in ("_lone_svd", "_band_gram", "_band_columns"):
-            original = getattr(hclab.commutation, name)
+        for module in (hclab.commutation, hclab.classifier):
+            for name in ("_lone_svd", "_band_gram", "_band_columns", "_band_rows"):
+                if not hasattr(module, name):
+                    continue
+                original = getattr(module, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+                def counting(*args, _name=f"{module.__name__}.{name}", _original=original,
+                             **kwargs):
+                    calls.append(_name.removeprefix("hclab.commutation."))
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(hclab.commutation, name, counting)
+                monkeypatch.setattr(module, name, counting)
         return calls
 
     @staticmethod
@@ -459,6 +467,12 @@ class TestBandRoute:
     def test_routed_shift_reaches_every_kernel(self, band_calls, cfg):
         classify(self.gauged("ws", 128), cfg)
         assert {"_lone_svd", "_band_gram", "_band_columns"} <= set(band_calls)
+
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_routed_closures_reach_the_row_map(self, band_calls, cfg, family):
+        # condition II (ws) and the reconstruction's closures (sro, hardy)
+        classify(self.gauged(family, 128), cfg)
+        assert "hclab.classifier._band_rows" in band_calls
 
     @pytest.mark.parametrize("case", ["aq", "conjugated", "complex", "n64"])
     def test_other_models_never_reach_the_band_kernels(self, band_calls, cfg, case):
@@ -476,6 +490,33 @@ class TestBandRoute:
         e0 = np.zeros(128)
         e0[0] = 1.0
         assert frame.shape == (128, 1) and np.array_equal(np.abs(frame[:, 0]), e0)
+
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_lone_columns_match_a_scan_of_the_power(self, family):
+        # the row map's pattern against a scan of every nonzero of T^k (of its
+        # transpose for the co-gram); ``first`` matters on the lone columns only
+        model = self.gauged(family, 128)
+        for k in range(1, 7):
+            for outer in (False, True):
+                nz = (_matrix_power(model, k).T if outer else _matrix_power(model, k)) != 0
+                count, first = nz.sum(axis=0), nz.argmax(axis=0)
+                alone = (count == 0) | ((count == 1) & (nz.sum(axis=1)[first] == 1))
+                got_alone, got_first = _lone_columns(model, k, outer)
+                assert np.array_equal(got_alone, alone), (k, outer)
+                assert np.array_equal(got_first[alone], first[alone]), (k, outer)
+
+    def test_fuller_rows_take_the_scan(self):
+        # a declared band whose rows hold three nonzeros has no row map; its
+        # grams still come through the band route
+        rng = np.random.default_rng(96)
+        t = np.diag(rng.uniform(1, 2, 96)) + np.diag(rng.uniform(1, 2, 95), -1)
+        t += np.diag(rng.uniform(1, 2, 95), 1)
+        model = OperatorModel(t, bandwidth=1, window_step=1)
+        assert _band_rows(model, 96) is None
+        for k in (1, 2, 3):
+            dense = TestPowerTableGrams.separate_construction(t, k, False)
+            gap = np.max(np.abs(_power_product(model, k, False) - dense))
+            assert gap <= 2 * self.eps * np.linalg.norm(dense, 2)
 
     @pytest.mark.parametrize("n", [96, 128, 160, 256])
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])

@@ -297,6 +297,15 @@ class TestModelMetadata:
         w = t.window(2)
         assert np.linalg.norm(t.window_compress(g, w) - rot.window_compress(g_rot, w)) <= 1e-12
 
+    def test_band_check_names_the_largest_off_band_entry(self):
+        t = np.diag(np.ones(5), -1)
+        t[0, 4], t[1, 5] = 0.25, -0.5
+        with pytest.raises(ValueError, match=r"^declared bandwidth 1 inconsistent with entries "
+                                             r"\(largest off-band magnitude 5\.000e-01\)$"):
+            OperatorModel(t, bandwidth=1, exceptions=((0, 4),))
+        assert OperatorModel(t, bandwidth=1, exceptions=((1, 5), (0, 4))).bandwidth == 1
+        assert OperatorModel(t, bandwidth=4).bandwidth == 4
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ToleranceConfig(rank_tol=0.0)

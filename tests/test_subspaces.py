@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -86,6 +88,13 @@ class TestMatrixTextFormat:
     def test_parse_errors(self, bad):
         with pytest.raises(SpecParseError):
             loads_matrix(bad)
+
+    @pytest.mark.parametrize("token", ["inf", "1+nanj", "-infj", "1e400+0j"])
+    def test_non_finite_token_names_itself(self, token):
+        from hclab.errors import NonFinite
+
+        with pytest.raises(NonFinite, match=f"^{re.escape(f'non-finite entry {token!r}')}$"):
+            parse_complex(token)
 
     def test_rejects_nan_token(self):
         from hclab.errors import NonFinite
