@@ -137,7 +137,7 @@ def _norm(x: np.ndarray) -> float:
 def _walk(rows: RowMap, i: int, x: float, scale: float, rank_tol: float,
           limit: int) -> tuple[np.ndarray, str]:
     """``krylov_closure`` from an empty frame of the seed x e_i, x = +-1, under a
-    weighted partial permutation (``rows`` with its ``inv``): Arnoldi's scalar
+    weighted partial permutation (``rows`` with no ``multi`` column): Arnoldi's scalar
     arithmetic along the path i -> inv[i] -> ..., the frame assembled once.
 
     Step k's image is one entry at the path's k-th index, so every projection
@@ -165,9 +165,9 @@ def _walk(rows: RowMap, i: int, x: float, scale: float, rank_tol: float,
     return frame, "capped" if d >= limit else "stable"
 
 
-def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol: float,
-                   frame: np.ndarray | None = None, limit: int | None = None,
-                   rows: RowMap | None = None) -> tuple[np.ndarray, str]:
+def krylov_closure(matrix: np.ndarray | RowMap, seed: np.ndarray, scale: float,
+                   rank_tol: float, frame: np.ndarray | None = None,
+                   limit: int | None = None) -> tuple[np.ndarray, str]:
     """Orthonormal frame of the closure of span(frame, seed) under ``matrix``.
 
     Arnoldi on fresh directions (Saad, Numerical Methods for Large Eigenvalue
@@ -184,22 +184,22 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
     truncation's boundary and are dropped.  Status: ``"capped"`` at ``limit``
     columns (default n), else ``"stable"``.  ``matrix`` may also be a (K, n, n)
     stack: a step then applies every member and sets the K images side by
-    side, cut at the ``scale`` given (the members' largest norm).
-
-    ``rows``, a 2-D ``matrix`` as its ``RowMap`` (``commutation._band_rows``),
-    applies it by its one nonzero per row; an empty frame and a seed +-e_i
-    under a partial permutation then walk its path (``_walk``).
+    side, cut at the ``scale`` given (the members' largest norm), or T's
+    ``RowMap`` (``commutation._band_rows``), applied by its one nonzero per
+    row: an empty frame and a seed +-e_i under a map with no ``multi`` column
+    then walk its path (``_walk``).
     """
     n = seed.shape[0]
     limit = n if limit is None else min(limit, n)
     frame = np.zeros((n, 0)) if frame is None else frame
     d = frame.shape[1]
     x = np.ascontiguousarray(seed[:, 0]) if seed.shape[1] == 1 else seed  # one wide: a vector
-    if rows is not None and rows.inv is not None and d == 0 and x.ndim == 1 and x.dtype.kind == "f":
+    if (isinstance(matrix, RowMap) and matrix.multi.size == 0 and d == 0 and x.ndim == 1
+            and x.dtype.kind == "f"):
         at = np.flatnonzero(x)
         if at.size == 1 and abs(x[at[0]]) == 1.0:  # the seed is +-e_i
-            return _walk(rows, int(at[0]), float(x[at[0]]), scale, rank_tol, limit)
-    buf = np.empty((n, n), dtype=np.result_type(matrix, seed, frame), order="F")
+            return _walk(matrix, int(at[0]), float(x[at[0]]), scale, rank_tol, limit)
+    buf = np.empty((n, n), dtype=np.result_type(matrix.dtype, seed, frame), order="F")
     buf_h = np.empty((n, n), dtype=buf.dtype)  # buf's adjoint, kept row by row
     buf[:, :d], buf_h[:d] = frame, frame.conj().T
     low, edge = 0.0, None
@@ -212,7 +212,6 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
                 s = _norm(resid)
                 if s >= _KEEP * before:  # nothing cancelled: no repeat
                     break
-            r, top, bottom = min(numerical_rank(s, rank_tol, scale), limit - d), s, s
         else:
             resid, s = x, np.linalg.norm(x, axis=0)
             for _ in range(2):  # the third pass is on the kept block
@@ -221,10 +220,10 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
                 if (s >= _KEEP * before).all():
                     break
             u, s = np.linalg.svd(resid, full_matrices=False)[:2]
-            r = min(numerical_rank(s, rank_tol, scale), limit - d)
-            top, bottom = s[0], s[r - 1]
+        r = min(numerical_rank(s, rank_tol, scale), limit - d)
         if r == 0:
             break
+        top, bottom = (s, s) if vector else (s[0], s[r - 1])
         edge = (edge or d) if top <= 1e-3 * low else None  # the width before the drops
         buf[:, d:d + r] = (resid[:, None] / s if vector
                            else np.linalg.qr(_project_out(done, done_h, u[:, :r]))[0])
@@ -238,8 +237,7 @@ def krylov_closure(matrix: np.ndarray, seed: np.ndarray, scale: float, rank_tol:
             x = np.hstack(matrix @ new)
             x = x[:, 0] if x.shape[1] == 1 else x
         else:
-            new = new[:, 0] if r == 1 else new
-            x = matrix @ new if rows is None else rows.apply(new)
+            x = matrix @ (new[:, 0] if r == 1 else new)
     d = edge or d
     return buf[:, :d], "capped" if d >= limit else "stable"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import ChainDecomposition, chain_decomposition, krylov_closure
-from .commutation import (_band_rows, _banded, _singular_pairs, _window_view, centered_check,
+from .commutation import (_band_rows, _singular_pairs, _window_view, centered_check,
                           effective_depth, kernel_of_adjoint, require_half_centered)
 from .errors import (
     HclabError,
@@ -193,15 +193,15 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
     w, v = (lifted @ frames[j][:, :1] for j in (lam, 1 - lam))
 
     model, cfg = chain.model, chain.cfg
-    T, N, scale = model.matrix, model.dim, _singular_pairs(model)[1][0]
-    rows = _band_rows(model, N) if _banded(model) else None
-    X = krylov_closure(T, w, scale, cfg.rank_tol, limit=m, rows=rows)[0]
+    N, scale = model.dim, _singular_pairs(model)[1][0]
+    T = _band_rows(model, N) or model.matrix
+    X = krylov_closure(T, w, scale, cfg.rank_tol, limit=m)[0]
     if X.shape[1] < min(m, N):
         raise PatternResidualTooLarge("lambda chain collapsed before depth m")
-    X = krylov_closure(T, v, scale, cfg.rank_tol, frame=X, rows=rows)[0]
+    X = krylov_closure(T, v, scale, cfg.rank_tol, frame=X)[0]
     B = X.shape[1]
 
-    Tt = X.conj().T @ (T @ X if rows is None else rows.apply(X))
+    Tt = X.conj().T @ (T @ X)
     pattern = np.zeros((B, B), dtype=bool)
     pattern[np.arange(1, B), np.arange(B - 1)] = True
     pattern[0, m - 1] = True
@@ -238,21 +238,19 @@ def _condition_II(chain: ChainDecomposition, basis_width: int, diagnostics: dict
     """Condition II: the closure of T^k M_E fills the space.  An M_E that fills
     the block, and a normal-form basis of N columns (w and v lie in M_E, and
     ``krylov_closure`` on T builds every column), are frames of that closure,
-    read as capped; otherwise M_E is closed under the block's T_b, and a
-    closure F below the block width leaves ||I - F F*||_2 of the block outside.
+    read as capped; otherwise M_E is closed under the block's T_b.  A closure F
+    below the block width leaves an exact projector I - F F* of rank >= 1
+    outside it, so ``span_defect`` = ||I - F F*||_2 is 1, and 0 when capped.
     ``basis_width`` is the normal-form basis's column count, 0 without one."""
     model, block = chain.model, chain.block
-    status, span_defect = "capped", 0.0  # a capped closure: nothing lies outside it
+    status = "capped"
     if chain.M_E_block.dim < block.w and basis_width < model.dim:
-        frame, status = krylov_closure(block.matrix, chain.M_E_block.frame,
-                                       _singular_pairs(model)[1][0], chain.cfg.rank_tol,
-                                       rows=_band_rows(model, block.w) if _banded(model) else None)
-        if status != "capped":
-            leak = np.eye(block.w) - frame @ frame.conj().T
-            span_defect = float(np.linalg.norm(leak, 2))
-    diagnostics["span_defect"] = span_defect
+        status = krylov_closure(_band_rows(model, block.w) or block.matrix,
+                                chain.M_E_block.frame, _singular_pairs(model)[1][0],
+                                chain.cfg.rank_tol)[1]
+    diagnostics["span_defect"] = 0.0 if status == "capped" else 1.0
     diagnostics["span_status"] = status
-    return span_defect <= 1e-8
+    return status == "capped"
 
 
 def classify(model: OperatorModel, cfg: ToleranceConfig) -> dict:

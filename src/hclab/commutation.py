@@ -8,11 +8,13 @@ computed on that block and scaled by the product of the factors' norms.
 Grams are Hermitian PSD, so their norms and commutators go through the
 ``_split_*`` kernels of ``linalg``, and every power T^k of one model is one
 running product T^(k-1) T (``_matrix_power``), shared by its gram and co-gram.
-A real banded model (``_banded``) forms them through T's band: a column of T
-with one nonzero T_ij makes column j of T^k column i of T^(k-1) times T_ij, a
-gram column with one nonzero in a row no other column uses is its square on
-the diagonal (the pattern read off T's row map, ``_band_rows``), and the
-other columns take one product; T's SVD is ``_lone_svd``.
+The band route is T's row map, ``_band_rows``: a real model of at least
+``BAND_MIN_DIM`` rows that declares a band and holds one nonzero per row at
+most forms them through it.  A column of T with one nonzero T_ij makes column
+j of T^k column i of T^(k-1) times T_ij, a gram column with one nonzero in a
+row no other column uses is its square on the diagonal, and the other columns
+take one product; T's SVD is ``_lone_svd``, and ``classifier``'s Krylov
+closures apply the map as T.  Every other model takes the dense route.
 A gram compressed to a subspace of a window (the tower's theta* G_1 theta,
 the families on M_E and on each V_n) has one rule, ``_gram_on``: C* C with C
 the window columns of T^k times the subspace's frame.
@@ -93,91 +95,76 @@ def effective_depth(model: OperatorModel, cfg: ToleranceConfig) -> int:
 BAND_MIN_DIM = 96
 
 
-def _banded(model: OperatorModel) -> bool:
-    """The band route: a declared ``bandwidth`` (no ``conjugated`` model has one), at least
-    ``BAND_MIN_DIM`` rows, float64.  Not keyed on zeros: aq has some; a split moves its dims."""
-    return (model.bandwidth is not None and model.dim >= BAND_MIN_DIM
-            and model.matrix.dtype == np.float64)
-
-
-def _svd(model: OperatorModel, a: np.ndarray, compute_uv: bool = True):
-    """``np.linalg.svd(a)`` of T or its window columns, by ``_lone_svd`` if banded."""
-    return (_lone_svd if _banded(model) else np.linalg.svd)(a, compute_uv=compute_uv)
-
-
-@_memoized
-def _band_columns(model: OperatorModel) -> tuple:
-    """Per column of T with one nonzero its row and value (0 and 0.0 for the
-    others); the columns with more."""
-    rows, cols = _nonzeros(model)
-    count = np.bincount(cols, minlength=model.dim)
-    one = count[cols] == 1
-    src, vals = np.zeros(model.dim, dtype=np.intp), np.zeros(model.dim)
-    src[cols[one]], vals[cols[one]] = rows[one], model.matrix[rows[one], cols[one]]
-    return src, vals, np.flatnonzero(count > 1)
-
-
-@_memoized
-def _matrix_power(model: OperatorModel, k: int) -> np.ndarray:
-    """T^k as a running product, T^(k-1) T, shared by grams and co-grams; T^1
-    is the model's matrix itself.  The band route gives the same bits."""
-    if k == 1:
-        return model.matrix
-    prev = _matrix_power(model, k - 1)
-    if not _banded(model):
-        return np.matmul(prev, model.matrix)
-    src, vals, multi = _band_columns(model)
-    p = np.take(prev, src, axis=1)
-    p *= vals
-    p[:, multi] = np.matmul(prev, model.matrix[:, multi])
-    return p
-
-
 class RowMap(NamedTuple):
-    """A matrix with at most one nonzero per row: row i holds ``val[i]`` in
-    column ``col[i]`` (0.0 in column 0 when the row is empty), and ``inv[j]``
-    is the row of column j's nonzero (-1 when empty) when every column also
-    holds at most one (a weighted partial permutation), else None."""
+    """A matrix with at most one nonzero per row, as an operator: row i holds
+    ``val[i]`` in column ``col[i]`` (0.0 in column 0 when the row is empty);
+    ``inv[j]`` is the row of column j's nonzero (-1 when the column is empty or
+    fuller), ``multi`` the fuller columns."""
 
     col: np.ndarray
     val: np.ndarray
-    inv: np.ndarray | None
+    inv: np.ndarray
+    multi: np.ndarray
+    ndim = 2
+    dtype = property(lambda self: self.val.dtype)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The matrix times ``x``: one term per row, so the bits of the dense product."""
         return x[self.col] * (self.val if x.ndim == 1 else self.val[:, None])
 
 
 @_memoized
 def _band_rows(model: OperatorModel, w: int) -> RowMap | None:
-    """T's leading w x w block as a ``RowMap``; None when a row holds more
-    than one nonzero.  Stages take it on the band route only."""
+    """The band route: T's leading w x w block as a ``RowMap``.  None unless the
+    model declares a ``bandwidth`` (no ``conjugated`` model has one), has at
+    least ``BAND_MIN_DIM`` rows and is float64, all read before any nonzero (no
+    zero pattern alone picks the route: aq has zeros, and a split moves its
+    dims), and the block holds one nonzero per row at most."""
+    if model.bandwidth is None or model.dim < BAND_MIN_DIM or model.matrix.dtype != np.float64:
+        return None
     rows, cols = _nonzeros(model)
     inside = (rows < w) & (cols < w)
     rows, cols = rows[inside], cols[inside]
     if np.any(np.diff(rows) == 0):
         return None
-    col, val = np.zeros(w, dtype=np.intp), np.zeros(w)
+    col, val, inv = np.zeros(w, dtype=np.intp), np.zeros(w), np.full(w, -1, dtype=np.intp)
     col[rows], val[rows] = cols, model.matrix[rows, cols]
-    inv = None
-    if np.all(np.bincount(cols, minlength=w) <= 1):
-        inv = np.full(w, -1, dtype=np.intp)
-        inv[cols] = rows
-    return RowMap(col, val, inv)
+    count = np.bincount(cols, minlength=w)
+    lone = count[cols] == 1
+    inv[cols[lone]] = rows[lone]
+    return RowMap(col, val, inv, np.flatnonzero(count > 1))
+
+
+def _svd(model: OperatorModel, a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd(a)`` of T or its window columns, by ``_lone_svd`` on the band route."""
+    dense = _band_rows(model, model.dim) is None
+    return (np.linalg.svd if dense else _lone_svd)(a, compute_uv=compute_uv)
+
+
+@_memoized
+def _matrix_power(model: OperatorModel, k: int) -> np.ndarray:
+    """T^k as a running product, T^(k-1) T, shared by grams and co-grams; T^1
+    is the model's matrix itself.  The band route gives the same bits: column j
+    of T with one nonzero T_ij makes column j of T^k column i of T^(k-1) times T_ij."""
+    if k == 1:
+        return model.matrix
+    prev, rows = _matrix_power(model, k - 1), _band_rows(model, model.dim)
+    if rows is None:
+        return np.matmul(prev, model.matrix)
+    src = np.maximum(rows.inv, 0)
+    p = np.take(prev, src, axis=1)
+    p *= np.where(rows.inv < 0, 0.0, rows.val[src])
+    p[:, rows.multi] = np.matmul(prev, model.matrix[:, rows.multi])
+    return p
 
 
 def _lone_columns(model: OperatorModel, k: int, outer: bool) -> tuple:
-    """For each column of T^k (of its transpose when ``outer``): whether it is
-    alone (at most one nonzero, in a row no other column uses) and its first
-    nonzero's row (0 when it has none).  Read off the row map, where row i of
-    T^k holds its one nonzero in column ``col`` applied k times; a scan of T^k's
-    pattern when T has none."""
-    p, rows = _matrix_power(model, k), _band_rows(model, model.dim)
-    if rows is None:
-        nz = (p.T if outer else p) != 0
-        count, first = nz.sum(axis=0), nz.argmax(axis=0)
-        return (count == 0) | ((count == 1) & (nz.sum(axis=1)[first] == 1)), first
-    at = col = rows.col
+    """For each column of T^k (of its transpose when ``outer``) on the band
+    route: whether it is alone (at most one nonzero, in a row no other column
+    uses) and its first nonzero's row (0 when it has none).  Read off T's row
+    map, where row i of T^k holds its one nonzero in column ``col`` applied k times."""
+    p, col = _matrix_power(model, k), _band_rows(model, model.dim).col
+    at = col
     for _ in range(k - 1):
         at = col[at]
     live = p[np.arange(model.dim), at] != 0
@@ -211,10 +198,10 @@ def _power_product(model: OperatorModel, k: int, outer: bool) -> np.ndarray:
         return np.eye(model.dim, dtype=model.matrix.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         p = _matrix_power(model, k)
-        if _banded(model):
-            g = _band_gram(p.T if outer else p, *_lone_columns(model, k, outer))
-        else:
+        if _band_rows(model, model.dim) is None:
             g = _hermitian_part(p @ p.conj().T if outer else p.conj().T @ p)
+        else:
+            g = _band_gram(p.T if outer else p, *_lone_columns(model, k, outer))
     if not np.all(np.isfinite(g)):
         name = f"T^{k} T*^{k}" if outer else f"T*^{k} T^{k}"
         raise NonFinite(f"{name} overflows: an entry is not finite")

@@ -35,7 +35,7 @@ import hclab.commutation
 import hclab.linalg
 from hclab.chains import _moduli_on_block, _walk as walk, analysis_block, krylov_closure
 from hclab.cli import cmd_classify, main
-from hclab.commutation import (_band_rows, _gram_on, _power_product, _singular_pairs,
+from hclab.commutation import (RowMap, _band_rows, _gram_on, _power_product, _singular_pairs,
                                analysis_depth, effective_depth)
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import _hermitian_view, _split_norm, positive_sqrt
@@ -792,6 +792,18 @@ class TestKrylovClosure:
         assert status == "capped" and {widths[0] for widths in steps} == {seed.dim}
         assert all(len(widths) == 3 for widths in steps)
 
+    @pytest.mark.parametrize("n, width", [(6, 0), (6, 2), (2, 2)])
+    def test_empty_seed_returns_the_frame(self, n, width, cfg):
+        # an (n, 0) seed adds nothing: no frame stays empty, a frame stays as it
+        # is, capped when it fills the space
+        rng = np.random.default_rng(n)
+        t = rng.standard_normal((n, n))
+        frame = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :width]
+        got, status = krylov_closure(t, np.zeros((n, 0)), np.linalg.norm(t, 2), cfg.rank_tol,
+                                     frame=frame if width else None)
+        assert np.array_equal(got, frame)
+        assert status == ("capped" if width == n else "stable")
+
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("family", ["sro", "hardy", "aq0.5"])
     def test_one_member_stack_is_its_matrix(self, family, conj, cfg):
@@ -840,8 +852,10 @@ class TestKrylovClosure:
 
         monkeypatch.setattr(hclab.classifier, "krylov_closure", recording)
         assert classify(model, cfg)["reconstruction"] is not None
-        # the chain of w to depth m, then that of v after it
-        ((T, w, scale, tol), first, (X, x_status)), ((_, v, _, _), _, (Y, y_status)) = calls
+        # the chain of w to depth m, then that of v after it; the reference
+        # replays on the dense T (classify may pass T's row map)
+        ((_, w, scale, tol), first, (X, x_status)), ((_, v, _, _), _, (Y, y_status)) = calls
+        T = model.matrix
         X_ref, X_ref_status = _three_pass_closure(T, w, scale, tol, limit=first["limit"])
         Y_ref, Y_ref_status = _three_pass_closure(T, v, scale, tol, frame=X_ref)
         assert (X.shape[1], x_status) == (X_ref.shape[1], X_ref_status)
@@ -877,15 +891,23 @@ class TestKrylovClosure:
 
 
 class TestRowMapClosure:
-    """A closure given T's row map (``commutation._band_rows``) applies T by its
+    """A closure handed T's row map (``commutation._band_rows``) applies T by its
     one nonzero per row and walks a unit seed along a weighted partial
     permutation; either way its frame is the dense route's, bit for bit."""
+
+    @staticmethod
+    def row_map(t, monkeypatch):
+        """``_band_rows`` of all of ``t``, a matrix with one nonzero per row at
+        most, declared banded, whatever its size."""
+        monkeypatch.setattr(hclab.commutation, "BAND_MIN_DIM", 1)
+        return _band_rows(OperatorModel(t, bandwidth=t.shape[0], window_step=1), t.shape[0])
 
     @pytest.mark.parametrize("n", [96, 128, 160])
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
     def test_classify_closures_match_the_dense_route(self, family, n, cfg, monkeypatch):
         # condition II (ws) and the reconstruction's two closures (sro, hardy),
-        # each with the limit and frame classify passes
+        # each with the limit and frame classify passes, replayed on the dense
+        # block the map stands for
         calls = []
 
         def recording(*args, **kwargs):
@@ -893,12 +915,38 @@ class TestRowMapClosure:
             return calls[-1][2]
 
         monkeypatch.setattr(hclab.classifier, "krylov_closure", recording)
-        classify(real_gauge(family_model(family, n, np.random.default_rng(n))), cfg)
+        model = real_gauge(family_model(family, n, np.random.default_rng(n)))
+        classify(model, cfg)
         assert calls
-        for args, kwargs, (frame, status) in calls:
-            assert kwargs.pop("rows") is not None
-            ref, ref_status = krylov_closure(*args, **kwargs)
+        for (rows, *args), kwargs, (frame, status) in calls:
+            assert isinstance(rows, RowMap)
+            w = rows.col.size
+            ref, ref_status = krylov_closure(model.matrix[:w, :w], *args, **kwargs)
             assert status == ref_status and np.array_equal(frame, ref)
+
+    @pytest.mark.parametrize("spec", range(24))
+    def test_seeded_specs_match_the_dense_route(self, spec, cfg):
+        # weighted shifts and shifts plus rank one, weights of both signs and
+        # magnitudes 1e-3..1e3, the rank-one index anywhere; seeds +-e_j (a walk
+        # where the map has no fuller column), a dense vector to a limit, and a
+        # dense seed after a frame
+        rng = np.random.default_rng(3900 + spec)
+        n = (96, 128)[spec % 2]
+        weights = rng.choice([-1.0, 1.0], n - 1) * 10.0 ** rng.uniform(-3, 3, n - 1)
+        if spec % 4 < 2:
+            model = weighted_shift(weights, n)
+        else:
+            a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            model = shift_plus_rank_one(weights, a, int(rng.integers(n)), n)
+        t, rows = model.matrix, _band_rows(model, n)
+        frame = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        unit = rng.choice([-1.0, 1.0]) * np.eye(n)[:, [int(rng.integers(n))]]
+        for seed, kwargs in ((np.eye(n)[:, :1], {}), (unit, {}),
+                             (rng.standard_normal((n, 1)), {"limit": n // 3}),
+                             (rng.standard_normal((n, 1)), {"frame": frame})):
+            got, status = krylov_closure(rows, seed, np.linalg.norm(t, 2), cfg.rank_tol, **kwargs)
+            ref, ref_status = krylov_closure(t, seed, np.linalg.norm(t, 2), cfg.rank_tol, **kwargs)
+            assert status == ref_status and np.array_equal(got, ref), kwargs
 
     @staticmethod
     def walk_case(case):
@@ -927,13 +975,13 @@ class TestRowMapClosure:
                                       "unit_weights"])
     def test_walk_matches_the_dense_route(self, case, cfg, monkeypatch):
         t, width, status = self.walk_case(case)
-        rows = _band_rows(from_matrix(t), t.shape[0])
-        assert rows.inv is not None  # a weighted partial permutation
+        rows = self.row_map(t, monkeypatch)
+        assert rows.multi.size == 0  # a weighted partial permutation
         seed, scale = np.eye(t.shape[0])[:, :1], np.linalg.norm(t, 2)
         walks = []
         monkeypatch.setattr(hclab.chains, "_walk",
                             lambda *args: walks.append(args) or walk(*args))
-        got, got_status = krylov_closure(t, seed, scale, cfg.rank_tol, rows=rows)
+        got, got_status = krylov_closure(rows, seed, scale, cfg.rank_tol)
         ref, ref_status = krylov_closure(t, seed, scale, cfg.rank_tol)
         assert len(walks) == 1 and (got.shape[1], got_status) == (width, status)
         assert got_status == ref_status and np.array_equal(got, ref)

@@ -20,7 +20,7 @@ from hclab import (
     weighted_shift,
 )
 from hclab.chains import analysis_block, krylov_closure
-from hclab.commutation import _singular_pairs, _window_view, effective_depth
+from hclab.commutation import RowMap, _singular_pairs, _window_view, effective_depth
 from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
                               _closed_range_flag, _relation_columns)
 from hclab.errors import (
@@ -486,9 +486,10 @@ class TestConditionII:
 
     @staticmethod
     def block_closures(closures, model, cfg):
-        """The closures under the analysis block's matrix."""
+        """The closures under the analysis block's matrix, or its row map on the band route."""
         block = analysis_block(model, cfg)
-        return [matrix for matrix in closures if matrix is block.matrix]
+        return [matrix for matrix in closures if matrix is block.matrix
+                or (isinstance(matrix, RowMap) and matrix.col.size == block.w)]
 
     @staticmethod
     def direct(model, cfg):
@@ -578,7 +579,11 @@ class TestConditionII:
         assert rep["verdict"] == "centered_weighted_shift"
         assert len(self.block_closures(closures, model, cfg)) == 1
         assert self.reported(rep) == ("stable", pytest.approx(1.0, abs=1e-12), False)
-        assert self.reported(rep) == self.direct(model, cfg)
+        # the report reads the defect off the status; the oracle's SVD is 1 to roundoff
+        (status, defect, ok), (ref_status, ref_defect, ref_ok) = (self.reported(rep),
+                                                                  self.direct(model, cfg))
+        assert (status, ok) == (ref_status, ref_ok)
+        assert abs(defect - ref_defect) <= 4 * np.finfo(float).eps
         assert self.ambient(model, cfg) == ("stable", False)
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])

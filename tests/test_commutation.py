@@ -443,19 +443,23 @@ class TestBandRoute:
 
     @pytest.fixture
     def band_calls(self, monkeypatch):
-        """The band kernels called, by name; ``_band_rows`` also where the
-        classifier reaches it (``classifier._band_rows``)."""
+        """The band kernels called and the row maps returned, by name;
+        ``_band_rows`` also where the classifier gets a map
+        (``classifier._band_rows``).  A call of ``_band_rows`` that returns
+        None, the dense route's answer, is not counted."""
         calls = []
         for module in (hclab.commutation, hclab.classifier):
-            for name in ("_lone_svd", "_band_gram", "_band_columns", "_band_rows"):
+            for name in ("_lone_svd", "_band_gram", "_band_rows"):
                 if not hasattr(module, name):
                     continue
                 original = getattr(module, name)
 
                 def counting(*args, _name=f"{module.__name__}.{name}", _original=original,
                              **kwargs):
-                    calls.append(_name.removeprefix("hclab.commutation."))
-                    return _original(*args, **kwargs)
+                    out = _original(*args, **kwargs)
+                    if out is not None:
+                        calls.append(_name.removeprefix("hclab.commutation."))
+                    return out
 
                 monkeypatch.setattr(module, name, counting)
         return calls
@@ -466,7 +470,7 @@ class TestBandRoute:
 
     def test_routed_shift_reaches_every_kernel(self, band_calls, cfg):
         classify(self.gauged("ws", 128), cfg)
-        assert {"_lone_svd", "_band_gram", "_band_columns"} <= set(band_calls)
+        assert {"_lone_svd", "_band_gram", "_band_rows"} <= set(band_calls)
 
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
     def test_routed_closures_reach_the_row_map(self, band_calls, cfg, family):
@@ -483,6 +487,7 @@ class TestBandRoute:
                  "complex": lambda: family_model("sro", 128, rng),
                  "n64": lambda: self.gauged("ws", 64)}[case]()
         classify(model, cfg)
+        assert _band_rows(model, model.dim) is None
         assert band_calls == []
 
     def test_routed_shift_kernel_is_exactly_e0(self, cfg):
@@ -505,18 +510,35 @@ class TestBandRoute:
                 assert np.array_equal(got_alone, alone), (k, outer)
                 assert np.array_equal(got_first[alone], first[alone]), (k, outer)
 
-    def test_fuller_rows_take_the_scan(self):
-        # a declared band whose rows hold three nonzeros has no row map; its
-        # grams still come through the band route
+    def test_fuller_rows_take_the_dense_route(self, band_calls, cfg):
+        # a declared band whose rows hold three nonzeros has no row map: its
+        # powers, grams and SVD are the dense route's, bit for bit
         rng = np.random.default_rng(96)
         t = np.diag(rng.uniform(1, 2, 96)) + np.diag(rng.uniform(1, 2, 95), -1)
         t += np.diag(rng.uniform(1, 2, 95), 1)
         model = OperatorModel(t, bandwidth=1, window_step=1)
         assert _band_rows(model, 96) is None
-        for k in (1, 2, 3):
-            dense = TestPowerTableGrams.separate_construction(t, k, False)
-            gap = np.max(np.abs(_power_product(model, k, False) - dense))
-            assert gap <= 2 * self.eps * np.linalg.norm(dense, 2)
+        p = t
+        for k in range(1, 4):
+            if k > 1:
+                p = np.matmul(p, t)
+            assert np.array_equal(_matrix_power(model, k), p)
+            for outer in (False, True):
+                dense = TestPowerTableGrams.separate_construction(t, k, outer)
+                assert np.array_equal(_power_product(model, k, outer), dense)
+        assert np.array_equal(_singular_pairs(model)[1], np.linalg.svd(t)[1])
+        assert band_calls == []
+
+    @pytest.mark.parametrize("n", [96, 128, 160])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
+    def test_row_map_is_the_dense_block(self, family, n, cfg):
+        # the map of the whole T and of the analysis block, on a vector and a block
+        model = self.gauged(family, n)
+        rng = np.random.default_rng(n)
+        for w in (n, analysis_block(model, cfg).w):
+            rows, t = _band_rows(model, w), model.matrix[:w, :w]
+            for x in (rng.standard_normal(w), rng.standard_normal((w, 3))):
+                assert np.array_equal(rows @ x, t @ x), (w, x.ndim)
 
     @pytest.mark.parametrize("n", [96, 128, 160, 256])
     @pytest.mark.parametrize("family", ["ws", "sro", "hardy"])
