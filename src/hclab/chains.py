@@ -2,13 +2,13 @@
 of partial isometries carried by the polar decompositions of operator powers.
 
 Truncated shifts are nilpotent, so everything that needs an injective
-operator runs on the compressed window block: the leading ``window(K)``
+operator runs on the window block the chain holds: the leading ``window(K)``
 indices, where the truncation still agrees with the infinite operator.  The
-gram family used on the block is the window compression of the full-size
+gram family on the block is the model's window compression of the full-size
 grams (exact where the window promises), not the grams of the compressed
 matrix, whose own boundary would corrupt them.  Every stage reads the chain
-and its ranges in block coordinates, which makes residual tables
-invariant under basis rotations of the model; ambient frames are lifts.
+and its ranges in block coordinates, which makes residual tables invariant
+under basis rotations of the model; ambient frames are window-column lifts.
 """
 
 from __future__ import annotations
@@ -28,97 +28,34 @@ from .operators import OperatorModel, ToleranceConfig, _memoized
 from .subspaces import Subspace, orthonormalize
 
 __all__ = [
-    "AnalysisBlock",
     "ChainDecomposition",
     "TowerLevel",
-    "analysis_block",
     "krylov_closure",
     "chain_decomposition",
     "isometry_tower",
     "verify_chain_structure",
 ]
 
-@_memoized
-def _ensure_injective_on_window(model: OperatorModel, cfg: ToleranceConfig) -> None:
-    w = model.window(1)
-    if w < 1:
-        raise WindowExhausted("window(1) < 1")
-    top = _singular_pairs(model)[1][0]
-    s = _svd(model, model.window_restrict(model.matrix, w), compute_uv=False)
-    if numerical_rank(s, cfg.rank_tol, top) < s.size:
-        raise NotInjectiveOnWindow(f"sigma_min {s[-1]:.3e} on the effective window is not above "
-                                   f"the cutoff {cfg.rank_tol * max(top, 1e-300):.3e} "
-                                   "(rank_tol * ||T||_2)")
-
-
-@dataclass
-class AnalysisBlock:
-    """The window-compressed stage on which injective-operator theory runs."""
-
-    w: int
-    step: int
-    depth: int
-    matrix: np.ndarray          # w x w compression of the operator
-    grams: tuple                # window compressions of the full grams, 0..depth
-    scales: tuple               # operator norm of each gram
-    E: Subspace                 # kernel line in block coordinates
-    embed: np.ndarray           # N x w window basis
-
-    @cached_property
-    def powers(self) -> list:
-        """matrix^0..depth, formed on first read: the ranges, the tower and
-        the structural suite read them, ``classify`` and ``spectral`` never."""
-        return power_table(self.matrix, self.depth)
-
-    def window(self, k: int) -> int:
-        return max(self.w - k * self.step, 0)
-
-
-@_memoized
-def analysis_block(model: OperatorModel, cfg: ToleranceConfig) -> AnalysisBlock:
-    """Build the compressed stage: operator block, exact gram compressions
-    and their norms, and the kernel line restricted to the window (the
-    block's powers wait for their first read).  Shared by every caller."""
-    K = effective_depth(model, cfg)
-    w = model.window(K)
-    if w < 1:
-        raise WindowExhausted(f"window({K}) < 1")
-    embed = model.window_cols(w)
-    Tb = model.window_compress(model.matrix, w)
-    grams = tuple(_window_view(model, k, False, w)[0] for k in range(K + 1))
-    scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
-
-    E_full = kernel_of_adjoint(model, cfg)
-    coords = embed.conj().T @ E_full.frame
-    if E_full.dim:
-        mass = float(np.min(np.linalg.norm(coords, axis=0)))
-        if mass < 1.0 - 1e-8:
-            raise WindowExhausted(
-                f"kernel of T* loses {1.0 - mass:.1e} of its mass outside the window (limit 1e-08)"
-            )
-    E_blk = orthonormalize([coords], rank_tol=cfg.rank_tol)
-    return AnalysisBlock(w=w, step=model.window_step, depth=K, matrix=Tb, grams=grams,
-                         scales=scales, E=E_blk, embed=embed)
-
-
-def _moduli_on_block(block: AnalysisBlock, cfg: ToleranceConfig) -> tuple[Subspace, str]:
-    """M_E in block coordinates, the smallest gram-invariant subspace containing
-    E: one ``krylov_closure`` of the stack G_1..G_K after E's frame, which stays
-    its first column.  Status: ``"capped"`` (the frame fills the block),
-    ``"stable"`` (max_j ||(I-P) G_j P|| / ||G_j|| is at roundoff: certified
-    invariant), ``"tolerance"`` (the rank cut set the dimension) or ``"empty"``."""
-    if block.E.dim == 0:
-        return block.E, "empty"
-    grams, E = np.stack(block.grams[1:]), block.E.frame
-    frame, status = krylov_closure(grams, np.hstack(grams @ E), max(block.scales[1:]),
-                                   cfg.rank_tol, frame=E)
+def _moduli_on_block(grams: tuple, scales: tuple, E: Subspace,
+                     cfg: ToleranceConfig) -> tuple[Subspace, str]:
+    """M_E in block coordinates, the smallest subspace containing E that the
+    grams G_1..G_K (norms ``scales``) leave invariant: one ``krylov_closure`` of
+    their stack after E's frame, its first column.  Status: ``"capped"`` (the
+    frame fills the block), ``"stable"`` (max_j ||(I-P) G_j P|| / ||G_j|| is at
+    roundoff: certified invariant), ``"tolerance"`` (the rank cut set the
+    dimension) or ``"empty"``."""
+    if E.dim == 0:
+        return E, "empty"
+    stack = np.stack(grams[1:])
+    frame, status = krylov_closure(stack, np.hstack(stack @ E.frame), max(scales[1:]),
+                                   cfg.rank_tol, frame=E.frame)
     if status == "capped":
         return Subspace(frame), status
     # invariance certificate: max_j ||(I - P) G_j P||_2 / ||G_j||_2, P the frame's projector
-    images = grams @ frame
+    images = stack @ frame
     leaks = np.linalg.svd(images - frame @ (frame.conj().T @ images), compute_uv=False)[:, 0]
-    leak = np.max(leaks / np.maximum(block.scales[1:], 1e-300))
-    status = "stable" if leak <= 100 * block.w * np.finfo(float).eps else "tolerance"
+    leak = np.max(leaks / np.maximum(scales[1:], 1e-300))
+    status = "stable" if leak <= 100 * frame.shape[0] * np.finfo(float).eps else "tolerance"
     return Subspace(frame), status
 
 
@@ -242,47 +179,61 @@ def krylov_closure(matrix: np.ndarray | RowMap, seed: np.ndarray, scale: float,
     return buf[:, :d], "capped" if d >= limit else "stable"
 
 
-def _range_space(block: AnalysisBlock, n: int, cfg: ToleranceConfig) -> Subspace:
+def _range_space(chain: ChainDecomposition, n: int) -> Subspace:
     """H_n: numerically significant range of the window columns of T^n.
 
     Only the uncorrupted leading columns of the power enter, so trailing
     nilpotent columns of a truncated shift cannot pollute the range rank.
     """
-    wn = block.window(n)
+    wn = chain.model.window(chain.depth + n)
     if wn < 1:
         raise WindowExhausted(f"block window({n}) < 1")
     if n == 0:
-        return Subspace(np.eye(block.w, dtype=block.matrix.dtype))
-    return orthonormalize([block.powers[n][:, :wn]], rank_tol=cfg.rank_tol)
+        return Subspace(np.eye(chain.w, dtype=chain.matrix.dtype))
+    return orthonormalize([chain.powers[n][:, :wn]], rank_tol=chain.cfg.rank_tol)
 
 
 @dataclass(eq=False)  # compared, and memoized on, by identity
 class ChainDecomposition:
-    """E, M_E and the chain X_n = X_{n-1} (+) V_n of one model, in block coordinates.
+    """E, M_E and the chain X_n = X_{n-1} (+) V_n of one model, on its window block.
 
-    ``chain_decomposition`` builds ``M_E_block``, ``moduli_status`` and the
-    block (whose depth is the chain's) up front; the chain (``X_block``,
-    ``V_block``, ``layers_block``, ``notes``), the ranges ``H`` and ``dims``
-    on first read, once per chain.
+    The block is the leading window, w = window(depth), and block window n is
+    ``model.window(depth + n)``.  ``matrix`` is T_b, the w x w compression of
+    T, and ``grams`` and ``scales`` are the model's memoized window views of
+    G_0..G_depth and their norms.  ``chain_decomposition`` builds these, E,
+    ``M_E_block`` and ``moduli_status``; ``powers`` T_b^0..T_b^depth, the chain
+    (``X_block``, ``V_block``, ``layers_block``, ``notes``), the ranges ``H``
+    and ``dims`` are built on first read, once per chain.
     ``dims["defects"]`` holds dim H_n - dim H_{n+1} (at least 0) for n < depth.
-    Nothing here is ambient: a block frame F lifts to ``block.embed @ F``.
+    Nothing here is ambient: a block frame F lifts to ``model.window_cols(w) @ F``.
     Every later stage takes the chain alone and reads ``model`` and ``cfg`` off it.
     """
 
     model: OperatorModel
     cfg: ToleranceConfig
+    depth: int
+    w: int
+    matrix: np.ndarray          # T_b
+    E: Subspace                 # kernel line of T* in block coordinates
+    grams: tuple                # window views of the full grams, 0..depth
+    scales: tuple               # operator norm of each gram
     moduli_status: str
-    block: AnalysisBlock
     M_E_block: Subspace
     _memo: dict = field(default_factory=dict, init=False, repr=False)  # for _memoized
 
     @cached_property
+    def powers(self) -> list:
+        """T_b^0..T_b^depth, formed on first read: the ranges, the tower and
+        the structural suite read them, ``classify`` and ``spectral`` never."""
+        return power_table(self.matrix, self.depth)
+
+    @cached_property
     def _chain(self) -> tuple:
-        block, tol = self.block, self.cfg.rank_tol
+        tol = self.cfg.rank_tol
         # layers[n] spans T^n M_E inside the block
         X, V, layers = [self.M_E_block], [self.M_E_block], [self.M_E_block]
         for n in range(1, self.depth + 1):
-            layer = orthonormalize([block.matrix @ layers[-1].frame], rank_tol=tol)
+            layer = orthonormalize([self.matrix @ layers[-1].frame], rank_tol=tol)
             layers.append(layer)
             prev = X[-1]
             fresh = layer.frame - prev.frame @ (prev.frame.conj().T @ layer.frame)
@@ -297,14 +248,13 @@ class ChainDecomposition:
         for Vn in V:
             if Vn.dim == 0:
                 continue
-            for g, scale in zip(block.grams[1:], block.scales[1:]):
+            for g, scale in zip(self.grams[1:], self.scales[1:]):
                 image = g @ Vn.frame
                 leak = image - Vn.frame @ (Vn.frame.conj().T @ image)
                 worst = max(worst, float(np.linalg.norm(leak) / max(scale, 1e-300)))
         notes["gram_invariance_residual"] = worst
         return X, V, layers, notes
 
-    depth = property(lambda self: self.block.depth)
     X_block = property(lambda self: self._chain[0])
     V_block = property(lambda self: self._chain[1])
     layers_block = property(lambda self: self._chain[2])
@@ -312,12 +262,12 @@ class ChainDecomposition:
 
     @cached_property
     def H(self) -> list:
-        """Ranges H_0..H_depth, in the coordinates of block."""
-        return [_range_space(self.block, n, self.cfg) for n in range(self.depth + 1)]
+        """Ranges H_0..H_depth, in block coordinates."""
+        return [_range_space(self, n) for n in range(self.depth + 1)]
 
     @cached_property
     def dims(self) -> dict:
-        return {"E": self.block.E.dim, "M_E": self.M_E_block.dim,
+        return {"E": self.E.dim, "M_E": self.M_E_block.dim,
                 "X": [x.dim for x in self.X_block], "V": [v.dim for v in self.V_block],
                 "defects": [max(a.dim - b.dim, 0) for a, b in zip(self.H, self.H[1:])]}
 
@@ -334,14 +284,39 @@ def chain_decomposition(model: OperatorModel, cfg: ToleranceConfig) -> ChainDeco
     """E, M_E and, on first read, the chain X_n = X_{n-1} (+) V_n up to the
     usable depth (see ``ChainDecomposition`` for what is built when).
 
-    Raises NotInjectiveOnWindow when the operator fails to act injectively
-    on the window (for a truncation: on the leading window columns; for an
-    exact model: on the whole space).
+    Raises, in this order: WindowExhausted when window(1) is empty,
+    NotInjectiveOnWindow when the operator fails to act injectively on it
+    (for a truncation: on the leading window columns; for an exact model: on
+    the whole space), and WindowExhausted when window(depth) is empty or the
+    kernel of T* loses mass outside it.
     """
-    _ensure_injective_on_window(model, cfg)
-    block = analysis_block(model, cfg)
-    M_E_blk, status = _moduli_on_block(block, cfg)
-    return ChainDecomposition(model, cfg, status, block, M_E_blk)
+    w = model.window(1)
+    if w < 1:
+        raise WindowExhausted("window(1) < 1")
+    top = _singular_pairs(model)[1][0]
+    s = _svd(model, model.window_restrict(model.matrix, w), compute_uv=False)
+    if numerical_rank(s, cfg.rank_tol, top) < s.size:
+        raise NotInjectiveOnWindow(f"sigma_min {s[-1]:.3e} on the effective window is not above "
+                                   f"the cutoff {cfg.rank_tol * max(top, 1e-300):.3e} "
+                                   "(rank_tol * ||T||_2)")
+    K = effective_depth(model, cfg)
+    w = model.window(K)
+    if w < 1:
+        raise WindowExhausted(f"window({K}) < 1")
+    E_full = kernel_of_adjoint(model, cfg)
+    coords = model.window_cols(w).conj().T @ E_full.frame
+    if E_full.dim:
+        mass = float(np.min(np.linalg.norm(coords, axis=0)))
+        if mass < 1.0 - 1e-8:
+            raise WindowExhausted(
+                f"kernel of T* loses {1.0 - mass:.1e} of its mass outside the window (limit 1e-08)"
+            )
+    E = orthonormalize([coords], rank_tol=cfg.rank_tol)
+    grams = tuple(_window_view(model, k, False, w)[0] for k in range(K + 1))
+    scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
+    M_E, status = _moduli_on_block(grams, scales, E, cfg)
+    return ChainDecomposition(model, cfg, K, w, model.window_compress(model.matrix, w), E,
+                              grams, scales, status, M_E)
 
 
 @dataclass
@@ -376,16 +351,14 @@ def isometry_tower(chain: ChainDecomposition) -> list[TowerLevel]:
     reads the same levels.
     """
     require_half_centered(chain.model, chain.cfg)
-    block = chain.block
-    prev_theta = np.eye(block.w, dtype=block.matrix.dtype)
-    product = np.eye(block.w, dtype=block.matrix.dtype)
+    prev_theta = product = np.eye(chain.w, dtype=chain.matrix.dtype)
     levels = []
-    for n in range(1, block.depth + 1):
-        Tn = block.powers[n]
+    for n in range(1, chain.depth + 1):
+        Tn = chain.powers[n]
         theta = polar(Tn, rank_tol=chain.cfg.rank_tol)
-        r = positive_sqrt(block.grams[n])
-        product = positive_sqrt(_gram_on(chain.model, 1, block.w, prev_theta)) @ product
-        wn = block.window(n)
+        r = positive_sqrt(chain.grams[n])
+        product = positive_sqrt(_gram_on(chain.model, 1, chain.w, prev_theta)) @ product
+        wn = chain.model.window(chain.depth + n)
         residuals = {"reconstruct": _corner_residual(theta @ r - Tn, wn, Tn),
                      "r_two_routes": _corner_residual(product - r, wn, r)}
         levels.append(TowerLevel(n=n, theta=theta, residuals=residuals))
@@ -423,9 +396,7 @@ def verify_chain_structure(chain: ChainDecomposition) -> dict:
       the chain's ``gram_invariance_residual``.
     """
     tower = isometry_tower(chain)
-    block, cfg = chain.block, chain.cfg
-    Tb = block.matrix
-    K = chain.depth
+    cfg, Tb, K = chain.cfg, chain.matrix, chain.depth
     V, X, M_E = chain.V_block, chain.X_block, chain.M_E_block
     out: dict = {"depth": K, "dims": dict(chain.dims)}
 
@@ -433,7 +404,7 @@ def verify_chain_structure(chain: ChainDecomposition) -> dict:
     # X_{k+1} (-) T X_{k-1}, with projector P_{X_{k+1}} - P_{T X_{k-1}}
     worst = 0.0
     complement_dims = [X[0].dim]
-    TXprev = np.zeros((block.w, 0), dtype=Tb.dtype)  # T X_{-1} = 0
+    TXprev = np.zeros((chain.w, 0), dtype=Tb.dtype)  # T X_{-1} = 0
     for k in range(K):
         if k:
             TXprev = orthonormalize([Tb @ X[k - 1].frame], rank_tol=cfg.rank_tol).frame
@@ -454,10 +425,10 @@ def verify_chain_structure(chain: ChainDecomposition) -> dict:
     # dimension is reported as-is
     out["space1_complement_dims"] = complement_dims
 
-    P_sum = sum((v.projector() for v in V), np.zeros((block.w, block.w), block.matrix.dtype))
+    P_sum = sum((v.projector() for v in V), np.zeros((chain.w, chain.w), Tb.dtype))
     out["space1_direct_sum"] = float(np.linalg.norm(P_sum - X[-1].projector()))
 
-    power_norms = {d: float(np.linalg.norm(block.powers[d], 2)) for d in range(1, K + 1)}
+    power_norms = {d: float(np.linalg.norm(chain.powers[d], 2)) for d in range(1, K + 1)}
     defect = 0.0
     certificate = np.inf
     for n in range(K + 1):
@@ -465,7 +436,7 @@ def verify_chain_structure(chain: ChainDecomposition) -> dict:
             Vn, Vm = V[n], V[m]
             if Vn.dim == 0 or Vm.dim == 0:
                 continue
-            map_block = Vm.frame.conj().T @ block.powers[m - n] @ Vn.frame
+            map_block = Vm.frame.conj().T @ chain.powers[m - n] @ Vn.frame
             s = np.linalg.svd(map_block, compute_uv=False)
             r = numerical_rank(s, cfg.rank_tol, power_norms[m - n])
             defect = max(defect, float(np.sqrt((Vm.dim - r) / Vm.dim)))
@@ -513,10 +484,11 @@ def verify_chain_structure(chain: ChainDecomposition) -> dict:
 
     compressions = [P @ Tb @ P for P in P_H]
     worst = 0.0
-    composed = np.eye(block.w, dtype=Tb.dtype)
+    composed = np.eye(chain.w, dtype=Tb.dtype)
     for lvl in tower:
         composed = polar(compressions[lvl.n - 1], rank_tol=cfg.rank_tol) @ composed
-        worst = max(worst, _corner_residual(composed - lvl.theta, block.window(lvl.n), lvl.theta))
+        wn = chain.model.window(K + lvl.n)
+        worst = max(worst, _corner_residual(composed - lvl.theta, wn, lvl.theta))
     out["key"] = worst
 
     # for Hermitian G and P = V V*, ||P G - G P||_F = sqrt(2) ||(I - P) G V||_F
@@ -530,8 +502,8 @@ def verify_chain_structure(chain: ChainDecomposition) -> dict:
                 Vm = V[m]
                 if Vm.dim == 0:
                     continue
-                diff = (block.grams[j] - gj) @ Vm.frame
-                worst = max(worst, float(np.linalg.norm(diff) / max(block.scales[j], 1e-300)))
+                diff = (chain.grams[j] - gj) @ Vm.frame
+                worst = max(worst, float(np.linalg.norm(diff) / max(chain.scales[j], 1e-300)))
     out["fukth"] = worst
     out["v_dims_weakly_decreasing"] = chain.notes["v_dims_weakly_decreasing"]
     out["gram_invariance_residual"] = chain.notes["gram_invariance_residual"]

@@ -6,7 +6,7 @@ smallest-singular-value scan over stacked gram powers, and
 ``recurrence_residual`` checks it as a recurrence on the tau and beta
 sequences.  The normal form is rebuilt from the single triple's chain basis.
 Condition II is read off that basis when it fills the space, and is the
-closure of M_E under the analysis block's matrix otherwise.  Only the
+closure of M_E under the chain's block matrix T_b otherwise.  Only the
 normal form, which rebuilds the user's T, works in ambient coordinates.
 """
 
@@ -188,8 +188,8 @@ def shift_rank_one_reconstruct(chain: ChainDecomposition, structure: StructureDa
     frames = structure.me_spectrum.frames
     if len(frames) != 2:
         raise PreconditionViolated("moduli characters are degenerate")
-    # T is ambient: lift M_E first, as (embed @ M_E) @ c (the other order moves bits)
-    lifted = chain.block.embed @ M_E.frame
+    # T is ambient: lift M_E first, as (window_cols @ M_E) @ c (the other order moves bits)
+    lifted = chain.model.window_cols(chain.w) @ M_E.frame
     w, v = (lifted @ frames[j][:, :1] for j in (lam, 1 - lam))
 
     model, cfg = chain.model, chain.cfg
@@ -242,10 +242,10 @@ def _condition_II(chain: ChainDecomposition, basis_width: int, diagnostics: dict
     below the block width leaves an exact projector I - F F* of rank >= 1
     outside it, so ``span_defect`` = ||I - F F*||_2 is 1, and 0 when capped.
     ``basis_width`` is the normal-form basis's column count, 0 without one."""
-    model, block = chain.model, chain.block
+    model = chain.model
     status = "capped"
-    if chain.M_E_block.dim < block.w and basis_width < model.dim:
-        status = krylov_closure(_band_rows(model, block.w) or block.matrix,
+    if chain.M_E_block.dim < chain.w and basis_width < model.dim:
+        status = krylov_closure(_band_rows(model, chain.w) or chain.matrix,
                                 chain.M_E_block.frame, _singular_pairs(model)[1][0],
                                 chain.cfg.rank_tol)[1]
     diagnostics["span_defect"] = 0.0 if status == "capped" else 1.0

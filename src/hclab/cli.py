@@ -263,12 +263,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, help="positivity margin (default 2/(1-q)+1)")
     p.add_argument("--psi", help="comma separated index map values")
     p.add_argument("--xi", help="comma separated composition weights")
-    p.add_argument("--depth", type=int, default=6, help="analysis depth K")
-    p.add_argument("--tol-rank", type=float, default=1e-10)
-    p.add_argument("--tol-comm", type=float, default=1e-9)
-    p.add_argument("--tol-rel", type=float, default=1e-8)
-    p.add_argument("--tol-match", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=7)
+    defaults = ToleranceConfig()
+    p.add_argument("--depth", type=int, default=defaults.depth, help="analysis depth K")
+    p.add_argument("--tol-rank", type=float, default=defaults.rank_tol)
+    p.add_argument("--tol-comm", type=float, default=defaults.commutator_tol)
+    p.add_argument("--tol-rel", type=float, default=defaults.relation_tol)
+    p.add_argument("--tol-match", type=float, default=defaults.spectral_match_tol)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out", help="write the report to this path (atomically)")
     return p

@@ -45,7 +45,7 @@ __all__ = [
 class ToleranceConfig:
     """Tolerances, analysis depth and seed shared across the laboratory."""
 
-    rank_tol: float = 1e-10
+    rank_tol: float = DEFAULT_RANK_TOL
     commutator_tol: float = 1e-9
     relation_tol: float = 1e-8
     spectral_match_tol: float = 1e-7

@@ -172,10 +172,9 @@ def _moduli_spectrum(chain: ChainDecomposition):
     """tau (None without a kernel vector), the grams 1..K on M_E by ``_gram_on``
     and their joint spectrum, kept on the chain; M_E's frame starts with E's
     column e, so tau_k = e* G_k e is the corner [0, 0] of the k-th gram."""
-    block = chain.block
-    me_mats = [_gram_on(chain.model, k, block.w, chain.M_E_block.frame)
+    me_mats = [_gram_on(chain.model, k, chain.w, chain.M_E_block.frame)
                for k in range(1, chain.depth + 1)]
-    tau = np.array([1.0] + [float(np.real(m[0, 0])) for m in me_mats]) if block.E.dim else None
+    tau = np.array([1.0] + [float(np.real(m[0, 0])) for m in me_mats]) if chain.E.dim else None
     return tau, me_mats, joint_diagonalize(me_mats, chain.cfg)
 
 
@@ -193,7 +192,7 @@ def structure_extract(chain: ChainDecomposition) -> StructureData:
     trailing block, with A[1:, 1:]), so the affine law is an independent
     check rather than a fit artifact.
     """
-    E, M_E = chain.block.E, chain.M_E_block
+    E, M_E = chain.E, chain.M_E_block
     if E.dim != 1:
         raise PreconditionViolated(f"kernel of T* has dimension {E.dim}, need 1")
     if M_E.dim < 2:
@@ -303,7 +302,7 @@ def spectral_correspondence_check(chain: ChainDecomposition) -> dict:
     levels, i.e. gamma-ratios at depth k agree with lambda-ratios at depth
     k + n.  Reports the worst best-match residual per layer.
     """
-    if chain.block.E.dim == 0:  # then M_E and every V_n are empty
+    if chain.E.dim == 0:  # then M_E and every V_n are empty
         return {"per_layer": {}, "worst": 0.0}
     K, cfg = chain.depth, chain.cfg
     tau, _, me_spec = _moduli_spectrum(chain)
@@ -316,7 +315,7 @@ def spectral_correspondence_check(chain: ChainDecomposition) -> dict:
             continue
         # V_0 is M_E, whose spectrum and ratios are already at hand
         gam_ratios = lam_ratios if n == 0 else _ratio_table(
-            joint_diagonalize([_gram_on(chain.model, k, chain.block.w, Vn.frame)
+            joint_diagonalize([_gram_on(chain.model, k, chain.w, Vn.frame)
                                for k in range(1, K + 1)], cfg),
             tau, zero_tol, K)
         # residual[gamma, lambda] over depths k = 0..K-1-n and powers j

@@ -3,7 +3,9 @@ import pytest
 
 from hclab import (Subspace, ToleranceConfig, aq_operator, from_matrix, shift_plus_rank_one,
                    weighted_shift)
-from hclab.chains import _moduli_on_block, analysis_block
+from hclab.chains import _moduli_on_block
+from hclab.commutation import _window_gram_norm, _window_view, effective_depth, kernel_of_adjoint
+from hclab.subspaces import orthonormalize
 
 
 @pytest.fixture
@@ -38,18 +40,25 @@ def cauchy_dual(model):
     return from_matrix(dual, exact=False)
 
 
-def lift(block, sub):
-    """A subspace of the analysis block in ambient coordinates."""
-    return Subspace(block.embed @ sub.frame)
+def lift(chain, sub):
+    """A subspace of the chain's window block in ambient coordinates."""
+    return Subspace(chain.model.window_cols(chain.w) @ sub.frame)
 
 
 def moduli_subspace(model, cfg):
     """M_E and its status, lifted to ambient coordinates: the closure the chain
     starts from, also on inputs that ``chain_decomposition`` rejects (T not
-    injective on its window)."""
-    block = analysis_block(model, cfg)
-    sub, status = _moduli_on_block(block, cfg)
-    return lift(block, sub), status
+    injective on its window).  E, the grams and their norms are the chain's,
+    built here from the model's memo."""
+    K = effective_depth(model, cfg)
+    w = model.window(K)
+    cols = model.window_cols(w)
+    coords = cols.conj().T @ kernel_of_adjoint(model, cfg).frame
+    E = orthonormalize([coords], rank_tol=cfg.rank_tol)
+    grams = tuple(_window_view(model, k, False, w)[0] for k in range(K + 1))
+    scales = tuple(_window_gram_norm(model, k, False, w) for k in range(K + 1))
+    sub, status = _moduli_on_block(grams, scales, E, cfg)
+    return Subspace(cols @ sub.frame), status
 
 
 def coefficients(relation):

@@ -91,7 +91,7 @@ def test_criterion_04_aq_joint_eigenvalues():
     q, r, big_n = 0.5, 5.0, 48
     t = aq_operator(q, r, big_n)
     chain = chain_decomposition(t, cfg)
-    M_E = lift(chain.block, chain.M_E_block).frame
+    M_E = lift(chain, chain.M_E_block).frame
     mats = [M_E.conj().T @ gram_power(t, k) @ M_E for k in range(1, cfg.depth + 1)]
     spec = joint_diagonalize(mats, cfg)
     values = np.concatenate([[row[0]] * f.shape[1] for row, f in zip(spec.table, spec.frames)])
@@ -108,10 +108,10 @@ def test_criterion_05_weighted_shift():
     w = random_weights(rng, big_n - 1)
     t = weighted_shift(w, big_n)
     chain = chain_decomposition(t, cfg)
-    assert lift(chain.block, chain.M_E_block).dim == 1
+    assert lift(chain, chain.M_E_block).dim == 1
     worst_proj = 0.0
     for k, v in enumerate(chain.V_block):
-        v = lift(chain.block, v)
+        v = lift(chain, v)
         ek = np.zeros(big_n)
         ek[k] = 1.0
         worst_proj = max(worst_proj, np.linalg.norm(v.projector() - np.outer(ek, ek)))
@@ -123,7 +123,7 @@ def test_criterion_05_weighted_shift():
     # the layer character values are exactly the weight-product ratios
     lam = np.concatenate([[1.0], np.cumprod(np.abs(w) ** 2)])
     for m in range(1, chain.depth):
-        vm = lift(chain.block, chain.V_block[m]).frame[:, 0]
+        vm = lift(chain, chain.V_block[m]).frame[:, 0]
         for j in range(1, chain.depth - m + 1):
             val = np.real(vm.conj() @ gram_power(t, j) @ vm)
             assert abs(val - lam[m + j] / lam[m]) <= 1e-10 * max(1.0, lam[m + j] / lam[m])
@@ -139,7 +139,7 @@ def test_criterion_06_shift_plus_rank_one():
     w = random_weights(rng, big_n - 1)
     t = shift_plus_rank_one(w, a, n, big_n)
     chain = chain_decomposition(t, cfg)
-    assert lift(chain.block, chain.M_E_block).dim == 2
+    assert lift(chain, chain.M_E_block).dim == 2
     st = structure_extract(chain)
     triples = enumerate_triples(chain, st)
     assert len(triples) == 1
@@ -239,7 +239,7 @@ def test_criterion_10_property_suite():
         # shared extreme values force the kernel line to be an eigenvector
         # (the extreme characters sit at the ends of the affine coordinate)
         li, mi = int(np.argmax(st.A_values)), int(np.argmin(st.A_values))
-        e = lift(chain.block, chain.block.E).frame[:, 0]
+        e = lift(chain, chain.E).frame[:, 0]
         scale = max(1.0, float(np.abs(st.me_spectrum.table[li]).max()))
         for m in range(1, chain.depth + 1):
             if abs(character_value(st.me_spectrum, li, m)

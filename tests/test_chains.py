@@ -33,10 +33,11 @@ import hclab.chains
 import hclab.classifier
 import hclab.commutation
 import hclab.linalg
-from hclab.chains import _moduli_on_block, _walk as walk, analysis_block, krylov_closure
+from hclab.chains import _moduli_on_block, _walk as walk, krylov_closure
 from hclab.cli import cmd_classify, main
 from hclab.commutation import (RowMap, _band_rows, _gram_on, _power_product, _singular_pairs,
-                               analysis_depth, effective_depth)
+                               _window_gram_norm, _window_view, analysis_depth,
+                               effective_depth)
 from hclab.errors import NotHalfCentered, NotInjectiveOnWindow
 from hclab.linalg import _hermitian_view, _split_norm, positive_sqrt
 from hclab.spectral import _moduli_spectrum
@@ -107,7 +108,7 @@ class TestChainDecomposition:
         chain = chain_decomposition(t, cfg)
         assert chain.dims["V"] == [1] * (chain.depth + 1)
         for k, v in enumerate(chain.V_block):
-            v = lift(chain.block, v)
+            v = lift(chain, v)
             expect = np.zeros(32)
             expect[k] = 1.0
             assert np.linalg.norm(v.projector() - np.outer(expect, expect)) <= 1e-10
@@ -150,17 +151,17 @@ class TestIsometryTower:
         # for an isometry, theta_n is T^n itself and r_n the identity, on
         # the part of the block the window still certifies
         chain = chain_decomposition(weighted_shift([1.0] * 19, 20), cfg)
-        tower, block = isometry_tower(chain), chain.block
+        tower = isometry_tower(chain)
         for lvl in tower:
-            wn = block.window(lvl.n)
-            expect = np.linalg.matrix_power(block.matrix, lvl.n)
+            wn = chain.model.window(chain.depth + lvl.n)
+            expect = np.linalg.matrix_power(chain.matrix, lvl.n)
             assert np.linalg.norm((lvl.theta - expect)[:, :wn]) <= 1e-12
-            r = positive_sqrt(chain.block.grams[lvl.n])
+            r = positive_sqrt(chain.grams[lvl.n])
             assert np.linalg.norm(r[:wn, :wn] - np.eye(wn)) <= 1e-12
 
     def test_weighted_shift_theta_is_unweighted_power(self, rng, cfg):
         chain = chain_decomposition(weighted_shift(rng.uniform(0.6, 1.4, 23), 24), cfg)
-        tower, w = isometry_tower(chain), chain.block.w
+        tower, w = isometry_tower(chain), chain.w
         s = np.zeros((w, w))
         s[np.arange(1, w), np.arange(w - 1)] = 1.0
         for lvl in tower:
@@ -185,15 +186,15 @@ class TestIsometryTower:
         if conj:
             model = model.conjugated(random_unitary(rng, 16))
         chain = chain_decomposition(model, cfg)
-        block, tower = chain.block, isometry_tower(chain)
+        tower = isometry_tower(chain)
         table = verify_chain_structure(chain)
-        bound = 100 * block.w * np.finfo(float).eps
+        bound = 100 * chain.w * np.finfo(float).eps
         assert [lvl.n for lvl in tower] == [1, 2, 3, 4, 5, 6]
         for lvl in tower[4:]:
-            wn = block.window(lvl.n)
+            wn = model.window(chain.depth + lvl.n)
             assert wn <= lvl.n
             if not conj:
-                assert not block.powers[lvl.n][:wn, :wn].any()
+                assert not chain.powers[lvl.n][:wn, :wn].any()
             assert lvl.residuals["reconstruct"] <= bound, lvl.n
             assert lvl.residuals["r_two_routes"] <= bound, lvl.n
         assert table["key"] <= bound and table["labann"] <= bound
@@ -220,7 +221,7 @@ class TestIsometryTower:
         # and its own polars are key's composed isometries, one per level
         assert roots == []
         assert len(polars) == len(tower)
-        assert not any(a is p for a in polars for p in chain.block.powers)
+        assert not any(a is p for a in polars for p in chain.powers)
 
     def test_requires_half_centered(self, cfg):
         n = 20
@@ -265,8 +266,8 @@ class TestVerifyChainStructure:
     def test_direct_sum_reconstructs_chain_span(self, rng, cfg):
         t = shift_plus_rank_one(random_weights(rng, 23), 0.1 + 0.2j, 1, 24)
         chain = chain_decomposition(t, cfg)
-        p = sum(lift(chain.block, v).projector() for v in chain.V_block)
-        assert np.linalg.norm(p - lift(chain.block, chain.X_block[-1]).projector()) <= 1e-10
+        p = sum(lift(chain, v).projector() for v in chain.V_block)
+        assert np.linalg.norm(p - lift(chain, chain.X_block[-1]).projector()) <= 1e-10
 
     def test_complement_dims_reported(self, rng, cfg):
         t = weighted_shift(random_weights(rng, 23), 24)
@@ -290,9 +291,7 @@ class TestSharedDerivations:
     def test_stages_share_one_block_and_half_report(self, cfg):
         t = aq_operator(0.5, 5.0, 32)
         chain = chain_decomposition(t, cfg)
-        block = chain.block
-        assert block is analysis_block(t, cfg)
-        assert all(lvl.theta.shape == (block.w, block.w) for lvl in isometry_tower(chain))
+        assert all(lvl.theta.shape == (chain.w, chain.w) for lvl in isometry_tower(chain))
         assert half_centered_check(t, cfg) == half_centered_check(t, cfg)
         assert half_centered_check(t, replace(cfg, depth=3))["depth"] == 3
 
@@ -328,7 +327,7 @@ class TestSharedDerivations:
 
 
 class TestOneDerivationPerBlock:
-    """The analysis block keeps its powers and its grams' operator norms, and
+    """The chain keeps its block powers and its grams' operator norms, and
     the stages read them instead of taking them again."""
 
     @pytest.fixture
@@ -385,15 +384,31 @@ class TestOneDerivationPerBlock:
                                                                            cfg):
         eps = np.finfo(float).eps
         for t in (sro32, sro32.conjugated(random_unitary(rng, 32))):
-            block = analysis_block(t, cfg)
-            assert len(block.powers) == len(block.grams) == len(block.scales) == block.depth + 1
-            power = np.eye(block.w, dtype=block.matrix.dtype)
-            for k in range(block.depth + 1):
-                assert np.array_equal(block.powers[k], power)
-                power = np.matmul(power, block.matrix)
-                assert block.scales[k] == _split_norm(*_hermitian_view(block.grams[k]))
-                svd_norm = np.linalg.norm(block.grams[k], 2)
-                assert abs(block.scales[k] - svd_norm) <= 4 * block.w * eps * block.scales[k]
+            chain = chain_decomposition(t, cfg)
+            assert len(chain.powers) == len(chain.grams) == len(chain.scales) == chain.depth + 1
+            power = np.eye(chain.w, dtype=chain.matrix.dtype)
+            for k in range(chain.depth + 1):
+                assert np.array_equal(chain.powers[k], power)
+                power = np.matmul(power, chain.matrix)
+                assert chain.scales[k] == _split_norm(*_hermitian_view(chain.grams[k]))
+                svd_norm = np.linalg.norm(chain.grams[k], 2)
+                assert abs(chain.scales[k] - svd_norm) <= 4 * chain.w * eps * chain.scales[k]
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("family", ["ws", "sro", "hardy", "aq0.5r5"])
+    def test_chain_grams_are_the_model_memo(self, family, conj, cfg):
+        # one cache of grams: the chain holds the model's window views and
+        # their norms, not copies
+        rng = np.random.default_rng(32)
+        model = family_model(family, 32, rng)
+        if conj:
+            model = model.conjugated(random_unitary(rng, 32))
+        chain = chain_decomposition(model, cfg)
+        assert len(chain.grams) == len(chain.scales) == chain.depth + 1
+        for k in range(chain.depth + 1):
+            assert chain.grams[k] is _window_view(model, k, False, chain.w)[0]
+            norm = _window_gram_norm(model, k, False, chain.w)
+            assert float(chain.scales[k]).hex() == float(norm).hex(), k  # bit for bit
 
     def test_structural_suite_takes_each_norm_once(self, sro32, cfg, norm_calls):
         chain = chain_decomposition(sro32, cfg)
@@ -478,13 +493,6 @@ class TestOneDerivationPerBlock:
             expect = np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
             assert p["residual"] == expect == 0.0
 
-    def test_one_analysis_block_per_model_and_config(self, cfg):
-        t = aq_operator(0.5, 5.0, 64)
-        moduli_subspace(t, cfg)
-        isometry_tower(chain_decomposition(t, cfg))
-        built = [key for key in t._memo if key[0] is analysis_block.__wrapped__]
-        assert len(built) == 1
-
 
 class TestLazyChain:
     """The chain and its ranges H_n are built when first read, once per
@@ -508,11 +516,17 @@ class TestLazyChain:
             classify(t, cfg)
         assert calls == {"ranges": []}
 
-    def test_classify_and_spectral_form_no_block_power(self, sro32, cfg):
+    def test_classify_and_spectral_form_no_block_power(self, sro32, cfg, monkeypatch):
+        chains = []
+        build = hclab.classifier.chain_decomposition
+        monkeypatch.setattr(hclab.classifier, "chain_decomposition",
+                            lambda *args: chains.append(build(*args)) or chains[-1])
         for t in (sro32, aq_operator(0.5, 5.0, 48)):
             classify(t, cfg)
-            spectral_correspondence_check(chain_decomposition(t, cfg))
-            assert "powers" not in vars(analysis_block(t, cfg))
+            chains.append(chain_decomposition(t, cfg))
+            spectral_correspondence_check(chains[-1])
+        assert len(chains) == 4
+        assert not any("powers" in vars(chain) for chain in chains)
 
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_decompose_and_verify_build_each_range_and_defect_once(
@@ -611,7 +625,7 @@ def _block_closure(chain):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hclab.classifier, "krylov_closure", recording)
         hclab.classifier._condition_II(chain, 0, {})
-    if chain.M_E_block.dim == chain.block.w:
+    if chain.M_E_block.dim == chain.w:
         assert calls == []
         return chain.M_E_block, "capped"
     [(frame, status)] = calls
@@ -620,7 +634,7 @@ def _block_closure(chain):
 
 def _ambient_M_E(model, cfg):
     chain = chain_decomposition(model, cfg)
-    return lift(chain.block, chain.M_E_block)
+    return lift(chain, chain.M_E_block)
 
 
 class TestSpanClosureParity:
@@ -640,8 +654,8 @@ class TestSpanClosureParity:
         runs = {  # (matrix, seed, closure and status, the columns it must fill)
             "ker T*": (model.matrix, kernel_of_adjoint(model, cfg), _wandering_span(model, cfg),
                        model.window_cols(model.window(effective_depth(model, cfg)))),
-            "M_E": (chain.block.matrix, chain.M_E_block, _block_closure(chain),
-                    np.eye(chain.block.w)),
+            "M_E": (chain.matrix, chain.M_E_block, _block_closure(chain),
+                    np.eye(chain.w)),
         }
         for name, (matrix, seed, (got, status), probe) in runs.items():
             ref, ref_status = _stacked_closure(matrix, seed, cfg.rank_tol)
@@ -987,15 +1001,15 @@ class TestRowMapClosure:
         assert got_status == ref_status and np.array_equal(got, ref)
 
 
-def _sweep_moduli_on_block(block, cfg):
+def _sweep_moduli_on_block(chain, cfg):
     """Reference closure: re-span [frame, G_1 frame, .., G_K frame] every sweep
     until the dimension holds for two sweeps in a row."""
-    if block.E.dim == 0:
-        return block.E, "empty"
-    grams = block.grams[1:block.depth + 1]
-    frame = block.E.frame
+    if chain.E.dim == 0:
+        return chain.E, "empty"
+    grams = chain.grams[1:chain.depth + 1]
+    frame = chain.E.frame
     stable = 0
-    for _ in range(4 * block.w):
+    for _ in range(4 * chain.w):
         sub = orthonormalize([frame] + [g @ frame for g in grams], rank_tol=cfg.rank_tol)
         if sub.dim == frame.shape[1]:
             stable += 1
@@ -1004,9 +1018,9 @@ def _sweep_moduli_on_block(block, cfg):
         else:
             stable = 0
         frame = sub.frame
-        if sub.dim >= block.w:
+        if sub.dim >= chain.w:
             return sub, "capped"
-    pytest.fail(f"the sweep did not hold its dimension within {4 * block.w} sweeps")
+    pytest.fail(f"the sweep did not hold its dimension within {4 * chain.w} sweeps")
 
 
 class TestModuliKrylovClosure:
@@ -1021,9 +1035,9 @@ class TestModuliKrylovClosure:
         model = family_model(family, n, rng)
         if conj:
             model = model.conjugated(random_unitary(rng, n))
-        block = analysis_block(model, cfg)
-        got, status = _moduli_on_block(block, cfg)
-        ref, ref_status = _sweep_moduli_on_block(block, cfg)
+        chain = chain_decomposition(model, cfg)
+        got, status = _moduli_on_block(chain.grams, chain.scales, chain.E, cfg)
+        ref, ref_status = _sweep_moduli_on_block(chain, cfg)
         if status == "tolerance":
             # the rank cut set both dimensions; nothing pins one to the other
             return
@@ -1036,7 +1050,7 @@ class TestModuliKrylovClosure:
         model = aq_operator(0.5, None, 64)
         sub, status = moduli_subspace(model, cfg)
         assert status == "tolerance"
-        assert sub.dim < analysis_block(model, cfg).w
+        assert sub.dim < model.window(effective_depth(model, cfg))
 
     def test_grams_see_each_direction_once(self, cfg, monkeypatch):
         # the stacked grams inside krylov_closure: a step sets the K images of
@@ -1054,27 +1068,28 @@ class TestModuliKrylovClosure:
                                                                    *args, **kwargs))
         model = aq_operator(0.5, None, 64)
         sub, _ = moduli_subspace(model, cfg)
-        assert widths and sum(widths) <= analysis_block(model, cfg).depth * sub.dim
+        assert widths and sum(widths) <= effective_depth(model, cfg) * sub.dim
 
 
 class TestOneCoordinateSystem:
-    """Every stage after the analysis block reads the chain in block
+    """Every stage after ``chain_decomposition`` reads the chain in block
     coordinates, condition II included; ambient frames are lifts, built by
     the caller at the public edge."""
 
     @pytest.fixture
     def lifts(self, monkeypatch):
-        # a lift multiplies by the block's window basis: record each function
-        # that reads ``embed`` off a block
+        # a lift multiplies by the window basis: record each function that
+        # takes it, but chain_decomposition, which takes ker T* down to the block
         calls = []
+        window_cols = OperatorModel.window_cols
 
-        def embed(block):
-            calls.append(sys._getframe(1).f_code.co_name)
-            return vars(block)["embed"]
+        def counting(model, w):
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "chain_decomposition":
+                calls.append(caller)
+            return window_cols(model, w)
 
-        monkeypatch.setattr(hclab.chains.AnalysisBlock, "embed",
-                            property(embed, lambda block, value: vars(block).update(embed=value)),
-                            raising=False)
+        monkeypatch.setattr(OperatorModel, "window_cols", counting)
         return calls
 
     @staticmethod
@@ -1145,7 +1160,8 @@ class TestOneCoordinateSystem:
     @pytest.mark.parametrize("family", ["sro", "aq"])
     def test_chain_has_no_ambient_names(self, family, conj, cfg, lifts):
         chain = chain_decomposition(self._model(family, 32, conj), cfg)
-        assert not [name for name in ("E", "M_E", "X", "V", "layers") if hasattr(chain, name)]
+        assert not [name for name in ("M_E", "X", "V", "layers") if hasattr(chain, name)]
+        assert chain.E.frame.shape == (chain.w, 1)  # the kernel line, in block coordinates
         assert lifts == []
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
@@ -1154,31 +1170,30 @@ class TestOneCoordinateSystem:
     def test_block_route_matches_ambient_formula(self, family, n, conj, cfg):
         model = self._model(family, n, conj)
         chain = chain_decomposition(model, cfg)
-        block, eps = chain.block, np.finfo(float).eps
+        eps = np.finfo(float).eps
         tau, me_mats, _ = _moduli_spectrum(chain)
-        e, ME = lift(block, block.E).frame[:, 0], lift(block, chain.M_E_block).frame
+        e, ME = lift(chain, chain.E).frame[:, 0], lift(chain, chain.M_E_block).frame
         for k in range(1, chain.depth + 1):
             # the ambient formula: the full N x N gram on lifted frames
             G = gram_power(model, k)
-            tol = 8 * block.w * eps * _split_norm(*_hermitian_view(G))
+            tol = 8 * chain.w * eps * _split_norm(*_hermitian_view(G))
             assert np.linalg.norm(me_mats[k - 1] - ME.conj().T @ G @ ME, 2) <= tol
             assert abs(tau[k] - np.real(e.conj() @ G @ e)) <= tol
             for Vb in chain.V_block:
-                Vn = lift(block, Vb)
-                comp = _gram_on(model, k, block.w, Vb.frame)
+                Vn = lift(chain, Vb)
+                comp = _gram_on(model, k, chain.w, Vb.frame)
                 assert np.linalg.norm(comp - Vn.frame.conj().T @ G @ Vn.frame, 2) <= tol
 
 
 def _commutator_oracle(chain):
     """max ||P_V G - G P_V||_F / ||G|| over the nonempty layers V_n and the
     grams G_1..G_K of the block: the dense formula ``fuio`` replaces."""
-    block = chain.block
     worst = 0.0
     for Vn in chain.V_block:
         if Vn.dim == 0:
             continue
         P = Vn.projector()
-        for g, scale in zip(block.grams[1:], block.scales[1:]):
+        for g, scale in zip(chain.grams[1:], chain.scales[1:]):
             worst = max(worst, float(np.linalg.norm(P @ g - g @ P) / max(scale, 1e-300)))
     return worst
 
@@ -1194,7 +1209,7 @@ class TestOneFactPerClaim:
         chain = chain_decomposition(model, cfg)
         table = verify_chain_structure(chain)
         oracle = _commutator_oracle(chain)
-        bound = 8 * chain.block.w * np.finfo(float).eps
+        bound = 8 * chain.w * np.finfo(float).eps
         assert oracle > 1e3 * bound
         assert abs(table["fuio"] - oracle) <= bound
 
@@ -1267,5 +1282,5 @@ class TestDefectsFromProjectors:
     @pytest.mark.parametrize("family", ["sro", "hardy", "aq"])
     def test_moduli_frame_starts_with_the_kernel_frame(self, family, conj, cfg):
         chain = chain_decomposition(TestOneCoordinateSystem._model(family, 32, conj), cfg)
-        E = chain.block.E.frame
+        E = chain.E.frame
         assert np.array_equal(chain.M_E_block.frame[:, :E.shape[1]], E)

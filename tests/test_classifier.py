@@ -19,7 +19,7 @@ from hclab import (
     structure_extract,
     weighted_shift,
 )
-from hclab.chains import analysis_block, krylov_closure
+from hclab.chains import krylov_closure
 from hclab.commutation import RowMap, _singular_pairs, _window_view, effective_depth
 from hclab.classifier import (_REFERENCE_3, _REFERENCE_4, _canonical_null_vector,
                               _closed_range_flag, _relation_columns)
@@ -470,37 +470,42 @@ def _scalar_plus_shift(conj):
 
 class TestConditionII:
     """classify reads condition II off a normal-form basis of N columns, and
-    closes M_E under the analysis block's matrix only when there is none."""
+    closes M_E under the chain's block matrix T_b only when there is none."""
 
     @pytest.fixture
     def closures(self, monkeypatch):
-        """The matrices classify's ``krylov_closure`` calls close under."""
+        """The matrices classify's ``krylov_closure`` calls close under; the
+        chain classify builds goes to ``self.chain``."""
         calls = []
+        build = hclab.classifier.chain_decomposition
 
         def counting(matrix, *args, **kwargs):
             calls.append(matrix)
             return krylov_closure(matrix, *args, **kwargs)
 
+        def keep(*args):
+            self.chain = build(*args)
+            return self.chain
+
         monkeypatch.setattr(hclab.classifier, "krylov_closure", counting)
+        monkeypatch.setattr(hclab.classifier, "chain_decomposition", keep)
         return calls
 
-    @staticmethod
-    def block_closures(closures, model, cfg):
-        """The closures under the analysis block's matrix, or its row map on the band route."""
-        block = analysis_block(model, cfg)
-        return [matrix for matrix in closures if matrix is block.matrix
-                or (isinstance(matrix, RowMap) and matrix.col.size == block.w)]
+    def block_closures(self, closures):
+        """The closures under classify's block matrix T_b, or its row map on the band route."""
+        return [matrix for matrix in closures if matrix is self.chain.matrix
+                or (isinstance(matrix, RowMap) and matrix.col.size == self.chain.w)]
 
     @staticmethod
     def direct(model, cfg):
         """(span_status, span_defect, condition_II_ok) of the closure of M_E
         under T_b, whose probe, the block's columns, is the identity."""
         chain = chain_decomposition(model, cfg)
-        frame, status = krylov_closure(chain.block.matrix, chain.M_E_block.frame,
+        frame, status = krylov_closure(chain.matrix, chain.M_E_block.frame,
                                        _singular_pairs(model)[1][0], cfg.rank_tol)
         defect = 0.0
         if status != "capped":
-            defect = float(np.linalg.norm(np.eye(chain.block.w) - frame @ frame.conj().T, 2))
+            defect = float(np.linalg.norm(np.eye(chain.w) - frame @ frame.conj().T, 2))
         return status, defect, defect <= 1e-8
 
     @staticmethod
@@ -508,7 +513,7 @@ class TestConditionII:
         """(span_status, condition_II_ok) of the closure of M_E, lifted, under
         the N x N matrix, probed on the window columns of the chain's depth."""
         chain = chain_decomposition(model, cfg)
-        seed = chain.block.embed @ chain.M_E_block.frame
+        seed = model.window_cols(chain.w) @ chain.M_E_block.frame
         frame, status = krylov_closure(model.matrix, seed, _singular_pairs(model)[1][0],
                                        cfg.rank_tol)
         if status == "capped":
@@ -531,7 +536,7 @@ class TestConditionII:
             model = model.conjugated(random_unitary(rng, N))
         rep = classify(model, cfg)
         assert rep["reconstruction"] is not None
-        assert self.block_closures(closures, model, cfg) == []
+        assert self.block_closures(closures) == []
         assert _normal_form(model, cfg)[1].shape == (N, N)
         assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
 
@@ -543,8 +548,8 @@ class TestConditionII:
             model = model.conjugated(random_unitary(rng, N))
         rep = classify(model, cfg)
         chain = chain_decomposition(model, cfg)
-        assert rep["reconstruction"] is None and chain.M_E_block.dim == chain.block.w
-        assert self.block_closures(closures, model, cfg) == []
+        assert rep["reconstruction"] is None and chain.M_E_block.dim == chain.w
+        assert self.block_closures(closures) == []
         assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
 
     @pytest.mark.parametrize("family, N", [("ws", 32), ("aq0.5r5", 48)])
@@ -552,7 +557,7 @@ class TestConditionII:
         model = family_model(family, N, rng)
         rep = classify(model, cfg)
         assert rep["reconstruction"] is None
-        assert len(self.block_closures(closures, model, cfg)) == len(closures) == 1
+        assert len(self.block_closures(closures)) == len(closures) == 1
         assert self.reported(rep) == self.direct(model, cfg)
 
     @pytest.mark.parametrize("outcome", ["raises", "narrow"])
@@ -569,7 +574,7 @@ class TestConditionII:
         model = family_model("sro", 32, rng)
         rep = classify(model, cfg)
         assert (rep["reconstruction"] is None) == (outcome == "raises")
-        assert len(self.block_closures(closures, model, cfg)) == 1
+        assert len(self.block_closures(closures)) == 1
         assert self.reported(rep) == self.direct(model, cfg) == ("capped", 0.0, True)
 
     @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conjugated"])
@@ -577,7 +582,7 @@ class TestConditionII:
         model = _scalar_plus_shift(conj)
         rep = classify(model, cfg)
         assert rep["verdict"] == "centered_weighted_shift"
-        assert len(self.block_closures(closures, model, cfg)) == 1
+        assert len(self.block_closures(closures)) == 1
         assert self.reported(rep) == ("stable", pytest.approx(1.0, abs=1e-12), False)
         # the report reads the defect off the status; the oracle's SVD is 1 to roundoff
         (status, defect, ok), (ref_status, ref_defect, ref_ok) = (self.reported(rep),
@@ -621,7 +626,7 @@ class TestCertificateInvariants:
         for v in chain.V_block:
             if v.dim == 0:
                 continue
-            assert np.linalg.norm(combo @ lift(chain.block, v).frame) <= 1e-8
+            assert np.linalg.norm(combo @ lift(chain, v).frame) <= 1e-8
 
     def test_closed_range_under_relation(self, cfg):
         t = aq_operator(0.5, 5.0, 48)

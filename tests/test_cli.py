@@ -779,8 +779,8 @@ def test_cli_grid_tool(capsys):
 
 def test_invariance_grid_tool(monkeypatch):
     """tools/invariance_grid.py summarizes the 300 json runs of cli_grid.py's
-    grid other than zoo, on T, on D T D* and on U T U*, with no residual in a
-    summary."""
+    grid other than zoo, on T, on D T D*, on U T U*, on 0.1 T and on 10 T,
+    with no residual in a summary."""
     import hclab.cli
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import invariance_grid
@@ -816,13 +816,65 @@ def test_invariance_grid_tool(monkeypatch):
         "ws verify 16": "4 " + ws.format("false", "1,1,1,1,1,1,1", '"fukth"'),
     }
     build = hclab.cli.build_model
-    for rotated in (invariance_grid.phase_conjugated, invariance_grid.unitary_conjugated):
+    for rotated in (invariance_grid.phase_conjugated, invariance_grid.unitary_conjugated,
+                    lambda cli: invariance_grid.scaled(cli, 0.1)):
         monkeypatch.setattr(hclab.cli, "build_model", rotated(hclab.cli))
         assert summaries() == plain
         monkeypatch.setattr(hclab.cli, "build_model", build)
+    # at 10 T the ws summaries hold; hardy's classify is the xfail below
+    monkeypatch.setattr(hclab.cli, "build_model", invariance_grid.scaled(hclab.cli, 10.0))
+    ws_lines = {key: line for key, line in plain.items() if key.startswith("ws ")}
+    assert {key: line for key, line in summaries().items() if key in ws_lines} == ws_lines
+    monkeypatch.setattr(hclab.cli, "build_model", build)
     assert invariance_grid.summary(2, "", "error[ModuliTooSmall]: dim M_E = 1 < 2") == (
         "2 error=ModuliTooSmall")
     assert invariance_grid.main([]) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="hardy classify at 10 T reads four_term_relation "
+                                        "with 0 triples, where T reads both with 1")
+def test_hardy_classify_is_scale_invariant(monkeypatch):
+    """c T has the answers of T; hardy (c = 0.5) at N = 16 scaled by 10 loses its
+    triple, so classify reads a four-term relation alone."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import invariance_grid
+    argv = ["classify", *invariance_grid.cli_grid.family_args("hardy", 16), "--n", "16",
+            "--format", "json"]
+    plain = invariance_grid.cli_grid.capture(main, argv)
+    monkeypatch.setattr(hclab.cli, "build_model", invariance_grid.scaled(hclab.cli, 10.0))
+    scaled = invariance_grid.cli_grid.capture(main, argv)
+    assert invariance_grid.summary(*scaled[:3]) == invariance_grid.summary(*plain[:3])
+
+
+def test_fuzz_grid_tool(monkeypatch):
+    """tools/fuzz_grid.py draws valid specs and runs five commands on each: a
+    200-run seeded sweep at N <= 24 ends every run inside the exit contract,
+    and a run whose command raises, or exits 1 on a valid spec, is marked."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import fuzz_grid
+    lines = []
+    assert fuzz_grid.fuzz(main, 2026, 40, max_n=24, write=lines.append) == (0, 200)
+    assert lines[-1] == "outside contract 0 of 200" and len(lines) == 201
+    for line in lines[:-1]:
+        assert re.fullmatch(r"fuzz \d+ (ws|sro|aq|hardy) \d+ [a-z]+ [0234] [0-9a-f]{64}", line)
+    assert {line.split()[2] for line in lines[:-1]} == set(fuzz_grid.FAMILIES)
+    assert max(int(line.split()[3]) for line in lines[:-1]) <= 24
+
+    def raising(model, cfg):
+        raise RuntimeError("escaped")
+
+    def usage(model, cfg):
+        raise ValueError("a usage error on a valid spec")
+
+    for patch, reason in ((raising, "raised-RuntimeError"), (usage, "exit1-ValueError")):
+        monkeypatch.setattr(hclab.cli, "cmd_classify", patch)
+        lines.clear()
+        assert fuzz_grid.fuzz(main, 2026, 2, max_n=24, write=lines.append) == (2, 10)
+        marked = [line for line in lines if " outside " in line]
+        assert len(marked) == 2 and all(" classify " in line for line in marked)
+        assert all(line.endswith(f" outside {reason}") for line in marked)
+    assert fuzz_grid.outside(3, "Traceback (most recent call last):") == "unnamed-exit3"
+    assert fuzz_grid.outside(3, "error[NonFinite]: gram power overflows") is None
 
 
 def test_report_diff_tool(monkeypatch, capsys):

@@ -23,7 +23,6 @@ from hclab import (
     shift_plus_rank_one,
     weighted_shift,
 )
-from hclab.chains import analysis_block
 from hclab.cli import cmd_verify
 from hclab.commutation import (_band_rows, _lone_columns, _matrix_power, _power_product,
                                _singular_pairs, _window_gram_norm, _window_table, _window_view,
@@ -268,7 +267,7 @@ class TestCoupledPairTables:
                         assert np.shares_memory(h, table) and np.array_equal(h, table[:w, :w])
                         assert np.array_equal(h, h.conj().T)
                         assert np.array_equal(mask, _coupled_rows(h))
-        for k, g in enumerate(analysis_block(rotated, cfg).grams):
+        for k, g in enumerate(chain_decomposition(rotated, cfg).grams):
             assert np.shares_memory(g, _window_table(rotated, k, False))
             assert np.array_equal(g, g.conj().T)
 
@@ -299,10 +298,10 @@ class TestCoupledPairTables:
         if n == 160 and not conj:   # aq couples only its leading rows there
             assert len(factorizations) == 6
         centered_check(model, cfg)
-        block = analysis_block(model, cfg)
+        chain = chain_decomposition(model, cfg)
         norm = _window_gram_norm.__wrapped__
         read = {key[1]: value for key, value in model._memo.items() if key[0] is norm}
-        assert {(k, False, block.w) for k in range(block.depth + 1)} <= set(read)
+        assert {(k, False, chain.w) for k in range(chain.depth + 1)} <= set(read)
         for (k, outer, w), value in read.items():
             assert value == _split_norm(*_window_view(model, k, outer, w)), (k, outer, w)
 
@@ -424,11 +423,11 @@ class TestRestrictionStability:
             weighted_shift(random_weights(rng, 23), 24),
             shift_plus_rank_one(random_weights(rng, 23), 0.5 + 0.2j, 1, 24),
         ]:
-            block = analysis_block(model, cfg)
-            h1 = np.linalg.matrix_power(block.matrix, 1)[:, : block.window(1)]
+            chain = chain_decomposition(model, cfg)
+            h1 = np.linalg.matrix_power(chain.matrix, 1)[:, : model.window(chain.depth + 1)]
             u, s, _ = np.linalg.svd(h1, full_matrices=False)
             basis = u[:, s > cfg.rank_tol * s[0]]
-            compressed = basis @ (basis.conj().T @ block.matrix @ basis) @ basis.conj().T
+            compressed = basis @ (basis.conj().T @ chain.matrix @ basis) @ basis.conj().T
             sub = from_matrix(compressed, exact=False)
             report = half_centered_check(sub, replace(cfg, depth=3))
             assert report["verdict"]["half_centered"], model.family
@@ -535,7 +534,7 @@ class TestBandRoute:
         # the map of the whole T and of the analysis block, on a vector and a block
         model = self.gauged(family, n)
         rng = np.random.default_rng(n)
-        for w in (n, analysis_block(model, cfg).w):
+        for w in (n, chain_decomposition(model, cfg).w):
             rows, t = _band_rows(model, w), model.matrix[:w, :w]
             for x in (rng.standard_normal(w), rng.standard_normal((w, 3))):
                 assert np.array_equal(rows @ x, t @ x), (w, x.ndim)

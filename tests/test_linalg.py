@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hclab import ToleranceConfig, hermitian_eig, polar, positive_sqrt
-from hclab.chains import analysis_block
+from hclab.chains import chain_decomposition
 from hclab.errors import NonFinite, NotHermitian, NotPSD
 from hclab.linalg import (_coupled_rows, _hermitian_view, _lone_svd, _split_commutator_norm,
                           _split_eigvals, _split_norm, numerical_rank, power_table)
@@ -140,12 +140,12 @@ class TestTowerFactors:
         model = family_model(family, n, rng)
         if conj:
             model = model.conjugated(random_unitary(rng, n))
-        block = analysis_block(model, cfg)
-        for k in range(1, block.depth + 1):
-            g = block.grams[k]
+        chain = chain_decomposition(model, cfg)
+        for k in range(1, chain.depth + 1):
+            g = chain.grams[k]
             r = positive_sqrt(g)
             assert np.linalg.norm(r @ r - g) <= 1e-12 * np.linalg.norm(g), k
-            theta = polar(block.powers[k], rank_tol=cfg.rank_tol)
+            theta = polar(chain.powers[k], rank_tol=cfg.rank_tol)
             for p in (theta @ theta.conj().T, theta.conj().T @ theta):
                 assert np.linalg.norm(p @ p - p) <= 1e-12, k
                 assert np.linalg.norm(p - p.conj().T) <= 1e-12, k

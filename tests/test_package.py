@@ -12,7 +12,8 @@ REMOVED = ("polynomial_machinery", "PolynomialData", "DegenerateTriples", "proje
            "hermitian_norm", "hermitian_commutator_norm", "co_gram_power", "wandering_span",
            "cauchy_dual", "NotLeftInvertible", "TripleRecord", "Character", "moduli_subspace",
            "CommutationReport", "CriterionReport", "RelationCertificate",
-           "ShiftRankOneCertificate", "ClassificationReport", "_band_columns")
+           "ShiftRankOneCertificate", "ClassificationReport", "_band_columns",
+           "AnalysisBlock", "analysis_block", "_ensure_injective_on_window")
 # OperatorModel.conjugated is read by tests and tools alone: it is the
 # rotated-basis oracle that the invariance tests and tools/invariance_grid.py
 # check every answer against, so it stays beside the model it rotates

@@ -229,13 +229,12 @@ class TestStructureExtract:
         if conj:
             model = model.conjugated(random_unitary(rng, 32))
         chain = chain_decomposition(model, cfg)
-        block = chain.block
         st = structure_extract(chain)
         _, me_mats, _ = spectral._moduli_spectrum(chain)
-        e, F = block.E.frame[:, 0], chain.M_E_block.frame[:, 1:]
+        e, F = chain.E.frame[:, 0], chain.M_E_block.frame[:, 1:]
         for k in range(1, chain.depth + 1):
-            G = block.grams[k]
-            bound = 8 * block.w * np.finfo(float).eps * block.scales[k]
+            G = chain.grams[k]
+            bound = 8 * chain.w * np.finfo(float).eps * chain.scales[k]
             assert abs(st.tau[k] - np.real(e.conj() @ G @ e)) <= bound
             assert np.linalg.norm(me_mats[k - 1][1:, 1:] - F.conj().T @ G @ F, 2) <= bound
         # wwraw is the trailing block of the residuals whose whole is bt1
@@ -257,7 +256,7 @@ class TestStructureExtract:
         monkeypatch.setattr(OperatorModel, "window_restrict", counting)
         structure_extract(chain)
         spectral_correspondence_check(chain)
-        assert restricted == [chain.block.w] * chain.depth
+        assert restricted == [chain.w] * chain.depth
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than float64 here")
@@ -267,7 +266,7 @@ class TestStructureExtract:
         # error of 4e-8 of that norm, C* C with C = T^k F one below 1e-12
         model = aq_operator(0.5, 1.123915264854093, 32)
         chain = chain_decomposition(model, cfg)
-        w = chain.block.w
+        w = chain.w
         F = chain.M_E_block.frame[:, 1:].astype(np.longdouble)
         _, me_mats, _ = spectral._moduli_spectrum(chain)
         for k, m in enumerate(me_mats, start=1):
@@ -387,7 +386,7 @@ class TestSpectralCorrespondence:
         chain = chain_decomposition(t, cfg)
         lam = np.concatenate([[1.0], np.cumprod(w ** 2)])
         for m in range(1, chain.depth):
-            vm = lift(chain.block, chain.V_block[m]).frame[:, 0]
+            vm = lift(chain, chain.V_block[m]).frame[:, 0]
             for j in range(1, chain.depth - m):
                 g = gram_power(t, j)
                 val = np.real(vm.conj() @ g @ vm)
@@ -404,7 +403,7 @@ class TestSpectralSideConditions:
         # the extreme characters sit at the ends of the affine coordinate
         lam, mu = (partial(character_value, st.me_spectrum, int(c))
                    for c in (np.argmax(st.A_values), np.argmin(st.A_values)))
-        e = lift(chain.block, chain.block.E).frame[:, 0]
+        e = lift(chain, chain.E).frame[:, 0]
         scale = max(np.abs(st.me_spectrum.table[np.argmax(st.A_values)]).max(), 1.0)
         for m in range(1, chain.depth + 1):
             if abs(lam(m) - mu(m)) <= 1e-9 * scale:
@@ -431,7 +430,7 @@ class TestSpectralSideConditions:
         t = aq_operator(0.5, 5.0, 24)
         chain = chain_decomposition(t, cfg)
         st = structure_extract(chain)
-        assert lift(chain.block, chain.M_E_block).dim >= 3
+        assert lift(chain, chain.M_E_block).dim >= 3
         assert len(st.compressed_spectrum.table) >= 2
 
     def test_affine_coefficients_differ_when_moduli_is_a_plane(self, rng, cfg):
@@ -443,7 +442,7 @@ class TestSpectralSideConditions:
         ]:
             chain = chain_decomposition(t, cfg)
             st = structure_extract(chain)
-            assert lift(chain.block, chain.M_E_block).dim == 2
+            assert lift(chain, chain.M_E_block).dim == 2
             triples = enumerate_triples(chain, st)
             assert triples
             for tr in triples:

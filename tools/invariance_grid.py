@@ -1,13 +1,13 @@
 """Summarize the answers of the hclab command line on the grid of
-``cli_grid.py``, for each operator T, for D T D* with seeded diagonal phases D
-and for U T U* with a seeded dense unitary U, and count the runs whose rotated
-summaries differ from the plain one.
+``cli_grid.py``, for each operator T, for D T D* with seeded diagonal phases D,
+for U T U* with a seeded dense unitary U and for 0.1 T and 10 T, and count the
+runs whose rotated or scaled summaries differ from the plain one.
 
 Usage: python tools/invariance_grid.py SRC_DIR
 
 SRC_DIR is the directory that holds the ``hclab`` package (``src`` in a
 checkout).  The runs are the json runs of ``cli_grid.grid()`` except ``zoo``:
-300 runs, each made three times, in process.  Each line reads
+300 runs, each made five times, in process.  Each line reads
 ``basis N family command exit`` and then the summary fields the run's report
 has: ``verdict``, ``dim_E``, ``dim_M_E``, ``moduli_status``, ``V`` (the chain's
 V_n dimensions), ``triples`` (a count), ``condition_II_ok`` and ``failures``
@@ -17,10 +17,13 @@ for that model conjugated by D = diag(exp(2 pi i theta)), with theta drawn
 from ``default_rng(PHASE_SEED)``, and ``UTU*`` for it conjugated by a Haar
 unitary U drawn from ``default_rng(UNITARY_SEED)``.  Both go through
 ``OperatorModel.conjugated``, which rotates the window along, so every answer
-should hold; both make a real operator complex, and U makes it dense.  The
-lines ``differ K of 300`` and ``differ UTU* K of 300`` count the runs whose
-DTD* line and whose UTU* line differ from the T line, and
-``condition II false K of M`` counts the ``classify`` runs, over all three
+should hold; both make a real operator complex, and U makes it dense.
+``0.1T`` and ``10T`` are ``dataclasses.replace(model, matrix=c * model.matrix)``
+of T, so the window metadata and the gauge still apply; every answer of the
+paper is scale invariant.  The lines ``differ K of 300``, ``differ UTU* K of
+300``, ``differ 0.1T K of 300`` and ``differ 10T K of 300`` count the runs
+whose DTD*, UTU*, 0.1T and 10T lines differ from the T line, and
+``condition II false K of M`` counts the ``classify`` runs, over all five
 bases, whose report reads ``condition_II_ok`` false.  The lines ``analysed
 real BASIS K of M`` count, per basis, the runs whose model the command line
 analyses in float64: those where ``real_gauge(model)`` is real (a checkout
@@ -109,6 +112,19 @@ def unitary_conjugated(cli):
     return _conjugating(cli, _haar)
 
 
+def scaled(cli, c: float):
+    """A ``build_model`` for ``cli`` that returns c T for the model T it would
+    build, with T's window metadata."""
+    import dataclasses
+
+    build = cli.build_model
+
+    def scaling(args):
+        model = build(args)
+        return dataclasses.replace(model, matrix=c * model.matrix)
+    return scaling
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -116,8 +132,9 @@ def main(argv=None) -> int:
         return 2
     cli = cli_grid.load_cli(args[0])
     builders = {"T": cli.build_model, "DTD*": phase_conjugated(cli),
-                "UTU*": unitary_conjugated(cli)}
-    differ = {"DTD*": 0, "UTU*": 0}
+                "UTU*": unitary_conjugated(cli), "0.1T": scaled(cli, 0.1),
+                "10T": scaled(cli, 10.0)}
+    differ = {"DTD*": 0, "UTU*": 0, "0.1T": 0, "10T": 0}
     real = dict.fromkeys(builders, 0)
     gauge = getattr(cli, "real_gauge", lambda model: model)
     built = []
@@ -149,7 +166,8 @@ def main(argv=None) -> int:
     finally:
         cli.build_model = builders["T"]
     print("differ", differ["DTD*"], "of", total)
-    print("differ UTU*", differ["UTU*"], "of", total)
+    for basis in ("UTU*", "0.1T", "10T"):
+        print("differ", basis, differ[basis], "of", total)
     print("condition II false", span_false, "of", span_runs)
     for basis, count in real.items():
         print("analysed real", basis, count, "of", total)
